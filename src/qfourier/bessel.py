@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ParseError, PrecisionExhausted
 from .lattice import LatticeGrid
-from .qseries import DEFAULT_CTX, PrecisionCtx, QParams, qpoch_inf_mp
+from .qseries import DEFAULT_CTX, PrecisionCtx, QParams, q2_exact, qpoch_inf_mp
 
 __all__ = [
     "BesselTable",
@@ -93,7 +93,7 @@ def _jv_series_mp(x, p: QParams, ctx: PrecisionCtx, dps: int) -> mp.mpf:
     """High-precision series sum at ``dps`` decimal digits."""
     with mp.workdps(dps):
         q = mp.mpf(p.q)
-        q2 = q * q
+        q2 = q2_exact(p.q)
         x2 = mp.mpf(x) ** 2
         q2v = q ** (2 * mp.mpf(p.v))
         tol = min(mp.mpf(ctx.tail_tol), mp.mpf(10) ** -(dps - 5))
@@ -182,9 +182,9 @@ def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
 
 def decay_bound_constant(p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
     """Constant C in |j_v(q^n, q^2)| <= C min(1, q^{n^2-(2v+1)n})."""
-    q2 = p.q * p.q
-    q2v2 = p.q ** (2.0 * p.v + 2.0)
     with mp.workdps(ctx.work_digits):
+        q2 = q2_exact(p.q)
+        q2v2 = mp.mpf(p.q) ** (2 * mp.mpf(p.v) + 2)
         c = (
             qpoch_inf_mp(-q2, q2, ctx)
             * qpoch_inf_mp(-q2v2, q2, ctx)

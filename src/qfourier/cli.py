@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .bessel import cached_jv_table
 from .errors import ParseError, PrecisionExhausted, QFourierError
-from .heat import gauss_kernel, gauss_mass_defect, heat_apply, heat_residual
+from .heat import gauss_mass_defect, gauss_memo, heat_apply, heat_residual
 from .lattice import GridFn, LatticeGrid, load_csv, save_csv
 from .qseries import PrecisionCtx, QParams, c_qv
 from .report import (
@@ -225,13 +225,13 @@ def cmd_heat(args) -> int:
     grid, f = _load_gridfn(args.infile, args)
     table = cached_jv_table(grid, ctx, args.table_cache)
     k = kernel(grid, table, ctx)
-    u = heat_apply(f, args.t, k, ctx)
+    gauss = gauss_memo(grid, ctx)
+    u = heat_apply(f, args.t, k, ctx, g=gauss(args.t))
     if args.outfile:
         save_csv(u, args.outfile)
     if args.residual:
-        resid = heat_residual(f, args.t, k, ctx)
-        g = gauss_kernel(args.t, grid, ctx)
-        mass = gauss_mass_defect(g, c_qv(grid.params, ctx))
+        resid = heat_residual(f, args.t, k, ctx, gauss=gauss)
+        mass = gauss_mass_defect(gauss(args.t), c_qv(grid.params, ctx))
         print(json.dumps({"t": args.t, "residual": resid,
                           "mass_defect": mass}, sort_keys=True))
     return EXIT_OK

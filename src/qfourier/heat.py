@@ -18,17 +18,22 @@ probability measure.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import mpmath as mp
 import numpy as np
 
 from .lattice import GridFn, LatticeGrid, norm_p
+from .numerics import TINY, ulps, worst
 from .qseries import (
     DEFAULT_CTX,
     PrecisionCtx,
+    c_qv_mp,
     gauss_amplitude_mp,
+    q2_exact,
     qexp,
+    qexp_lattice_mp,
     qexp_mp,
 )
 from .transform import TransformOp, forward, q_bessel_operator, trusted_window
@@ -37,6 +42,8 @@ from .translation import Kernel3, MarkovReport, convolve, markov_check_convoluti
 __all__ = [
     "GaussKernel",
     "gauss_kernel",
+    "gauss_memo",
+    "gauss_recurrence_defect",
     "gauss_mass_defect",
     "gauss_crosscheck",
     "gauss_crosscheck_hp",
@@ -48,35 +55,86 @@ __all__ = [
     "composition_defect",
 ]
 
-_TINY = 1e-300
-
 
 @dataclass
 class GaussKernel:
-    """q-Gauss kernel at time t, sampled on a grid; strictly positive."""
+    """q-Gauss kernel at time t, sampled on a grid; strictly positive.
+
+    ``mp_values`` keeps the working-precision values that ``fn`` rounds once,
+    for checks that must not lose them to binary64.
+    """
 
     t: float
     grid: LatticeGrid
     amplitude: float
     fn: GridFn = field(repr=False)
+    mp_values: list = field(repr=False)
+
+
+# A lookup t -> G(., t) on one grid.
+GaussLookup = Callable[[float], GaussKernel]
+
+
+def _lattice_points(a, grid: LatticeGrid) -> list:
+    """-a q^{2n} over the grid's exponents, stepping by exactly q2_exact(q)."""
+    q2 = q2_exact(grid.params.q)
+    return [-(a * q2 ** int(n)) for n in grid.exponents]
+
+
+def _gauss_prefactor(t: float, grid: LatticeGrid):
+    """q^{-2v}/t, so that G(q^n, t) = A(t) e(-q^{-2v} q^{2n}/t; q^2)."""
+    return mp.mpf(grid.params.q) ** (-2 * mp.mpf(grid.params.v)) / mp.mpf(t)
 
 
 def gauss_kernel(t: float, grid: LatticeGrid,
                  ctx: PrecisionCtx = DEFAULT_CTX) -> GaussKernel:
-    """Closed-form kernel values A(t) e(-q^{-2v} q^{2n}/t, q^2), rounded once."""
+    """Closed-form kernel values A(t) e(-q^{-2v} q^{2n}/t, q^2), rounded once.
+
+    The q-exponentials come from one product at n_hi and the lattice
+    recurrence of :func:`qseries.qexp_lattice_mp` below it.
+    """
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    p = grid.params
-    q2 = p.q * p.q
     with mp.workdps(ctx.work_digits + 10):
-        amp = gauss_amplitude_mp(t, p, ctx)
-        qm = mp.mpf(p.q)
-        pref = qm ** (-2 * mp.mpf(p.v)) / mp.mpf(t)
-        vals = np.array([
-            float(amp * qexp_mp(-(pref * qm ** (2 * int(n))), q2, ctx))
-            for n in grid.exponents
-        ])
-    return GaussKernel(t, grid, float(amp), GridFn(grid, vals))
+        amp = gauss_amplitude_mp(t, grid.params, ctx)
+        zs = _lattice_points(_gauss_prefactor(t, grid), grid)
+        mp_vals = [amp * e for e in qexp_lattice_mp(zs, q2_exact(grid.params.q), ctx)]
+    vals = np.array([float(x) for x in mp_vals])
+    return GaussKernel(t, grid, float(amp), GridFn(grid, vals), mp_vals)
+
+
+def gauss_memo(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> GaussLookup:
+    """A lookup that builds G(., t) on ``grid`` once for each t it is asked for.
+
+    Its scope is its caller's: one check cell, or one CLI command.
+    """
+    built: dict[float, GaussKernel] = {}
+
+    def lookup(t: float) -> GaussKernel:
+        if t not in built:
+            built[t] = gauss_kernel(t, grid, ctx)
+        return built[t]
+
+    return lookup
+
+
+def gauss_recurrence_defect(g: GaussKernel, exps,
+                            ctx: PrecisionCtx = DEFAULT_CTX) -> float:
+    """Largest binary64-ulp gap between G(q^n, t) and one direct product each.
+
+    The direct route evaluates A(t) e(z_n; q^2) at each exponent in ``exps``
+    with its own truncated product, so a kernel whose recurrence steps by a
+    q^2 other than its product base shows here.
+    """
+    grid = g.grid
+    with mp.workdps(ctx.work_digits + 10):
+        amp = gauss_amplitude_mp(g.t, grid.params, ctx)
+        q2 = q2_exact(grid.params.q)
+        pref = _gauss_prefactor(g.t, grid)
+        return worst(*(
+            ulps(g.fn[n], float(amp * qexp_mp(-(pref * q2 ** int(n)), q2, ctx)))
+            for n in exps
+        ))
 
 
 def gauss_mass_defect(g: GaussKernel, c: float) -> float:
@@ -94,7 +152,7 @@ def _eprofile(t: float, grid: LatticeGrid, ctx: PrecisionCtx) -> GridFn:
 
 def gauss_crosscheck(t: float, op: TransformOp, ctx: PrecisionCtx = DEFAULT_CTX,
                      window: tuple[int, int] | None = None,
-                     guard: float = 1e-6) -> float:
+                     guard: float = 1e-6, g: GaussKernel | None = None) -> float:
     """Float-path check: forward of the e-profile vs the closed form.
 
     Relative error is measured on trusted rows where the closed form carries
@@ -105,59 +163,53 @@ def gauss_crosscheck(t: float, op: TransformOp, ctx: PrecisionCtx = DEFAULT_CTX,
     grid = op.grid
     if window is None:
         window = trusted_window(grid, op.table, ctx)
-    g = gauss_kernel(t, grid, ctx)
+    if g is None:
+        g = gauss_kernel(t, grid, ctx)
     ff = forward(_eprofile(t, grid, ctx), op)
     sup = float(np.max(np.abs(g.fn.values)))
-    worst = 0.0
-    for n in range(window[0], window[1] + 1):
-        closed = g.fn[n]
-        if abs(closed) >= guard * sup:
-            worst = max(worst, abs(ff[n] - closed) / abs(closed))
-    return worst
+    rows = [(ff[n], g.fn[n]) for n in range(window[0], window[1] + 1)]
+    return worst(*(abs(a - b) / abs(b) for a, b in rows if abs(b) >= guard * sup))
 
 
 def gauss_crosscheck_hp(t: float, grid: LatticeGrid, table,
                         ctx: PrecisionCtx = DEFAULT_CTX,
                         window: tuple[int, int] | None = None,
-                        guard: float = 1e-12) -> float:
+                        guard: float = 1e-12, g: GaussKernel | None = None) -> float:
     """High-precision check of the transform route against the closed form.
 
     Both sides are evaluated in software precision on the trusted window, so
     the comparison survives 20+ orders of magnitude of quadrature
     cancellation; only rows where the closed form drops below ``guard`` of
     the kernel's sup are skipped (there the *lattice truncation* floor of the
-    quadrature, not arithmetic, is what remains).
+    quadrature, not arithmetic, is what remains).  The closed form is the
+    working-precision values of ``g``; the e-profile comes from the same
+    lattice recurrence.
     """
-    from .qseries import c_qv_mp
-
     p = grid.params
     if window is None:
         window = trusted_window(grid, table, ctx)
-    q2 = p.q * p.q
+    if g is None:
+        g = gauss_kernel(t, grid, ctx)
     with mp.workdps(ctx.work_digits + 10):
         qm = mp.mpf(p.q)
         c_mp = c_qv_mp(p, ctx)
-        amp = gauss_amplitude_mp(t, p, ctx)
-        pref = qm ** (-2 * mp.mpf(p.v)) / mp.mpf(t)
         exps = [int(n) for n in grid.exponents]
-        weights = [(1 - qm) * qm ** (n * (2 * mp.mpf(p.v) + 2)) for n in exps]
-        eprof = [qexp_mp(-(mp.mpf(t) * qm ** (2 * n)), q2, ctx) for n in exps]
+        eprof = qexp_lattice_mp(_lattice_points(mp.mpf(t), grid), q2_exact(p.q), ctx)
+        # Jackson weight times e-profile, once per grid point.
+        we = [(1 - qm) * qm ** (n * (2 * mp.mpf(p.v) + 2)) * e
+              for n, e in zip(exps, eprof)]
         off = table.n_min
-        closed = {
-            x: amp * qexp_mp(-(pref * qm ** (2 * x)), q2, ctx)
-            for x in range(window[0], window[1] + 1)
-        }
+        closed = {x: g.mp_values[grid.index(x)]
+                  for x in range(window[0], window[1] + 1)}
         sup = max(abs(val) for val in closed.values())
-        worst = mp.mpf(0)
+        gaps = []
         for x, cval in closed.items():
             if abs(cval) < guard * sup:
                 continue
-            row = mp.fsum(
-                w * e * table.mp_values[x + n - off]
-                for w, e, n in zip(weights, eprof, exps)
-            ) * c_mp
-            worst = max(worst, abs(row - cval) / abs(cval))
-        return float(worst)
+            jrow = table.mp_values[x + exps[0] - off:x + exps[-1] - off + 1]
+            row = mp.fdot(we, jrow) * c_mp
+            gaps.append(float(abs(row - cval) / abs(cval)))
+        return worst(*gaps)
 
 
 def heat_apply(f: GridFn, t: float, k: Kernel3, ctx: PrecisionCtx = DEFAULT_CTX,
@@ -170,38 +222,40 @@ def heat_apply(f: GridFn, t: float, k: Kernel3, ctx: PrecisionCtx = DEFAULT_CTX,
 
 def heat_residual(f: GridFn, t: float, k: Kernel3,
                   ctx: PrecisionCtx = DEFAULT_CTX,
-                  window: tuple[int, int] | None = None) -> float:
+                  window: tuple[int, int] | None = None,
+                  gauss: GaussLookup | None = None) -> float:
     """Pointwise q-heat-equation residual of u = P_t f on trusted interior rows.
 
     The time difference uses u at t and q^2 t; rows are restricted to the
     trusted window, where the q^{-2n} amplification of the space operator
-    stays far below the tolerance budget.
+    stays far below the tolerance budget.  ``gauss`` supplies the kernels at
+    both times (built here when omitted).
     """
     grid = k.grid
     if window is None:
         window = trusted_window(grid, k.table, ctx)
+    if gauss is None:
+        gauss = gauss_memo(grid, ctx)
     q = grid.params.q
-    u_t = heat_apply(f, t, k, ctx)
-    u_s = heat_apply(f, q * q * t, k, ctx)
+    s = q * q * t
+    u_t = heat_apply(f, t, k, ctx, g=gauss(t))
+    u_s = heat_apply(f, s, k, ctx, g=gauss(s))
     du = q_bessel_operator(u_t)
     rhs = (u_t.values - u_s.values) / t  # (1-q^2) D_{q^2,t} u
-    worst = 0.0
-    for n in range(max(window[0], grid.n_lo + 1), min(window[1], grid.n_hi - 1) + 1):
-        lhs = du[n]
-        r = abs(lhs - rhs[grid.index(n)]) / (1.0 + abs(lhs))
-        worst = max(worst, r)
-    return worst
+    rows = range(max(window[0], grid.n_lo + 1), min(window[1], grid.n_hi - 1) + 1)
+    return worst(*(abs(du[n] - rhs[grid.index(n)]) / (1.0 + abs(du[n])) for n in rows))
 
 
 def heat_spectral_defect(f: GridFn, t: float, k: Kernel3, op: TransformOp,
                          ctx: PrecisionCtx = DEFAULT_CTX,
-                         window: tuple[int, int] | None = None) -> float:
+                         window: tuple[int, int] | None = None,
+                         g: GaussKernel | None = None) -> float:
     """|| F(P_t f) - e(-t x^2) . Ff ||_2 / || e(-t x^2) . Ff ||_2 on trusted rows."""
     grid = k.grid
     if window is None:
         window = trusted_window(grid, op.table, ctx)
     q2 = grid.params.q ** 2
-    u = heat_apply(f, t, k, ctx)
+    u = heat_apply(f, t, k, ctx, g=g)
     lhs = forward(u, op)
     symbol = np.array([qexp(-t * grid.x(int(n)) ** 2, q2, ctx)
                        for n in grid.exponents])
@@ -210,13 +264,15 @@ def heat_spectral_defect(f: GridFn, t: float, k: Kernel3, op: TransformOp,
     w = grid.weights()[sel]
     num = math.sqrt(float(w @ (lhs.values[sel] - rhs[sel]) ** 2))
     den = math.sqrt(float(w @ rhs[sel] ** 2))
-    return num / max(den, _TINY)
+    return num / max(den, TINY)
 
 
 def heat_markov_check(t: float, k: Kernel3, probes: list[GridFn],
-                      ctx: PrecisionCtx = DEFAULT_CTX) -> MarkovReport:
+                      ctx: PrecisionCtx = DEFAULT_CTX,
+                      g: GaussKernel | None = None) -> MarkovReport:
     """Markov-axiom defects of P_t (the Gauss kernel is a probability density)."""
-    g = gauss_kernel(t, k.grid, ctx)
+    if g is None:
+        g = gauss_kernel(t, k.grid, ctx)
     return markov_check_convolution(g.fn, k, probes)
 
 
@@ -235,19 +291,20 @@ def qexp_ode_residual(q: float, ctx: PrecisionCtx = DEFAULT_CTX,
         zs = [-(10.0 ** e) for e in np.linspace(-6.0, 4.0, 20)]
     q2 = q * q
     with mp.workdps(ctx.work_digits):
-        worst = mp.mpf(0)
+        gaps = []
         for z in zs:
             if z >= 0.0:
                 raise ValueError("samples must be negative")
             ez = qexp_mp(z, q2, ctx)
             lhs = ez - qexp_mp(q2 * z, q2, ctx)
             rhs = mp.mpf(z) * ez
-            worst = max(worst, abs(lhs - rhs) / abs(rhs))
-        return float(worst)
+            gaps.append(float(abs(lhs - rhs) / abs(rhs)))
+        return worst(*gaps)
 
 
 def composition_defect(f: GridFn, t: float, s: float, k: Kernel3,
-                       ctx: PrecisionCtx = DEFAULT_CTX) -> float:
+                       ctx: PrecisionCtx = DEFAULT_CTX,
+                       gauss: GaussLookup | None = None) -> float:
     """|| P_t P_s f - P_{t+s} f ||_2 / || P_{t+s} f ||_2 on window rows.
 
     Reported without a gate: the composition law in t is not implied by the
@@ -255,16 +312,18 @@ def composition_defect(f: GridFn, t: float, s: float, k: Kernel3,
     family is from a classical semigroup.
     """
     grid = k.grid
-    g_t = gauss_kernel(t, grid, ctx)
-    u_s = heat_apply(f, s, k, ctx)
+    if gauss is None:
+        gauss = gauss_memo(grid, ctx)
+    g_t = gauss(t)
+    u_s = heat_apply(f, s, k, ctx, g=gauss(s))
     # u_s has full-grid support; P_t u_s is trusted on window rows only.
     w = grid.weights()
     wg = w * g_t.fn.values
     wu = w * u_s.values
     lhs = np.array([k.c * float(wg @ (k.block[i] @ wu)) for i in range(k.width)])
-    u_ts = heat_apply(f, t + s, k, ctx)
+    u_ts = heat_apply(f, t + s, k, ctx, g=gauss(t + s))
     sel = [grid.index(int(e)) for e in k.window_exponents]
     ww = w[sel]
     num = math.sqrt(float(ww @ (lhs - u_ts.values[sel]) ** 2))
     den = math.sqrt(float(ww @ u_ts.values[sel] ** 2))
-    return num / max(den, _TINY)
+    return num / max(den, TINY)

@@ -163,9 +163,9 @@ def load_csv(path, grid: LatticeGrid) -> GridFn:
     """Read a grid function written by :func:`save_csv` onto ``grid``.
 
     The x column must match q^n to 1e-12 relative; exponents must cover the
-    grid exactly.
+    grid exactly, each once; every x and value must be finite.
     """
-    rows: list[tuple[int, float, float]] = []
+    by_exp: dict[int, tuple[float, float]] = {}
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -178,15 +178,19 @@ def load_csv(path, grid: LatticeGrid) -> GridFn:
                 if not row:
                     continue
                 try:
-                    rows.append((int(row[0]), float(row[1]), float(row[2])))
+                    n, x, val = int(row[0]), float(row[1]), float(row[2])
                 except (ValueError, IndexError) as exc:
                     raise ParseError(f"{path}:{lineno}: malformed row {row}") from exc
+                if not (math.isfinite(x) and math.isfinite(val)):
+                    raise ParseError(f"{path}:{lineno}: non-finite value in row {row}")
+                if n in by_exp:
+                    raise ParseError(f"{path}:{lineno}: exponent {n} appears twice")
+                by_exp[n] = (x, val)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if not rows:
+    if not by_exp:
         raise ParseError(f"{path}: no data rows")
 
-    by_exp = {n: (x, val) for n, x, val in rows}
     if sorted(by_exp) != list(range(grid.n_lo, grid.n_hi + 1)):
         raise GridMismatch(
             f"{path}: exponents {sorted(by_exp)[:3]}..{sorted(by_exp)[-3:]} do not "

@@ -1,0 +1,32 @@
+"""Residual bookkeeping shared by every identity check.
+
+``TINY`` guards relative residuals against a zero denominator; ``worst``
+folds residuals into their maximum without losing a NaN (the builtin
+``max(0.0, nan)`` is 0.0, so a NaN met after the first residual would
+vanish and the gate would pass); ``ulps`` measures a binary64 gap.
+"""
+
+from __future__ import annotations
+
+import math
+
+__all__ = ["TINY", "worst", "ulps"]
+
+TINY = 1e-300
+
+
+def worst(*residuals: float) -> float:
+    """Largest of the residuals (0.0 for none); NaN if any of them is NaN."""
+    out = 0.0
+    for r in residuals:
+        if math.isnan(r):
+            return math.nan
+        out = max(out, r)
+    return out
+
+
+def ulps(a: float, b: float) -> float:
+    """|a - b| in units in the last place of the larger magnitude."""
+    if a == b:
+        return 0.0
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))

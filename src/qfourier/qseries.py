@@ -32,10 +32,12 @@ __all__ = [
     "qpoch_finite",
     "qpoch_inf",
     "qpoch_inf_mp",
+    "q2_exact",
     "c_qv",
     "c_qv_mp",
     "qexp",
     "qexp_mp",
+    "qexp_lattice_mp",
     "gauss_amplitude",
     "gauss_amplitude_mp",
 ]
@@ -70,9 +72,6 @@ class PrecisionCtx:
 
 
 DEFAULT_CTX = PrecisionCtx()
-
-# Hard ceiling on automatically escalated precision (decimal digits).
-_MAX_AUTO_DIGITS = 50_000
 
 
 def _check_q(q: float) -> None:
@@ -123,14 +122,29 @@ def qpoch_inf(a: float, q: float, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
     return prod
 
 
-def qpoch_inf_mp(a, q: float, ctx: PrecisionCtx = DEFAULT_CTX) -> mp.mpf:
-    """High-precision (a; q)_inf at ``ctx.work_digits`` decimal digits."""
+def q2_exact(q: float) -> mp.mpf:
+    """The exact square of the binary64 ``q``: the one q^2 of every mp path.
+
+    The lattice points q^{2n} and the base of every q^2-product must be the
+    same number, or the functional equation (z;q^2)_inf = (1-z)(q^2 z;q^2)_inf
+    that links neighbouring lattice points no longer holds.  ``float(q*q)``
+    differs from it whenever q^2 is not exact in binary64 (q = 0.8, not 0.5).
+    """
+    return mp.fmul(q, q, exact=True)
+
+
+def qpoch_inf_mp(a, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mp.mpf:
+    """High-precision (a; q)_inf at ``ctx.work_digits`` decimal digits.
+
+    The base ``q`` is a float or an mpf; an mpf (such as :func:`q2_exact`) is
+    used as given, never rounded.
+    """
     _check_q(q)
     with mp.workdps(ctx.work_digits + 10):
         a_ = mp.mpf(a)
         if a_ == 0:
             return mp.mpf(1)
-        q_ = mp.mpf(q)
+        q_ = q if isinstance(q, mp.mpf) else mp.mpf(q)
         # Truncate when |a| q^K drops below the tail tolerance squared at the
         # working precision (never looser than 10^-(work_digits+5)).
         tol = min(ctx.tail_tol, mp.mpf(10) ** -(ctx.work_digits + 5))
@@ -154,9 +168,9 @@ def c_qv_mp(p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> mp.mpf:
     """High-precision c_{q,v} = (q^{2v+2};q^2)_inf / ((1-q)(q^2;q^2)_inf)."""
     with mp.workdps(ctx.work_digits + 10):
         q = mp.mpf(p.q)
-        q2 = q * q
-        num = qpoch_inf_mp(q ** (2 * mp.mpf(p.v) + 2), float(q2), ctx)
-        den = qpoch_inf_mp(q2, float(q2), ctx)
+        q2 = q2_exact(p.q)
+        num = qpoch_inf_mp(q ** (2 * mp.mpf(p.v) + 2), q2, ctx)
+        den = qpoch_inf_mp(q2, q2, ctx)
         return num / den / (1 - q)
 
 
@@ -173,12 +187,34 @@ def qexp(z: float, q: float, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
     return 1.0 / denom
 
 
-def qexp_mp(z, q: float, ctx: PrecisionCtx = DEFAULT_CTX) -> mp.mpf:
+def qexp_mp(z, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mp.mpf:
     """High-precision q-exponential 1/(z; q)_inf for z < 1."""
     if z >= 1.0:
         raise PoleAtOne(f"e(z, q) has a pole at z = 1; got z={z}")
     with mp.workdps(ctx.work_digits + 10):
         return 1 / qpoch_inf_mp(z, q, ctx)
+
+
+def qexp_lattice_mp(zs, q2, ctx: PrecisionCtx = DEFAULT_CTX) -> list:
+    """e(z_k; q2) along a geometric run z_{k+1} = q2 z_k of negative points.
+
+    One truncated product is taken at the last point, where |z| is smallest;
+    the functional equation (z; q2)_inf = (1 - z) (q2 z; q2)_inf then steps
+    back along the run, one multiplication per point.  Every factor 1 - z_k
+    is above 1, so nothing cancels and the values agree with one product per
+    point to working precision -- provided the run steps by exactly the
+    product base ``q2`` (pass :func:`q2_exact`, and build the points from it).
+    """
+    if any(z >= 0 for z in zs):
+        raise ValueError("the lattice run must be negative")
+    with mp.workdps(ctx.work_digits + 10):
+        prod = qpoch_inf_mp(zs[-1], q2, ctx)
+        out = [1 / prod]
+        for z in reversed(zs[:-1]):
+            prod *= 1 - z
+            out.append(1 / prod)
+        out.reverse()
+        return out
 
 
 def gauss_amplitude(t: float, p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
@@ -194,11 +230,11 @@ def gauss_amplitude_mp(t, p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> mp.mpf
         q = mp.mpf(p.q)
         v = mp.mpf(p.v)
         t_ = mp.mpf(t)
-        q2 = float(q * q)
+        q2 = q2_exact(p.q)
         num = qpoch_inf_mp(-(q ** (2 * v + 2)) * t_, q2, ctx) * qpoch_inf_mp(
             -(q ** (-2 * v)) / t_, q2, ctx
         )
-        den = qpoch_inf_mp(-t_, q2, ctx) * qpoch_inf_mp(-(q * q) / t_, q2, ctx)
+        den = qpoch_inf_mp(-t_, q2, ctx) * qpoch_inf_mp(-q2 / t_, q2, ctx)
         if den == 0:
             raise NonConvergent(f"vanishing denominator product in A(t) at t={t}")
         return num / den

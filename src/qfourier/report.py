@@ -23,6 +23,7 @@ import numpy as np
 
 from . import bessel, heat, lattice, qseries, transform, translation
 from .lattice import GridFn, LatticeGrid, jackson_integral, norm2
+from .numerics import TINY, ulps, worst
 from .probes import seeded_probes
 from .qseries import PrecisionCtx, QParams
 
@@ -37,8 +38,6 @@ __all__ = [
     "run_suite",
     "report_to_json",
 ]
-
-_TINY = 1e-300
 
 # Default suite cells: (q, v, n_lo, n_hi).
 DEFAULT_CELLS: tuple[tuple[float, float, int, int], ...] = (
@@ -101,6 +100,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "gauss-transform-consistency": 1e-8,
     "gauss-transform-consistency-hp": 1e-8,
     "gauss-mass": 1e-8,
+    "gauss-lattice-recurrence": 4.0,       # binary64 ulps
     "heat-spectral-diagonalization": 1e-8,
     "heat-equation-residual": 1e-7,
 }
@@ -187,12 +187,6 @@ class CheckReport:
         return all(c.passed for c in self.cells)
 
 
-def _ulps(a: float, b: float) -> float:
-    if a == b:
-        return 0.0
-    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
-
-
 class _CellRunner:
     """Builds the shared artifacts for one (q, v, grid) cell and runs checks."""
 
@@ -214,12 +208,8 @@ class _CellRunner:
                                      max(40, cfg.probes // 5), cfg.seed + 1)
         self.kprobes_nn = seeded_probes(self.grid, self.kern.window, 6,
                                         cfg.seed + 2, nonneg=True)
-        self._gauss_cache: dict[float, heat.GaussKernel] = {}
-
-    def gauss(self, t: float) -> heat.GaussKernel:
-        if t not in self._gauss_cache:
-            self._gauss_cache[t] = heat.gauss_kernel(t, self.grid, self.ctx)
-        return self._gauss_cache[t]
+        # Every Gauss kernel of the cell comes from here, built once per t.
+        self.gauss = heat.gauss_memo(self.grid, self.ctx)
 
     def heat_times(self) -> list[float]:
         q = self.p.q
@@ -232,46 +222,46 @@ class _CellRunner:
         ctx, q, v = self.ctx, self.p.q, self.p.v
         gate, tol = IdentityResult.gate, self.cfg.tolerance
 
-        worst = 0.0
+        res = 0.0
         for a in (0.25, -1.0, 0.9):
             full = qseries.qpoch_inf(a, q, ctx)
             for k in (1, 5, 10):
                 split = (qseries.qpoch_finite(a, q, k)
                          * qseries.qpoch_inf(a * q**k, q, ctx))
-                worst = max(worst, abs(split - full) / max(abs(full), _TINY))
+                res = worst(res, abs(split - full) / max(abs(full), TINY))
         out.append(gate("qpoch-splitting",
                         "(a;q)_inf = (a;q)_K (a q^K;q)_inf",
-                        worst, tol("qpoch-splitting")))
+                        res, tol("qpoch-splitting")))
 
-        worst = 0.0
+        res = 0.0
         for z in (-4.0, -1.0, -0.5, 0.0, 0.3, 0.9):
             prod = qseries.qexp(z, q, ctx) * qseries.qpoch_inf(z, q, ctx)
-            worst = max(worst, abs(prod - 1.0))
+            res = worst(res, abs(prod - 1.0))
         out.append(gate("qexp-product-inverse", "e(z,q) (z;q)_inf = 1",
-                        worst, tol("qexp-product-inverse")))
+                        res, tol("qexp-product-inverse")))
 
-        worst = 0.0
+        res = 0.0
         for z in (-0.5, 0.3, 0.9):
             # Partial sums converge like z^N: take N >= 60 large enough that
             # the geometric tail sits below the tolerance even for z near 1.
             n_terms = max(61, int(math.log(1e-14) / math.log(abs(z))) + 2)
             series = math.fsum(z**n / qseries.qpoch_finite(q, q, n)
                                for n in range(n_terms))
-            worst = max(worst, abs(series - qseries.qexp(z, q, ctx))
+            res = worst(res, abs(series - qseries.qexp(z, q, ctx))
                         / abs(qseries.qexp(z, q, ctx)))
         out.append(gate("qexp-series-agreement",
                         "sum z^n/(q;q)_n = 1/(z;q)_inf for |z| < 1",
-                        worst, tol("qexp-series-agreement")))
+                        res, tol("qexp-series-agreement")))
 
         a1 = qseries.gauss_amplitude(1.0, self.p, ctx)
-        worst = max(
+        res = worst(*(
             abs(qseries.gauss_amplitude(q ** (2 * m), self.p, ctx)
                 * q ** (2 * m * (v + 1.0)) - a1) / a1
             for m in range(-3, 4)
-        )
+        ))
         out.append(gate("gauss-amplitude-lattice-scaling",
                         "A(q^{2m}) = q^{-2m(v+1)} A(1)",
-                        worst, tol("gauss-amplitude-lattice-scaling")))
+                        res, tol("gauss-amplitude-lattice-scaling")))
 
         # Off-lattice scaling is not asserted: recorded for information only.
         t0 = 1.37
@@ -299,19 +289,19 @@ class _CellRunner:
         lin = abs(
             jackson_integral(GridFn(self.grid, a * f.values + b * g.values))
             - a * jackson_integral(f) - b * jackson_integral(g)
-        ) / max(abs(jackson_integral(f)) + abs(jackson_integral(g)), _TINY)
+        ) / max(abs(jackson_integral(f)) + abs(jackson_integral(g)), TINY)
         out.append(gate("jackson-linearity",
                         "integral(a f + b g) = a integral(f) + b integral(g)",
                         lin, tol("jackson-linearity")))
 
-        worst = 0.0
+        res = 0.0
         for n in range(self.grid.n_lo, self.grid.n_hi + 1, 7):
             d = lattice.delta_fn(self.grid, n)
             rep = jackson_integral(GridFn(self.grid, d.values * f.values))
-            worst = max(worst, abs(rep - f[n]) / max(abs(f[n]), _TINY))
+            res = worst(res, abs(rep - f[n]) / max(abs(f[n]), TINY))
         out.append(gate("delta-reproduction",
                         "integral(f delta_q(x,.)) = f(x)",
-                        worst, tol("delta-reproduction")))
+                        res, tol("delta-reproduction")))
 
         cs = max(0.0, abs(lattice.inner(f, g)) - norm2(f) * norm2(g))
         out.append(gate("cauchy-schwarz", "|<f,g>| <= ||f|| ||g||",
@@ -329,28 +319,28 @@ class _CellRunner:
                         max(0.0, chk.max_ratio - 1.0),
                         tol("bessel-decay-bound")))
 
-        worst = max(bessel.eigen_residual(self.grid, le, self.table)
-                    for le in (-2, 0, 1, 3))
+        res = worst(*(bessel.eigen_residual(self.grid, le, self.table)
+                      for le in (-2, 0, 1, 3)))
         out.append(gate("bessel-eigen-relation",
                         "Delta j_v(lambda .) = -lambda^2 j_v(lambda .)",
-                        worst, tol("bessel-eigen-relation")))
+                        res, tol("bessel-eigen-relation")))
 
         hi_ctx = PrecisionCtx(80, self.ctx.tail_tol)
         table80 = bessel.jv_table(self.grid, hi_ctx)
-        worst = max(_ulps(float(a), float(b))
-                    for a, b in zip(self.table.values, table80.values))
+        res = worst(*(ulps(float(a), float(b))
+                      for a, b in zip(self.table.values, table80.values)))
         out.append(gate("bessel-table-reproducibility",
                         "table at 50 vs 80 digits agrees to 1 ulp",
-                        worst, tol("bessel-table-reproducibility")))
+                        res, tol("bessel-table-reproducibility")))
 
         if self.p.q == 0.5 and (2 * self.p.v + 2) == int(2 * self.p.v + 2):
-            worst = 0.0
+            res = 0.0
             for n in range(max(-8, self.table.n_min), self.table.n_max + 1):
                 oracle = bessel.jv_exact_dyadic(n, self.p.v)
-                worst = max(worst, _ulps(self.table.value(n), oracle))
+                res = worst(res, ulps(self.table.value(n), oracle))
             out.append(gate("bessel-oracle-agreement",
                             "exact-rational oracle vs production path, <= 1 ulp",
-                            worst, tol("bessel-oracle-agreement")))
+                            res, tol("bessel-oracle-agreement")))
         return out
 
     # ---------------- transform identities ----------------
@@ -360,13 +350,13 @@ class _CellRunner:
         gate, tol = IdentityResult.gate, self.cfg.tolerance
         op, grid = self.op, self.grid
 
-        worst = max(transform.inversion_residual(f, op) for f in self.tprobes)
+        res = worst(*(transform.inversion_residual(f, op) for f in self.tprobes))
         out.append(gate("transform-inversion", "F(Ff) = f",
-                        worst, tol("transform-inversion")))
+                        res, tol("transform-inversion")))
 
-        worst = max(transform.plancherel_defect(f, op) for f in self.tprobes)
+        res = worst(*(transform.plancherel_defect(f, op) for f in self.tprobes))
         out.append(gate("transform-plancherel", "||Ff||_2 = ||f||_2",
-                        worst, tol("transform-plancherel")))
+                        res, tol("transform-plancherel")))
 
         ortho = transform.orthogonality_matrix(op, self.window)
         out.append(gate("orthogonality-offdiag",
@@ -388,8 +378,8 @@ class _CellRunner:
             l1 = lattice.norm_p(f, 1.0)
             ff = transform.forward(f, op)
             sup_ff = float(np.max(np.abs(ff.values)))
-            decay = max(decay, abs(ff[grid.n_lo]) / max(sup_ff, _TINY))
-            supb = max(supb, sup_ff / (self.c * sup_j * l1) - 1.0)
+            decay = worst(decay, abs(ff[grid.n_lo]) / max(sup_ff, TINY))
+            supb = worst(supb, sup_ff / (self.c * sup_j * l1) - 1.0)
         out.append(gate("transform-decay-at-infinity",
                         "|Ff(q^{n_lo})| << sup |Ff| for integrable f",
                         decay, tol("transform-decay-at-infinity")))
@@ -397,16 +387,16 @@ class _CellRunner:
                         "sup |Ff| <= c sup|j_v| ||f||_1",
                         max(0.0, supb), tol("transform-sup-bound")))
 
-        worst = max(transform.basis_completeness_defect(f, op)
-                    for f in self.tprobes[:5])
+        res = worst(*(transform.basis_completeness_defect(f, op)
+                      for f in self.tprobes[:5]))
         out.append(gate("basis-completeness",
                         "f = sum_x <f, psi_x> psi_x / ||psi_x||^2",
-                        worst, tol("basis-completeness")))
+                        res, tol("basis-completeness")))
 
-        worst = max(transform.delta_multiplier_defect(f, op)
-                    for f in self.tprobes[:20])
+        res = worst(*(transform.delta_multiplier_defect(f, op)
+                      for f in self.tprobes[:20]))
         out.append(gate("delta-multiplier", "F[Delta f](x) = -x^2 Ff(x)",
-                        worst, tol("delta-multiplier")))
+                        res, tol("delta-multiplier")))
         return out
 
     # ---------------- translation identities ----------------
@@ -416,13 +406,13 @@ class _CellRunner:
         gate, tol = IdentityResult.gate, self.cfg.tolerance
         kern, grid = self.kern, self.grid
 
-        worst = max(
+        res = worst(*(
             float(np.max(np.abs(kern.cube - kern.cube.transpose(perm))))
             for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-        )
+        ))
         out.append(gate("kernel-symmetry",
                         "D(x,y,z) invariant under argument permutations",
-                        worst, tol("kernel-symmetry")))
+                        res, tol("kernel-symmetry")))
 
         out.append(gate("kernel-row-sums",
                         "(1-q) sum_z q^{z(2v+2)} D(x,y,z) = 1",
@@ -443,24 +433,24 @@ class _CellRunner:
                 "min D_v over the window (v < 0, observational)", mn))
 
         x_used = min(kern.window_exponents, key=abs)  # window exponent nearest 1
-        worst = 0.0
+        res = 0.0
         for a in (0, kern.window_lo, kern.window_hi):
             d = lattice.delta_fn(grid, a)
             td = translation.translate(d, int(x_used), kern)
             dv = kern.block[kern.windex(int(x_used))][:, grid.index(a)]
             scale = float(np.max(np.abs(dv)))
-            worst = max(worst, float(np.max(np.abs(td.values - dv)))
-                        / max(scale, _TINY))
+            res = worst(res, float(np.max(np.abs(td.values - dv)))
+                        / max(scale, TINY))
         out.append(gate("translation-delta",
                         "T_{q,x} delta_a(y) reduces to D(x,y,a)",
-                        worst, tol("translation-delta")))
+                        res, tol("translation-delta")))
 
         xs = [kern.window_lo, kern.window_hi] if kern.width > 1 else [kern.window_lo]
-        worst = max(translation.eigen_check(kern, n, x)
-                    for n in range(-2, 5) for x in xs)
+        res = worst(*(translation.eigen_check(kern, n, x)
+                      for n in range(-2, 5) for x in xs))
         out.append(gate("translation-eigenfunctions",
                         "T_{q,x} f_n = (f_n(x)/f_n(0)) f_n",
-                        worst, tol("translation-eigenfunctions")))
+                        res, tol("translation-eigenfunctions")))
 
         rep = translation.markov_check(kern, self.kprobes[:10] + self.kprobes_nn)
         for axis, value in (("unit", rep.unit_defect),
@@ -491,7 +481,7 @@ class _CellRunner:
     def _projection_defect(self) -> float:
         kern, grid, table = self.kern, self.grid, self.table
         w = grid.weights()
-        worst = 0.0
+        res = 0.0
         pairs = [(kern.window_lo, kern.window_hi), (0, 0),
                  (kern.window_hi, kern.window_hi)]
         for y, z in pairs:
@@ -500,8 +490,8 @@ class _CellRunner:
                 jt = table.values[(t + grid.exponents) - table.n_min]
                 lhs = float((w * jt) @ dyz)
                 rhs = table.value(t + z) * table.value(t + y)
-                worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-6))
-        return worst
+                res = worst(res, abs(lhs - rhs) / max(abs(rhs), 1e-6))
+        return res
 
     def _check_convolution(self) -> list[IdentityResult]:
         gate, tol = IdentityResult.gate, self.cfg.tolerance
@@ -511,13 +501,13 @@ class _CellRunner:
         for f, g in pairs:
             fg = translation.convolve(f, g, kern)
             gf = translation.convolve(g, f, kern)
-            comm = max(comm, norm2(GridFn(grid, fg.values - gf.values))
-                       / max(norm2(fg), _TINY))
+            comm = worst(comm, norm2(GridFn(grid, fg.values - gf.values))
+                         / max(norm2(fg), TINY))
             lhs = transform.forward(fg, op)
             rhs = GridFn(grid, transform.forward(f, op).values
                          * transform.forward(g, op).values)
-            prod = max(prod, norm2(GridFn(grid, lhs.values - rhs.values))
-                       / max(norm2(rhs), _TINY))
+            prod = worst(prod, norm2(GridFn(grid, lhs.values - rhs.values))
+                         / max(norm2(rhs), TINY))
         return [
             gate("convolution-commutativity", "f * g = g * f",
                  comm, tol("convolution-commutativity")),
@@ -538,20 +528,20 @@ class _CellRunner:
         rho = self._bump_density()
         ns, coeffs = translation.multiplier_coeffs(rho, kern)
         expected = np.array([self.table.value(int(n)) for n in ns])
-        worst = float(np.max(np.abs(coeffs - expected)))
+        res = float(np.max(np.abs(coeffs - expected)))
         out.append(gate("multiplier-bump-coefficients",
                         "c_n = j_v(q^n) for the point-mass density at 1",
-                        worst, tol("multiplier-bump-coefficients")))
+                        res, tol("multiplier-bump-coefficients")))
 
-        worst = 0.0
+        res = 0.0
         for n in (-2, 0, 1, 3):
             fn = translation.basis_function(kern, n)
             conv = translation.convolve(fn, rho, kern)
             cn = self.table.value(n)
-            worst = max(worst, norm2(GridFn(grid, conv.values - cn * fn.values)))
+            res = worst(res, norm2(GridFn(grid, conv.values - cn * fn.values)))
         out.append(gate("multiplier-diagonal-action",
                         "f_n * rho = c_n f_n",
-                        worst, tol("multiplier-diagonal-action")))
+                        res, tol("multiplier-diagonal-action")))
 
         rep = translation.markov_check_convolution(
             rho, kern, self.kprobes[:10] + self.kprobes_nn)
@@ -571,11 +561,11 @@ class _CellRunner:
                              for n in ns])
         sup = float(np.max(np.abs(expected)))
         mask = np.abs(expected) >= 1e-6 * sup
-        worst = float(np.max(np.abs(coeffs[mask] - expected[mask])
+        res = float(np.max(np.abs(coeffs[mask] - expected[mask])
                              / np.abs(expected[mask])))
         out.append(gate("multiplier-gauss-coefficients",
                         "c_n = e(-q^{2n}, q^2) for the Gauss density at t=1",
-                        worst, tol("multiplier-gauss-coefficients")))
+                        res, tol("multiplier-gauss-coefficients")))
         return out
 
     # ---------------- heat identities ----------------
@@ -588,16 +578,16 @@ class _CellRunner:
         worst_f = worst_h = worst_m = worst_s = worst_r = 0.0
         for t in self.heat_times():
             g = self.gauss(t)
-            worst_m = max(worst_m, heat.gauss_mass_defect(g, self.c))
-            worst_f = max(worst_f, heat.gauss_crosscheck(
-                t, self.op, self.ctx, self.window))
-            worst_h = max(worst_h, heat.gauss_crosscheck_hp(
-                t, self.grid, self.table, self.ctx, self.window))
+            worst_m = worst(worst_m, heat.gauss_mass_defect(g, self.c))
+            worst_f = worst(worst_f, heat.gauss_crosscheck(
+                t, self.op, self.ctx, self.window, g=g))
+            worst_h = worst(worst_h, heat.gauss_crosscheck_hp(
+                t, self.grid, self.table, self.ctx, self.window, g=g))
             for f in self.kprobes[:3]:
-                worst_s = max(worst_s, heat.heat_spectral_defect(
-                    f, t, kern, self.op, self.ctx, self.window))
-                worst_r = max(worst_r, heat.heat_residual(
-                    f, t, kern, self.ctx, self.window))
+                worst_s = worst(worst_s, heat.heat_spectral_defect(
+                    f, t, kern, self.op, self.ctx, self.window, g=g))
+                worst_r = worst(worst_r, heat.heat_residual(
+                    f, t, kern, self.ctx, self.window, gauss=self.gauss))
         out.append(gate("gauss-transform-consistency",
                         "G(.,t) closed form vs transform of e(-t y^2) (float)",
                         worst_f, tol("gauss-transform-consistency")))
@@ -606,6 +596,14 @@ class _CellRunner:
                         worst_h, tol("gauss-transform-consistency-hp")))
         out.append(gate("gauss-mass", "c ||G(.,t)||_1 = 1",
                         worst_m, tol("gauss-mass")))
+        # Both ends, the middle and the quarter points of the grid.
+        exps = sorted({int(round(n)) for n in
+                       np.linspace(self.grid.n_lo, self.grid.n_hi, 5)})
+        out.append(gate("gauss-lattice-recurrence",
+                        "G(q^n,1) by the lattice recurrence vs one product per "
+                        "point, <= 4 ulps",
+                        heat.gauss_recurrence_defect(self.gauss(1.0), exps, self.ctx),
+                        tol("gauss-lattice-recurrence")))
         out.append(gate("heat-spectral-diagonalization",
                         "F(P_t f) = e(-t x^2, q^2) Ff",
                         worst_s, tol("heat-spectral-diagonalization")))
@@ -614,7 +612,8 @@ class _CellRunner:
                         worst_r, tol("heat-equation-residual")))
 
         rep = heat.heat_markov_check(1.0, kern,
-                                     self.kprobes[:10] + self.kprobes_nn, self.ctx)
+                                     self.kprobes[:10] + self.kprobes_nn, self.ctx,
+                                     g=self.gauss(1.0))
         for axis, value in (("unit", rep.unit_defect),
                             ("symmetry", rep.symmetry_defect),
                             ("contraction", rep.contraction_defect),
@@ -624,7 +623,8 @@ class _CellRunner:
                             f"P_t Markov axiom ({axis})",
                             value, tol(f"markov-heat-{axis}")))
 
-        comp = heat.composition_defect(self.kprobes[0], 1.0, 1.0, kern, self.ctx)
+        comp = heat.composition_defect(self.kprobes[0], 1.0, 1.0, kern, self.ctx,
+                                       gauss=self.gauss)
         out.append(IdentityResult.observe(
             "heat-composition",
             "||P_t P_s f - P_{t+s} f|| / ||P_{t+s} f|| (observational)", comp))

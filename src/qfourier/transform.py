@@ -22,6 +22,7 @@ import numpy as np
 from .bessel import BesselTable, decay_bound_constant, decay_bound_log10
 from .errors import GridMismatch
 from .lattice import GridFn, LatticeGrid, inner, norm2
+from .numerics import TINY
 from .qseries import DEFAULT_CTX, PrecisionCtx, c_qv
 
 __all__ = [
@@ -40,8 +41,6 @@ __all__ = [
     "trusted_window",
     "basis_completeness_defect",
 ]
-
-_TINY = 1e-300
 
 
 @dataclass
@@ -97,13 +96,13 @@ def psi_norm_sq(grid: LatticeGrid, x_exp: int) -> float:
 def inversion_residual(f: GridFn, op: TransformOp) -> float:
     """||F(Ff) - f||_2 / ||f||_2 (0 on the infinite lattice)."""
     ff = forward(forward(f, op), op)
-    return norm2(GridFn(f.grid, ff.values - f.values)) / max(norm2(f), _TINY)
+    return norm2(GridFn(f.grid, ff.values - f.values)) / max(norm2(f), TINY)
 
 
 def plancherel_defect(f: GridFn, op: TransformOp) -> float:
     """| ||Ff||_2 - ||f||_2 | / ||f||_2."""
     nf = norm2(f)
-    return abs(norm2(forward(f, op)) - nf) / max(nf, _TINY)
+    return abs(norm2(forward(f, op)) - nf) / max(nf, TINY)
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,7 @@ def delta_multiplier_defect(f: GridFn, op: TransformOp) -> float:
     x2 = np.power(grid.params.q, 2.0 * grid.exponents.astype(float))
     rhs = GridFn(grid, -x2 * ff.values)
     diff = GridFn(grid, lhs.values - rhs.values)
-    return norm2(diff) / max(norm2(rhs), _TINY)
+    return norm2(diff) / max(norm2(rhs), TINY)
 
 
 def _logsum10(log_terms: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -198,7 +197,7 @@ def _logsum10(log_terms: np.ndarray, axis: int = -1) -> np.ndarray:
     m = np.max(log_terms, axis=axis, keepdims=True)
     m_safe = np.where(np.isfinite(m), m, 0.0)
     s = np.sum(10.0 ** np.clip(log_terms - m_safe, -300.0, 0.0), axis=axis)
-    return np.squeeze(m_safe, axis=axis) + np.log10(np.maximum(s, _TINY))
+    return np.squeeze(m_safe, axis=axis) + np.log10(np.maximum(s, TINY))
 
 
 def trusted_window(grid: LatticeGrid, table: BesselTable | None = None,
@@ -258,4 +257,4 @@ def basis_completeness_defect(f: GridFn, op: TransformOp,
         psi = basis_fn(op, int(x_exp))
         coeff = inner(f, psi) / psi_norm_sq(grid, int(x_exp))
         recon += coeff * psi.values
-    return norm2(GridFn(grid, recon - f.values)) / max(norm2(f), _TINY)
+    return norm2(GridFn(grid, recon - f.values)) / max(norm2(f), TINY)

@@ -39,6 +39,7 @@ from .bessel import (
 )
 from .errors import GridMismatch, NotProbability, OffWindow
 from .lattice import GridFn, LatticeGrid, jackson_integral, norm2, sup_norm
+from .numerics import TINY, worst
 from .qseries import DEFAULT_CTX, PrecisionCtx, QParams, c_qv, c_qv_mp
 from .transform import psi_norm_sq
 
@@ -60,8 +61,6 @@ __all__ = [
     "hypergroup_window",
     "default_scan_grid",
 ]
-
-_TINY = 1e-300
 
 
 @dataclass
@@ -308,8 +307,8 @@ class MarkovReport:
     sup_defect: float
 
     def worst(self) -> float:
-        return max(self.unit_defect, self.symmetry_defect,
-                   self.contraction_defect, self.jensen_defect, self.sup_defect)
+        return worst(self.unit_defect, self.symmetry_defect,
+                     self.contraction_defect, self.jensen_defect, self.sup_defect)
 
 
 def _markov_defects(apply_op, k: Kernel3, probes: list[GridFn],
@@ -321,22 +320,22 @@ def _markov_defects(apply_op, k: Kernel3, probes: list[GridFn],
     images = [apply_op(f) for f in probes]
     for f, tf in zip(probes, images):
         nf = norm2(f)
-        contraction = max(contraction, norm2(tf) / max(nf, _TINY) - 1.0)
-        supd = max(supd, sup_norm(tf) / max(sup_norm(f), _TINY) - 1.0)
+        contraction = worst(contraction, norm2(tf) / max(nf, TINY) - 1.0)
+        supd = worst(supd, sup_norm(tf) / max(sup_norm(f), TINY) - 1.0)
         if np.all(f.values >= 0.0):
             tf2 = apply_op(GridFn(k.grid, f.values**2))
-            jensen = max(jensen, float(np.max(tf.values**2 - tf2.values)))
+            jensen = worst(jensen, float(np.max(tf.values**2 - tf2.values)))
     for (f, tf), (g, tg) in zip(zip(probes, images), zip(probes[1:], images[1:])):
         defect = abs(_inner(tf, g) - _inner(f, tg))
-        symmetry = max(symmetry, defect / max(norm2(f) * norm2(g), _TINY))
+        symmetry = worst(symmetry, defect / max(norm2(f) * norm2(g), TINY))
     mn, _ = kernel_min(k)
     return MarkovReport(
         min_kernel=mn,
         unit_defect=unit_defect,
         symmetry_defect=float(symmetry),
-        contraction_defect=float(max(contraction, 0.0)),
-        jensen_defect=float(max(jensen, 0.0)),
-        sup_defect=float(max(supd, 0.0)),
+        contraction_defect=float(contraction),
+        jensen_defect=float(jensen),
+        sup_defect=float(supd),
     )
 
 
@@ -370,10 +369,10 @@ def markov_check(k: Kernel3, probes: list[GridFn],
     return MarkovReport(
         min_kernel=reports[0].min_kernel,
         unit_defect=reports[0].unit_defect,
-        symmetry_defect=max(r.symmetry_defect for r in reports),
-        contraction_defect=max(r.contraction_defect for r in reports),
-        jensen_defect=max(r.jensen_defect for r in reports),
-        sup_defect=max(r.sup_defect for r in reports),
+        symmetry_defect=worst(*(r.symmetry_defect for r in reports)),
+        contraction_defect=worst(*(r.contraction_defect for r in reports)),
+        jensen_defect=worst(*(r.jensen_defect for r in reports)),
+        sup_defect=worst(*(r.sup_defect for r in reports)),
     )
 
 
@@ -512,4 +511,4 @@ def hypergroup_expansion_defect(k: Kernel3,
         fn0 = k.c / math.sqrt(psi_norm_sq(k.grid, int(n)))
         rhs += np.einsum("a,b,c->abc", fn, fn, fn) / fn0
     scale = float(np.max(np.abs(k.cube)))
-    return float(np.max(np.abs(k.cube - rhs))) / max(scale, _TINY)
+    return float(np.max(np.abs(k.cube - rhs))) / max(scale, TINY)

@@ -114,9 +114,10 @@ def test_criterion_11_heat(suite):
           ["gauss-transform-consistency", "gauss-transform-consistency-hp",
            "gauss-mass", "heat-spectral-diagonalization",
            "heat-equation-residual", "qexp-ode-identity",
-           "gauss-amplitude-lattice-scaling"],
+           "gauss-amplitude-lattice-scaling", "gauss-lattice-recurrence"],
           "heat: kernel consistency 1e-8, mass 1e-8, spectral 1e-8, "
-          "equation 1e-7, scalar identity 1e-12, amplitude scaling 1e-10")
+          "equation 1e-7, scalar identity 1e-12, amplitude scaling 1e-10, "
+          "lattice recurrence 4 ulps")
 
 
 def test_criterion_12_oracle_equivalence(suite):

@@ -156,3 +156,36 @@ class TestHeat:
                      "--out", str(out)]) == 0
         u = load_csv(out, grid)
         assert np.all(np.isfinite(u.values))
+
+
+@pytest.fixture
+def nan_csv(probe_csv, tmp_path):
+    path, _, _ = probe_csv
+    lines = path.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",nan"
+    bad = tmp_path / "nan.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    return bad
+
+
+class TestBadInput:
+    def test_heat_residual_rejects_nan(self, nan_csv, capsys):
+        code = main(["heat", *CELL, "--t", "1.0", "--in", str(nan_csv),
+                     "--residual"])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_transform_rejects_nan(self, nan_csv, tmp_path):
+        code = main(["transform", "--q", "0.5", "--v", "0.5",
+                     "--in", str(nan_csv), "--out", str(tmp_path / "Ff.csv")])
+        assert code == 2
+        assert not (tmp_path / "Ff.csv").exists()
+
+    def test_duplicate_row_rejected(self, probe_csv, tmp_path, capsys):
+        path, _, _ = probe_csv
+        dup = tmp_path / "dup.csv"
+        dup.write_text(path.read_text() + "0,1,7.0\n")
+        code = main(["transform", "--q", "0.5", "--v", "0.5",
+                     "--in", str(dup), "--out", str(tmp_path / "Ff.csv")])
+        assert code == 2
+        assert "twice" in capsys.readouterr().err

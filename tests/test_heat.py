@@ -1,23 +1,39 @@
 """q-Gauss kernel and heat semigroup."""
 
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qfourier import heat
 from qfourier.heat import (
+    GaussKernel,
     composition_defect,
     gauss_crosscheck,
     gauss_crosscheck_hp,
     gauss_kernel,
     gauss_mass_defect,
+    gauss_recurrence_defect,
     heat_apply,
     heat_markov_check,
     heat_residual,
     heat_spectral_defect,
     qexp_ode_residual,
 )
-from qfourier.lattice import GridFn, jackson_integral
+from qfourier.lattice import GridFn, LatticeGrid, jackson_integral
 from qfourier.probes import seeded_probes
-from qfourier.qseries import PrecisionCtx, qexp
+from qfourier.qseries import (
+    PrecisionCtx,
+    QParams,
+    gauss_amplitude_mp,
+    q2_exact,
+    qexp,
+    qexp_lattice_mp,
+)
+from qfourier.report import SuiteConfig, run_cell
 
 CTX = PrecisionCtx()
 
@@ -59,6 +75,79 @@ class TestGaussKernel:
     def test_rejects_nonpositive_time(self, cell_half):
         with pytest.raises(ValueError):
             gauss_kernel(-1.0, cell_half.grid, CTX)
+
+    def test_rejects_zero_time(self, cell_half):
+        with pytest.raises(ValueError):
+            gauss_kernel(0.0, cell_half.grid, CTX)
+
+    def test_keeps_working_precision_values(self, cell_half):
+        g = gauss_kernel(1.0, cell_half.grid, CTX)
+        assert [float(x) for x in g.mp_values] == list(g.fn.values)
+
+
+def _float_step_kernel(t, grid):
+    """G(., t) whose lattice steps by float(q*q) while the product base is exact."""
+    p = grid.params
+    with mp.workdps(CTX.work_digits + 10):
+        amp = gauss_amplitude_mp(t, p, CTX)
+        pref = mp.mpf(p.q) ** (-2 * mp.mpf(p.v)) / t
+        step = mp.mpf(p.q * p.q)
+        zs = [-(pref * step ** int(n)) for n in grid.exponents]
+        mp_vals = [amp * e for e in qexp_lattice_mp(zs, q2_exact(p.q), CTX)]
+    vals = np.array([float(x) for x in mp_vals])
+    return GaussKernel(t, grid, float(amp), GridFn(grid, vals), mp_vals)
+
+
+def _spread(grid):
+    return sorted({int(round(n)) for n in np.linspace(grid.n_lo, grid.n_hi, 5)})
+
+
+class TestLatticeRecurrence:
+    @settings(max_examples=30, deadline=None)
+    @given(q=st.floats(0.1, 0.95),
+           v=st.floats(-0.99, 3.0),
+           m=st.integers(-3, 3),
+           t_off=st.floats(0.05, 20.0),
+           on_lattice=st.booleans())
+    def test_agrees_with_one_product_per_point(self, q, v, m, t_off, on_lattice):
+        grid = LatticeGrid(QParams(q, v), -4, 10)
+        t = q ** (2 * m) if on_lattice else t_off
+        g = gauss_kernel(t, grid, CTX)
+        assert gauss_recurrence_defect(g, grid.exponents, CTX) <= 4.0
+
+    def test_float_q2_step_breaks_the_identity(self):
+        # At q = 0.8, float(q*q) is not the exact square of q: a recurrence
+        # stepping by it drifts ~150 ulps from the direct products.
+        grid = LatticeGrid(QParams(0.8, 0.5), -20, 120)
+        bad = _float_step_kernel(1.0, grid)
+        assert gauss_recurrence_defect(bad, _spread(grid), CTX) > 100.0
+        good = gauss_kernel(1.0, grid, CTX)
+        assert gauss_recurrence_defect(good, _spread(grid), CTX) <= 4.0
+
+    def test_float_q2_step_is_harmless_when_q2_is_exact(self, cell_half):
+        bad = _float_step_kernel(1.0, cell_half.grid)
+        assert gauss_recurrence_defect(bad, cell_half.grid.exponents, CTX) == 0.0
+
+    def test_rejects_nonnegative_points(self):
+        with pytest.raises(ValueError):
+            qexp_lattice_mp([mp.mpf(0.5), mp.mpf(0.25)], q2_exact(0.5), CTX)
+
+
+class TestCellMemo:
+    def test_one_build_per_distinct_time(self, monkeypatch):
+        calls = []
+        build = heat.gauss_kernel
+
+        def counting(t, grid, ctx=CTX):
+            calls.append((t, grid))
+            return build(t, grid, ctx)
+
+        monkeypatch.setattr(heat, "gauss_kernel", counting)
+        cfg = SuiteConfig(cells=((0.5, 0.5, -10, 40),), probes=10)
+        report = run_cell(0.5, 0.5, -10, 40, cfg)
+        assert report.passed
+        assert calls
+        assert len(calls) == len(set(calls))
 
 
 class TestHeatFlow:
@@ -142,6 +231,14 @@ class TestScalarIdentity:
         for z in (-8.0, -1.0, -0.25):
             lhs = qexp(z, q2, CTX) - qexp(q2 * z, q2, CTX)
             assert lhs == pytest.approx(z * qexp(z, q2, CTX), rel=1e-12)
+
+
+class TestNaN:
+    def test_residual_is_nan_not_zero(self, cell_half, kprobes):
+        f = kprobes[1].copy()
+        f.values[f.grid.index(int(cell_half.kern.window_exponents[-1]))] = math.nan
+        assert math.isnan(heat_residual(f, 1.0, cell_half.kern, CTX,
+                                        cell_half.window))
 
 
 class TestComposition:

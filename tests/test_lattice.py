@@ -178,3 +178,21 @@ class TestCsv:
         path.write_text("n,x,value\n0,1.0,not-a-number\n")
         with pytest.raises(ParseError):
             load_csv(path, grid)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, grid, tmp_path, bad):
+        path = tmp_path / "nonfinite.csv"
+        save_csv(GridFn(grid, np.ones(grid.size)), path)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="non-finite"):
+            load_csv(path, grid)
+
+    def test_duplicate_exponent(self, grid, tmp_path):
+        path = tmp_path / "dup.csv"
+        save_csv(GridFn(grid, np.ones(grid.size)), path)
+        with open(path, "a") as fh:
+            fh.write("0,1,7.0\n")
+        with pytest.raises(ParseError, match="twice"):
+            load_csv(path, grid)

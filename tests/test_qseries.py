@@ -14,8 +14,10 @@ from qfourier.qseries import (
     c_qv,
     gauss_amplitude,
     qexp,
+    q2_exact,
     qpoch_finite,
     qpoch_inf,
+    qpoch_inf_mp,
 )
 
 CTX = PrecisionCtx()
@@ -102,6 +104,26 @@ class TestCqv:
         got = c_qv(QParams(q, v), CTX)
         assert got > 0
         assert got == pytest.approx(expected, rel=1e-13)
+
+
+class TestOneQ2:
+    def test_exact_square(self):
+        for q in (0.3, 0.5, 0.8, 0.95):
+            q2 = q2_exact(q)
+            assert q2 == mp.fmul(q, q, exact=True)
+            with mp.workdps(60):
+                assert q2 == mp.mpf(q) * mp.mpf(q)
+        assert q2_exact(0.5) == 0.25
+        assert q2_exact(0.8) != mp.mpf(0.8 * 0.8)  # float(q*q) is rounded
+
+    def test_mpf_base_used_as_given(self):
+        q2 = q2_exact(0.8)
+        with mp.workdps(CTX.work_digits + 10):
+            exact = mp.qp(mp.mpf(-3), q2)
+            rounded = mp.qp(mp.mpf(-3), mp.mpf(0.8 * 0.8))
+        got = qpoch_inf_mp(-3.0, q2, CTX)
+        assert abs(got / exact - 1) < mp.mpf(10) ** -45
+        assert abs(rounded / exact - 1) > mp.mpf(10) ** -18
 
 
 class TestQExp:
