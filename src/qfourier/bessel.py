@@ -7,7 +7,8 @@ The series
 
 converges for every real x thanks to the q^{n(n+1)} super-decay, but for
 x = q^{-m} (m > 0) the largest term is ~ q^{-m^2} while the sum is
-~ q^{m^2 - (2v+1)m}, so roughly 2 m^2 log10(1/q) decimal digits cancel.
+~ q^{m^2 + (2v+1)m}, so roughly (2 m^2 + (2v+1) m) log10(1/q) decimal digits
+cancel.
 Evaluation therefore switches to a software high-precision path whenever the
 estimated cancellation exceeds 1e6, with the working precision chosen a
 priori from that estimate and rounded to binary64 exactly once.
@@ -49,17 +50,21 @@ _MAX_DIGITS = 50_000
 _CANCELLATION_LIMIT_DIGITS = 2.0
 
 
-def _digits_lost(x: float, q: float) -> float:
-    """A-priori estimate of decimal digits cancelled by the series at |x|."""
+def _digits_lost(x: float, p: QParams) -> float:
+    """A-priori estimate of decimal digits cancelled by the series at |x|.
+
+    At |x| = q^-m the largest term is ~ q^{-m^2} and the sum ~ q^{m^2+(2v+1)m};
+    the (2v+1)m part is counted only where it adds to the loss (v > -1/2).
+    """
     ax = abs(x)
     if ax <= 1.0:
         return 0.0
-    m = math.log(ax) / -math.log(q)
-    return 2.0 * m * m * math.log10(1.0 / q)
+    m = math.log(ax) / -math.log(p.q)
+    return (2.0 * m * m + max(2.0 * p.v + 1.0, 0.0) * m) * math.log10(1.0 / p.q)
 
 
 def _required_dps(x: float, p: QParams, ctx: PrecisionCtx) -> int:
-    lost = _digits_lost(x, p.q)
+    lost = _digits_lost(x, p)
     dps = max(ctx.work_digits, 16 + int(math.ceil(lost)) + 10)
     if dps > _MAX_DIGITS:
         raise PrecisionExhausted(
@@ -116,7 +121,7 @@ def jv(x: float, p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
     """Normalized q-Bessel function j_v(x, q^2) for real x."""
     if x == 0.0:
         return 1.0
-    lost = _digits_lost(x, p.q)
+    lost = _digits_lost(x, p)
     if lost <= _CANCELLATION_LIMIT_DIGITS:
         total, max_term = _jv_series_float(x, p, ctx)
         # A-posteriori guard: rerun in high precision on unexpected cancellation.
@@ -160,6 +165,10 @@ class BesselTable:
 
     def mp_value(self, n: int):
         return self.mp_values[self.index(n)]
+
+    def hankel(self, exps: np.ndarray) -> np.ndarray:
+        """Matrix j_v(q^{n+m}) for n down ``exps`` and m across it."""
+        return self.values[(exps[:, None] + exps[None, :]) - self.n_min]
 
 
 def _mp_table_values(p: QParams, n_min: int, n_max: int, ctx: PrecisionCtx) -> list:

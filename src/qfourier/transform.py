@@ -66,8 +66,7 @@ def build_transform(grid: LatticeGrid, table: BesselTable,
     q, v = grid.params.q, grid.params.v
     c = c_qv(grid.params, ctx)
     exps = grid.exponents
-    idx = (exps[:, None] + exps[None, :]) - table.n_min
-    kernel = (c * (1.0 - q)) * table.values[idx]
+    kernel = (c * (1.0 - q)) * table.hankel(exps)
     weights = np.power(q, exps.astype(float) * (2.0 * v + 2.0))
     matrix = kernel * weights[None, :]
     return TransformOp(grid, table, c, kernel, weights, matrix)

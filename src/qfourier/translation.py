@@ -17,9 +17,21 @@ a Markov operator.  Two truncation budgets govern a finite build:
   product mass of (x, y) to stay inside the grid -- this lifts the *lower*
   end, and is calibrated against the measured row-sum defect.
 
-Entries of the symmetric window cube are generated on the high-precision
-path and rounded once; the extended blocks feeding integral checks are
-double precision (their error is orders of magnitude below the 1e-8 gates).
+Entries of the symmetric window cube are summed exactly in integers and
+rounded once.  Each high-precision table value j_n becomes the int
+J_n = trunc(j_n 2^P), P = prec + 64 (prec the working precision in bits);
+per window exponent a the row A_s = w_s j(q^{a+s}) is formed at working
+precision and truncated to an int at scale 2^P over its largest term; the
+sum over s of A_s J_{b+s} J_{c+s} is exact big-integer arithmetic, turned
+into binary64 by one correctly rounded int/int division.  Before that last
+rounding an entry is off by at most
+
+    k 2^-prec sum_s |w_s j_a j_b j_c|   (mp weights and row products)
+  + 2^-(prec+62) N C^2 max_s |w_s j_a|  (truncation to ints)
+
+with k a few units, N the grid size and C >= 1 the decay-bound constant
+(|j_v| <= C).  The extended blocks feeding integral checks are double
+precision (their error is orders of magnitude below the 1e-8 gates).
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import permutations
+from operator import mul
 
 import mpmath as mp
 import numpy as np
@@ -41,7 +54,10 @@ from .errors import GridMismatch, NotProbability, OffWindow
 from .lattice import GridFn, LatticeGrid, jackson_integral, norm2, sup_norm
 from .numerics import TINY, worst
 from .qseries import DEFAULT_CTX, PrecisionCtx, QParams, c_qv, c_qv_mp
-from .transform import psi_norm_sq
+from .transform import _logsum10, psi_norm_sq
+
+# Guard bits of the fixed-point window cube below the working precision.
+_GUARD_BITS = 64
 
 __all__ = [
     "Kernel3",
@@ -69,9 +85,10 @@ class Kernel3:
 
     ``cube[i, j, k]`` holds D_v(q^a, q^b, q^c) for window exponents and is
     exactly symmetric (each entry is computed once, in sorted argument order,
-    on the high-precision path).  ``block[i]`` holds D_v(q^a, ., .) over the
-    whole grid for window exponent a, which by symmetry also serves every
-    entry with *any* argument in the window.
+    as an exact fixed-point integer sum rounded once to binary64; the module
+    docstring bounds its truncation error).  ``block[i]`` holds
+    D_v(q^a, ., .) over the whole grid for window exponent a, which by
+    symmetry also serves every entry with *any* argument in the window.
     """
 
     grid: LatticeGrid
@@ -110,29 +127,25 @@ class Kernel3:
         )
 
 
-def _hankel(table: BesselTable, grid: LatticeGrid) -> np.ndarray:
-    exps = grid.exponents
-    return table.values[(exps[:, None] + exps[None, :]) - table.n_min]
-
-
 def _entry_weights(grid: LatticeGrid, c: float) -> np.ndarray:
     """c^2 (1-q) q^{s(2v+2)} over the grid: the d_q s measure inside D_v."""
     return c * c * grid.weights()
 
 
 def _rowsum_defect(a: int, b: int, jmat: np.ndarray, went: np.ndarray,
-                   grid: LatticeGrid, table: BesselTable) -> float:
+                   grid: LatticeGrid) -> float:
     """|1 - (1-q) sum_z q^{z(2v+2)} D(a, b, z)| computed in double precision."""
-    exps = grid.exponents
-    ja = table.values[(a + exps) - table.n_min]
-    jb = table.values[(b + exps) - table.n_min]
-    row = jmat @ (went * ja * jb)
+    row = jmat @ (went * jmat[grid.index(a)] * jmat[grid.index(b)])
     return abs(1.0 - float(grid.weights() @ row))
 
 
 def _upper_cutoff(grid: LatticeGrid, ctx: PrecisionCtx, tol: float,
                   tail_terms: int = 80) -> int:
-    """Largest exponent whose kernel entries keep their s-integral tail < tol."""
+    """Largest exponent whose kernel entries keep their s-integral tail < tol.
+
+    Exponents are accepted upward from ``n_lo`` until the first one whose
+    tail bound reaches ``tol``.
+    """
     p = grid.params
     q, v = p.q, p.v
     lgq = math.log10(q)
@@ -141,16 +154,58 @@ def _upper_cutoff(grid: LatticeGrid, ctx: PrecisionCtx, tol: float,
     s = np.arange(grid.n_lo - tail_terms, grid.n_lo, dtype=float)
     base = (2.0 * math.log10(c) + math.log10(1.0 - q)
             + s * (2.0 * v + 2.0) * lgq + 2.0 * math.log10(const))
-    best = grid.n_lo
-    for e in range(grid.n_lo, grid.n_hi + 1):
-        log_terms = base + decay_bound_log10(e + s, p, const)
-        m = float(np.max(log_terms))
-        log_tail = m + math.log10(float(np.sum(10.0 ** np.clip(log_terms - m, -300, 0))))
-        if log_tail < math.log10(tol):
-            best = e
-        else:
-            break
-    return best
+    es = np.arange(grid.n_lo, grid.n_hi + 1)
+    log_tail = _logsum10(base + decay_bound_log10(es[:, None] + s, p, const))
+    bad = np.flatnonzero(~(log_tail < math.log10(tol)))
+    accepted = int(bad[0]) if bad.size else es.size
+    return grid.n_lo + max(accepted - 1, 0)
+
+
+def _to_fixed(x, bits: int) -> int:
+    """The finite mpf ``x`` times 2**bits as an int, truncated toward zero."""
+    sign, man, exp, _ = x._mpf_
+    if not man and exp:
+        raise ValueError(f"kernel input {x} is not finite")
+    shift = exp + bits
+    man = man << shift if shift >= 0 else man >> -shift
+    return -man if sign else man
+
+
+def _window_cube(grid: LatticeGrid, table: BesselTable, wexps: np.ndarray,
+                 ctx: PrecisionCtx) -> np.ndarray:
+    """D_v(q^a, q^b, q^c) over the window as exact fixed-point sums (module doc).
+
+    Each sorted triple is summed once and mirrored, so permutation symmetry
+    is exact.
+    """
+    p = grid.params
+    exps = grid.exponents
+    n = grid.size
+    width = len(wexps)
+    with mp.workdps(ctx.work_digits):
+        bits = mp.mp.prec + _GUARD_BITS
+        jmp = table.mp_values
+        jfix = [_to_fixed(x, bits) for x in jmp]
+        c_mp = c_qv_mp(p, ctx)
+        q_mp = mp.mpf(p.q)
+        w_mp = [c_mp * c_mp * (1 - q_mp) * q_mp ** (int(s) * (2 * mp.mpf(p.v) + 2))
+                for s in exps]
+        # Row i holds the table slice j_v(q^{wexps[i] + s}) over the grid s.
+        starts = [int(a) + grid.n_lo - table.n_min for a in wexps]
+        jrows = [jfix[t:t + n] for t in starts]
+        cube = np.empty((width, width, width))
+        for i, t in enumerate(starts):
+            arow = [w * x for w, x in zip(w_mp, jmp[t:t + n])]
+            top = max((x._mpf_[2] + x._mpf_[3] for x in arow if x), default=0)
+            afix = [_to_fixed(x, bits - top) for x in arow]
+            scale = 1 << (3 * bits - top)
+            for j in range(i, width):
+                pair = list(map(mul, afix, jrows[j]))
+                for k in range(j, width):
+                    val = sum(map(mul, pair, jrows[k])) / scale
+                    for perm in set(permutations((i, j, k))):
+                        cube[perm] = val
+    return cube
 
 
 def kernel(grid: LatticeGrid, table: BesselTable, ctx: PrecisionCtx = DEFAULT_CTX,
@@ -159,13 +214,13 @@ def kernel(grid: LatticeGrid, table: BesselTable, ctx: PrecisionCtx = DEFAULT_CT
     """Tabulate the translation kernel on its trusted window."""
     p = grid.params
     c = c_qv(p, ctx)
-    jmat = _hankel(table, grid)
+    jmat = table.hankel(grid.exponents)
     went = _entry_weights(grid, c)
 
     win_hi = _upper_cutoff(grid, ctx, entry_tol)
     win_lo = grid.n_lo + 1
     while win_lo < win_hi and _rowsum_defect(
-            win_lo, win_lo, jmat, went, grid, table) > rowsum_tol:
+            win_lo, win_lo, jmat, went, grid) > rowsum_tol:
         win_lo += 1
     win_lo = max(win_lo, win_hi - max_width + 1)
     if win_hi - win_lo + 1 < 3:
@@ -175,43 +230,18 @@ def kernel(grid: LatticeGrid, table: BesselTable, ctx: PrecisionCtx = DEFAULT_CT
 
     wexps = np.arange(win_lo, win_hi + 1)
     width = len(wexps)
-    exps = grid.exponents
 
     # Extended block, double precision: block[i] = D(q^{wexps[i]}, ., .).
     block = np.empty((width, grid.size, grid.size))
     for i, a in enumerate(wexps):
-        ja = table.values[(int(a) + exps) - table.n_min]
-        m = (jmat * (went * ja)[None, :]) @ jmat.T
+        m = (jmat * (went * jmat[grid.index(int(a))])[None, :]) @ jmat.T
         block[i] = 0.5 * (m + m.T)
 
-    # Symmetric window cube, high-precision path, rounded once.  Each sorted
-    # triple is summed once and mirrored, so permutation symmetry is exact.
-    jmp = table.mp_values
-    with mp.workdps(ctx.work_digits):
-        c_mp = c_qv_mp(p, ctx)
-        q_mp = mp.mpf(p.q)
-        w_mp = [c_mp * c_mp * (1 - q_mp) * q_mp ** (int(s) * (2 * mp.mpf(p.v) + 2))
-                for s in exps]
-        cube = np.empty((width, width, width))
-        off = table.n_min
-        for i, a in enumerate(wexps):
-            ja = [jmp[int(a) + int(s) - off] for s in exps]
-            for j in range(i, width):
-                b = wexps[j]
-                pair = [w * ja_s * jmp[int(b) + int(s) - off]
-                        for w, ja_s, s in zip(w_mp, ja, exps)]
-                for k in range(j, width):
-                    cexp = wexps[k]
-                    val = float(mp.fsum(
-                        pr * jmp[int(cexp) + int(s) - off]
-                        for pr, s in zip(pair, exps)
-                    ))
-                    for perm in set(permutations((i, j, k))):
-                        cube[perm] = val
+    cube = _window_cube(grid, table, wexps, ctx)
 
     kern = Kernel3(grid, table, c, int(win_lo), int(win_hi), cube, block)
     defects = [
-        _rowsum_defect(int(a), int(b), jmat, went, grid, table)
+        _rowsum_defect(int(a), int(b), jmat, went, grid)
         for a in wexps for b in wexps
     ]
     kern.max_rowsum_defect = float(max(defects))

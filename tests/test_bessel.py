@@ -1,6 +1,7 @@
 """Normalized q-Bessel function: series, tables, decay bound, eigen relation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -88,6 +89,20 @@ class TestTable:
         v = cell_half.p.v
         for n in range(-8, table.n_max + 1):
             assert ulps(table.value(n), jv_exact_dyadic(n, v)) <= 1.0
+
+    def test_deep_entries_for_larger_order(self):
+        # At q = 1/2, v = 3/2 the series at q^n, n < 0, cancels about
+        # (2n^2 - 4n) log10(2) digits; the working precision must cover the
+        # (2v+1)|n| part too.  Every normal binary64 entry on [-40, -8].
+        table = jv_table(LatticeGrid(QParams(0.5, 1.5), -20, 80), CTX)
+        checked = 0
+        for n in range(-40, -7):
+            ref = jv_exact_dyadic(n, 1.5, terms=110)
+            if abs(ref) < sys.float_info.min:
+                continue
+            assert abs(table.value(n) - ref) <= 1e-15 * abs(ref), n
+            checked += 1
+        assert checked >= 20
 
     def test_csv_cache_round_trip(self, cell_half, tmp_path):
         table = cell_half.table

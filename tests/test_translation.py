@@ -1,12 +1,15 @@
 """Translation kernel, q-convolution, Markov machinery, hypergroup expansion."""
 
+from itertools import combinations_with_replacement
+
+import mpmath as mp
 import numpy as np
 import pytest
 
 from qfourier.errors import NotProbability, OffWindow
 from qfourier.lattice import GridFn, delta_fn, jackson_integral, norm2
 from qfourier.probes import seeded_probes
-from qfourier.qseries import PrecisionCtx, QParams
+from qfourier.qseries import PrecisionCtx, QParams, c_qv_mp
 from qfourier.transform import forward
 from qfourier.translation import (
     basis_function,
@@ -137,6 +140,39 @@ class TestConvolve:
             convolve(wide, wide, k)
 
 
+def _fsum_cube(cell, dps: int = 80):
+    """Reference cube: sorted window triples -> (D, sum |terms|) by mp.fsum."""
+    p, grid, table, k = cell.p, cell.grid, cell.table, cell.kern
+    exps = [int(s) for s in grid.exponents]
+    jmp = table.mp_values
+    out = {}
+    with mp.workdps(dps):
+        c = c_qv_mp(p, cell.ctx)
+        q = mp.mpf(p.q)
+        w = [c * c * (1 - q) * q ** (s * (2 * mp.mpf(p.v) + 2)) for s in exps]
+        for a, b, d in combinations_with_replacement(k.window_exponents.tolist(), 3):
+            terms = [ws * jmp[a + s - table.n_min] * jmp[b + s - table.n_min]
+                     * jmp[d + s - table.n_min] for ws, s in zip(w, exps)]
+            out[a, b, d] = (float(mp.fsum(terms)), float(mp.fsum(terms, absolute=True)))
+    return out
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("name", ["cell_half", "cell_v0"])
+    def test_cube_matches_80_digit_fsum(self, name, request):
+        cell = request.getfixturevalue(name)
+        k = cell.kern
+        exact = 0
+        for (a, b, d), (ref, mass) in _fsum_cube(cell).items():
+            got = float(k.cube[k.windex(a), k.windex(b), k.windex(d)])
+            if abs(ref) > 1e-30 * mass:
+                assert got == ref, (a, b, d)
+                exact += 1
+            else:
+                assert abs(got - ref) <= 1e-45 * mass, (a, b, d)
+        assert exact > 0
+
+
 class TestPositivity:
     def test_nonnegative_for_v_half(self, cell_half):
         mn, _ = kernel_min(cell_half.kern)
@@ -149,6 +185,15 @@ class TestPositivity:
     def test_scan_result_for_q09(self):
         res = positivity_min(QParams(0.9, 0.5), window=10, ctx=CTX)
         assert res.min_value >= -1e-10
+
+    # Bits the 50-digit mp.fsum cube gave; the integer sums must keep them.
+    @pytest.mark.parametrize("v, value, argmin", [
+        (0.0, 2.0271374738780628e-09, (-13, -1, -1)),
+        (0.5, 1.4688956858673655e-12, (-13, 0, 0)),
+    ])
+    def test_scan_minimum_at_q09_pinned(self, v, value, argmin):
+        res = positivity_min(QParams(0.9, v), ctx=CTX)
+        assert (res.min_value, res.argmin) == (value, argmin)
 
     def test_negative_order_reported_not_gated(self):
         # v < 0 carries no positivity claim; strongly negative minima appear.
