@@ -16,14 +16,13 @@ priori from that estimate and rounded to binary64 exactly once.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import mpmath as mp
 import numpy as np
 
-from .errors import ParseError, PrecisionExhausted
+from .errors import PrecisionExhausted
 from .lattice import LatticeGrid
 from .qseries import DEFAULT_CTX, PrecisionCtx, QParams, q2_exact, qpoch_inf_mp
 
@@ -37,9 +36,6 @@ __all__ = [
     "decay_bound_check",
     "eigen_residual",
     "jv_exact_dyadic",
-    "cached_jv_table",
-    "save_table_csv",
-    "load_table_csv",
 ]
 
 # Escalating past this many decimal digits is treated as a failure to certify.
@@ -136,16 +132,16 @@ class BesselTable:
     """j_v(q^n, q^2) tabulated for n in [n_min, n_max].
 
     Values are generated on the high-precision path and rounded once; the
-    mpf originals are kept (or lazily regenerated after a cache load) for
-    consumers that must difference them without catastrophic rounding.
+    mpf originals are kept for consumers that must difference them without
+    catastrophic rounding.
     """
 
     params: QParams
     n_min: int
     n_max: int
     values: np.ndarray = field(repr=False)
+    mp_values: list = field(repr=False)
     ctx: PrecisionCtx = DEFAULT_CTX
-    _mp_values: list | None = field(default=None, repr=False)
 
     def index(self, n: int) -> int:
         if not (self.n_min <= n <= self.n_max):
@@ -155,14 +151,6 @@ class BesselTable:
     def value(self, n: int) -> float:
         return float(self.values[self.index(n)])
 
-    @property
-    def mp_values(self) -> list:
-        if self._mp_values is None:
-            self._mp_values = _mp_table_values(
-                self.params, self.n_min, self.n_max, self.ctx
-            )
-        return self._mp_values
-
     def mp_value(self, n: int):
         return self.mp_values[self.index(n)]
 
@@ -171,22 +159,17 @@ class BesselTable:
         return self.values[(exps[:, None] + exps[None, :]) - self.n_min]
 
 
-def _mp_table_values(p: QParams, n_min: int, n_max: int, ctx: PrecisionCtx) -> list:
-    vals = []
+def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
+    """Tabulate j_v over [2 n_lo, 2 n_hi] (the range transform kernels need)."""
+    p = grid.params
+    n_min, n_max = 2 * grid.n_lo, 2 * grid.n_hi
+    mp_vals = []
     for e in range(n_min, n_max + 1):
         dps = _required_dps(p.q ** min(e, 0), p, ctx)
         with mp.workdps(dps):
-            x = mp.mpf(p.q) ** e
-            vals.append(_jv_series_mp(x, p, ctx, dps))
-    return vals
-
-
-def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
-    """Tabulate j_v over [2 n_lo, 2 n_hi] (the range transform kernels need)."""
-    n_min, n_max = 2 * grid.n_lo, 2 * grid.n_hi
-    mp_vals = _mp_table_values(grid.params, n_min, n_max, ctx)
+            mp_vals.append(_jv_series_mp(mp.mpf(p.q) ** e, p, ctx, dps))
     vals = np.array([float(v) for v in mp_vals])
-    return BesselTable(grid.params, n_min, n_max, vals, ctx, mp_vals)
+    return BesselTable(p, n_min, n_max, vals, mp_vals, ctx)
 
 
 def decay_bound_constant(p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
@@ -290,57 +273,3 @@ def jv_exact_dyadic(m: int, v: float, terms: int = 60) -> float:
         term *= -(u * x2) / ((1 - q2v * u) * (1 - u))
         total += term
     return float(total)
-
-
-def cached_jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX,
-                    cache_dir=None) -> BesselTable:
-    """jv_table with an optional CSV cache keyed by (q, v, range, digits).
-
-    Cached loads carry float values only; high-precision values regenerate
-    lazily if a consumer needs them.
-    """
-    if cache_dir is None:
-        return jv_table(grid, ctx)
-    import os
-
-    p = grid.params
-    n_min, n_max = 2 * grid.n_lo, 2 * grid.n_hi
-    tag = (f"jv_q{p.q!r}_v{p.v!r}_n{n_min}_{n_max}_d{ctx.work_digits}"
-           .replace("-", "m").replace(".", "p"))
-    path = os.path.join(cache_dir, tag + ".csv")
-    if os.path.exists(path):
-        return load_table_csv(path, p, n_min, n_max, ctx)
-    table = jv_table(grid, ctx)
-    os.makedirs(cache_dir, exist_ok=True)
-    save_table_csv(table, path)
-    return table
-
-
-def save_table_csv(table: BesselTable, path) -> None:
-    """Persist a table as CSV rows ``n, jv`` (17 significant digits)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "jv"])
-        for n in range(table.n_min, table.n_max + 1):
-            writer.writerow([n, f"{table.value(n):.17g}"])
-
-
-def load_table_csv(path, p: QParams, n_min: int, n_max: int,
-                   ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
-    """Load a table written by :func:`save_table_csv`; mpf values regenerate lazily."""
-    entries = {}
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["n", "jv"]:
-                raise ParseError(f"{path}: expected header 'n, jv', got {header}")
-            for row in reader:
-                if row:
-                    entries[int(row[0])] = float(row[1])
-    except (OSError, ValueError, IndexError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if sorted(entries) != list(range(n_min, n_max + 1)):
-        raise ParseError(f"{path}: exponents do not cover [{n_min}, {n_max}]")
-    vals = np.array([entries[n] for n in range(n_min, n_max + 1)])
-    return BesselTable(p, n_min, n_max, vals, ctx, None)

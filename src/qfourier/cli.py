@@ -10,13 +10,13 @@ Subcommands:
 
 Exit codes: 0 all gated identities pass, 1 an identity failed, 2 bad
 configuration or input, 3 precision could not be certified.  Flags beat the
-environment (``QF_DIGITS``, ``QF_TAIL_TOL``, ``QF_TABLE_CACHE``), which
-beats built-in defaults.
+environment (``QF_DIGITS``, ``QF_TAIL_TOL``), which beats built-in defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -25,10 +25,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bessel import cached_jv_table
+from .bessel import jv_table
 from .errors import ParseError, PrecisionExhausted, QFourierError
 from .heat import gauss_mass_defect, gauss_memo, heat_apply, heat_residual
-from .lattice import GridFn, LatticeGrid, load_csv, save_csv
+from .lattice import GridFn, LatticeGrid, delta_fn, load_csv, save_csv
 from .qseries import PrecisionCtx, QParams, c_qv
 from .report import (
     DEFAULT_CELLS,
@@ -36,7 +36,7 @@ from .report import (
     report_to_json,
     run_suite,
 )
-from .translation import default_scan_grid, kernel, positivity_min
+from .translation import default_scan_grid, kernel, positivity_min, translate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -61,9 +61,6 @@ def _add_precision_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tail-tol", type=float,
                      default=_env_default("QF_TAIL_TOL", 1e-30, float),
                      help="relative truncation tolerance for products/series")
-    sub.add_argument("--table-cache",
-                     default=_env_default("QF_TABLE_CACHE", None, str),
-                     help="directory for cached Bessel tables")
 
 
 def _add_grid_flags(sub: argparse.ArgumentParser, required_q: bool = True) -> None:
@@ -101,10 +98,8 @@ def _load_gridfn(path: str, args) -> tuple[LatticeGrid, GridFn]:
     if args.nlo is not None and args.nhi is not None:
         grid = LatticeGrid(p, args.nlo, args.nhi)
     else:
-        import csv as _csv
-
         with open(path, newline="") as fh:
-            rows = [r for r in _csv.reader(fh)][1:]
+            rows = [r for r in csv.reader(fh)][1:]
         exps = [int(r[0]) for r in rows if r]
         if not exps:
             raise ParseError(f"{path}: no data rows")
@@ -137,7 +132,6 @@ def cmd_check(args) -> int:
         seed=args.seed,
         probes=args.probes,
         window=args.window,
-        table_cache=args.table_cache,
         tolerances=tolerances,
     )
     report = run_suite(cfg)
@@ -162,7 +156,7 @@ def cmd_transform(args) -> int:
     grid, f = _load_gridfn(args.infile, args)
     from .transform import build_transform, forward
 
-    table = cached_jv_table(grid, ctx, args.table_cache)
+    table = jv_table(grid, ctx)
     op = build_transform(grid, table, ctx)
     save_csv(forward(f, op), args.outfile)
     return EXIT_OK
@@ -171,18 +165,16 @@ def cmd_transform(args) -> int:
 def cmd_kernel(args) -> int:
     ctx = _ctx_from_args(args)
     grid = _grid_from_args(args)
-    table = cached_jv_table(grid, ctx, args.table_cache)
+    table = jv_table(grid, ctx)
     k = kernel(grid, table, ctx, max_width=args.window)
     x_exp = _value_to_exponent(args.x, grid)
     y_exp = _value_to_exponent(args.y, grid)
-    row = k.block[k.windex(x_exp)][grid.index(y_exp), :]
+    row = translate(delta_fn(grid, y_exp), x_exp, k).values   # D(x, y, .)
     w = grid.weights()
     row_sum = float(w @ row)
     if args.outfile:
-        import csv as _csv
-
         with open(args.outfile, "w", newline="") as fh:
-            wr = _csv.writer(fh)
+            wr = csv.writer(fh)
             wr.writerow(["n", "z", "D"])
             for n, val in zip(grid.exponents, row):
                 wr.writerow([int(n), f"{grid.x(int(n)):.17g}", f"{val:.17g}"])
@@ -209,10 +201,8 @@ def cmd_scan_positivity(args) -> int:
             print(f"q={q} v={v}: min_kernel={res.min_value:.3e} "
                   f"argmin={res.argmin} window={res.window}")
     if args.outfile:
-        import csv as _csv
-
         with open(args.outfile, "w", newline="") as fh:
-            wr = _csv.writer(fh)
+            wr = csv.writer(fh)
             wr.writerow(["q", "v", "min_kernel",
                          "argmin_x", "argmin_y", "argmin_z"])
             for r in rows:
@@ -223,7 +213,7 @@ def cmd_scan_positivity(args) -> int:
 def cmd_heat(args) -> int:
     ctx = _ctx_from_args(args)
     grid, f = _load_gridfn(args.infile, args)
-    table = cached_jv_table(grid, ctx, args.table_cache)
+    table = jv_table(grid, ctx)
     k = kernel(grid, table, ctx)
     gauss = gauss_memo(grid, ctx)
     u = heat_apply(f, args.t, k, ctx, g=gauss(args.t))

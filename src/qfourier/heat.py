@@ -314,16 +314,14 @@ def composition_defect(f: GridFn, t: float, s: float, k: Kernel3,
     grid = k.grid
     if gauss is None:
         gauss = gauss_memo(grid, ctx)
-    g_t = gauss(t)
     u_s = heat_apply(f, s, k, ctx, g=gauss(s))
-    # u_s has full-grid support; P_t u_s is trusted on window rows only.
-    w = grid.weights()
-    wg = w * g_t.fn.values
-    wu = w * u_s.values
-    lhs = np.array([k.c * float(wg @ (k.block[i] @ wu)) for i in range(k.width)])
-    u_ts = heat_apply(f, t + s, k, ctx, g=gauss(t + s))
+    # u_s has full-grid support, so neither factor of P_t u_s = M (MG Mu_s)
+    # is window-supported and only its window rows are trusted.
+    m = k.op.matrix
     sel = [grid.index(int(e)) for e in k.window_exponents]
-    ww = w[sel]
+    lhs = (m @ ((m @ gauss(t).fn.values) * (m @ u_s.values)))[sel]
+    u_ts = heat_apply(f, t + s, k, ctx, g=gauss(t + s))
+    ww = grid.weights()[sel]
     num = math.sqrt(float(ww @ (lhs - u_ts.values[sel]) ** 2))
     den = math.sqrt(float(ww @ u_ts.values[sel] ** 2))
     return num / max(den, TINY)

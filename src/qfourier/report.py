@@ -116,7 +116,6 @@ class SuiteConfig:
     seed: int = 1234
     probes: int = 100
     window: int = 24
-    table_cache: str | None = None
     tolerances: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -196,10 +195,10 @@ class _CellRunner:
         self.ctx = cfg.ctx()
         self.p = QParams(q, v)
         self.grid = LatticeGrid(self.p, n_lo, n_hi)
-        self.table = bessel.cached_jv_table(self.grid, self.ctx, cfg.table_cache)
-        self.op = transform.build_transform(self.grid, self.table, self.ctx)
+        self.table = bessel.jv_table(self.grid, self.ctx)
         self.kern = translation.kernel(self.grid, self.table, self.ctx,
                                        max_width=cfg.window)
+        self.op = self.kern.op
         self.window = transform.trusted_window(self.grid, self.table, self.ctx)
         self.c = self.op.c
         sw = (max(self.window[0], n_lo + 2), min(self.window[1], n_hi - 2))
@@ -432,17 +431,18 @@ class _CellRunner:
                 "kernel-positivity",
                 "min D_v over the window (v < 0, observational)", mn))
 
-        x_used = min(kern.window_exponents, key=abs)  # window exponent nearest 1
+        # Window exponent nearest 1; the M route against the cube on window rows.
+        x_used = int(min(kern.window_exponents, key=abs))
+        wsel = [grid.index(int(e)) for e in kern.window_exponents]
         res = 0.0
-        for a in (0, kern.window_lo, kern.window_hi):
-            d = lattice.delta_fn(grid, a)
-            td = translation.translate(d, int(x_used), kern)
-            dv = kern.block[kern.windex(int(x_used))][:, grid.index(a)]
+        for a in (x_used, kern.window_lo, kern.window_hi):
+            td = translation.translate(lattice.delta_fn(grid, a), x_used, kern)
+            dv = kern.cube[kern.windex(x_used), :, kern.windex(a)]
             scale = float(np.max(np.abs(dv)))
-            res = worst(res, float(np.max(np.abs(td.values - dv)))
+            res = worst(res, float(np.max(np.abs(td.values[wsel] - dv)))
                         / max(scale, TINY))
         out.append(gate("translation-delta",
-                        "T_{q,x} delta_a(y) reduces to D(x,y,a)",
+                        "T_{q,x} delta_a(y) = D(x,y,a): M route vs window cube",
                         res, tol("translation-delta")))
 
         xs = [kern.window_lo, kern.window_hi] if kern.width > 1 else [kern.window_lo]
@@ -485,7 +485,8 @@ class _CellRunner:
         pairs = [(kern.window_lo, kern.window_hi), (0, 0),
                  (kern.window_hi, kern.window_hi)]
         for y, z in pairs:
-            dyz = kern.block[kern.windex(y)][:, grid.index(z)]  # D(., y, z) over x
+            # D(., y, z) over x
+            dyz = translation.translate(lattice.delta_fn(grid, z), y, kern).values
             for t in (-1, 0, 2):
                 jt = table.values[(t + grid.exponents) - table.n_min]
                 lhs = float((w * jt) @ dyz)
@@ -497,19 +498,26 @@ class _CellRunner:
         gate, tol = IdentityResult.gate, self.cfg.tolerance
         kern, op, grid = self.kern, self.op, self.grid
         pairs = list(zip(self.kprobes[0:40:2], self.kprobes[1:40:2]))
+        w = grid.weights()
+        wsel = [grid.index(int(e)) for e in kern.window_exponents]
+        ww = w[wsel]
         comm = prod = 0.0
         for f, g in pairs:
             fg = translation.convolve(f, g, kern)
-            gf = translation.convolve(g, f, kern)
-            comm = worst(comm, norm2(GridFn(grid, fg.values - gf.values))
-                         / max(norm2(fg), TINY))
+            # g * f through the cube: c sum_{y,z} D(x,y,z) (w g)_y (w f)_z,
+            # both probes window-supported.
+            gf = kern.c * np.einsum("xyz,y,z->x", kern.cube,
+                                    (w * g.values)[wsel], (w * f.values)[wsel])
+            gap = math.sqrt(float(ww @ (fg.values[wsel] - gf) ** 2))
+            comm = worst(comm, gap / max(math.sqrt(float(ww @ gf ** 2)), TINY))
             lhs = transform.forward(fg, op)
             rhs = GridFn(grid, transform.forward(f, op).values
                          * transform.forward(g, op).values)
             prod = worst(prod, norm2(GridFn(grid, lhs.values - rhs.values))
                          / max(norm2(rhs), TINY))
         return [
-            gate("convolution-commutativity", "f * g = g * f",
+            gate("convolution-commutativity",
+                 "f * g = g * f: M route vs window-cube contraction",
                  comm, tol("convolution-commutativity")),
             gate("convolution-product-formula", "F(f * g) = Ff . Fg",
                  prod, tol("convolution-product-formula")),

@@ -30,8 +30,19 @@ rounding an entry is off by at most
   + 2^-(prec+62) N C^2 max_s |w_s j_a|  (truncation to ints)
 
 with k a few units, N the grid size and C >= 1 the decay-bound constant
-(|j_v| <= C).  The extended blocks feeding integral checks are double
-precision (their error is orders of magnitude below the 1e-8 gates).
+(|j_v| <= C).
+
+Every float apply goes through the cell's transform matrix M
+(:mod:`qfourier.transform`), under which translation and convolution are
+diagonal -- the product formula of Koornwinder & Swarttouw:
+
+    T_{q,x} f = M (j_v(x .) Mf),        f *_q g = M (Mf Mg).
+
+Both are the lattice sums that define D_v taken in another order, with
+the same truncation, so the trust rule above still decides which outputs
+hold; their binary64 rounding sits orders of magnitude below the 1e-8
+gates.  Identities that compare two routes take the M route on one side
+and the exact window cube on the other.
 """
 
 from __future__ import annotations
@@ -54,7 +65,7 @@ from .errors import GridMismatch, NotProbability, OffWindow
 from .lattice import GridFn, LatticeGrid, jackson_integral, norm2, sup_norm
 from .numerics import TINY, worst
 from .qseries import DEFAULT_CTX, PrecisionCtx, QParams, c_qv, c_qv_mp
-from .transform import _logsum10, psi_norm_sq
+from .transform import TransformOp, _logsum10, basis_fn, build_transform, psi_norm_sq
 
 # Guard bits of the fixed-point window cube below the working precision.
 _GUARD_BITS = 64
@@ -81,14 +92,14 @@ __all__ = [
 
 @dataclass
 class Kernel3:
-    """Tabulated translation kernel on a trusted exponent window.
+    """Translation kernel on a trusted exponent window, with the cell's transform.
 
     ``cube[i, j, k]`` holds D_v(q^a, q^b, q^c) for window exponents and is
     exactly symmetric (each entry is computed once, in sorted argument order,
     as an exact fixed-point integer sum rounded once to binary64; the module
-    docstring bounds its truncation error).  ``block[i]`` holds
-    D_v(q^a, ., .) over the whole grid for window exponent a, which by
-    symmetry also serves every entry with *any* argument in the window.
+    docstring bounds its truncation error).  ``op`` is the transform matrix
+    every float apply goes through; an entry with *any* argument in the
+    window is trusted, so translations by window x have full-grid output.
     """
 
     grid: LatticeGrid
@@ -97,7 +108,7 @@ class Kernel3:
     window_lo: int
     window_hi: int
     cube: np.ndarray = field(repr=False)
-    block: np.ndarray = field(repr=False)
+    op: TransformOp = field(repr=False)
     max_rowsum_defect: float = 0.0
 
     @property
@@ -127,16 +138,10 @@ class Kernel3:
         )
 
 
-def _entry_weights(grid: LatticeGrid, c: float) -> np.ndarray:
-    """c^2 (1-q) q^{s(2v+2)} over the grid: the d_q s measure inside D_v."""
-    return c * c * grid.weights()
-
-
-def _rowsum_defect(a: int, b: int, jmat: np.ndarray, went: np.ndarray,
-                   grid: LatticeGrid) -> float:
-    """|1 - (1-q) sum_z q^{z(2v+2)} D(a, b, z)| computed in double precision."""
-    row = jmat @ (went * jmat[grid.index(a)] * jmat[grid.index(b)])
-    return abs(1.0 - float(grid.weights() @ row))
+def _translate_hat(op: TransformOp, x_exp: int, fhat: np.ndarray) -> np.ndarray:
+    """M (j_v(q^{x_exp} .) fhat): T_{q,x} of the function whose transform is fhat."""
+    jx = op.table.values[(x_exp + op.grid.exponents) - op.table.n_min]
+    return op.matrix @ (jx * fhat)
 
 
 def _upper_cutoff(grid: LatticeGrid, ctx: PrecisionCtx, tol: float,
@@ -212,15 +217,16 @@ def kernel(grid: LatticeGrid, table: BesselTable, ctx: PrecisionCtx = DEFAULT_CT
            max_width: int = 24, entry_tol: float = 1e-12,
            rowsum_tol: float = 1e-9) -> Kernel3:
     """Tabulate the translation kernel on its trusted window."""
-    p = grid.params
-    c = c_qv(p, ctx)
-    jmat = table.hankel(grid.exponents)
-    went = _entry_weights(grid, c)
+    op = build_transform(grid, table, ctx)
+    one_hat = op.matrix @ np.ones(grid.size)
+
+    def rowsum_defects(a: int) -> np.ndarray:
+        """|1 - (1-q) sum_z q^{z(2v+2)} D(a, ., z)| over the grid: T_{q,a} 1."""
+        return np.abs(1.0 - _translate_hat(op, a, one_hat))
 
     win_hi = _upper_cutoff(grid, ctx, entry_tol)
     win_lo = grid.n_lo + 1
-    while win_lo < win_hi and _rowsum_defect(
-            win_lo, win_lo, jmat, went, grid) > rowsum_tol:
+    while win_lo < win_hi and rowsum_defects(win_lo)[grid.index(win_lo)] > rowsum_tol:
         win_lo += 1
     win_lo = max(win_lo, win_hi - max_width + 1)
     if win_hi - win_lo + 1 < 3:
@@ -229,59 +235,39 @@ def kernel(grid: LatticeGrid, table: BesselTable, ctx: PrecisionCtx = DEFAULT_CT
         )
 
     wexps = np.arange(win_lo, win_hi + 1)
-    width = len(wexps)
-
-    # Extended block, double precision: block[i] = D(q^{wexps[i]}, ., .).
-    block = np.empty((width, grid.size, grid.size))
-    for i, a in enumerate(wexps):
-        m = (jmat * (went * jmat[grid.index(int(a))])[None, :]) @ jmat.T
-        block[i] = 0.5 * (m + m.T)
-
+    rows = slice(grid.index(int(win_lo)), grid.index(int(win_hi)) + 1)
     cube = _window_cube(grid, table, wexps, ctx)
-
-    kern = Kernel3(grid, table, c, int(win_lo), int(win_hi), cube, block)
-    defects = [
-        _rowsum_defect(int(a), int(b), jmat, went, grid)
-        for a in wexps for b in wexps
-    ]
-    kern.max_rowsum_defect = float(max(defects))
-    return kern
+    defect = worst(*(float(np.max(rowsum_defects(int(a))[rows])) for a in wexps))
+    return Kernel3(grid, table, op.c, int(win_lo), int(win_hi), cube, op, defect)
 
 
 def translate(f: GridFn, x_exp: int, k: Kernel3) -> GridFn:
     """T_{q,x} f(y) = (1-q) sum_z q^{z(2v+2)} f(q^z) D(x, y, q^z), full-grid output.
 
-    x must be a window exponent; y and z range over the whole grid (every
-    needed kernel entry is trusted because its x argument is in the window).
+    Computed as M (j_v(x .) Mf).  x must be a window exponent; y and z range
+    over the whole grid (every kernel entry the sum stands for is trusted
+    because its x argument is in the window).
     """
     if f.grid != k.grid:
         raise GridMismatch("function lives on a different grid than the kernel")
-    i = k.windex(x_exp)
-    return GridFn(k.grid, k.block[i] @ (k.grid.weights() * f.values))
-
-
-def _convolve_routed(outer: GridFn, inner_fn: GridFn, k: Kernel3) -> np.ndarray:
-    """c int T_{q,x} inner(y) outer(y) y^{2v+1} d_q y with outer window-supported."""
-    w = k.grid.weights()
-    wf = w * inner_fn.values
-    acc = np.zeros(k.grid.size)
-    for e in outer.support_exponents():
-        i = k.windex(int(e))
-        acc += (w[k.grid.index(int(e))] * outer[int(e)]) * (k.block[i] @ wf)
-    return k.c * acc
+    k.windex(x_exp)
+    return GridFn(k.grid, _translate_hat(k.op, x_exp, k.op.matrix @ f.values))
 
 
 def convolve(f: GridFn, g: GridFn, k: Kernel3) -> GridFn:
-    """q-convolution f *_q g; at least one factor must be window-supported."""
+    """q-convolution f *_q g = M (Mf Mg); one factor must be window-supported.
+
+    The window precondition is the trust rule: every kernel entry the sum
+    stands for then has an argument in the window.
+    """
     if f.grid != g.grid:
         raise GridMismatch("convolution factors live on different grids")
     if f.grid != k.grid:
         raise GridMismatch("functions live on a different grid than the kernel")
-    if k.in_window(g):
-        return GridFn(k.grid, _convolve_routed(g, f, k))
-    if k.in_window(f):
-        return GridFn(k.grid, _convolve_routed(f, g, k))
-    raise OffWindow("neither convolution factor is supported inside the kernel window")
+    if not (k.in_window(f) or k.in_window(g)):
+        raise OffWindow("neither convolution factor is supported inside the kernel window")
+    m = k.op.matrix
+    return GridFn(k.grid, m @ ((m @ f.values) * (m @ g.values)))
 
 
 def kernel_min(k: Kernel3) -> tuple[float, tuple[int, int, int]]:
@@ -389,9 +375,8 @@ def markov_check(k: Kernel3, probes: list[GridFn],
         if not k.in_window(f):
             raise OffWindow("markov probes must be supported inside the kernel window")
     wsel = [k.grid.index(int(e)) for e in k.window_exponents]
-    units = np.concatenate([
-        (k.block[k.windex(int(x))] @ k.grid.weights())[wsel] for x in x_exps
-    ])
+    one = GridFn(k.grid, np.ones(k.grid.size))
+    units = np.concatenate([translate(one, int(x), k).values[wsel] for x in x_exps])
     reports = [
         _markov_defects(lambda f, _x=x: translate(f, int(_x), k), k, probes, units)
         for x in x_exps
@@ -418,22 +403,17 @@ def markov_check_convolution(rho: GridFn, k: Kernel3,
                              probes: list[GridFn]) -> MarkovReport:
     """Markov-axiom defects for K: f -> f *_q rho, rho a probability density."""
     _check_probability(rho, k)
-    w = k.grid.weights()
-    wrho = w * rho.values
-    # Unit fixed point and induced-kernel minimum on window x rows.
-    units = []
-    kmin = np.inf
-    for i in range(k.width):
-        row = wrho @ k.block[i]               # int D(x, y, .) rho(y) dy at x = win[i]
-        units.append(k.c * float(row @ w))    # (1 * rho)(x)
-        kmin = min(kmin, k.c * float(np.min(row)))
+    # Unit fixed point and induced-kernel minimum on window x rows: row x is
+    # T_{q,x} rho = int D(x, y, .) rho(y) dy, and (1 * rho)(x) = c int row.
+    rows = np.array([translate(rho, int(x), k).values for x in k.window_exponents])
+    units = k.c * (rows @ k.grid.weights())
 
     def apply_op(f: GridFn) -> GridFn:
         return convolve(f, rho, k)
 
-    base = _markov_defects(apply_op, k, probes, np.asarray(units))
+    base = _markov_defects(apply_op, k, probes, units)
     return MarkovReport(
-        min_kernel=float(kmin),
+        min_kernel=k.c * float(np.min(rows)),
         unit_defect=base.unit_defect,
         symmetry_defect=base.symmetry_defect,
         contraction_defect=base.contraction_defect,
@@ -444,9 +424,7 @@ def markov_check_convolution(rho: GridFn, k: Kernel3,
 
 def _basis_values(k: Kernel3, n: int) -> np.ndarray:
     """f_n = psi_{q^n} / ||psi_{q^n}|| sampled on the grid (closed-form norm)."""
-    exps = k.grid.exponents
-    psi = k.c * k.table.values[(n + exps) - k.table.n_min]
-    return psi / math.sqrt(psi_norm_sq(k.grid, n))
+    return basis_fn(k.op, n).values / math.sqrt(psi_norm_sq(k.grid, n))
 
 
 def basis_function(k: Kernel3, n: int) -> GridFn:

@@ -7,17 +7,13 @@ import numpy as np
 import pytest
 
 from qfourier.bessel import (
-    cached_jv_table,
     decay_bound_check,
     decay_bound_constant,
     eigen_residual,
     jv,
     jv_exact_dyadic,
     jv_table,
-    load_table_csv,
-    save_table_csv,
 )
-from qfourier.errors import ParseError
 from qfourier.lattice import LatticeGrid
 from qfourier.qseries import PrecisionCtx, QParams
 
@@ -103,31 +99,6 @@ class TestTable:
             assert abs(table.value(n) - ref) <= 1e-15 * abs(ref), n
             checked += 1
         assert checked >= 20
-
-    def test_csv_cache_round_trip(self, cell_half, tmp_path):
-        table = cell_half.table
-        path = tmp_path / "tab.csv"
-        save_table_csv(table, path)
-        loaded = load_table_csv(path, cell_half.p, table.n_min, table.n_max, CTX)
-        assert np.array_equal(loaded.values, table.values)
-
-    def test_cached_table_hits_disk(self, tmp_path):
-        grid = LatticeGrid(QParams(0.5, 0.5), -4, 8)
-        t1 = cached_jv_table(grid, CTX, str(tmp_path))
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1
-        t2 = cached_jv_table(grid, CTX, str(tmp_path))
-        assert np.array_equal(t1.values, t2.values)
-
-    def test_load_rejects_gap(self, cell_half, tmp_path):
-        path = tmp_path / "gap.csv"
-        save_table_csv(cell_half.table, path)
-        lines = path.read_text().splitlines()
-        del lines[5]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError):
-            load_table_csv(path, cell_half.p, cell_half.table.n_min,
-                           cell_half.table.n_max, CTX)
 
 
 class TestDecayBound:

@@ -34,6 +34,7 @@ from qfourier.qseries import (
     qexp_lattice_mp,
 )
 from qfourier.report import SuiteConfig, run_cell
+from qfourier.translation import translate
 
 CTX = PrecisionCtx()
 
@@ -152,12 +153,13 @@ class TestCellMemo:
 
 class TestHeatFlow:
     def test_unit_fixed_point_on_window(self, cell_half):
-        # P_t 1 = 1: evaluated through the window-row convolution formula.
+        # P_t 1 = 1 on window rows: (1 * G)(x) = c int T_{q,x} 1 (y) G(y) dy.
         k, grid = cell_half.kern, cell_half.grid
         g = gauss_kernel(1.0, grid, CTX)
         w = grid.weights()
-        units = [k.c * float((w * g.fn.values) @ (k.block[i] @ w))
-                 for i in range(k.width)]
+        one = GridFn(grid, np.ones(grid.size))
+        units = [k.c * float((w * g.fn.values) @ translate(one, int(x), k).values)
+                 for x in k.window_exponents]
         assert np.max(np.abs(np.asarray(units) - 1.0)) < 1e-8
 
     def test_positivity_preserved(self, cell_half, kprobes):

@@ -1,13 +1,15 @@
 """Translation kernel, q-convolution, Markov machinery, hypergroup expansion."""
 
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from qfourier.bessel import jv_table
 from qfourier.errors import NotProbability, OffWindow
-from qfourier.lattice import GridFn, delta_fn, jackson_integral, norm2
+from qfourier.lattice import GridFn, LatticeGrid, delta_fn, jackson_integral, norm2
 from qfourier.probes import seeded_probes
 from qfourier.qseries import PrecisionCtx, QParams, c_qv_mp
 from qfourier.transform import forward
@@ -17,6 +19,7 @@ from qfourier.translation import (
     eigen_check,
     hypergroup_expansion_defect,
     hypergroup_window,
+    kernel,
     kernel_min,
     markov_check,
     markov_check_convolution,
@@ -59,18 +62,19 @@ class TestKernelBuild:
     def test_row_sums_are_unit(self, cell_half):
         assert cell_half.kern.max_rowsum_defect < 1e-8
 
-    def test_cube_agrees_with_block(self, cell_half):
-        # Same quantity through the high-precision and double paths; the
-        # double path carries ~1e-17 absolute quadrature noise on entries
-        # that cancel to near zero.
-        k = cell_half.kern
-        g = cell_half.grid
-        i = k.width // 2
-        sub = k.block[i][np.ix_(
-            [g.index(int(e)) for e in k.window_exponents],
-            [g.index(int(e)) for e in k.window_exponents],
-        )]
-        assert np.allclose(sub, k.cube[i], rtol=1e-12, atol=1e-16)
+    def test_peak_memory_below_half_a_width_by_grid_block(self):
+        # The kernel keeps the N x N transform matrix and the window cube; a
+        # width x N x N float array of rows D(a, ., .) would not fit under
+        # half its own size.
+        grid = LatticeGrid(QParams(0.8, 0.5), -20, 120)
+        table = jv_table(grid, CTX)
+        tracemalloc.start()
+        try:
+            k = kernel(grid, table, CTX)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < k.width * grid.size**2 * 8 / 2
 
 
 class TestTranslate:
@@ -94,11 +98,15 @@ class TestTranslate:
                 assert err < 1e-8
 
     def test_translate_delta_gives_kernel_row(self, cell_half):
+        # T_{q,x} delta_a = D(x, ., a) through M, against the exact window
+        # cube on every window triple, to 1e-12 of the row maximum.
         k, grid = cell_half.kern, cell_half.grid
-        a = 2
-        td = translate(delta_fn(grid, a), 0, k)
-        expected = k.block[k.windex(0)][:, grid.index(a)]
-        assert np.allclose(td.values, expected, rtol=1e-12, atol=1e-300)
+        wsel = [grid.index(int(e)) for e in k.window_exponents]
+        for x in k.window_exponents:
+            for a in k.window_exponents:
+                td = translate(delta_fn(grid, int(a)), int(x), k).values[wsel]
+                row = k.cube[k.windex(int(x)), :, k.windex(int(a))]
+                assert np.max(np.abs(td - row)) <= 1e-12 * np.max(np.abs(row))
 
     def test_off_window_x_rejected(self, cell_half):
         grid = cell_half.grid
@@ -127,6 +135,18 @@ class TestConvolve:
             worst = max(worst, norm2(GridFn(k.grid, lhs.values - rhs.values))
                         / norm2(rhs))
         assert worst < 1e-8
+
+    def test_agrees_with_cube_contraction(self, cell_half, kprobes):
+        # M(Mf Mg) on window rows against c sum_{y,z} D(x,y,z) (w g)_y (w f)_z
+        # over the exact window cube (both probes are window-supported).
+        k, grid = cell_half.kern, cell_half.grid
+        w = grid.weights()
+        wsel = [grid.index(int(e)) for e in k.window_exponents]
+        for f, g in zip(kprobes[:6], kprobes[6:12]):
+            fg = convolve(f, g, k).values[wsel]
+            ref = k.c * np.einsum("xyz,y,z->x", k.cube,
+                                  (w * g.values)[wsel], (w * f.values)[wsel])
+            assert np.max(np.abs(fg - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_zero_annihilates(self, cell_half, kprobes):
         k = cell_half.kern
