@@ -62,6 +62,22 @@ class TestKernelBuild:
     def test_row_sums_are_unit(self, cell_half):
         assert cell_half.kern.max_rowsum_defect < 1e-8
 
+    def test_cube_agrees_with_block(self, cell_half):
+        # Same quantity through the high-precision and double paths: the
+        # block D(x, ., .) at the middle window x, built column by column
+        # as T_{q,x} delta_a through M, against the exact window cube. The
+        # double path carries ~1e-17 absolute noise on entries that cancel
+        # to near zero.
+        k, grid = cell_half.kern, cell_half.grid
+        i = k.width // 2
+        x = int(k.window_exponents[i])
+        wsel = [grid.index(int(e)) for e in k.window_exponents]
+        sub = np.column_stack([
+            translate(delta_fn(grid, int(a)), x, k).values[wsel]
+            for a in k.window_exponents
+        ])
+        assert np.allclose(sub, k.cube[i], rtol=1e-12, atol=1e-16)
+
     def test_peak_memory_below_half_a_width_by_grid_block(self):
         # The kernel keeps the N x N transform matrix and the window cube; a
         # width x N x N float array of rows D(a, ., .) would not fit under
