@@ -8,10 +8,23 @@ The series
 converges for every real x thanks to the q^{n(n+1)} super-decay, but for
 x = q^{-m} (m > 0) the largest term is ~ q^{-m^2} while the sum is
 ~ q^{m^2 + (2v+1)m}, so roughly (2 m^2 + (2v+1) m) log10(1/q) decimal digits
-cancel.
-Evaluation therefore switches to a software high-precision path whenever the
-estimated cancellation exceeds 1e6, with the working precision chosen a
-priori from that estimate and rounded to binary64 exactly once.
+cancel.  A scalar value is one series at a working precision chosen a
+priori from that estimate, rounded to binary64 exactly once.
+
+A table sums no series per entry.  On x = q^n the eigen relation is the
+three-term recurrence
+
+    j(q^{n+1}) = ((1 + q^{2v} - q^{2n}) j(q^n) - j(q^{n-1})) / q^{2v},
+
+and upward from the deep tail j_v dominates the second solution (Miller's
+algorithm; Gautschi, SIAM Review 9, 1967).  One sweep runs from (0, 1) a few
+exponents below n_min, at the series' precision for n_min plus guard digits,
+and is scaled once to the series at n_max.  It must equal the series at
+n_min to 1e-40 relative, or it restarts twice as deep.  Each entry is
+rounded at its own a-priori precision.  The series stays the independent
+route: ``bessel-table-reproducibility`` compares it with the table at anchor
+exponents, which sees a wrong scale or a leftover of the second solution
+that the linear, homogeneous eigen relation cannot.
 """
 
 from __future__ import annotations
@@ -24,6 +37,7 @@ import numpy as np
 
 from .errors import PrecisionExhausted
 from .lattice import LatticeGrid
+from .numerics import ulps, worst
 from .qseries import DEFAULT_CTX, PrecisionCtx, QParams, q2_exact, qpoch_inf_mp
 
 __all__ = [
@@ -41,9 +55,15 @@ __all__ = [
 # Escalating past this many decimal digits is treated as a failure to certify.
 _MAX_DIGITS = 50_000
 
-# The high-precision path must engage before estimated cancellation reaches
-# 1e6; switching already at 1e2 keeps the native path at full accuracy.
-_CANCELLATION_LIMIT_DIGITS = 2.0
+# A table sweep starts this many exponents below n_min, with this many digits
+# over the series' precision there; an uncertified start is doubled at most
+# _MAX_SWEEPS - 1 times.
+_START_DEPTH, _SWEEP_GUARD_DIGITS, _MAX_SWEEPS = 10, 20, 4
+
+# Relative gap to the series at n_min that certifies a sweep.  The sweep and
+# its two series anchors carry at least 46 digits past every cancellation and
+# top growth, so a certified table is good to about this in every mp value.
+_CERTIFY_REL = 1e-40
 
 
 def _digits_lost(x: float, p: QParams) -> float:
@@ -70,26 +90,6 @@ def _required_dps(x: float, p: QParams, ctx: PrecisionCtx) -> int:
     return dps
 
 
-def _jv_series_float(x: float, p: QParams, ctx: PrecisionCtx) -> tuple[float, float]:
-    """Native-float series sum; returns (sum, max |term|)."""
-    q2 = p.q * p.q
-    x2 = x * x
-    q2v = p.q ** (2.0 * p.v)
-    total = 1.0
-    term = 1.0
-    max_term = 1.0
-    u = 1.0  # q^{2(n+1)} once updated
-    for _ in range(10_000):
-        u *= q2
-        # ratio t_{n+1}/t_n = -q^{2(n+1)} x^2 / ((1-q^{2v+2+2n})(1-q^{2n+2}))
-        term *= -(u * x2) / ((1.0 - q2v * u) * (1.0 - u))
-        total += term
-        max_term = max(max_term, abs(term))
-        if abs(term) < ctx.tail_tol * max_term and u * x2 < 1.0:
-            break
-    return total, max_term
-
-
 def _jv_series_mp(x, p: QParams, ctx: PrecisionCtx, dps: int) -> mp.mpf:
     """High-precision series sum at ``dps`` decimal digits."""
     with mp.workdps(dps):
@@ -113,17 +113,22 @@ def _jv_series_mp(x, p: QParams, ctx: PrecisionCtx, dps: int) -> mp.mpf:
         return +total
 
 
+def _entry_dps(e: int, p: QParams, ctx: PrecisionCtx) -> int:
+    """A-priori precision of the series at the lattice point q^e."""
+    return _required_dps(p.q ** min(e, 0), p, ctx)
+
+
+def _series_at(e: int, p: QParams, ctx: PrecisionCtx, dps: int | None = None) -> mp.mpf:
+    """The series at q^e (the point formed at the series' precision)."""
+    dps = dps or _entry_dps(e, p, ctx)
+    with mp.workdps(dps):
+        return _jv_series_mp(mp.mpf(p.q) ** e, p, ctx, dps)
+
+
 def jv(x: float, p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
     """Normalized q-Bessel function j_v(x, q^2) for real x."""
     if x == 0.0:
         return 1.0
-    lost = _digits_lost(x, p)
-    if lost <= _CANCELLATION_LIMIT_DIGITS:
-        total, max_term = _jv_series_float(x, p, ctx)
-        # A-posteriori guard: rerun in high precision on unexpected cancellation.
-        if total == 0.0 or max_term / abs(total) > 1e6:
-            return float(_jv_series_mp(x, p, ctx, _required_dps(x, p, ctx)))
-        return total
     return float(_jv_series_mp(x, p, ctx, _required_dps(x, p, ctx)))
 
 
@@ -159,17 +164,69 @@ class BesselTable:
         return self.values[(exps[:, None] + exps[None, :]) - self.n_min]
 
 
+def _sweep(p: QParams, n_start: int, n_max: int, dps: int) -> list:
+    """The recurrence solution with j(q^{n_start-1}) = 0, j(q^{n_start}) = 1."""
+    with mp.workdps(dps):
+        q2 = q2_exact(p.q)
+        q2v = mp.mpf(p.q) ** (2 * mp.mpf(p.v))
+        a, r = 1 + q2v, 1 / q2v
+        u = q2 ** n_start               # q^{2n} at the current n
+        prev, cur = mp.mpf(0), mp.mpf(1)
+        out = [cur]
+        for _ in range(n_start, n_max):
+            prev, cur = cur, ((a - u) * cur - prev) * r
+            u *= q2
+            out.append(cur)
+        return out
+
+
 def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
-    """Tabulate j_v over [2 n_lo, 2 n_hi] (the range transform kernels need)."""
+    """Tabulate j_v over [2 n_lo, 2 n_hi] (the range transform kernels need).
+
+    One upward recurrence sweep, scaled to the series at n_max and certified
+    against it at n_min (module docstring).
+    """
     p = grid.params
     n_min, n_max = 2 * grid.n_lo, 2 * grid.n_hi
-    mp_vals = []
-    for e in range(n_min, n_max + 1):
-        dps = _required_dps(p.q ** min(e, 0), p, ctx)
+    # For v > 0 rounding errors grow like the second solution near the top,
+    # by q^{-2v} a step.
+    growth = 2.0 * max(p.v, 0.0) * max(n_max, 0) * math.log10(1.0 / p.q)
+    dps = max(_entry_dps(n_min, p, ctx), 26 + math.ceil(growth)) + _SWEEP_GUARD_DIGITS
+    # The anchors get ten more digits, which keeps their own truncation
+    # (10^-(dps-5) of the largest term) well below the certification bound.
+    top, bottom = _series_at(n_max, p, ctx, dps + 10), _series_at(n_min, p, ctx, dps + 10)
+    depth = _START_DEPTH
+    for _ in range(_MAX_SWEEPS):
         with mp.workdps(dps):
-            mp_vals.append(_jv_series_mp(mp.mpf(p.q) ** e, p, ctx, dps))
+            raw = _sweep(p, n_min - depth, n_max, dps)[depth:]
+            scale = top / raw[-1]
+            sweep = [f * scale for f in raw]
+            # A leftover of the second solution grows by up to q^{-2v} a step
+            # to n_max and the scale spreads it over the table, so the start
+            # is certified at mp level, not only to binary64.
+            if abs(sweep[0] - bottom) <= _CERTIFY_REL * abs(bottom):
+                break
+        depth = max(2 * depth, 1)
+    else:
+        raise PrecisionExhausted(
+            f"j_v table on [{n_min}, {n_max}] at q={p.q:g}, v={p.v:g}: no recurrence "
+            f"started up to {depth // 2} below n_min agrees with the series there "
+            f"to {_CERTIFY_REL:g}")
+    mp_vals = []
+    for e, f in zip(range(n_min, n_max + 1), sweep):
+        with mp.workdps(_entry_dps(e, p, ctx)):
+            mp_vals.append(+f)
     vals = np.array([float(v) for v in mp_vals])
     return BesselTable(p, n_min, n_max, vals, mp_vals, ctx)
+
+
+def _anchor_ulps(table: BesselTable) -> float:
+    """Worst binary64 gap between the table and the series at the anchors:
+    n_min..n_min+3, the quarter points and n_max - 1 (n_max is the scale)."""
+    lo, hi = table.n_min, table.n_max
+    anchors = {*range(lo, lo + 4), *(lo + k * (hi - lo) // 4 for k in (1, 2, 3)), hi - 1}
+    return worst(*(ulps(table.value(e), float(_series_at(e, table.params, table.ctx)))
+                   for e in sorted(anchors) if lo <= e < hi))
 
 
 def decay_bound_constant(p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
@@ -233,7 +290,7 @@ def eigen_residual(grid: LatticeGrid, lambda_exp: int, table: BesselTable) -> fl
     survive, while 50-digit inputs certify the residual comfortably.
     """
     p = grid.params
-    worst = 0.0
+    res = 0.0
     with mp.workdps(max(table.ctx.work_digits, 50)):
         q = mp.mpf(p.q)
         q2v = q ** (2 * mp.mpf(p.v))
@@ -244,32 +301,28 @@ def eigen_residual(grid: LatticeGrid, lambda_exp: int, table: BesselTable) -> fl
             f_next = table.mp_value(lambda_exp + n + 1)
             delta = (f_prev - (1 + q2v) * f_mid + q2v * f_next) * q ** (-2 * n)
             resid = abs(delta + lam2 * f_mid) / (1 + abs(lam2 * f_mid))
-            if resid > worst:
-                worst = resid
-        return float(worst)
+            if resid > res:
+                res = resid
+        return float(res)
 
 
 def jv_exact_dyadic(m: int, v: float, terms: int = 60) -> float:
     """j_v(q^m, q^2) at q = 1/2 by exact rational summation, rounded once.
 
-    Every series term is rational when q = 1/2 and 2v+2 is an integer, so the
-    partial sum is computed in ``fractions.Fraction`` with no rounding at all
-    and converted to binary64 at the very end.  Serves as the independent
-    oracle for the production (floating high-precision) path.
+    Every series term is rational when q = 1/2 and 2v+2 is an integer: the
+    term ratio is -2^{2v+2k-2m} / ((2^{2v+2k} - 1)(4^k - 1)).  The partial
+    sum of ``terms`` terms is taken in Horner form with one integer numerator
+    and denominator, with no rounding at all, and turned into binary64 by one
+    correctly rounded int/int division.  Serves as the independent oracle for
+    the production (high-precision recurrence) path.
     """
-    from fractions import Fraction
-
     p2 = 2.0 * v + 2.0
-    if p2 != int(p2):
-        raise ValueError(f"exact dyadic oracle needs integer 2v+2, got v={v}")
-    q2 = Fraction(1, 4)
-    x2 = Fraction(1, 4) ** m          # x^2 = q^{2m}, exact for negative m too
-    q2v = Fraction(1, 2) ** (int(p2) - 2)
-    total = Fraction(1)
-    term = Fraction(1)
-    u = Fraction(1)
-    for _ in range(terms):
-        u *= q2
-        term *= -(u * x2) / ((1 - q2v * u) * (1 - u))
-        total += term
-    return float(total)
+    if p2 != int(p2) or p2 < 1:
+        raise ValueError(f"exact dyadic oracle needs integer 2v+2 >= 1, got v={v}")
+    num, den = 1, 1
+    for k in range(terms, 0, -1):
+        s = int(p2) - 2 + 2 * k                   # 1 - q^{2v+2k} = (2^s - 1)/2^s
+        e = s - 2 * m                             # power of two over the ratio
+        b = (2**s - 1) * (4**k - 1) << max(-e, 0)
+        num, den = b * den - (num << max(e, 0)), b * den
+    return num / den

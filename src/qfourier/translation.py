@@ -28,9 +28,12 @@ rounding an entry is off by at most
 
     k 2^-prec sum_s |w_s j_a j_b j_c|   (mp weights and row products)
   + 2^-(prec+62) N C^2 max_s |w_s j_a|  (truncation to ints)
+  + 3 d sum_s |w_s j_a j_b j_c|         (table error, |dj| <= d |j|)
 
-with k a few units, N the grid size and C >= 1 the decay-bound constant
-(|j_v| <= C).
+with k a few units, N the grid size, C >= 1 the decay-bound constant
+(|j_v| <= C) and d the relative error of ``table.mp_values``: below 1e-40
+for the recurrence table, while table errors of 7.5e-30 already turn
+D(-6, 2, 2) = +8.3e-48 at q = 1/2, v = 3/2 into -7.5e-47.
 
 Every float apply goes through the cell's transform matrix M
 (:mod:`qfourier.transform`), under which translation and convolution are

@@ -2,11 +2,15 @@
 
 import math
 import sys
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from qfourier import bessel
 from qfourier.bessel import (
+    BesselTable,
     decay_bound_check,
     decay_bound_constant,
     eigen_residual,
@@ -14,8 +18,11 @@ from qfourier.bessel import (
     jv_exact_dyadic,
     jv_table,
 )
+from qfourier.errors import PrecisionExhausted
 from qfourier.lattice import LatticeGrid
-from qfourier.qseries import PrecisionCtx, QParams
+from qfourier.qseries import PrecisionCtx, QParams, q2_exact
+from qfourier.report import DEFAULT_CELLS
+from qfourier.translation import default_scan_grid
 
 CTX = PrecisionCtx()
 
@@ -99,6 +106,153 @@ class TestTable:
             assert abs(table.value(n) - ref) <= 1e-15 * abs(ref), n
             checked += 1
         assert checked >= 20
+
+
+def _fraction_oracle(m: int, v: float, terms: int) -> float:
+    """The q = 1/2 series summed term by term in Fraction (the slow route)."""
+    q2, x2 = Fraction(1, 4), Fraction(1, 4) ** m
+    q2v = Fraction(1, 2) ** (int(2 * v + 2) - 2)
+    total = term = u = Fraction(1)
+    for _ in range(terms):
+        u *= q2
+        term *= -(u * x2) / ((1 - q2v * u) * (1 - u))
+        total += term
+    return float(total)
+
+
+class TestExactDyadic:
+    @pytest.mark.parametrize("v", [-0.5, 0.0, 0.5, 1.5])
+    def test_integer_horner_matches_fraction_sum(self, v):
+        for m in range(-8, 81, 11):
+            assert jv_exact_dyadic(m, v) == _fraction_oracle(m, v, 60), m
+        for m in range(-40, -8, 8):
+            assert jv_exact_dyadic(m, v, terms=110) == _fraction_oracle(m, v, 110), m
+
+    @pytest.mark.parametrize("v", [0.25, -1.0])
+    def test_rejects_orders_without_dyadic_terms(self, v):
+        with pytest.raises(ValueError):
+            jv_exact_dyadic(0, v)
+
+
+# The default cell where the series cancels most: q = 1/2, v = 3/2.
+DEEP = LatticeGrid(QParams(0.5, 1.5), -10, 40)
+
+
+def _with_mp(table: BesselTable, mp_vals: list) -> BesselTable:
+    return BesselTable(table.params, table.n_min, table.n_max,
+                       np.array([float(x) for x in mp_vals]), mp_vals, table.ctx)
+
+
+def _eigen_ok(table: BesselTable) -> bool:
+    return all(eigen_residual(DEEP, le, table) < 1e-9 for le in (-2, 0, 1, 3))
+
+
+def _second_solution(table: BesselTable, dps: int) -> list:
+    """A recurrence solution run downward from (1, 0) at n_max, n_max + 1."""
+    p = table.params
+    with mp.workdps(dps):
+        q2, q2v = q2_exact(p.q), mp.mpf(p.q) ** (2 * mp.mpf(p.v))
+        y = {table.n_max + 1: mp.mpf(0), table.n_max: mp.mpf(1)}
+        for n in range(table.n_max, table.n_min, -1):
+            y[n - 1] = (1 + q2v - q2**n) * y[n] - q2v * y[n + 1]
+    return [y[n] for n in range(table.n_min, table.n_max + 1)]
+
+
+def _assert_mp_values_match_series(table: BesselTable) -> None:
+    """Every mp value within 1e-40 relative of a (120 + lost)-digit series."""
+    p = table.params
+    for e, got in zip(range(table.n_min, table.n_max + 1), table.mp_values):
+        lost = bessel._digits_lost(p.q ** min(e, 0), p)
+        ref = bessel._series_at(e, p, CTX, 120 + math.ceil(lost))
+        with mp.workdps(60):
+            assert abs(got - ref) <= mp.mpf("1e-40") * abs(ref), e
+
+
+class TestRecurrenceTable:
+    """Faults the eigen relation cannot see and the anchor gate must."""
+
+    def test_gate_reads_zero(self):
+        table = jv_table(DEEP, CTX)
+        assert _eigen_ok(table)
+        assert bessel._anchor_ulps(table) == 0.0
+
+    def test_scaled_table_fails_gate(self):
+        table = jv_table(DEEP, CTX)
+        with mp.workdps(400):
+            bad = _with_mp(table, [x * (1 + mp.mpf("1e-12")) for x in table.mp_values])
+        assert _eigen_ok(bad)
+        assert bessel._anchor_ulps(bad) > 1.0
+
+    def test_second_solution_leftover_fails_gate(self):
+        # 1e-12 of the second solution at n_min: what too shallow a start leaves.
+        table = jv_table(DEEP, CTX)
+        with mp.workdps(400):
+            y = _second_solution(table, 400)
+            eps = mp.mpf("1e-12") * table.mp_values[0] / y[0]
+            bad = _with_mp(table, [j + eps * t for j, t in zip(table.mp_values, y)])
+        assert _eigen_ok(bad)
+        assert bessel._anchor_ulps(bad) > 1.0
+
+    def test_dropped_order_term_fails_gate(self, monkeypatch):
+        # The digit estimate without its (2v+1)m term: the series at the deep
+        # end loses its last digits.  The sweep no longer certifies, and the
+        # anchors of a sound table disagree with the series.  Per-entry series
+        # tables at 50 and 80 digits do not see it.
+        def lost(x, p):
+            m = math.log(abs(x)) / -math.log(p.q) if abs(x) > 1.0 else 0.0
+            return 2.0 * m * m * math.log10(1.0 / p.q)
+
+        table = jv_table(DEEP, CTX)
+        monkeypatch.setattr(bessel, "_digits_lost", lost)
+        with pytest.raises(PrecisionExhausted):
+            jv_table(DEEP, CTX)
+        assert bessel._anchor_ulps(table) > 1.0
+
+        def series_table(ctx):
+            return [float(bessel._series_at(e, DEEP.params, ctx))
+                    for e in range(table.n_min, table.n_max + 1)]
+
+        pairs = zip(series_table(CTX), series_table(PrecisionCtx(80, 1e-30)))
+        assert max(ulps(a, b) for a, b in pairs) <= 1.0
+
+    @pytest.mark.parametrize("q, v, n_lo, n_hi", list(DEFAULT_CELLS) + [
+        (0.9, v, default_scan_grid(QParams(0.9, v)).n_lo,
+         default_scan_grid(QParams(0.9, v)).n_hi) for v in (-0.7, 0.0, 0.5)])
+    def test_mp_values_match_120_digit_series(self, q, v, n_lo, n_hi):
+        _assert_mp_values_match_series(jv_table(LatticeGrid(QParams(q, v), n_lo, n_hi), CTX))
+
+    def test_shallow_grid_with_long_top(self):
+        # n_min = -4 needs few digits, but for v > 0 the second solution grows
+        # by q^{-2v} a step up to n_max = 160 (about 145 digits at q = 1/2).
+        table = jv_table(LatticeGrid(QParams(0.5, 1.5), -2, 80), CTX)
+        assert bessel._anchor_ulps(table) == 0.0
+        _assert_mp_values_match_series(table)
+
+    def test_shallow_start_is_deepened(self, monkeypatch):
+        # Here a start at n_min leaves 2e-16 of the second solution there, one
+        # below n_min 1e-32 (binary64-exact, yet 1e-32 in every mp value) and
+        # two below 3e-49: certification takes the third sweep.
+        grid = LatticeGrid(QParams(0.8, 0.5), -20, 120)
+        ref = jv_table(grid, CTX)
+        starts = []
+        sweep = bessel._sweep
+
+        def spy(p, n_start, n_max, dps):
+            starts.append(n_start)
+            return sweep(p, n_start, n_max, dps)
+
+        monkeypatch.setattr(bessel, "_sweep", spy)
+        monkeypatch.setattr(bessel, "_START_DEPTH", 0)
+        table = jv_table(grid, CTX)
+        assert starts == [ref.n_min, ref.n_min - 1, ref.n_min - 2]
+        assert table.values.tobytes() == ref.values.tobytes()
+        _assert_mp_values_match_series(table)
+
+    def test_uncertified_start_raises(self, monkeypatch):
+        monkeypatch.setattr(bessel, "_START_DEPTH", 0)
+        monkeypatch.setattr(bessel, "_MAX_SWEEPS", 1)
+        with pytest.raises(PrecisionExhausted):
+            jv_table(LatticeGrid(QParams(0.8, 0.5), -20, 120), CTX)
 
 
 class TestDecayBound:

@@ -151,6 +151,36 @@ class TestQExp:
             qexp(z, 0.5, CTX)
 
 
+class TestSeriesAgreementGate:
+    """The report's qexp-series-agreement sizes its own partial sums."""
+
+    @staticmethod
+    def _residual(q: float) -> float:
+        from types import SimpleNamespace
+
+        from qfourier.report import SuiteConfig, _CellRunner
+
+        # check_qseries reads only the cell's q, v, precision and tolerances.
+        cell = SimpleNamespace(p=QParams(q, 0.5), ctx=CTX, cfg=SuiteConfig())
+        rows = _CellRunner.check_qseries(cell)
+        return next(r.residual for r in rows if r.name == "qexp-series-agreement")
+
+    def test_passes_at_q09(self):
+        # With 61 terms the truncation alone read 1.9e-11 against 1e-12.
+        assert self._residual(0.9) <= 1e-12
+
+    def test_truncation_below_rounding_at_q08(self):
+        assert self._residual(0.8) < 2e-15
+
+    def test_partial_sum_near_one(self):
+        # At q = 0.999 (q;q)_inf is below the binary64 range and (q;q)_n
+        # underflows within the 1000 terms: the sum is still a number.
+        from qfourier.report import _qexp_partial_sum
+
+        ctx = PrecisionCtx(16, 1e-10)     # fewer mp factors, same point
+        assert math.isfinite(_qexp_partial_sum(0.9, 0.999, ctx))
+
+
 class TestGaussAmplitude:
     def test_positive(self):
         for t in (0.01, 0.5, 1.0, 7.3):

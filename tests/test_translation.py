@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from qfourier import bessel
 from qfourier.bessel import jv_table
 from qfourier.errors import NotProbability, OffWindow
 from qfourier.lattice import GridFn, LatticeGrid, delta_fn, jackson_integral, norm2
@@ -207,6 +208,29 @@ class TestKernelOracle:
             else:
                 assert abs(got - ref) <= 1e-45 * mass, (a, b, d)
         assert exact > 0
+
+
+class TestDeepCubeEntry:
+    def test_sign_of_a_cancelling_entry(self):
+        # At q = 1/2, v = 3/2 the entry D(-6, 2, 2) is cancellation residue: a
+        # table good to 26 digits after cancellation makes it -7.49e-47.  The
+        # reference takes its terms from a 120-digit series, not the table.
+        p = QParams(0.5, 1.5)
+        grid = LatticeGrid(p, -10, 40)
+        k = kernel(grid, jv_table(grid, CTX), CTX)
+        got = float(k.cube[k.windex(-6), k.windex(2), k.windex(2)])
+        assert got == pytest.approx(8.2925e-48, rel=1e-6)
+        with mp.workdps(120):
+            c = c_qv_mp(p, CTX)
+            q = mp.mpf(p.q)
+            terms = []
+            for s in map(int, grid.exponents):
+                js = [bessel._series_at(a + s, p, CTX, 120 + int(bessel._digits_lost(
+                    p.q ** min(a + s, 0), p))) for a in (-6, 2, 2)]
+                terms.append(c * c * (1 - q) * q ** (s * (2 * mp.mpf(p.v) + 2))
+                             * js[0] * js[1] * js[2])
+            ref = float(mp.fsum(terms))
+        assert got == pytest.approx(ref, rel=1e-6)
 
 
 class TestPositivity:
