@@ -29,7 +29,7 @@ from .bessel import jv_table
 from .errors import ParseError, PrecisionExhausted, QFourierError
 from .heat import gauss_mass_defect, gauss_memo, heat_apply, heat_residual
 from .lattice import GridFn, LatticeGrid, delta_fn, load_csv, save_csv
-from .qseries import PrecisionCtx, QParams, c_qv
+from .qseries import PrecisionCtx, QParams
 from .report import (
     DEFAULT_CELLS,
     SuiteConfig,
@@ -96,15 +96,10 @@ def _load_gridfn(path: str, args) -> tuple[LatticeGrid, GridFn]:
     """Read a CSV grid function; grid range is inferred when flags omit it."""
     p = QParams(args.q, args.v)
     if args.nlo is not None and args.nhi is not None:
-        grid = LatticeGrid(p, args.nlo, args.nhi)
+        f = load_csv(path, LatticeGrid(p, args.nlo, args.nhi))
     else:
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh)][1:]
-        exps = [int(r[0]) for r in rows if r]
-        if not exps:
-            raise ParseError(f"{path}: no data rows")
-        grid = LatticeGrid(p, min(exps), max(exps))
-    return grid, load_csv(path, grid)
+        f = load_csv(path, p)
+    return f.grid, f
 
 
 def cmd_check(args) -> int:
@@ -221,7 +216,7 @@ def cmd_heat(args) -> int:
         save_csv(u, args.outfile)
     if args.residual:
         resid = heat_residual(f, args.t, k, ctx, gauss=gauss)
-        mass = gauss_mass_defect(gauss(args.t), c_qv(grid.params, ctx))
+        mass = gauss_mass_defect(gauss(args.t), k.c)
         print(json.dumps({"t": args.t, "residual": resid,
                           "mass_defect": mass}, sort_keys=True))
     return EXIT_OK

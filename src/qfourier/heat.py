@@ -283,14 +283,13 @@ def qexp_ode_residual(q: float, ctx: PrecisionCtx = DEFAULT_CTX,
     This identity is what makes psi(t) = e(-t x^2, q^2) solve the scalar
     q-difference equation -x^2 psi = (1-q^2) D_{q^2,t} psi, pinning the
     Jackson convention for the time difference.  Evaluated in software
-    precision: near z = 0 the left side differences away ~|z| of itself,
-    which binary64 evaluation could not distinguish from the identity
-    failing.
+    precision on the exact q^2: near z = 0 the left side differences away
+    ~|z| of itself, and a binary64 q^2 z reads its own rounding (1e-15).
     """
     if zs is None:
         zs = [-(10.0 ** e) for e in np.linspace(-6.0, 4.0, 20)]
-    q2 = q * q
     with mp.workdps(ctx.work_digits):
+        q2 = q2_exact(q)
         gaps = []
         for z in zs:
             if z >= 0.0:

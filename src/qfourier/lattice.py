@@ -159,11 +159,12 @@ def save_csv(f: GridFn, path) -> None:
             writer.writerow([int(n), f"{f.grid.x(int(n)):.17g}", f"{val:.17g}"])
 
 
-def load_csv(path, grid: LatticeGrid) -> GridFn:
+def load_csv(path, grid: LatticeGrid | QParams) -> GridFn:
     """Read a grid function written by :func:`save_csv` onto ``grid``.
 
-    The x column must match q^n to 1e-12 relative; exponents must cover the
-    grid exactly, each once; every x and value must be finite.
+    Given :class:`QParams` instead of a grid, the grid is the file's exponent
+    range.  The x column must match q^n to 1e-12 relative; exponents must
+    cover the grid exactly, each once; every x and value must be finite.
     """
     by_exp: dict[int, tuple[float, float]] = {}
     try:
@@ -190,7 +191,8 @@ def load_csv(path, grid: LatticeGrid) -> GridFn:
         raise ParseError(f"{path}: {exc}") from exc
     if not by_exp:
         raise ParseError(f"{path}: no data rows")
-
+    if isinstance(grid, QParams):
+        grid = LatticeGrid(grid, min(by_exp), max(by_exp))
     if sorted(by_exp) != list(range(grid.n_lo, grid.n_hi + 1)):
         raise GridMismatch(
             f"{path}: exponents {sorted(by_exp)[:3]}..{sorted(by_exp)[-3:]} do not "

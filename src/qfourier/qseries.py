@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .errors import NonConvergent, PoleAtOne
+from .errors import NonConvergent, PoleAtOne, PrecisionExhausted
 
 __all__ = [
     "QParams",
@@ -179,11 +179,13 @@ def qexp(z: float, q: float, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
 
     For |z| < 1 this sums the series sum_n z^n/(q;q)_n; the product form used
     here extends it to every z < 1 (the product converges there and has no
-    zero factor).
+    zero factor, so a zero product is binary64 underflow).
     """
     if z >= 1.0:
         raise PoleAtOne(f"e(z, q) has a pole at z = 1; got z={z}")
     denom = qpoch_inf(z, q, ctx)
+    if denom == 0.0:
+        raise PrecisionExhausted(f"(z; q)_inf underflows binary64 at z={z}, q={q}")
     return 1.0 / denom
 
 

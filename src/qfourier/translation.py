@@ -17,23 +17,29 @@ a Markov operator.  Two truncation budgets govern a finite build:
   product mass of (x, y) to stay inside the grid -- this lifts the *lower*
   end, and is calibrated against the measured row-sum defect.
 
-Entries of the symmetric window cube are summed exactly in integers and
-rounded once.  Each high-precision table value j_n becomes the int
-J_n = trunc(j_n 2^P), P = prec + 64 (prec the working precision in bits);
-per window exponent a the row A_s = w_s j(q^{a+s}) is formed at working
-precision and truncated to an int at scale 2^P over its largest term; the
-sum over s of A_s J_{b+s} J_{c+s} is exact big-integer arithmetic, turned
-into binary64 by one correctly rounded int/int division.  Before that last
-rounding an entry is off by at most
+Entries of the symmetric window cube are exact integer sums, rounded once.
+With g = 2v+2 and U_t = c^2 (1-q) q^{tg} j(q^t) over table exponents t,
 
-    k 2^-prec sum_s |w_s j_a j_b j_c|   (mp weights and row products)
-  + 2^-(prec+62) N C^2 max_s |w_s j_a|  (truncation to ints)
-  + 3 d sum_s |w_s j_a j_b j_c|         (table error, |dj| <= d |j|)
+    D(a, b, c) = q^{-ag} S_a(b-a, c-a),  S_a(d, e) = sum_{t=a+n_lo}^{a+n_hi} U_t j_{t+d} j_{t+e}.
 
-with k a few units, N the grid size, C >= 1 the decay-bound constant
-(|j_v| <= C) and d the relative error of ``table.mp_values``: below 1e-40
-for the recurrence table, while table errors of 7.5e-30 already turn
-D(-6, 2, 2) = +8.3e-48 at q = 1/2, v = 3/2 into -7.5e-47.
+Table values become ints J_t = trunc(j_t 2^P), P = prec + 64 (prec the
+working precision in bits), and U_t, formed once at working precision, ints
+at one scale: 2^P over max |U_t| plus (that top less the smallest row top)
+guard bits, so no row is coarser than 2^-P of its largest term.  The face
+a = window_lo is summed in full; S_{a+1} is S_a less its t = a+n_lo term
+plus the t = a+1+n_hi term, exactly.  S_a F_a, with F_a = q^{-ag} an int of
+at least P bits, becomes binary64 by one correctly rounded int/int
+division, before which an entry is off by at most
+
+    k 2^-prec T                           (mp U_t and F_a)
+  + 2^-(prec+62) N C^2 q^{-ag} max |U_t|  (truncation to ints, t in row a)
+  + 3 d T                                 (table error, |dj| <= d |j|)
+
+with T the sum of the absolute terms, k a few units, N the grid size,
+C >= 1 the decay-bound constant (|j_v| <= C) and d the relative error of
+``table.mp_values``: below 1e-40 for the recurrence table, while table
+errors of 7.5e-30 already turn D(-6, 2, 2) = +8.3e-48 at q = 1/2, v = 3/2
+into -7.5e-47.
 
 Every float apply goes through the cell's transform matrix M
 (:mod:`qfourier.transform`), under which translation and convolution are
@@ -51,7 +57,7 @@ and the exact window cube on the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 from operator import mul
 
@@ -67,11 +73,8 @@ from .bessel import (
 from .errors import GridMismatch, NotProbability, OffWindow
 from .lattice import GridFn, LatticeGrid, jackson_integral, norm2, sup_norm
 from .numerics import TINY, worst
-from .qseries import DEFAULT_CTX, PrecisionCtx, QParams, c_qv, c_qv_mp
+from .qseries import DEFAULT_CTX, PrecisionCtx, QParams, c_qv_mp
 from .transform import TransformOp, _logsum10, basis_fn, build_transform, psi_norm_sq
-
-# Guard bits of the fixed-point window cube below the working precision.
-_GUARD_BITS = 64
 
 __all__ = [
     "Kernel3",
@@ -147,18 +150,17 @@ def _translate_hat(op: TransformOp, x_exp: int, fhat: np.ndarray) -> np.ndarray:
     return op.matrix @ (jx * fhat)
 
 
-def _upper_cutoff(grid: LatticeGrid, ctx: PrecisionCtx, tol: float,
+def _upper_cutoff(grid: LatticeGrid, c: float, ctx: PrecisionCtx, tol: float,
                   tail_terms: int = 80) -> int:
     """Largest exponent whose kernel entries keep their s-integral tail < tol.
 
     Exponents are accepted upward from ``n_lo`` until the first one whose
-    tail bound reaches ``tol``.
+    tail bound reaches ``tol``; ``c`` is c_{q,v}.
     """
     p = grid.params
     q, v = p.q, p.v
     lgq = math.log10(q)
     const = decay_bound_constant(p, ctx)
-    c = c_qv(p, ctx)
     s = np.arange(grid.n_lo - tail_terms, grid.n_lo, dtype=float)
     base = (2.0 * math.log10(c) + math.log10(1.0 - q)
             + s * (2.0 * v + 2.0) * lgq + 2.0 * math.log10(const))
@@ -181,38 +183,43 @@ def _to_fixed(x, bits: int) -> int:
 
 def _window_cube(grid: LatticeGrid, table: BesselTable, wexps: np.ndarray,
                  ctx: PrecisionCtx) -> np.ndarray:
-    """D_v(q^a, q^b, q^c) over the window as exact fixed-point sums (module doc).
-
-    Each sorted triple is summed once and mirrored, so permutation symmetry
-    is exact.
-    """
+    """D_v on the window by face sums and exact slides (module doc); exactly symmetric."""
     p = grid.params
-    exps = grid.exponents
-    n = grid.size
-    width = len(wexps)
+    n, width = grid.size, len(wexps)
+    t_lo = int(wexps[0]) + grid.n_lo
     with mp.workdps(ctx.work_digits):
-        bits = mp.mp.prec + _GUARD_BITS
+        bits = mp.mp.prec + 64  # guard bits below the working precision
         jmp = table.mp_values
-        jfix = [_to_fixed(x, bits) for x in jmp]
         c_mp = c_qv_mp(p, ctx)
         q_mp = mp.mpf(p.q)
-        w_mp = [c_mp * c_mp * (1 - q_mp) * q_mp ** (int(s) * (2 * mp.mpf(p.v) + 2))
-                for s in exps]
-        # Row i holds the table slice j_v(q^{wexps[i] + s}) over the grid s.
-        starts = [int(a) + grid.n_lo - table.n_min for a in wexps]
-        jrows = [jfix[t:t + n] for t in starts]
-        cube = np.empty((width, width, width))
-        for i, t in enumerate(starts):
-            arow = [w * x for w, x in zip(w_mp, jmp[t:t + n])]
-            top = max((x._mpf_[2] + x._mpf_[3] for x in arow if x), default=0)
-            afix = [_to_fixed(x, bits - top) for x in arow]
-            scale = 1 << (3 * bits - top)
-            for j in range(i, width):
-                pair = list(map(mul, afix, jrows[j]))
-                for k in range(j, width):
-                    val = sum(map(mul, pair, jrows[k])) / scale
-                    for perm in set(permutations((i, j, k))):
-                        cube[perm] = val
+        g = 2 * mp.mpf(p.v) + 2
+        u = [c_mp * c_mp * (1 - q_mp) * q_mp ** (t * g) * jmp[t - table.n_min]
+             for t in range(t_lo, t_lo + n + width - 1)]
+        ubits = bits - min(max(map(mp.mag, u[i:i + n])) for i in range(width))
+        ufix = [_to_fixed(x, ubits) for x in u]
+        jfix = [_to_fixed(x, bits) for x in jmp[t_lo - table.n_min:]]  # J_{t_lo+m}
+        with mp.workprec(bits):
+            qpow = [q_mp ** (-int(a) * g) for a in wexps]
+    faces = [list(map(mul, ufix[:n], jfix[d:d + n])) for d in range(width)]
+    # sums[d1][d2] = S_a(d1, d2) for the current row a, d1 <= d2.
+    sums = [[0] * d1 + [sum(map(mul, face, jfix[d2:d2 + n])) for d2 in range(d1, width)]
+            for d1, face in enumerate(faces)]
+    cube = np.empty((width, width, width))
+    for i in range(width):
+        out, inn = i - 1, i - 1 + n  # offsets of the t leaving and entering row i
+        # F_a with at least ``bits`` bits, and a nonnegative total scale.
+        fbits = max(bits - mp.mag(qpow[i]), -ubits - 2 * bits)
+        f_a, scale = _to_fixed(qpow[i], fbits), 1 << (ubits + 2 * bits + fbits)
+        for d1 in range(width - i):
+            row = sums[d1]
+            if i:
+                x_out, x_in = ufix[out] * jfix[out + d1], ufix[inn] * jfix[inn + d1]
+                for d2 in range(d1, width - i):
+                    row[d2] += x_in * jfix[inn + d2] - x_out * jfix[out + d2]
+            for d2 in range(d1, width - i):
+                val = row[d2] * f_a / scale
+                for perm in set(permutations((i, i + d1, i + d2))):
+                    cube[perm] = val
     return cube
 
 
@@ -227,7 +234,7 @@ def kernel(grid: LatticeGrid, table: BesselTable, ctx: PrecisionCtx = DEFAULT_CT
         """|1 - (1-q) sum_z q^{z(2v+2)} D(a, ., z)| over the grid: T_{q,a} 1."""
         return np.abs(1.0 - _translate_hat(op, a, one_hat))
 
-    win_hi = _upper_cutoff(grid, ctx, entry_tol)
+    win_hi = _upper_cutoff(grid, op.c, ctx, entry_tol)
     win_lo = grid.n_lo + 1
     while win_lo < win_hi and rowsum_defects(win_lo)[grid.index(win_lo)] > rowsum_tol:
         win_lo += 1
@@ -414,15 +421,8 @@ def markov_check_convolution(rho: GridFn, k: Kernel3,
     def apply_op(f: GridFn) -> GridFn:
         return convolve(f, rho, k)
 
-    base = _markov_defects(apply_op, k, probes, units)
-    return MarkovReport(
-        min_kernel=k.c * float(np.min(rows)),
-        unit_defect=base.unit_defect,
-        symmetry_defect=base.symmetry_defect,
-        contraction_defect=base.contraction_defect,
-        jensen_defect=base.jensen_defect,
-        sup_defect=base.sup_defect,
-    )
+    return replace(_markov_defects(apply_op, k, probes, units),
+                   min_kernel=k.c * float(np.min(rows)))
 
 
 def _basis_values(k: Kernel3, n: int) -> np.ndarray:

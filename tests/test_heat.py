@@ -227,6 +227,14 @@ class TestScalarIdentity:
     def test_ode_identity(self, cell_half):
         assert qexp_ode_residual(cell_half.p.q, CTX) < 1e-12
 
+    def test_ode_identity_measures_the_identity_not_binary64_q2(self, monkeypatch):
+        # q = 0.8: q*q is not exact in binary64.  On the exact q^2 the
+        # residual is working-precision noise; on the rounded one it reads
+        # the ~1e-16 rounding of q^2 z.
+        assert qexp_ode_residual(0.8, CTX) <= 1e-30
+        monkeypatch.setattr(heat, "q2_exact", lambda q: q * q)
+        assert qexp_ode_residual(0.8, CTX) > 1e-30
+
     def test_symbol_matches_pointwise(self, cell_half):
         # e(z,q^2) - e(q^2 z, q^2) = z e(z, q^2) spot-checked in binary64.
         q2 = cell_half.p.q ** 2

@@ -147,6 +147,14 @@ class TestCsv:
         g = load_csv(path, grid)
         assert np.array_equal(f.values, g.values)
 
+    def test_grid_read_off_the_file(self, grid, tmp_path):
+        f = GridFn(grid, np.random.default_rng(3).normal(size=grid.size))
+        path = tmp_path / "f.csv"
+        save_csv(f, path)
+        g = load_csv(path, grid.params)
+        assert g.grid == grid
+        assert np.array_equal(f.values, g.values)
+
     def test_wrong_x_column(self, grid, tmp_path):
         path = tmp_path / "bad.csv"
         f = GridFn(grid, np.ones(grid.size))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfourier.errors import PoleAtOne
+from qfourier.errors import PoleAtOne, PrecisionExhausted
 from qfourier.qseries import (
     PrecisionCtx,
     QParams,
@@ -149,6 +149,11 @@ class TestQExp:
     def test_pole_at_one(self, z):
         with pytest.raises(PoleAtOne):
             qexp(z, 0.5, CTX)
+
+    def test_underflowing_product_fails_loudly(self):
+        # (0.9; 0.9999)_inf is about e^-13000: binary64 holds 0, no factor does.
+        with pytest.raises(PrecisionExhausted, match=r"z=0\.9, q=0\.9999"):
+            qexp(0.9, 0.9999, CTX)
 
 
 class TestSeriesAgreementGate:

@@ -2,12 +2,14 @@
 
 import tracemalloc
 from itertools import combinations_with_replacement
+from operator import mul
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from qfourier import bessel
+from qfourier import bessel, translation
 from qfourier.bessel import jv_table
 from qfourier.errors import NotProbability, OffWindow
 from qfourier.lattice import GridFn, LatticeGrid, delta_fn, jackson_integral, norm2
@@ -17,6 +19,7 @@ from qfourier.transform import forward
 from qfourier.translation import (
     basis_function,
     convolve,
+    default_scan_grid,
     eigen_check,
     hypergroup_expansion_defect,
     hypergroup_window,
@@ -187,15 +190,60 @@ def _fsum_cube(cell, dps: int = 80):
         c = c_qv_mp(p, cell.ctx)
         q = mp.mpf(p.q)
         w = [c * c * (1 - q) * q ** (s * (2 * mp.mpf(p.v) + 2)) for s in exps]
+
+        def column(e):
+            return [jmp[e + s - table.n_min] for s in exps]
+
+        wa = {}
         for a, b, d in combinations_with_replacement(k.window_exponents.tolist(), 3):
-            terms = [ws * jmp[a + s - table.n_min] * jmp[b + s - table.n_min]
-                     * jmp[d + s - table.n_min] for ws, s in zip(w, exps)]
+            if (a, b) not in wa:
+                wa[a, b] = list(map(mul, map(mul, w, column(a)), column(b)))
+            terms = list(map(mul, wa[a, b], column(d)))
             out[a, b, d] = (float(mp.fsum(terms)), float(mp.fsum(terms, absolute=True)))
     return out
 
 
+def _scan_cell(q: float, v: float):
+    """The README scan build at (q, v): default grid, window width 16."""
+    p = QParams(q, v)
+    grid = default_scan_grid(p)
+    table = jv_table(grid, CTX)
+    return SimpleNamespace(p=p, ctx=CTX, grid=grid, table=table,
+                           kern=kernel(grid, table, CTX, max_width=16))
+
+
+@pytest.fixture(scope="module")
+def scan_q03_v05():
+    # Cancellation-residue entries, where the face-plus-slide integers round
+    # differently from per-row sums: |D| <= 1e-30 sum |terms| on 302 triples.
+    return _scan_cell(0.3, 0.5)
+
+
+@pytest.fixture(scope="module")
+def scan_q05_vm07():
+    cell = _scan_cell(0.5, -0.7)
+    assert cell.grid.size == 112
+    return cell
+
+
+@pytest.fixture(scope="module")
+def shallow_window():
+    # The cube on a window at the bottom of a shallow grid, outside what
+    # ``kernel`` would trust: the t = a + n_lo terms each slide takes out of
+    # a row are O(1) here, where on trusted windows they truncate to 0.
+    p = QParams(0.5, 0.5)
+    grid = LatticeGrid(p, -3, 40)
+    table = jv_table(grid, CTX)
+    wexps = np.arange(-3, 5)
+    cube = translation._window_cube(grid, table, wexps, CTX)
+    kern = SimpleNamespace(window_exponents=wexps, cube=cube,
+                           windex=lambda e: int(e - wexps[0]))
+    return SimpleNamespace(p=p, ctx=CTX, grid=grid, table=table, kern=kern)
+
+
 class TestKernelOracle:
-    @pytest.mark.parametrize("name", ["cell_half", "cell_v0"])
+    @pytest.mark.parametrize("name", ["cell_half", "cell_v0", "scan_q03_v05",
+                                      "scan_q05_vm07", "shallow_window"])
     def test_cube_matches_80_digit_fsum(self, name, request):
         cell = request.getfixturevalue(name)
         k = cell.kern
