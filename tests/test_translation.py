@@ -230,7 +230,7 @@ def scan_q05_vm07():
 def shallow_window():
     # The cube on a window at the bottom of a shallow grid, outside what
     # ``kernel`` would trust: the t = a + n_lo terms each slide takes out of
-    # a row are O(1) here, where on trusted windows they truncate to 0.
+    # a row reach O(1) here; on trusted windows they truncate to 0.
     p = QParams(0.5, 0.5)
     grid = LatticeGrid(p, -3, 40)
     table = jv_table(grid, CTX)
