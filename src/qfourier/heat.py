@@ -254,12 +254,9 @@ def heat_spectral_defect(f: GridFn, t: float, k: Kernel3, op: TransformOp,
     grid = k.grid
     if window is None:
         window = trusted_window(grid, op.table, ctx)
-    q2 = grid.params.q ** 2
     u = heat_apply(f, t, k, ctx, g=g)
     lhs = forward(u, op)
-    symbol = np.array([qexp(-t * grid.x(int(n)) ** 2, q2, ctx)
-                       for n in grid.exponents])
-    rhs = symbol * forward(f, op).values
+    rhs = _eprofile(t, grid, ctx).values * forward(f, op).values
     sel = [grid.index(n) for n in range(window[0], window[1] + 1)]
     w = grid.weights()[sel]
     num = math.sqrt(float(w @ (lhs.values[sel] - rhs[sel]) ** 2))

@@ -14,6 +14,8 @@ Every operation comes in two flavours: a fast native-float path (public
 functions) and a software high-precision path (the ``*_mp`` twins, working
 at ``PrecisionCtx.work_digits`` decimal digits).  Tables consumed by other
 modules are generated on the high-precision path and rounded once.
+Every such product runs in Python integers at one fixed-point scale 2^W
+and forms one mpf at the end (:func:`qpoch_inf_mp` gives its error bound).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import NonConvergent, PoleAtOne, PrecisionExhausted
+from .numerics import to_fixed
 
 __all__ = [
     "QParams",
@@ -138,25 +141,38 @@ def qpoch_inf_mp(a, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mp.mpf:
 
     The base ``q`` is a float or an mpf; an mpf (such as :func:`q2_exact`) is
     used as given, never rounded.
+
+    The loop runs in integers at scale 2^W (x_k = a q^k steps as x Q >> W; the
+    product mantissa is cut to W bits per factor).  Over K factors the relative
+    error is about 2^-W (|a|/(1-q)^2 + K/(1-q)) / min_k |1 - a q^k|; W is
+    ``mp.prec`` (or the bits of tol, if finer) plus the bits of that numerator.
     """
-    _check_q(q)
+    qf = float(q)
+    _check_q(qf)
     with mp.workdps(ctx.work_digits + 10):
         a_ = mp.mpf(a)
         if a_ == 0:
             return mp.mpf(1)
         q_ = q if isinstance(q, mp.mpf) else mp.mpf(q)
-        # Truncate when |a| q^K drops below the tail tolerance squared at the
-        # working precision (never looser than 10^-(work_digits+5)).
-        tol = min(ctx.tail_tol, mp.mpf(10) ** -(ctx.work_digits + 5))
-        prod = mp.mpf(1)
-        aqk = a_
-        while abs(aqk) >= tol:
-            factor = 1 - aqk
-            if factor == 0:
+        # Stop at |a q^k| < tol = min(tail_tol, 10^-(work_digits+5)) = 2^-tol_bits.
+        tol_bits = max(-math.log2(ctx.tail_tol), (ctx.work_digits + 5) * math.log2(10))
+        inv, mag = math.ceil(1 / (1 - qf)), mp.mag(a_)  # inv >= 1/(1-q)
+        k = math.ceil((mag + tol_bits) / -math.log2(qf)) + 1  # >= K
+        # A scale coarser than tol would truncate it to 0: the loop never stops.
+        w = max(mp.mp.prec, math.ceil(tol_bits)) + (((inv << max(mag, 0)) + k) * inv).bit_length()
+        one = 1 << w
+        tol_fix = min(to_fixed(mp.mpf(ctx.tail_tol), w), one // 10 ** (ctx.work_digits + 5))
+        x, q_fix, neg_tol = to_fixed(a_, w), to_fixed(q_, w), -tol_fix
+        m, e = one, 0  # the product is m 2^(e-w)
+        while x >= tol_fix or x <= neg_tol:
+            m *= one - x
+            if not m:
                 return mp.mpf(0)
-            prod *= factor
-            aqk *= q_
-        return prod
+            s = m.bit_length() - w
+            m >>= s
+            e += s - w
+            x = x * q_fix >> w
+        return mp.ldexp(m, e - w)
 
 
 def c_qv(p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> float:

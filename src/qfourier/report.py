@@ -579,9 +579,8 @@ class _CellRunner:
 
         g = self.gauss(1.0)
         ns, coeffs = translation.multiplier_coeffs(g.fn, kern)
-        q2 = self.p.q ** 2
-        expected = np.array([qseries.qexp(-grid.x(int(n)) ** 2, q2, self.ctx)
-                             for n in ns])
+        eprof = heat._eprofile(1.0, grid, self.ctx)
+        expected = np.array([eprof[int(n)] for n in ns])
         sup = float(np.max(np.abs(expected)))
         mask = np.abs(expected) >= 1e-6 * sup
         res = float(np.max(np.abs(coeffs[mask] - expected[mask])

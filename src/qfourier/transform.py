@@ -17,13 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import mpmath as mp
 import numpy as np
 
 from .bessel import BesselTable, decay_bound_constant, decay_bound_log10
 from .errors import GridMismatch
 from .lattice import GridFn, LatticeGrid, inner, norm2
 from .numerics import TINY
-from .qseries import DEFAULT_CTX, PrecisionCtx, c_qv
+from .qseries import DEFAULT_CTX, PrecisionCtx, c_qv, c_qv_mp
 
 __all__ = [
     "TransformOp",
@@ -50,6 +51,7 @@ class TransformOp:
     grid: LatticeGrid
     table: BesselTable
     c: float
+    c_mp: mp.mpf = field(repr=False)         # c_{q,v} at working precision; c = float(c_mp)
     kernel: np.ndarray = field(repr=False)   # c (1-q) j_v(q^{n+m}), Hankel block
     weights: np.ndarray = field(repr=False)  # q^{m(2v+2)}
     matrix: np.ndarray = field(repr=False)   # kernel * weights (columns)
@@ -64,12 +66,13 @@ def build_transform(grid: LatticeGrid, table: BesselTable,
             f"[{2 * grid.n_lo}, {2 * grid.n_hi}]"
         )
     q, v = grid.params.q, grid.params.v
-    c = c_qv(grid.params, ctx)
+    c_mp = c_qv_mp(grid.params, ctx)
+    c = float(c_mp)
     exps = grid.exponents
     kernel = (c * (1.0 - q)) * table.hankel(exps)
     weights = np.power(q, exps.astype(float) * (2.0 * v + 2.0))
     matrix = kernel * weights[None, :]
-    return TransformOp(grid, table, c, kernel, weights, matrix)
+    return TransformOp(grid, table, c, c_mp, kernel, weights, matrix)
 
 
 def forward(f: GridFn, op: TransformOp) -> GridFn:

@@ -72,8 +72,8 @@ from .bessel import (
 )
 from .errors import GridMismatch, NotProbability, OffWindow
 from .lattice import GridFn, LatticeGrid, jackson_integral, norm2, sup_norm
-from .numerics import TINY, worst
-from .qseries import DEFAULT_CTX, PrecisionCtx, QParams, c_qv_mp
+from .numerics import TINY, to_fixed, worst
+from .qseries import DEFAULT_CTX, PrecisionCtx, QParams
 from .transform import TransformOp, _logsum10, basis_fn, build_transform, psi_norm_sq
 
 __all__ = [
@@ -171,33 +171,22 @@ def _upper_cutoff(grid: LatticeGrid, c: float, ctx: PrecisionCtx, tol: float,
     return grid.n_lo + max(accepted - 1, 0)
 
 
-def _to_fixed(x, bits: int) -> int:
-    """The finite mpf ``x`` times 2**bits as an int, truncated toward zero."""
-    sign, man, exp, _ = x._mpf_
-    if not man and exp:
-        raise ValueError(f"kernel input {x} is not finite")
-    shift = exp + bits
-    man = man << shift if shift >= 0 else man >> -shift
-    return -man if sign else man
-
-
-def _window_cube(grid: LatticeGrid, table: BesselTable, wexps: np.ndarray,
-                 ctx: PrecisionCtx) -> np.ndarray:
+def _window_cube(op: TransformOp, wexps: np.ndarray, ctx: PrecisionCtx) -> np.ndarray:
     """D_v on the window by face sums and exact slides (module doc); exactly symmetric."""
+    grid, table, c_mp = op.grid, op.table, op.c_mp
     p = grid.params
     n, width = grid.size, len(wexps)
     t_lo = int(wexps[0]) + grid.n_lo
     with mp.workdps(ctx.work_digits):
         bits = mp.mp.prec + 64  # guard bits below the working precision
         jmp = table.mp_values
-        c_mp = c_qv_mp(p, ctx)
         q_mp = mp.mpf(p.q)
         g = 2 * mp.mpf(p.v) + 2
         u = [c_mp * c_mp * (1 - q_mp) * q_mp ** (t * g) * jmp[t - table.n_min]
              for t in range(t_lo, t_lo + n + width - 1)]
         ubits = bits - min(max(map(mp.mag, u[i:i + n])) for i in range(width))
-        ufix = [_to_fixed(x, ubits) for x in u]
-        jfix = [_to_fixed(x, bits) for x in jmp[t_lo - table.n_min:]]  # J_{t_lo+m}
+        ufix = [to_fixed(x, ubits) for x in u]
+        jfix = [to_fixed(x, bits) for x in jmp[t_lo - table.n_min:]]  # J_{t_lo+m}
         with mp.workprec(bits):
             qpow = [q_mp ** (-int(a) * g) for a in wexps]
     faces = [list(map(mul, ufix[:n], jfix[d:d + n])) for d in range(width)]
@@ -209,7 +198,7 @@ def _window_cube(grid: LatticeGrid, table: BesselTable, wexps: np.ndarray,
         out, inn = i - 1, i - 1 + n  # offsets of the t leaving and entering row i
         # F_a with at least ``bits`` bits, and a nonnegative total scale.
         fbits = max(bits - mp.mag(qpow[i]), -ubits - 2 * bits)
-        f_a, scale = _to_fixed(qpow[i], fbits), 1 << (ubits + 2 * bits + fbits)
+        f_a, scale = to_fixed(qpow[i], fbits), 1 << (ubits + 2 * bits + fbits)
         for d1 in range(width - i):
             row = sums[d1]
             if i:
@@ -246,7 +235,7 @@ def kernel(grid: LatticeGrid, table: BesselTable, ctx: PrecisionCtx = DEFAULT_CT
 
     wexps = np.arange(win_lo, win_hi + 1)
     rows = slice(grid.index(int(win_lo)), grid.index(int(win_hi)) + 1)
-    cube = _window_cube(grid, table, wexps, ctx)
+    cube = _window_cube(op, wexps, ctx)
     defect = worst(*(float(np.max(rowsum_defects(int(a))[rows])) for a in wexps))
     return Kernel3(grid, table, op.c, int(win_lo), int(win_hi), cube, op, defect)
 

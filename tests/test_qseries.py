@@ -90,6 +90,83 @@ class TestQPochInf:
         assert split == pytest.approx(whole, rel=1e-13)
 
 
+def mpf_loop(a, q, ctx: PrecisionCtx = CTX, dps: int | None = None) -> mp.mpf:
+    """The rounded-mpf product that the fixed-point loop replaced.
+
+    It keeps ``ctx``'s truncation; ``dps`` raises only its precision.
+    """
+    with mp.workdps(ctx.work_digits + 10):
+        tol = min(ctx.tail_tol, mp.mpf(10) ** -(ctx.work_digits + 5))
+    with mp.workdps(dps or ctx.work_digits + 10):
+        q_ = q if isinstance(q, mp.mpf) else mp.mpf(q)
+        prod, aqk = mp.mpf(1), mp.mpf(a)
+        while abs(aqk) >= tol:
+            prod *= 1 - aqk
+            aqk *= q_
+        return prod
+
+
+def _rel(got, ref) -> mp.mpf:
+    with mp.workdps(200):
+        return abs(got / ref - 1)
+
+
+# Negative a, |a| >> 1, a = 7.3 (factors of both signs), a = q^2, and an
+# exact-q^2 base, over q from 0.3 to 0.998.
+MP_CASES = [
+    (-1.0, 0.3), (-7500.0, 0.3), (7.3, 0.3), (0.3**2, 0.3),
+    (-1.0, 0.8), (7.3, 0.8), (q2_exact(0.8), q2_exact(0.8)), (-3.0, q2_exact(0.8)),
+    (-7500.0, 0.99), (7.3, 0.99), (0.99**2, 0.99),
+    (-1.0, 0.998), (q2_exact(0.998), q2_exact(0.998)),
+]
+
+
+class TestQPochInfMp:
+    """The fixed-point (a; q)_inf against a 120-digit product and the mpf loop."""
+
+    @pytest.mark.parametrize("a,q", MP_CASES)
+    def test_against_120_digits(self, a, q):
+        got = qpoch_inf_mp(a, q, CTX)
+        assert _rel(got, qpoch_inf_mp(a, q, PrecisionCtx(120))) <= mp.mpf(10) ** -50
+
+    @pytest.mark.parametrize("digits", [50, 100])
+    @pytest.mark.parametrize("a,q", MP_CASES[:8])
+    def test_rounding_below_working_precision(self, a, q, digits):
+        # Same factors at 150 digits: what is left is the loop's rounding,
+        # about 2^-mp.prec once the guard bits absorb the bound's numerator.
+        ctx = PrecisionCtx(digits)
+        ref = mpf_loop(a, q, ctx, dps=150)
+        assert _rel(qpoch_inf_mp(a, q, ctx), ref) <= mp.mpf(10) ** -(digits + 8)
+
+    @pytest.mark.parametrize("a,q", MP_CASES)
+    def test_binary64_matches_mpf_loop(self, a, q):
+        assert float(qpoch_inf_mp(a, q, CTX)) == float(mpf_loop(a, q, CTX))
+
+    @pytest.mark.parametrize("digits,ref_digits", [(16, 60), (100, 150)])
+    @pytest.mark.parametrize("a,q", [(-1.0, 0.8), (7.3, 0.8), (-3.0, q2_exact(0.3))])
+    def test_work_digits_honoured(self, a, q, digits, ref_digits):
+        ctx = PrecisionCtx(digits)
+        ref = qpoch_inf_mp(a, q, PrecisionCtx(ref_digits))
+        assert _rel(qpoch_inf_mp(a, q, ctx), ref) <= mp.mpf(10) ** -digits
+        assert _rel(mpf_loop(a, q, ctx), ref) <= mp.mpf(10) ** -digits
+
+    def test_exact_zero_factor(self):
+        # 4 * 0.5^2 = 1 exactly: the k = 2 factor vanishes.
+        assert qpoch_inf_mp(4.0, 0.5, CTX) == 0
+        assert qpoch_inf_mp(1.0, 0.5, CTX) == 0
+
+    @given(a=st.floats(-1e4, 0.99), q=st.floats(0.1, 0.99))
+    @settings(max_examples=40, deadline=None)
+    def test_functional_equation(self, a, q):
+        # (a; q)_inf = (1 - a)(aq; q)_inf: the right side starts its loop at
+        # the exact aq, so the two sides truncate x_k differently.
+        lhs = qpoch_inf_mp(a, q, CTX)
+        tail = qpoch_inf_mp(mp.fmul(a, q, exact=True), q, CTX)
+        with mp.workdps(CTX.work_digits + 10):
+            rhs = (1 - mp.mpf(a)) * tail
+        assert _rel(rhs, lhs) <= mp.mpf(10) ** -45
+
+
 class TestCqv:
     def test_v_zero_collapses(self):
         assert c_qv(QParams(0.5, 0.0), CTX) == pytest.approx(2.0, rel=1e-14)

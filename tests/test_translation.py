@@ -15,7 +15,7 @@ from qfourier.errors import NotProbability, OffWindow
 from qfourier.lattice import GridFn, LatticeGrid, delta_fn, jackson_integral, norm2
 from qfourier.probes import seeded_probes
 from qfourier.qseries import PrecisionCtx, QParams, c_qv_mp
-from qfourier.transform import forward
+from qfourier.transform import build_transform, forward
 from qfourier.translation import (
     basis_function,
     convolve,
@@ -235,7 +235,7 @@ def shallow_window():
     grid = LatticeGrid(p, -3, 40)
     table = jv_table(grid, CTX)
     wexps = np.arange(-3, 5)
-    cube = translation._window_cube(grid, table, wexps, CTX)
+    cube = translation._window_cube(build_transform(grid, table, CTX), wexps, CTX)
     kern = SimpleNamespace(window_exponents=wexps, cube=cube,
                            windex=lambda e: int(e - wexps[0]))
     return SimpleNamespace(p=p, ctx=CTX, grid=grid, table=table, kern=kern)
