@@ -14,8 +14,8 @@ Every operation comes in two flavours: a fast native-float path (public
 functions) and a software high-precision path (the ``*_mp`` twins, working
 at ``PrecisionCtx.work_digits`` decimal digits).  Tables consumed by other
 modules are generated on the high-precision path and rounded once.
-Every such product runs in Python integers at one fixed-point scale 2^W
-and forms one mpf at the end (:func:`qpoch_inf_mp` gives its error bound).
+Every high-precision (a; q)_inf runs in Python integers at one fixed-point
+scale 2^W and forms one mpf at the end (:func:`qpoch_inf_mp` bounds its error).
 """
 
 from __future__ import annotations
