@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--json", default=None, help="write the report here")
     p_check.add_argument("--tolerance", action="append", default=[],
                          metavar="NAME=VALUE",
-                         help="override one identity tolerance")
+                         help="override the tolerance of one gated identity")
     p_check.set_defaults(func=cmd_check)
 
     p_tr = subs.add_parser("transform", help="transform a CSV grid function")

@@ -29,7 +29,6 @@ from .numerics import TINY, ulps, worst
 from .qseries import (
     DEFAULT_CTX,
     PrecisionCtx,
-    c_qv_mp,
     gauss_amplitude_mp,
     q2_exact,
     qexp,
@@ -150,49 +149,47 @@ def _eprofile(t: float, grid: LatticeGrid, ctx: PrecisionCtx) -> GridFn:
     return GridFn(grid, vals)
 
 
-def gauss_crosscheck(t: float, op: TransformOp, ctx: PrecisionCtx = DEFAULT_CTX,
-                     window: tuple[int, int] | None = None,
-                     guard: float = 1e-6, g: GaussKernel | None = None) -> float:
+# Shares of the kernel's sup below which the cross-checks skip a row.
+_FLOAT_GUARD = 1e-6
+_HP_GUARD = 1e-12
+
+
+def gauss_crosscheck(t: float, op: TransformOp, ctx: PrecisionCtx,
+                     window: tuple[int, int], g: GaussKernel | None = None) -> float:
     """Float-path check: forward of the e-profile vs the closed form.
 
     Relative error is measured on trusted rows where the closed form carries
-    at least ``guard`` of the kernel's sup (below that the true value is
+    at least ``_FLOAT_GUARD`` of the kernel's sup (below that the true value is
     produced by near-total cancellation of the quadrature and binary64 cannot
     represent the comparison; the high-precision twin covers those rows).
     """
     grid = op.grid
-    if window is None:
-        window = trusted_window(grid, op.table, ctx)
     if g is None:
         g = gauss_kernel(t, grid, ctx)
     ff = forward(_eprofile(t, grid, ctx), op)
     sup = float(np.max(np.abs(g.fn.values)))
     rows = [(ff[n], g.fn[n]) for n in range(window[0], window[1] + 1)]
-    return worst(*(abs(a - b) / abs(b) for a, b in rows if abs(b) >= guard * sup))
+    return worst(*(abs(a - b) / abs(b) for a, b in rows if abs(b) >= _FLOAT_GUARD * sup))
 
 
-def gauss_crosscheck_hp(t: float, grid: LatticeGrid, table,
-                        ctx: PrecisionCtx = DEFAULT_CTX,
-                        window: tuple[int, int] | None = None,
-                        guard: float = 1e-12, g: GaussKernel | None = None) -> float:
+def gauss_crosscheck_hp(t: float, op: TransformOp, ctx: PrecisionCtx,
+                        window: tuple[int, int], g: GaussKernel | None = None) -> float:
     """High-precision check of the transform route against the closed form.
 
     Both sides are evaluated in software precision on the trusted window, so
     the comparison survives 20+ orders of magnitude of quadrature
-    cancellation; only rows where the closed form drops below ``guard`` of
+    cancellation; only rows where the closed form drops below ``_HP_GUARD`` of
     the kernel's sup are skipped (there the *lattice truncation* floor of the
     quadrature, not arithmetic, is what remains).  The closed form is the
     working-precision values of ``g``; the e-profile comes from the same
-    lattice recurrence.
+    lattice recurrence, and c_{q,v} is the transform's ``op.c_mp``.
     """
+    grid, table = op.grid, op.table
     p = grid.params
-    if window is None:
-        window = trusted_window(grid, table, ctx)
     if g is None:
         g = gauss_kernel(t, grid, ctx)
     with mp.workdps(ctx.work_digits + 10):
         qm = mp.mpf(p.q)
-        c_mp = c_qv_mp(p, ctx)
         exps = [int(n) for n in grid.exponents]
         eprof = qexp_lattice_mp(_lattice_points(mp.mpf(t), grid), q2_exact(p.q), ctx)
         # Jackson weight times e-profile, once per grid point.
@@ -204,10 +201,10 @@ def gauss_crosscheck_hp(t: float, grid: LatticeGrid, table,
         sup = max(abs(val) for val in closed.values())
         gaps = []
         for x, cval in closed.items():
-            if abs(cval) < guard * sup:
+            if abs(cval) < _HP_GUARD * sup:
                 continue
             jrow = table.mp_values[x + exps[0] - off:x + exps[-1] - off + 1]
-            row = mp.fdot(we, jrow) * c_mp
+            row = mp.fdot(we, jrow) * op.c_mp
             gaps.append(float(abs(row - cval) / abs(cval)))
         return worst(*gaps)
 
@@ -247,13 +244,10 @@ def heat_residual(f: GridFn, t: float, k: Kernel3,
 
 
 def heat_spectral_defect(f: GridFn, t: float, k: Kernel3, op: TransformOp,
-                         ctx: PrecisionCtx = DEFAULT_CTX,
-                         window: tuple[int, int] | None = None,
+                         ctx: PrecisionCtx, window: tuple[int, int],
                          g: GaussKernel | None = None) -> float:
     """|| F(P_t f) - e(-t x^2) . Ff ||_2 / || e(-t x^2) . Ff ||_2 on trusted rows."""
     grid = k.grid
-    if window is None:
-        window = trusted_window(grid, op.table, ctx)
     u = heat_apply(f, t, k, ctx, g=g)
     lhs = forward(u, op)
     rhs = _eprofile(t, grid, ctx).values * forward(f, op).values
@@ -273,9 +267,12 @@ def heat_markov_check(t: float, k: Kernel3, probes: list[GridFn],
     return markov_check_convolution(g.fn, k, probes)
 
 
-def qexp_ode_residual(q: float, ctx: PrecisionCtx = DEFAULT_CTX,
-                      zs: list[float] | None = None) -> float:
-    """Residual of e(z, q^2) - e(q^2 z, q^2) = z e(z, q^2) at sample z < 0.
+# The sample points z < 0 of the q-exponential's functional equation.
+_ODE_SAMPLES = tuple(-(10.0 ** e) for e in np.linspace(-6.0, 4.0, 20))
+
+
+def qexp_ode_residual(q: float, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
+    """Residual of e(z, q^2) - e(q^2 z, q^2) = z e(z, q^2) at ``_ODE_SAMPLES``.
 
     This identity is what makes psi(t) = e(-t x^2, q^2) solve the scalar
     q-difference equation -x^2 psi = (1-q^2) D_{q^2,t} psi, pinning the
@@ -283,14 +280,10 @@ def qexp_ode_residual(q: float, ctx: PrecisionCtx = DEFAULT_CTX,
     precision on the exact q^2: near z = 0 the left side differences away
     ~|z| of itself, and a binary64 q^2 z reads its own rounding (1e-15).
     """
-    if zs is None:
-        zs = [-(10.0 ** e) for e in np.linspace(-6.0, 4.0, 20)]
     with mp.workdps(ctx.work_digits):
         q2 = q2_exact(q)
         gaps = []
-        for z in zs:
-            if z >= 0.0:
-                raise ValueError("samples must be negative")
+        for z in _ODE_SAMPLES:
             ez = qexp_mp(z, q2, ctx)
             lhs = ez - qexp_mp(q2 * z, q2, ctx)
             rhs = mp.mpf(z) * ez

@@ -1,15 +1,16 @@
 """Identity suites and machine-readable check reports.
 
-Every identity the library implements is registered here with a name, a
-human-readable statement, a residual computation and a tolerance; a suite
-run produces one :class:`CellReport` per (q, v, grid) cell and an aggregate
+Every identity the library implements is registered once, in
+:data:`IDENTITIES`, with a human-readable statement and a tolerance.  The
+``check_*`` methods of a cell yield (name, residual) pairs; a suite run turns
+them into one :class:`CellReport` per (q, v, grid) cell and an aggregate
 :class:`CheckReport` whose JSON serialization is byte-identical across runs
 with the same configuration and seed (the runtime field aside).
 
-Gated identities decide the exit status.  Observational entries (marked
-``gated: false``) record quantities the library deliberately does not
-assert: amplitude scaling off the lattice, kernel positivity for v < 0, and
-the semigroup composition gap.
+Gated identities decide the exit status.  Observational entries (tolerance
+``None``, marked ``gated: false``) record quantities the library deliberately
+does not assert: amplitude scaling off the lattice, kernel positivity for
+v < 0, and the semigroup composition gap.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import mpmath as mp
@@ -34,7 +36,7 @@ __all__ = [
     "CellReport",
     "CheckReport",
     "DEFAULT_CELLS",
-    "DEFAULT_TOLERANCES",
+    "IDENTITIES",
     "run_cell",
     "run_suite",
     "report_to_json",
@@ -48,68 +50,85 @@ DEFAULT_CELLS: tuple[tuple[float, float, int, int], ...] = (
     (0.8, 0.5, -20, 120),
 )
 
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "qpoch-splitting": 1e-12,
-    "qexp-product-inverse": 1e-12,
-    "qexp-series-agreement": 1e-12,
-    "qexp-ode-identity": 1e-12,
-    "gauss-amplitude-lattice-scaling": 1e-10,
-    "jackson-linearity": 1e-12,
-    "delta-reproduction": 1e-12,
-    "cauchy-schwarz": 1e-12,
-    "bessel-decay-bound": 1e-12,
-    "bessel-eigen-relation": 1e-9,
-    "bessel-table-reproducibility": 1.0,   # binary64 ulps
-    "bessel-oracle-agreement": 1.0,        # binary64 ulps
-    "transform-inversion": 1e-9,
-    "transform-plancherel": 1e-9,
-    "orthogonality-offdiag": 1e-9,
-    "orthogonality-diagonal": 1e-9,
-    "transform-matrix-structure": 0.0,
-    "transform-decay-at-infinity": 1e-6,
-    "transform-sup-bound": 1e-12,
-    "basis-completeness": 1e-9,
-    "delta-multiplier": 1e-8,
-    "kernel-symmetry": 0.0,
-    "kernel-row-sums": 1e-8,
-    "kernel-transform-projection": 1e-8,
-    "kernel-positivity": 1e-10,
-    "translation-delta": 1e-12,
-    "translation-eigenfunctions": 1e-8,
-    "markov-translation-unit": 1e-8,
-    "markov-translation-symmetry": 1e-8,
-    "markov-translation-contraction": 1e-8,
-    "markov-translation-jensen": 1e-8,
-    "markov-translation-sup": 1e-8,
-    "markov-bump-unit": 1e-8,
-    "markov-bump-symmetry": 1e-8,
-    "markov-bump-contraction": 1e-8,
-    "markov-bump-jensen": 1e-8,
-    "markov-bump-sup": 1e-8,
-    "markov-heat-unit": 1e-8,
-    "markov-heat-symmetry": 1e-8,
-    "markov-heat-contraction": 1e-8,
-    "markov-heat-jensen": 1e-8,
-    "markov-heat-sup": 1e-8,
-    "convolution-commutativity": 1e-8,
-    "convolution-product-formula": 1e-8,
-    "multiplier-bump-coefficients": 1e-8,
-    "multiplier-diagonal-action": 1e-8,
-    "multiplier-gauss-coefficients": 1e-8,
-    "hypergroup-expansion": 1e-7,
-    "hypergroup-window-growth": 0.0,
-    "gauss-transform-consistency": 1e-8,
-    "gauss-transform-consistency-hp": 1e-8,
-    "gauss-mass": 1e-8,
-    "gauss-lattice-recurrence": 4.0,       # binary64 ulps
-    "heat-spectral-diagonalization": 1e-8,
-    "heat-equation-residual": 1e-7,
+MARKOV_AXES = ("unit", "symmetry", "contraction", "jensen", "sup")
+
+
+def _markov_rows(op: str, statement: str) -> dict[str, tuple[str, float]]:
+    """The five Markov-axiom rows of one operator; ``statement`` takes the axis."""
+    return {f"markov-{op}-{axis}": (statement.format(axis), 1e-8) for axis in MARKOV_AXES}
+
+
+# name -> (statement, tolerance); a tolerance of None marks an observational row.
+IDENTITIES: dict[str, tuple[str, float | None]] = {
+    "qpoch-splitting": ("(a;q)_inf = (a;q)_K (a q^K;q)_inf", 1e-12),
+    "qexp-product-inverse": ("e(z,q) (z;q)_inf = 1", 1e-12),
+    "qexp-series-agreement": ("sum z^n/(q;q)_n = 1/(z;q)_inf for |z| < 1", 1e-12),
+    "gauss-amplitude-lattice-scaling": ("A(q^{2m}) = q^{-2m(v+1)} A(1)", 1e-10),
+    "gauss-amplitude-offlattice-scaling": (
+        "A(t^2) t^{2(v+1)} vs A(1) at generic t (observational)", None),
+    "qexp-ode-identity": ("e(z,q^2) - e(q^2 z,q^2) = z e(z,q^2)", 1e-12),
+    "jackson-linearity": ("integral(a f + b g) = a integral(f) + b integral(g)", 1e-12),
+    "delta-reproduction": ("integral(f delta_q(x,.)) = f(x)", 1e-12),
+    "cauchy-schwarz": ("|<f,g>| <= ||f|| ||g||", 1e-12),
+    "bessel-decay-bound": ("|j_v(q^n)| <= C min(1, q^{n^2-(2v+1)n})", 1e-12),
+    "bessel-eigen-relation": ("Delta j_v(lambda .) = -lambda^2 j_v(lambda .)", 1e-9),
+    "bessel-table-reproducibility": (                       # binary64 ulps
+        "recurrence table vs series at the deep end, quarter points and n_max-1, "
+        "<= 1 ulp", 1.0),
+    "bessel-oracle-agreement": (                            # binary64 ulps
+        "exact-rational oracle vs production path, <= 1 ulp", 1.0),
+    "transform-inversion": ("F(Ff) = f", 1e-9),
+    "transform-plancherel": ("||Ff||_2 = ||f||_2", 1e-9),
+    "orthogonality-offdiag": ("<psi_x, psi_y> = 0 for x != y (normalized)", 1e-9),
+    "orthogonality-diagonal": ("||psi_x||^2 = x^{-2(v+1)}/(1-q)", 1e-9),
+    "transform-matrix-structure": (
+        "M[n,m] = c (1-q) j_v(q^{n+m}) q^{m(2v+2)} bitwise", 0.0),
+    "transform-decay-at-infinity": ("|Ff(q^{n_lo})| << sup |Ff| for integrable f", 1e-6),
+    "transform-sup-bound": ("sup |Ff| <= c sup|j_v| ||f||_1", 1e-12),
+    "basis-completeness": ("f = sum_x <f, psi_x> psi_x / ||psi_x||^2", 1e-9),
+    "delta-multiplier": ("F[Delta f](x) = -x^2 Ff(x)", 1e-8),
+    "kernel-symmetry": ("D(x,y,z) invariant under argument permutations", 0.0),
+    "kernel-row-sums": ("(1-q) sum_z q^{z(2v+2)} D(x,y,z) = 1", 1e-8),
+    "kernel-transform-projection": (
+        "int D(x,y,z) j_v(xt) x^{2v+1} d_q x = j_v(yt) j_v(zt)", 1e-8),
+    # Gated for v >= 0 only; a v < 0 cell reports its raw minimum instead.
+    "kernel-positivity": ("min D_v >= 0 over the window (v >= 0)", 1e-10),
+    "translation-delta": ("T_{q,x} delta_a(y) = D(x,y,a): M route vs window cube", 1e-12),
+    "translation-eigenfunctions": ("T_{q,x} f_n = (f_n(x)/f_n(0)) f_n", 1e-8),
+    **_markov_rows("translation", "T_{{q,x}} Markov axiom: {}"),
+    "convolution-commutativity": (
+        "f * g = g * f: M route vs window-cube contraction", 1e-8),
+    "convolution-product-formula": ("F(f * g) = Ff . Fg", 1e-8),
+    "multiplier-bump-coefficients": (
+        "c_n = j_v(q^n) for the point-mass density at 1", 1e-8),
+    "multiplier-diagonal-action": ("f_n * rho = c_n f_n", 1e-8),
+    **_markov_rows("bump", "f -> f * rho Markov axiom ({})"),
+    "multiplier-gauss-coefficients": (
+        "c_n = e(-q^{2n}, q^2) for the Gauss density at t=1", 1e-8),
+    "hypergroup-expansion": ("D(x,y,z) = sum_n f_n(x) f_n(y) f_n(z) / f_n(0)", 1e-7),
+    "hypergroup-window-growth": (
+        "expansion defect shrinks as the index window grows", 0.0),
+    "gauss-transform-consistency": (
+        "G(.,t) closed form vs transform of e(-t y^2) (float)", 1e-8),
+    "gauss-transform-consistency-hp": (
+        "G(.,t) closed form vs transform (high precision)", 1e-8),
+    "gauss-mass": ("c ||G(.,t)||_1 = 1", 1e-8),
+    "gauss-lattice-recurrence": (                           # binary64 ulps
+        "G(q^n,1) by the lattice recurrence vs one product per point, <= 4 ulps", 4.0),
+    "heat-spectral-diagonalization": ("F(P_t f) = e(-t x^2, q^2) Ff", 1e-8),
+    "heat-equation-residual": ("Delta u = (1-q^2) D_{q^2,t} u for u = P_t f", 1e-7),
+    **_markov_rows("heat", "P_t Markov axiom ({})"),
+    "heat-composition": (
+        "||P_t P_s f - P_{t+s} f|| / ||P_{t+s} f|| (observational)", None),
 }
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Configuration of a check run."""
+    """Configuration of a check run.
+
+    ``tolerances`` overrides the registry tolerance of gated identities only.
+    """
 
     cells: tuple[tuple[float, float, int, int], ...] = DEFAULT_CELLS
     work_digits: int = 50
@@ -125,16 +144,15 @@ class SuiteConfig:
             LatticeGrid(QParams(q, v), n_lo, n_hi)
         PrecisionCtx(self.work_digits, self.tail_tol)
         for name, tol in self.tolerances.items():
-            if tol < 0:
+            if name not in IDENTITIES:
+                raise ValueError(f"tolerance for unknown identity {name!r}")
+            if IDENTITIES[name][1] is None:
+                raise ValueError(f"{name} is observational and takes no tolerance")
+            if not tol >= 0:        # NaN fails here too
                 raise ValueError(f"tolerance for {name} must be >= 0, got {tol}")
 
     def ctx(self) -> PrecisionCtx:
         return PrecisionCtx(self.work_digits, self.tail_tol)
-
-    def tolerance(self, name: str) -> float:
-        if name in self.tolerances:
-            return self.tolerances[name]
-        return DEFAULT_TOLERANCES[name]
 
 
 def _qexp_partial_sum(z: float, q: float, ctx: PrecisionCtx) -> float:
@@ -169,16 +187,6 @@ class IdentityResult:
     passed: bool
     gated: bool = True
 
-    @staticmethod
-    def gate(name: str, statement: str, residual: float,
-             tolerance: float) -> "IdentityResult":
-        return IdentityResult(name, statement, float(residual), tolerance,
-                              bool(residual <= tolerance), True)
-
-    @staticmethod
-    def observe(name: str, statement: str, residual: float) -> "IdentityResult":
-        return IdentityResult(name, statement, float(residual), None, True, False)
-
 
 @dataclass
 class CellReport:
@@ -208,6 +216,16 @@ class CheckReport:
         return all(c.passed for c in self.cells)
 
 
+# What a check yields: a registry row's (name, residual), or a finished result.
+Rows = Iterator[tuple[str, float] | IdentityResult]
+
+
+def _markov(op: str, report: translation.MarkovReport) -> Rows:
+    """(name, defect) of the five Markov axioms of one operator."""
+    for axis in MARKOV_AXES:
+        yield f"markov-{op}-{axis}", getattr(report, f"{axis}_defect")
+
+
 class _CellRunner:
     """Builds the shared artifacts for one (q, v, grid) cell and runs checks."""
 
@@ -229,19 +247,14 @@ class _CellRunner:
                                      max(40, cfg.probes // 5), cfg.seed + 1)
         self.kprobes_nn = seeded_probes(self.grid, self.kern.window, 6,
                                         cfg.seed + 2, nonneg=True)
+        self.mprobes = self.kprobes[:10] + self.kprobes_nn      # Markov-axiom probes
         # Every Gauss kernel of the cell comes from here, built once per t.
         self.gauss = heat.gauss_memo(self.grid, self.ctx)
 
-    def heat_times(self) -> list[float]:
-        q = self.p.q
-        return [q**4, q**2, 1.0, q**-2]
-
     # ---------------- scalar q-series identities ----------------
 
-    def check_qseries(self) -> list[IdentityResult]:
-        out = []
+    def check_qseries(self) -> Rows:
         ctx, q, v = self.ctx, self.p.q, self.p.v
-        gate, tol = IdentityResult.gate, self.cfg.tolerance
 
         res = 0.0
         for a in (0.25, -1.0, 0.9):
@@ -250,141 +263,90 @@ class _CellRunner:
                 split = (qseries.qpoch_finite(a, q, k)
                          * qseries.qpoch_inf(a * q**k, q, ctx))
                 res = worst(res, abs(split - full) / max(abs(full), TINY))
-        out.append(gate("qpoch-splitting",
-                        "(a;q)_inf = (a;q)_K (a q^K;q)_inf",
-                        res, tol("qpoch-splitting")))
+        yield "qpoch-splitting", res
 
         res = 0.0
         for z in (-4.0, -1.0, -0.5, 0.0, 0.3, 0.9):
             prod = qseries.qexp(z, q, ctx) * qseries.qpoch_inf(z, q, ctx)
             res = worst(res, abs(prod - 1.0))
-        out.append(gate("qexp-product-inverse", "e(z,q) (z;q)_inf = 1",
-                        res, tol("qexp-product-inverse")))
+        yield "qexp-product-inverse", res
 
         res = 0.0
         for z in (-0.5, 0.3, 0.9):
             exact = qseries.qexp(z, q, ctx)
             res = worst(res, abs(_qexp_partial_sum(z, q, ctx) - exact) / abs(exact))
-        out.append(gate("qexp-series-agreement",
-                        "sum z^n/(q;q)_n = 1/(z;q)_inf for |z| < 1",
-                        res, tol("qexp-series-agreement")))
+        yield "qexp-series-agreement", res
 
         a1 = qseries.gauss_amplitude(1.0, self.p, ctx)
-        res = worst(*(
+        yield "gauss-amplitude-lattice-scaling", worst(*(
             abs(qseries.gauss_amplitude(q ** (2 * m), self.p, ctx)
                 * q ** (2 * m * (v + 1.0)) - a1) / a1
             for m in range(-3, 4)
         ))
-        out.append(gate("gauss-amplitude-lattice-scaling",
-                        "A(q^{2m}) = q^{-2m(v+1)} A(1)",
-                        res, tol("gauss-amplitude-lattice-scaling")))
 
         # Off-lattice scaling is not asserted: recorded for information only.
         t0 = 1.37
-        obs = abs(qseries.gauss_amplitude(t0 * t0, self.p, ctx)
-                  * t0 ** (2 * (v + 1.0)) - a1) / a1
-        out.append(IdentityResult.observe(
-            "gauss-amplitude-offlattice-scaling",
-            "A(t^2) t^{2(v+1)} vs A(1) at generic t (observational)", obs))
+        yield "gauss-amplitude-offlattice-scaling", abs(
+            qseries.gauss_amplitude(t0 * t0, self.p, ctx)
+            * t0 ** (2 * (v + 1.0)) - a1) / a1
 
-        out.append(gate("qexp-ode-identity",
-                        "e(z,q^2) - e(q^2 z,q^2) = z e(z,q^2)",
-                        heat.qexp_ode_residual(q, ctx),
-                        tol("qexp-ode-identity")))
-        return out
+        yield "qexp-ode-identity", heat.qexp_ode_residual(q, ctx)
 
     # ---------------- lattice quadrature identities ----------------
 
-    def check_lattice(self) -> list[IdentityResult]:
-        out = []
-        gate, tol = IdentityResult.gate, self.cfg.tolerance
+    def check_lattice(self) -> Rows:
         rng = np.random.default_rng(self.cfg.seed + 3)
         f = GridFn(self.grid, rng.normal(size=self.grid.size))
         g = GridFn(self.grid, rng.normal(size=self.grid.size))
         a, b = rng.normal(), rng.normal()
-        lin = abs(
+        yield "jackson-linearity", abs(
             jackson_integral(GridFn(self.grid, a * f.values + b * g.values))
             - a * jackson_integral(f) - b * jackson_integral(g)
         ) / max(abs(jackson_integral(f)) + abs(jackson_integral(g)), TINY)
-        out.append(gate("jackson-linearity",
-                        "integral(a f + b g) = a integral(f) + b integral(g)",
-                        lin, tol("jackson-linearity")))
 
         res = 0.0
         for n in range(self.grid.n_lo, self.grid.n_hi + 1, 7):
             d = lattice.delta_fn(self.grid, n)
             rep = jackson_integral(GridFn(self.grid, d.values * f.values))
             res = worst(res, abs(rep - f[n]) / max(abs(f[n]), TINY))
-        out.append(gate("delta-reproduction",
-                        "integral(f delta_q(x,.)) = f(x)",
-                        res, tol("delta-reproduction")))
+        yield "delta-reproduction", res
 
-        cs = max(0.0, abs(lattice.inner(f, g)) - norm2(f) * norm2(g))
-        out.append(gate("cauchy-schwarz", "|<f,g>| <= ||f|| ||g||",
-                        cs, tol("cauchy-schwarz")))
-        return out
+        yield "cauchy-schwarz", max(0.0, abs(lattice.inner(f, g)) - norm2(f) * norm2(g))
 
     # ---------------- Bessel identities ----------------
 
-    def check_bessel(self) -> list[IdentityResult]:
-        out = []
-        gate, tol = IdentityResult.gate, self.cfg.tolerance
+    def check_bessel(self) -> Rows:
         chk = bessel.decay_bound_check(self.table, self.ctx)
-        out.append(gate("bessel-decay-bound",
-                        "|j_v(q^n)| <= C min(1, q^{n^2-(2v+1)n})",
-                        max(0.0, chk.max_ratio - 1.0),
-                        tol("bessel-decay-bound")))
+        yield "bessel-decay-bound", max(0.0, chk.max_ratio - 1.0)
 
-        res = worst(*(bessel.eigen_residual(self.grid, le, self.table)
-                      for le in (-2, 0, 1, 3)))
-        out.append(gate("bessel-eigen-relation",
-                        "Delta j_v(lambda .) = -lambda^2 j_v(lambda .)",
-                        res, tol("bessel-eigen-relation")))
+        yield "bessel-eigen-relation", worst(*(
+            bessel.eigen_residual(self.grid, le, self.table) for le in (-2, 0, 1, 3)))
 
-        out.append(gate("bessel-table-reproducibility",
-                        "recurrence table vs series at the deep end, quarter "
-                        "points and n_max-1, <= 1 ulp",
-                        bessel._anchor_ulps(self.table),
-                        tol("bessel-table-reproducibility")))
+        yield "bessel-table-reproducibility", bessel._anchor_ulps(self.table)
 
         if self.p.q == 0.5 and (2 * self.p.v + 2) == int(2 * self.p.v + 2):
             res = 0.0
             for n in range(max(-8, self.table.n_min), self.table.n_max + 1):
                 oracle = bessel.jv_exact_dyadic(n, self.p.v)
                 res = worst(res, ulps(self.table.value(n), oracle))
-            out.append(gate("bessel-oracle-agreement",
-                            "exact-rational oracle vs production path, <= 1 ulp",
-                            res, tol("bessel-oracle-agreement")))
-        return out
+            yield "bessel-oracle-agreement", res
 
     # ---------------- transform identities ----------------
 
-    def check_transform(self) -> list[IdentityResult]:
-        out = []
-        gate, tol = IdentityResult.gate, self.cfg.tolerance
+    def check_transform(self) -> Rows:
         op, grid = self.op, self.grid
 
-        res = worst(*(transform.inversion_residual(f, op) for f in self.tprobes))
-        out.append(gate("transform-inversion", "F(Ff) = f",
-                        res, tol("transform-inversion")))
-
-        res = worst(*(transform.plancherel_defect(f, op) for f in self.tprobes))
-        out.append(gate("transform-plancherel", "||Ff||_2 = ||f||_2",
-                        res, tol("transform-plancherel")))
+        yield "transform-inversion", worst(*(
+            transform.inversion_residual(f, op) for f in self.tprobes))
+        yield "transform-plancherel", worst(*(
+            transform.plancherel_defect(f, op) for f in self.tprobes))
 
         ortho = transform.orthogonality_matrix(op, self.window)
-        out.append(gate("orthogonality-offdiag",
-                        "<psi_x, psi_y> = 0 for x != y (normalized)",
-                        ortho.max_offdiag, tol("orthogonality-offdiag")))
-        out.append(gate("orthogonality-diagonal",
-                        "||psi_x||^2 = x^{-2(v+1)}/(1-q)",
-                        ortho.max_diag_rel, tol("orthogonality-diagonal")))
+        yield "orthogonality-offdiag", ortho.max_offdiag
+        yield "orthogonality-diagonal", ortho.max_diag_rel
 
         rebuilt = op.kernel * op.weights[None, :]
-        mismatch = float(np.count_nonzero(rebuilt != op.matrix))
-        out.append(gate("transform-matrix-structure",
-                        "M[n,m] = c (1-q) j_v(q^{n+m}) q^{m(2v+2)} bitwise",
-                        mismatch, tol("transform-matrix-structure")))
+        yield "transform-matrix-structure", float(np.count_nonzero(rebuilt != op.matrix))
 
         sup_j = float(np.max(np.abs(self.table.values)))
         decay = supb = 0.0
@@ -394,57 +356,34 @@ class _CellRunner:
             sup_ff = float(np.max(np.abs(ff.values)))
             decay = worst(decay, abs(ff[grid.n_lo]) / max(sup_ff, TINY))
             supb = worst(supb, sup_ff / (self.c * sup_j * l1) - 1.0)
-        out.append(gate("transform-decay-at-infinity",
-                        "|Ff(q^{n_lo})| << sup |Ff| for integrable f",
-                        decay, tol("transform-decay-at-infinity")))
-        out.append(gate("transform-sup-bound",
-                        "sup |Ff| <= c sup|j_v| ||f||_1",
-                        max(0.0, supb), tol("transform-sup-bound")))
+        yield "transform-decay-at-infinity", decay
+        yield "transform-sup-bound", max(0.0, supb)
 
-        res = worst(*(transform.basis_completeness_defect(f, op)
-                      for f in self.tprobes[:5]))
-        out.append(gate("basis-completeness",
-                        "f = sum_x <f, psi_x> psi_x / ||psi_x||^2",
-                        res, tol("basis-completeness")))
-
-        res = worst(*(transform.delta_multiplier_defect(f, op)
-                      for f in self.tprobes[:20]))
-        out.append(gate("delta-multiplier", "F[Delta f](x) = -x^2 Ff(x)",
-                        res, tol("delta-multiplier")))
-        return out
+        yield "basis-completeness", worst(*(
+            transform.basis_completeness_defect(f, op) for f in self.tprobes[:5]))
+        yield "delta-multiplier", worst(*(
+            transform.delta_multiplier_defect(f, op) for f in self.tprobes[:20]))
 
     # ---------------- translation identities ----------------
 
-    def check_translation(self) -> list[IdentityResult]:
-        out = []
-        gate, tol = IdentityResult.gate, self.cfg.tolerance
+    def check_translation(self) -> Rows:
         kern, grid = self.kern, self.grid
 
-        res = worst(*(
+        yield "kernel-symmetry", worst(*(
             float(np.max(np.abs(kern.cube - kern.cube.transpose(perm))))
             for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
         ))
-        out.append(gate("kernel-symmetry",
-                        "D(x,y,z) invariant under argument permutations",
-                        res, tol("kernel-symmetry")))
-
-        out.append(gate("kernel-row-sums",
-                        "(1-q) sum_z q^{z(2v+2)} D(x,y,z) = 1",
-                        kern.max_rowsum_defect, tol("kernel-row-sums")))
-
-        out.append(gate("kernel-transform-projection",
-                        "int D(x,y,z) j_v(xt) x^{2v+1} d_q x = j_v(yt) j_v(zt)",
-                        self._projection_defect(), tol("kernel-transform-projection")))
+        yield "kernel-row-sums", kern.max_rowsum_defect
+        yield "kernel-transform-projection", self._projection_defect()
 
         mn, _ = translation.kernel_min(kern)
         if self.p.v >= 0.0:
-            out.append(gate("kernel-positivity",
-                            "min D_v >= 0 over the window (v >= 0)",
-                            max(0.0, -mn), tol("kernel-positivity")))
+            yield "kernel-positivity", max(0.0, -mn)
         else:
-            out.append(IdentityResult.observe(
-                "kernel-positivity",
-                "min D_v over the window (v < 0, observational)", mn))
+            # The one row whose statement depends on the cell: observed, raw minimum.
+            yield IdentityResult("kernel-positivity",
+                                 "min D_v over the window (v < 0, observational)",
+                                 float(mn), None, True, False)
 
         # Window exponent nearest 1; the M route against the cube on window rows.
         x_used = int(min(kern.window_exponents, key=abs))
@@ -456,42 +395,23 @@ class _CellRunner:
             scale = float(np.max(np.abs(dv)))
             res = worst(res, float(np.max(np.abs(td.values[wsel] - dv)))
                         / max(scale, TINY))
-        out.append(gate("translation-delta",
-                        "T_{q,x} delta_a(y) = D(x,y,a): M route vs window cube",
-                        res, tol("translation-delta")))
+        yield "translation-delta", res
 
         xs = [kern.window_lo, kern.window_hi] if kern.width > 1 else [kern.window_lo]
-        res = worst(*(translation.eigen_check(kern, n, x)
-                      for n in range(-2, 5) for x in xs))
-        out.append(gate("translation-eigenfunctions",
-                        "T_{q,x} f_n = (f_n(x)/f_n(0)) f_n",
-                        res, tol("translation-eigenfunctions")))
+        yield "translation-eigenfunctions", worst(*(
+            translation.eigen_check(kern, n, x) for n in range(-2, 5) for x in xs))
 
-        rep = translation.markov_check(kern, self.kprobes[:10] + self.kprobes_nn)
-        for axis, value in (("unit", rep.unit_defect),
-                            ("symmetry", rep.symmetry_defect),
-                            ("contraction", rep.contraction_defect),
-                            ("jensen", rep.jensen_defect),
-                            ("sup", rep.sup_defect)):
-            out.append(gate(f"markov-translation-{axis}",
-                            f"T_{{q,x}} Markov axiom: {axis}",
-                            value, tol(f"markov-translation-{axis}")))
+        yield from _markov("translation", translation.markov_check(kern, self.mprobes))
 
-        out.extend(self._check_convolution())
-        out.extend(self._check_multiplier())
+        yield from self._check_convolution()
+        yield from self._check_multiplier()
 
-        full = translation.hypergroup_expansion_defect(kern)
-        out.append(gate("hypergroup-expansion",
-                        "D(x,y,z) = sum_n f_n(x) f_n(y) f_n(z) / f_n(0)",
-                        full, tol("hypergroup-expansion")))
+        yield "hypergroup-expansion", translation.hypergroup_expansion_defect(kern)
         d14 = translation.hypergroup_expansion_defect(
             kern, translation.hypergroup_window(kern, 14, self.ctx))
         d20 = translation.hypergroup_expansion_defect(
             kern, translation.hypergroup_window(kern, 20, self.ctx))
-        out.append(gate("hypergroup-window-growth",
-                        "expansion defect shrinks as the index window grows",
-                        max(0.0, d20 - d14), tol("hypergroup-window-growth")))
-        return out
+        yield "hypergroup-window-growth", max(0.0, d20 - d14)
 
     def _projection_defect(self) -> float:
         kern, grid, table = self.kern, self.grid, self.table
@@ -509,8 +429,7 @@ class _CellRunner:
                 res = worst(res, abs(lhs - rhs) / max(abs(rhs), 1e-6))
         return res
 
-    def _check_convolution(self) -> list[IdentityResult]:
-        gate, tol = IdentityResult.gate, self.cfg.tolerance
+    def _check_convolution(self) -> Rows:
         kern, op, grid = self.kern, self.op, self.grid
         pairs = list(zip(self.kprobes[0:40:2], self.kprobes[1:40:2]))
         w = grid.weights()
@@ -530,31 +449,21 @@ class _CellRunner:
                          * transform.forward(g, op).values)
             prod = worst(prod, norm2(GridFn(grid, lhs.values - rhs.values))
                          / max(norm2(rhs), TINY))
-        return [
-            gate("convolution-commutativity",
-                 "f * g = g * f: M route vs window-cube contraction",
-                 comm, tol("convolution-commutativity")),
-            gate("convolution-product-formula", "F(f * g) = Ff . Fg",
-                 prod, tol("convolution-product-formula")),
-        ]
+        yield "convolution-commutativity", comm
+        yield "convolution-product-formula", prod
 
     def _bump_density(self) -> GridFn:
         """delta-bump probability density rho = delta_q(., 1) / c."""
         d = lattice.delta_fn(self.grid, 0)
         return GridFn(self.grid, d.values / self.c)
 
-    def _check_multiplier(self) -> list[IdentityResult]:
-        gate, tol = IdentityResult.gate, self.cfg.tolerance
+    def _check_multiplier(self) -> Rows:
         kern, grid = self.kern, self.grid
-        out = []
 
         rho = self._bump_density()
         ns, coeffs = translation.multiplier_coeffs(rho, kern)
         expected = np.array([self.table.value(int(n)) for n in ns])
-        res = float(np.max(np.abs(coeffs - expected)))
-        out.append(gate("multiplier-bump-coefficients",
-                        "c_n = j_v(q^n) for the point-mass density at 1",
-                        res, tol("multiplier-bump-coefficients")))
+        yield "multiplier-bump-coefficients", float(np.max(np.abs(coeffs - expected)))
 
         res = 0.0
         for n in (-2, 0, 1, 3):
@@ -562,20 +471,10 @@ class _CellRunner:
             conv = translation.convolve(fn, rho, kern)
             cn = self.table.value(n)
             res = worst(res, norm2(GridFn(grid, conv.values - cn * fn.values)))
-        out.append(gate("multiplier-diagonal-action",
-                        "f_n * rho = c_n f_n",
-                        res, tol("multiplier-diagonal-action")))
+        yield "multiplier-diagonal-action", res
 
-        rep = translation.markov_check_convolution(
-            rho, kern, self.kprobes[:10] + self.kprobes_nn)
-        for axis, value in (("unit", rep.unit_defect),
-                            ("symmetry", rep.symmetry_defect),
-                            ("contraction", rep.contraction_defect),
-                            ("jensen", rep.jensen_defect),
-                            ("sup", rep.sup_defect)):
-            out.append(gate(f"markov-bump-{axis}",
-                            f"f -> f * rho Markov axiom ({axis})",
-                            value, tol(f"markov-bump-{axis}")))
+        yield from _markov("bump", translation.markov_check_convolution(
+            rho, kern, self.mprobes))
 
         g = self.gauss(1.0)
         ns, coeffs = translation.multiplier_coeffs(g.fn, kern)
@@ -583,84 +482,58 @@ class _CellRunner:
         expected = np.array([eprof[int(n)] for n in ns])
         sup = float(np.max(np.abs(expected)))
         mask = np.abs(expected) >= 1e-6 * sup
-        res = float(np.max(np.abs(coeffs[mask] - expected[mask])
-                             / np.abs(expected[mask])))
-        out.append(gate("multiplier-gauss-coefficients",
-                        "c_n = e(-q^{2n}, q^2) for the Gauss density at t=1",
-                        res, tol("multiplier-gauss-coefficients")))
-        return out
+        yield "multiplier-gauss-coefficients", float(np.max(
+            np.abs(coeffs[mask] - expected[mask]) / np.abs(expected[mask])))
 
     # ---------------- heat identities ----------------
 
-    def check_heat(self) -> list[IdentityResult]:
-        out = []
-        gate, tol = IdentityResult.gate, self.cfg.tolerance
-        kern = self.kern
+    def check_heat(self) -> Rows:
+        kern, q = self.kern, self.p.q
 
         worst_f = worst_h = worst_m = worst_s = worst_r = 0.0
-        for t in self.heat_times():
+        for t in (q**4, q**2, 1.0, q**-2):
             g = self.gauss(t)
             worst_m = worst(worst_m, heat.gauss_mass_defect(g, self.c))
             worst_f = worst(worst_f, heat.gauss_crosscheck(
                 t, self.op, self.ctx, self.window, g=g))
             worst_h = worst(worst_h, heat.gauss_crosscheck_hp(
-                t, self.grid, self.table, self.ctx, self.window, g=g))
+                t, self.op, self.ctx, self.window, g=g))
             for f in self.kprobes[:3]:
                 worst_s = worst(worst_s, heat.heat_spectral_defect(
                     f, t, kern, self.op, self.ctx, self.window, g=g))
                 worst_r = worst(worst_r, heat.heat_residual(
                     f, t, kern, self.ctx, self.window, gauss=self.gauss))
-        out.append(gate("gauss-transform-consistency",
-                        "G(.,t) closed form vs transform of e(-t y^2) (float)",
-                        worst_f, tol("gauss-transform-consistency")))
-        out.append(gate("gauss-transform-consistency-hp",
-                        "G(.,t) closed form vs transform (high precision)",
-                        worst_h, tol("gauss-transform-consistency-hp")))
-        out.append(gate("gauss-mass", "c ||G(.,t)||_1 = 1",
-                        worst_m, tol("gauss-mass")))
+        yield "gauss-transform-consistency", worst_f
+        yield "gauss-transform-consistency-hp", worst_h
+        yield "gauss-mass", worst_m
         # Both ends, the middle and the quarter points of the grid.
         exps = sorted({int(round(n)) for n in
                        np.linspace(self.grid.n_lo, self.grid.n_hi, 5)})
-        out.append(gate("gauss-lattice-recurrence",
-                        "G(q^n,1) by the lattice recurrence vs one product per "
-                        "point, <= 4 ulps",
-                        heat.gauss_recurrence_defect(self.gauss(1.0), exps, self.ctx),
-                        tol("gauss-lattice-recurrence")))
-        out.append(gate("heat-spectral-diagonalization",
-                        "F(P_t f) = e(-t x^2, q^2) Ff",
-                        worst_s, tol("heat-spectral-diagonalization")))
-        out.append(gate("heat-equation-residual",
-                        "Delta u = (1-q^2) D_{q^2,t} u for u = P_t f",
-                        worst_r, tol("heat-equation-residual")))
+        yield "gauss-lattice-recurrence", heat.gauss_recurrence_defect(
+            self.gauss(1.0), exps, self.ctx)
+        yield "heat-spectral-diagonalization", worst_s
+        yield "heat-equation-residual", worst_r
 
-        rep = heat.heat_markov_check(1.0, kern,
-                                     self.kprobes[:10] + self.kprobes_nn, self.ctx,
-                                     g=self.gauss(1.0))
-        for axis, value in (("unit", rep.unit_defect),
-                            ("symmetry", rep.symmetry_defect),
-                            ("contraction", rep.contraction_defect),
-                            ("jensen", rep.jensen_defect),
-                            ("sup", rep.sup_defect)):
-            out.append(gate(f"markov-heat-{axis}",
-                            f"P_t Markov axiom ({axis})",
-                            value, tol(f"markov-heat-{axis}")))
+        yield from _markov("heat", heat.heat_markov_check(
+            1.0, kern, self.mprobes, self.ctx, g=self.gauss(1.0)))
 
-        comp = heat.composition_defect(self.kprobes[0], 1.0, 1.0, kern, self.ctx,
-                                       gauss=self.gauss)
-        out.append(IdentityResult.observe(
-            "heat-composition",
-            "||P_t P_s f - P_{t+s} f|| / ||P_{t+s} f|| (observational)", comp))
-        return out
+        yield "heat-composition", heat.composition_defect(
+            self.kprobes[0], 1.0, 1.0, kern, self.ctx, gauss=self.gauss)
+
+    def _result(self, name: str, residual: float) -> IdentityResult:
+        """The registry row ``name`` applied to its residual."""
+        statement, tol = IDENTITIES[name]
+        residual = float(residual)
+        if tol is None:
+            return IdentityResult(name, statement, residual, None, True, False)
+        tol = self.cfg.tolerances.get(name, tol)
+        return IdentityResult(name, statement, residual, tol, residual <= tol)
 
     def run(self) -> list[IdentityResult]:
-        out = []
-        out.extend(self.check_qseries())
-        out.extend(self.check_lattice())
-        out.extend(self.check_bessel())
-        out.extend(self.check_transform())
-        out.extend(self.check_translation())
-        out.extend(self.check_heat())
-        return out
+        checks = (self.check_qseries, self.check_lattice, self.check_bessel,
+                  self.check_transform, self.check_translation, self.check_heat)
+        return [row if isinstance(row, IdentityResult) else self._result(*row)
+                for check in checks for row in check()]
 
 
 def run_cell(q: float, v: float, n_lo: int, n_hi: int,

@@ -24,7 +24,7 @@ from .bessel import BesselTable, decay_bound_constant, decay_bound_log10
 from .errors import GridMismatch
 from .lattice import GridFn, LatticeGrid, inner, norm2
 from .numerics import TINY
-from .qseries import DEFAULT_CTX, PrecisionCtx, c_qv, c_qv_mp
+from .qseries import DEFAULT_CTX, PrecisionCtx, QParams, c_qv, c_qv_mp
 
 __all__ = [
     "TransformOp",
@@ -116,13 +116,10 @@ class OrthoCheck:
     window: tuple[int, int]
 
 
-def orthogonality_matrix(op: TransformOp,
-                         window: tuple[int, int] | None = None) -> OrthoCheck:
+def orthogonality_matrix(op: TransformOp, window: tuple[int, int]) -> OrthoCheck:
     """Gram-matrix defects of {psi_x} for exponents inside ``window``."""
     grid = op.grid
     q, v = grid.params.q, grid.params.v
-    if window is None:
-        window = trusted_window(grid, op.table)
     lo, hi = window
     wexps = np.arange(lo, hi + 1)
     psi = op.c * op.table.values[(wexps[:, None] + grid.exponents[None, :])
@@ -202,51 +199,58 @@ def _logsum10(log_terms: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.squeeze(m_safe, axis=axis) + np.log10(np.maximum(s, TINY))
 
 
+# Relative bound on the reproducing identity that admits an exponent to the window.
+_TRUST_TOL = 1e-12
+# Lattice-tail exponents summed beyond each end of the grid.
+_TAIL_TERMS = 80
+
+
+def _tail_weight_log10(p: QParams, c: float, s: np.ndarray) -> np.ndarray:
+    """log10 of the lattice-tail weight c^2 (1-q) q^{s(2v+2)} at exponents s."""
+    return (2.0 * math.log10(c) + math.log10(1.0 - p.q)
+            + s * (2.0 * p.v + 2.0) * math.log10(p.q))
+
+
 def trusted_window(grid: LatticeGrid, table: BesselTable | None = None,
-                   ctx: PrecisionCtx = DEFAULT_CTX, tol: float = 1e-12,
-                   tail_terms: int = 80) -> tuple[int, int]:
+                   ctx: PrecisionCtx = DEFAULT_CTX) -> tuple[int, int]:
     """Exponent range where truncation cannot disturb the reproducing identity.
 
     For a unit bump at exponent b the relative L2 residual of F(Ff) = f on
     the truncated lattice is bounded using the two-branch decay envelope of
-    j_v; the window keeps the exponents whose bound stays below ``tol``.
+    j_v; the window keeps the exponents whose bound stays below ``_TRUST_TOL``.
     All bookkeeping runs in log10 space (the raw tail terms overflow/underflow
     binary64 by hundreds of orders of magnitude).
     """
     p = grid.params
-    q, v = p.q, p.v
-    lgq = math.log10(q)
     const = decay_bound_constant(p, ctx)
     c = c_qv(p, ctx)
     exps = grid.exponents.astype(float)
 
     m_tail = np.concatenate([
-        np.arange(grid.n_lo - tail_terms, grid.n_lo, dtype=float),
-        np.arange(grid.n_hi + 1, grid.n_hi + 1 + tail_terms, dtype=float),
+        np.arange(grid.n_lo - _TAIL_TERMS, grid.n_lo, dtype=float),
+        np.arange(grid.n_hi + 1, grid.n_hi + 1 + _TAIL_TERMS, dtype=float),
     ])
     # log10 of c^2 (1-q) q^{m(2v+2)} B(a+m) B(b+m), summed over tail m
-    base = 2.0 * math.log10(c) + math.log10(1.0 - q) + m_tail * (2.0 * v + 2.0) * lgq
+    base = _tail_weight_log10(p, c, m_tail)
     log_b = decay_bound_log10(exps[:, None] + m_tail[None, :], p, const)
     log_terms = base[None, None, :] + log_b[:, None, :] + log_b[None, :, :]
     log_tail = _logsum10(log_terms, axis=2)                        # (N, N): (a, b)
 
-    # (M^2 - I)[a, b] = (1-q) q^{b(2v+2)} * tail(a, b); push through the
-    # weighted L2 norm of column b relative to the unit bump's norm.
-    lg1q = math.log10(1.0 - q)
-    log_err = lg1q + exps[None, :] * (2.0 * v + 2.0) * lgq + log_tail
-    log_rownorm = lg1q + exps[:, None] * (2.0 * v + 2.0) * lgq      # weights on a
-    log_num2 = _logsum10(log_rownorm + 2.0 * log_err, axis=0)       # per column b
-    log_rel = 0.5 * (log_num2 - (lg1q + exps * (2.0 * v + 2.0) * lgq))
+    # (M^2 - I)[a, b] = w_b tail(a, b), w the Jackson weights (1-q) q^{b(2v+2)};
+    # push through the weighted L2 norm of column b relative to the unit bump's.
+    log_w = math.log10(1.0 - p.q) + exps * (2.0 * p.v + 2.0) * math.log10(p.q)
+    log_err = log_w[None, :] + log_tail
+    log_num2 = _logsum10(log_w[:, None] + 2.0 * log_err, axis=0)    # per column b
+    log_rel = 0.5 * (log_num2 - log_w)
 
-    ok = log_rel < math.log10(tol)
+    ok = log_rel < math.log10(_TRUST_TOL)
     if not ok.any():
         raise GridMismatch("no trusted exponents: grid too small for this (q, v)")
     idxs = np.flatnonzero(ok)
     return int(grid.exponents[idxs[0]]), int(grid.exponents[idxs[-1]])
 
 
-def basis_completeness_defect(f: GridFn, op: TransformOp,
-                              window: tuple[int, int] | None = None) -> float:
+def basis_completeness_defect(f: GridFn, op: TransformOp) -> float:
     """Expand f over {psi_x / ||psi_x||} (closed-form norms) and resum.
 
     Returns ||reconstruction - f||_2 / ||f||_2.  The expansion runs over the

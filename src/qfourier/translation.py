@@ -57,7 +57,7 @@ and the exact window cube on the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 from itertools import permutations
 from operator import mul
 
@@ -74,7 +74,15 @@ from .errors import GridMismatch, NotProbability, OffWindow
 from .lattice import GridFn, LatticeGrid, jackson_integral, norm2, sup_norm
 from .numerics import TINY, to_fixed, worst
 from .qseries import DEFAULT_CTX, PrecisionCtx, QParams
-from .transform import TransformOp, _logsum10, basis_fn, build_transform, psi_norm_sq
+from .transform import (
+    _TAIL_TERMS,
+    TransformOp,
+    _logsum10,
+    _tail_weight_log10,
+    basis_fn,
+    build_transform,
+    psi_norm_sq,
+)
 
 __all__ = [
     "Kernel3",
@@ -150,23 +158,25 @@ def _translate_hat(op: TransformOp, x_exp: int, fhat: np.ndarray) -> np.ndarray:
     return op.matrix @ (jx * fhat)
 
 
-def _upper_cutoff(grid: LatticeGrid, c: float, ctx: PrecisionCtx, tol: float,
-                  tail_terms: int = 80) -> int:
-    """Largest exponent whose kernel entries keep their s-integral tail < tol.
+# Tail bound below which an exponent's kernel entries are trusted (upper cutoff).
+_ENTRY_TOL = 1e-12
+# Row-sum defect below which a low exponent joins the kernel window.
+_ROWSUM_TOL = 1e-9
+
+
+def _upper_cutoff(grid: LatticeGrid, c: float, ctx: PrecisionCtx) -> int:
+    """Largest exponent whose kernel entries keep their s-integral tail < _ENTRY_TOL.
 
     Exponents are accepted upward from ``n_lo`` until the first one whose
-    tail bound reaches ``tol``; ``c`` is c_{q,v}.
+    tail bound reaches ``_ENTRY_TOL``; ``c`` is c_{q,v}.
     """
     p = grid.params
-    q, v = p.q, p.v
-    lgq = math.log10(q)
     const = decay_bound_constant(p, ctx)
-    s = np.arange(grid.n_lo - tail_terms, grid.n_lo, dtype=float)
-    base = (2.0 * math.log10(c) + math.log10(1.0 - q)
-            + s * (2.0 * v + 2.0) * lgq + 2.0 * math.log10(const))
+    s = np.arange(grid.n_lo - _TAIL_TERMS, grid.n_lo, dtype=float)
+    base = _tail_weight_log10(p, c, s) + 2.0 * math.log10(const)
     es = np.arange(grid.n_lo, grid.n_hi + 1)
     log_tail = _logsum10(base + decay_bound_log10(es[:, None] + s, p, const))
-    bad = np.flatnonzero(~(log_tail < math.log10(tol)))
+    bad = np.flatnonzero(~(log_tail < math.log10(_ENTRY_TOL)))
     accepted = int(bad[0]) if bad.size else es.size
     return grid.n_lo + max(accepted - 1, 0)
 
@@ -213,8 +223,7 @@ def _window_cube(op: TransformOp, wexps: np.ndarray, ctx: PrecisionCtx) -> np.nd
 
 
 def kernel(grid: LatticeGrid, table: BesselTable, ctx: PrecisionCtx = DEFAULT_CTX,
-           max_width: int = 24, entry_tol: float = 1e-12,
-           rowsum_tol: float = 1e-9) -> Kernel3:
+           max_width: int = 24) -> Kernel3:
     """Tabulate the translation kernel on its trusted window."""
     op = build_transform(grid, table, ctx)
     one_hat = op.matrix @ np.ones(grid.size)
@@ -223,9 +232,9 @@ def kernel(grid: LatticeGrid, table: BesselTable, ctx: PrecisionCtx = DEFAULT_CT
         """|1 - (1-q) sum_z q^{z(2v+2)} D(a, ., z)| over the grid: T_{q,a} 1."""
         return np.abs(1.0 - _translate_hat(op, a, one_hat))
 
-    win_hi = _upper_cutoff(grid, op.c, ctx, entry_tol)
+    win_hi = _upper_cutoff(grid, op.c, ctx)
     win_lo = grid.n_lo + 1
-    while win_lo < win_hi and rowsum_defects(win_lo)[grid.index(win_lo)] > rowsum_tol:
+    while win_lo < win_hi and rowsum_defects(win_lo)[grid.index(win_lo)] > _ROWSUM_TOL:
         win_lo += 1
     win_lo = max(win_lo, win_hi - max_width + 1)
     if win_hi - win_lo + 1 < 3:
@@ -295,15 +304,14 @@ def default_scan_grid(p: QParams) -> LatticeGrid:
     return LatticeGrid(p, n_lo, n_hi)
 
 
-def positivity_min(p: QParams, window: int = 16, ctx: PrecisionCtx = DEFAULT_CTX,
-                   grid: LatticeGrid | None = None) -> PositivityResult:
+def positivity_min(p: QParams, window: int = 16,
+                   ctx: PrecisionCtx = DEFAULT_CTX) -> PositivityResult:
     """Build the kernel for (q, v) and return min D_v over the trusted window.
 
     The sign of the minimum is the finite-window proxy for membership of q in
     the positivity domain; for v < 0 the result is observational only.
     """
-    if grid is None:
-        grid = default_scan_grid(p)
+    grid = default_scan_grid(p)
     table = jv_table(grid, ctx)
     k = kernel(grid, table, ctx, max_width=window)
     mn, arg = kernel_min(k)
@@ -314,7 +322,6 @@ def positivity_min(p: QParams, window: int = 16, ctx: PrecisionCtx = DEFAULT_CTX
 class MarkovReport:
     """Defects of the Markov-operator axioms for a kernel-driven operator."""
 
-    min_kernel: float
     unit_defect: float
     symmetry_defect: float
     contraction_defect: float
@@ -322,8 +329,7 @@ class MarkovReport:
     sup_defect: float
 
     def worst(self) -> float:
-        return worst(self.unit_defect, self.symmetry_defect,
-                     self.contraction_defect, self.jensen_defect, self.sup_defect)
+        return worst(*astuple(self))
 
 
 def _markov_defects(apply_op, k: Kernel3, probes: list[GridFn],
@@ -343,9 +349,7 @@ def _markov_defects(apply_op, k: Kernel3, probes: list[GridFn],
     for (f, tf), (g, tg) in zip(zip(probes, images), zip(probes[1:], images[1:])):
         defect = abs(_inner(tf, g) - _inner(f, tg))
         symmetry = worst(symmetry, defect / max(norm2(f) * norm2(g), TINY))
-    mn, _ = kernel_min(k)
     return MarkovReport(
-        min_kernel=mn,
         unit_defect=unit_defect,
         symmetry_defect=float(symmetry),
         contraction_defect=float(contraction),
@@ -359,8 +363,7 @@ def _spread_exponents(k: Kernel3, count: int = 5) -> list[int]:
     return sorted({int(k.window_exponents[int(round(i))]) for i in pos})
 
 
-def markov_check(k: Kernel3, probes: list[GridFn],
-                 x_exps: list[int] | None = None) -> MarkovReport:
+def markov_check(k: Kernel3, probes: list[GridFn]) -> MarkovReport:
     """Markov-axiom defects for the translations {T_{q,x}} at window x values.
 
     The unit fixed point is evaluated at window y exponents (beyond them the
@@ -368,8 +371,7 @@ def markov_check(k: Kernel3, probes: list[GridFn],
     not the operator); symmetry, contraction, Jensen and the sup bound are
     probed with window-supported functions over the full grid.
     """
-    if x_exps is None:
-        x_exps = _spread_exponents(k)
+    x_exps = _spread_exponents(k)
     for f in probes:
         if not k.in_window(f):
             raise OffWindow("markov probes must be supported inside the kernel window")
@@ -380,14 +382,8 @@ def markov_check(k: Kernel3, probes: list[GridFn],
         _markov_defects(lambda f, _x=x: translate(f, int(_x), k), k, probes, units)
         for x in x_exps
     ]
-    return MarkovReport(
-        min_kernel=reports[0].min_kernel,
-        unit_defect=reports[0].unit_defect,
-        symmetry_defect=worst(*(r.symmetry_defect for r in reports)),
-        contraction_defect=worst(*(r.contraction_defect for r in reports)),
-        jensen_defect=worst(*(r.jensen_defect for r in reports)),
-        sup_defect=worst(*(r.sup_defect for r in reports)),
-    )
+    # Each axis's worst over x; the unit defect is the same in every report.
+    return MarkovReport(*(worst(*axis) for axis in zip(*map(astuple, reports))))
 
 
 def _check_probability(rho: GridFn, k: Kernel3, tol: float = 1e-10) -> None:
@@ -402,16 +398,15 @@ def markov_check_convolution(rho: GridFn, k: Kernel3,
                              probes: list[GridFn]) -> MarkovReport:
     """Markov-axiom defects for K: f -> f *_q rho, rho a probability density."""
     _check_probability(rho, k)
-    # Unit fixed point and induced-kernel minimum on window x rows: row x is
-    # T_{q,x} rho = int D(x, y, .) rho(y) dy, and (1 * rho)(x) = c int row.
+    # Unit fixed point on window x rows: row x is T_{q,x} rho =
+    # int D(x, y, .) rho(y) dy, and (1 * rho)(x) = c int row.
     rows = np.array([translate(rho, int(x), k).values for x in k.window_exponents])
     units = k.c * (rows @ k.grid.weights())
 
     def apply_op(f: GridFn) -> GridFn:
         return convolve(f, rho, k)
 
-    return replace(_markov_defects(apply_op, k, probes, units),
-                   min_kernel=k.c * float(np.min(rows)))
+    return _markov_defects(apply_op, k, probes, units)
 
 
 def _basis_values(k: Kernel3, n: int) -> np.ndarray:
@@ -465,9 +460,8 @@ def _expansion_term_envelope(k: Kernel3, ctx: PrecisionCtx = DEFAULT_CTX) -> np.
     p = k.grid.params
     const = decay_bound_constant(p, ctx)
     ns = k.grid.exponents.astype(float)
-    base = (2.0 * math.log10(k.c) + math.log10(1.0 - p.q)
-            + ns * (2.0 * p.v + 2.0) * math.log10(p.q))
-    return base + 3.0 * decay_bound_log10(ns + k.window_hi, p, const)
+    return (_tail_weight_log10(p, k.c, ns)
+            + 3.0 * decay_bound_log10(ns + k.window_hi, p, const))
 
 
 def hypergroup_window(k: Kernel3, width: int,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qfourier.qseries import PrecisionCtx, QParams
-from qfourier.report import SuiteConfig, run_suite
+from qfourier.report import IDENTITIES, SuiteConfig, run_suite
 from qfourier.translation import positivity_min
 
 
@@ -136,3 +136,17 @@ def test_every_gated_identity_passes(suite):
         for cell in suite.cells for r in cell.identities if not r.passed
     ]
     assert not failures, f"failed identities: {failures}"
+
+
+def test_registry_covers_the_default_suite(suite):
+    """Every reported identity is a registry row, written as the row says, and
+    every row is reported: the oracle row in the q = 1/2 cells only."""
+    for cell in suite.cells:
+        names = [r.name for r in cell.identities]
+        assert len(names) == len(set(names))
+        for r in cell.identities:
+            assert (r.statement, r.tolerance) == IDENTITIES[r.name]
+            assert r.gated == (r.tolerance is not None)
+        expected = set(IDENTITIES) - ({"bessel-oracle-agreement"} if cell.q != 0.5 else set())
+        assert set(names) == expected, f"q={cell.q}, v={cell.v}"
+    assert any(cell.q != 0.5 for cell in suite.cells)

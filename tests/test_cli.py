@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from qfourier.cli import main
 from qfourier.lattice import LatticeGrid, load_csv, save_csv
 from qfourier.probes import seeded_probes
 from qfourier.qseries import QParams
+from qfourier.report import SuiteConfig
 
 CELL = ["--q", "0.5", "--v", "0.5", "--nlo", "-10", "--nhi", "40"]
 
@@ -87,6 +89,29 @@ class TestCheck:
                     assert r["passed"] == (r["residual"] <= r["tolerance"])
                 else:
                     assert r["tolerance"] is None
+
+
+class TestToleranceOverrides:
+    """--tolerance and SuiteConfig.tolerances accept gated registry names only."""
+
+    BAD = [("kernel-postivity", 1e-30),      # misspelt: no such identity
+           ("heat-composition", 1.0),        # observational: nothing to gate
+           ("transform-inversion", math.nan),
+           ("transform-inversion", -1.0)]
+
+    @pytest.mark.parametrize("name, tol", BAD)
+    def test_suite_config_rejects(self, name, tol):
+        with pytest.raises(ValueError, match=name):
+            SuiteConfig(tolerances={name: tol})
+
+    @pytest.mark.parametrize("name, tol", BAD)
+    def test_cli_exit_2(self, name, tol, capsys):
+        assert main(["check", *CELL, "--tolerance", f"{name}={tol}"]) == 2
+        assert name in capsys.readouterr().err
+
+    def test_gated_override_is_accepted(self):
+        cfg = SuiteConfig(tolerances={"transform-inversion": 1e-6})
+        assert cfg.tolerances == {"transform-inversion": 1e-6}
 
 
 class TestTransform:

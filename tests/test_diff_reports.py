@@ -41,3 +41,18 @@ def test_decades_and_flip(tmp_path, capsys):
     assert changed
     assert "  WINDOW kernel_window: [-7, 3] -> [-6, 3]" in lines
     assert math.isnan(diff_reports.decades(math.nan, 1.0))
+
+
+def test_identity_in_one_report_sets_exit_status(tmp_path, capsys):
+    # A refactor that drops an identity must not pass the diff.
+    before = _report([("a", 1e-15, True), ("b", 1e-10, True)])
+    after = _report([("a", 1e-15, True)])
+    paths = []
+    for name, rep in (("before.json", before), ("after.json", after)):
+        (tmp_path / name).write_text(json.dumps(rep))
+        paths.append(str(tmp_path / name))
+
+    assert diff_reports.main(paths) == 1
+    assert "  b: only in before" in capsys.readouterr().out
+    assert diff_reports.main(paths[::-1]) == 1
+    assert "  b: only in after" in capsys.readouterr().out

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfourier import heat
+from qfourier import heat, qseries
 from qfourier.heat import (
     GaussKernel,
     composition_defect,
@@ -67,8 +67,7 @@ class TestGaussKernel:
 
     def test_closed_form_vs_transform_hp(self, cell_half):
         worst = max(
-            gauss_crosscheck_hp(t, cell_half.grid, cell_half.table, CTX,
-                                cell_half.window)
+            gauss_crosscheck_hp(t, cell_half.op, CTX, cell_half.window)
             for t in heat_times(cell_half.p.q)
         )
         assert worst < 1e-8
@@ -149,6 +148,25 @@ class TestCellMemo:
         assert report.passed
         assert calls
         assert len(calls) == len(set(calls))
+
+    def test_two_c_qv_evaluations_per_cell(self, monkeypatch):
+        # build_transform and trusted_window evaluate c_{q,v}; the
+        # high-precision Gauss cross-check reads the transform's op.c_mp.
+        import sys
+
+        calls = []
+        original = qseries.c_qv_mp
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qfourier") and getattr(module, "c_qv_mp", None) is original:
+                monkeypatch.setattr(module, "c_qv_mp", counting)
+        cfg = SuiteConfig(cells=((0.5, 0.5, -10, 40),), probes=10)
+        assert run_cell(0.5, 0.5, -10, 40, cfg).passed
+        assert len(calls) == 2
 
 
 class TestHeatFlow:

@@ -242,10 +242,10 @@ class TestSeriesAgreementGate:
 
         from qfourier.report import SuiteConfig, _CellRunner
 
-        # check_qseries reads only the cell's q, v, precision and tolerances.
+        # check_qseries reads only the cell's q, v and precision.
         cell = SimpleNamespace(p=QParams(q, 0.5), ctx=CTX, cfg=SuiteConfig())
         rows = _CellRunner.check_qseries(cell)
-        return next(r.residual for r in rows if r.name == "qexp-series-agreement")
+        return dict(rows)["qexp-series-agreement"]
 
     def test_passes_at_q09(self):
         # With 61 terms the truncation alone read 1.9e-11 against 1e-12.

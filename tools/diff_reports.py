@@ -7,9 +7,10 @@ Cells are matched by (q, v, n_lo, n_hi) and identities by name.  Each
 identity present in both reports gets one line: its residual before and
 after, the change in log10 of the residual, in decades (``+inf`` when a
 zero residual becomes non-zero), and its status on both sides, with
-``FLIP`` marking a pass/fail change.  Changed windows and identities found
-in only one report are printed too.  Exit status: 1 if any identity flips
-or any window changes, else 0.  Standard library only.
+``FLIP`` marking a pass/fail change.  Changed windows, and cells and
+identities found in only one report, are printed too.  Exit status: 1 if any
+identity flips, any window changes, or any cell or identity is in only one
+report, else 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def _status(r: dict) -> str:
 
 
 def diff(before: dict, after: dict) -> tuple[list[str], bool]:
-    """Printable lines and whether any identity flipped or window changed."""
+    """Printable lines and whether anything the exit status counts changed."""
     old, new = _cells(before), _cells(after)
     lines, changed = [], False
     for key in sorted(old.keys() | new.keys()):
@@ -68,6 +69,7 @@ def diff(before: dict, after: dict) -> tuple[list[str], bool]:
         for name in sorted(ids0.keys() | ids1.keys()):
             if name not in ids0 or name not in ids1:
                 lines.append(f"  {name}: only in {'before' if name in ids0 else 'after'}")
+                changed = True
                 continue
             r0, r1 = ids0[name], ids1[name]
             d = decades(r0["residual"], r1["residual"])
