@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import mpmath as mp
 import numpy as np
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import PrecisionExhausted
 from .lattice import LatticeGrid
 from .numerics import ulps, worst
-from .qseries import DEFAULT_CTX, PrecisionCtx, QParams, q2_exact, qpoch_inf_mp
+from .qseries import DEFAULT_CTX, PrecisionCtx, QParams, c_qv_mp, q2_exact, qpoch_inf_mp
 
 __all__ = [
     "BesselTable",
@@ -138,7 +139,9 @@ class BesselTable:
 
     Values are generated on the high-precision path and rounded once; the
     mpf originals are kept for consumers that must difference them without
-    catastrophic rounding.
+    catastrophic rounding.  The table also carries the two constants every
+    operator on it reads, c_{q,v} and the decay-bound constant C, each
+    evaluated once, on first use, at the table's precision.
     """
 
     params: QParams
@@ -159,9 +162,30 @@ class BesselTable:
     def mp_value(self, n: int):
         return self.mp_values[self.index(n)]
 
-    def hankel(self, exps: np.ndarray) -> np.ndarray:
-        """Matrix j_v(q^{n+m}) for n down ``exps`` and m across it."""
-        return self.values[(exps[:, None] + exps[None, :]) - self.n_min]
+    def row(self, lo: int, hi: int, hp: bool = False):
+        """j_v(q^e) for e = lo..hi: binary64 (a view), or with ``hp`` the mp values.
+
+        Row x of the Hankel block j_v(q^{x+n}) is ``row(x + n_lo, x + n_hi)``.
+        A range off the table raises IndexError instead of wrapping around.
+        """
+        if not (self.n_min <= lo and hi <= self.n_max):
+            raise IndexError(f"exponents [{lo}, {hi}] outside table [{self.n_min}, {self.n_max}]")
+        a, b = lo - self.n_min, hi - self.n_min + 1
+        return self.mp_values[a:b] if hp else self.values[a:b]
+
+    @cached_property
+    def c_mp(self) -> mp.mpf:
+        """c_{q,v} at working precision."""
+        return c_qv_mp(self.params, self.ctx)
+
+    @cached_property
+    def c(self) -> float:
+        return float(self.c_mp)
+
+    @cached_property
+    def decay_const(self) -> float:
+        """C of :func:`decay_bound_constant`."""
+        return decay_bound_constant(self.params, self.ctx)
 
 
 def _sweep(p: QParams, n_start: int, n_max: int, dps: int) -> list:
@@ -264,10 +288,10 @@ class DecayCheck:
         return self.max_ratio <= 1.0 + self.tolerance
 
 
-def decay_bound_check(table: BesselTable, ctx: PrecisionCtx = DEFAULT_CTX) -> DecayCheck:
+def decay_bound_check(table: BesselTable) -> DecayCheck:
     """Check |j_v(q^n)| against the two-branch decay bound at every table point."""
     p = table.params
-    const = decay_bound_constant(p, ctx)
+    const = table.decay_const
     exps = np.arange(table.n_min, table.n_max + 1, dtype=float)
     log_bound = decay_bound_log10(exps, p, const)
     with np.errstate(divide="ignore"):

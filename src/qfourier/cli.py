@@ -28,7 +28,7 @@ from . import __version__
 from .bessel import jv_table
 from .errors import ParseError, PrecisionExhausted, QFourierError
 from .heat import gauss_mass_defect, gauss_memo, heat_apply, heat_residual
-from .lattice import GridFn, LatticeGrid, delta_fn, load_csv, save_csv
+from .lattice import LatticeGrid, delta_fn, load_csv, save_csv
 from .qseries import PrecisionCtx, QParams
 from .report import (
     DEFAULT_CELLS,
@@ -36,6 +36,7 @@ from .report import (
     report_to_json,
     run_suite,
 )
+from .transform import build_transform, forward
 from .translation import default_scan_grid, kernel, positivity_min, translate
 
 EXIT_OK = 0
@@ -70,13 +71,25 @@ def _add_grid_flags(sub: argparse.ArgumentParser, required_q: bool = True) -> No
     sub.add_argument("--nhi", type=int, default=None, help="highest lattice exponent")
 
 
-def _grid_from_args(args) -> LatticeGrid:
-    p = QParams(args.q, args.v)
-    if args.nlo is not None and args.nhi is not None:
-        return LatticeGrid(p, args.nlo, args.nhi)
-    if args.nlo is not None or args.nhi is not None:
+def _grid_from_args(args) -> QParams | LatticeGrid | None:
+    """The grid the flags name, else their bare (q, v) (v 0.5 if omitted), else None.
+
+    --nlo and --nhi come together, and with --q, as --v does; a half exits 2.
+    """
+    if (args.nlo is None) != (args.nhi is None):
         raise ParseError("--nlo and --nhi must be given together")
-    return default_scan_grid(p)
+    if args.q is None:
+        if args.v is not None or args.nlo is not None:
+            raise ParseError("--v, --nlo and --nhi need --q")
+        return None
+    p = QParams(args.q, 0.5 if args.v is None else args.v)
+    return p if args.nlo is None else LatticeGrid(p, args.nlo, args.nhi)
+
+
+def _scan_grid(args) -> LatticeGrid | None:
+    """The flags' grid, the default scan grid of their (q, v), or None."""
+    g = _grid_from_args(args)
+    return default_scan_grid(g) if isinstance(g, QParams) else g
 
 
 def _ctx_from_args(args) -> PrecisionCtx:
@@ -92,16 +105,6 @@ def _value_to_exponent(x: float, grid: LatticeGrid) -> int:
     return int(n)
 
 
-def _load_gridfn(path: str, args) -> tuple[LatticeGrid, GridFn]:
-    """Read a CSV grid function; grid range is inferred when flags omit it."""
-    p = QParams(args.q, args.v)
-    if args.nlo is not None and args.nhi is not None:
-        f = load_csv(path, LatticeGrid(p, args.nlo, args.nhi))
-    else:
-        f = load_csv(path, p)
-    return f.grid, f
-
-
 def cmd_check(args) -> int:
     tolerances = {}
     if args.tolerance:
@@ -110,16 +113,8 @@ def cmd_check(args) -> int:
             if not val:
                 raise ParseError(f"--tolerance wants NAME=VALUE, got {spec_!r}")
             tolerances[name] = float(val)
-    if args.q is not None:
-        v = args.v if args.v is not None else 0.5
-        p = QParams(args.q, v)
-        if args.nlo is not None and args.nhi is not None:
-            cells = ((args.q, v, args.nlo, args.nhi),)
-        else:
-            g = default_scan_grid(p)
-            cells = ((args.q, v, g.n_lo, g.n_hi),)
-    else:
-        cells = DEFAULT_CELLS
+    g = _scan_grid(args)
+    cells = DEFAULT_CELLS if g is None else ((g.params.q, g.params.v, g.n_lo, g.n_hi),)
     cfg = SuiteConfig(
         cells=cells,
         work_digits=args.digits,
@@ -148,18 +143,15 @@ def cmd_check(args) -> int:
 
 def cmd_transform(args) -> int:
     ctx = _ctx_from_args(args)
-    grid, f = _load_gridfn(args.infile, args)
-    from .transform import build_transform, forward
-
-    table = jv_table(grid, ctx)
-    op = build_transform(grid, table, ctx)
+    f = load_csv(args.infile, _grid_from_args(args))  # the file's range without --nlo/--nhi
+    op = build_transform(f.grid, jv_table(f.grid, ctx), ctx)
     save_csv(forward(f, op), args.outfile)
     return EXIT_OK
 
 
 def cmd_kernel(args) -> int:
     ctx = _ctx_from_args(args)
-    grid = _grid_from_args(args)
+    grid = _scan_grid(args)
     table = jv_table(grid, ctx)
     k = kernel(grid, table, ctx, max_width=args.window)
     x_exp = _value_to_exponent(args.x, grid)
@@ -207,7 +199,8 @@ def cmd_scan_positivity(args) -> int:
 
 def cmd_heat(args) -> int:
     ctx = _ctx_from_args(args)
-    grid, f = _load_gridfn(args.infile, args)
+    f = load_csv(args.infile, _grid_from_args(args))
+    grid = f.grid
     table = jv_table(grid, ctx)
     k = kernel(grid, table, ctx)
     gauss = gauss_memo(grid, ctx)

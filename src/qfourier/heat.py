@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import mpmath as mp
 import numpy as np
@@ -31,7 +32,6 @@ from .qseries import (
     PrecisionCtx,
     gauss_amplitude_mp,
     q2_exact,
-    qexp,
     qexp_lattice_mp,
     qexp_mp,
 )
@@ -60,7 +60,8 @@ class GaussKernel:
     """q-Gauss kernel at time t, sampled on a grid; strictly positive.
 
     ``mp_values`` keeps the working-precision values that ``fn`` rounds once,
-    for checks that must not lose them to binary64.
+    for checks that must not lose them to binary64.  The kernel's transform
+    side, the e-profile y -> e(-t y^2; q^2), is built on first use.
     """
 
     t: float
@@ -68,6 +69,17 @@ class GaussKernel:
     amplitude: float
     fn: GridFn = field(repr=False)
     mp_values: list = field(repr=False)
+    ctx: PrecisionCtx = field(default=DEFAULT_CTX, repr=False)
+
+    @cached_property
+    def eprofile_mp(self) -> list:
+        """e(-t q^{2n}; q^2) over the grid's exponents, at working precision."""
+        return _eprofile_mp(self.t, self.grid, self.ctx)
+
+    @cached_property
+    def eprofile(self) -> GridFn:
+        """``eprofile_mp`` rounded once to binary64."""
+        return GridFn(self.grid, np.array([float(e) for e in self.eprofile_mp]))
 
 
 # A lookup t -> G(., t) on one grid.
@@ -99,7 +111,13 @@ def gauss_kernel(t: float, grid: LatticeGrid,
         zs = _lattice_points(_gauss_prefactor(t, grid), grid)
         mp_vals = [amp * e for e in qexp_lattice_mp(zs, q2_exact(grid.params.q), ctx)]
     vals = np.array([float(x) for x in mp_vals])
-    return GaussKernel(t, grid, float(amp), GridFn(grid, vals), mp_vals)
+    return GaussKernel(t, grid, float(amp), GridFn(grid, vals), mp_vals, ctx)
+
+
+def _eprofile_mp(t: float, grid: LatticeGrid, ctx: PrecisionCtx) -> list:
+    """y -> e(-t y^2; q^2) on the grid: one product and the lattice recurrence."""
+    with mp.workdps(ctx.work_digits + 10):
+        return qexp_lattice_mp(_lattice_points(mp.mpf(t), grid), q2_exact(grid.params.q), ctx)
 
 
 def gauss_memo(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> GaussLookup:
@@ -141,14 +159,6 @@ def gauss_mass_defect(g: GaussKernel, c: float) -> float:
     return abs(c * norm_p(g.fn, 1.0) - 1.0)
 
 
-def _eprofile(t: float, grid: LatticeGrid, ctx: PrecisionCtx) -> GridFn:
-    """y -> e(-t y^2, q^2) sampled on the grid."""
-    q2 = grid.params.q ** 2
-    vals = np.array([qexp(-t * grid.x(int(n)) ** 2, q2, ctx)
-                     for n in grid.exponents])
-    return GridFn(grid, vals)
-
-
 # Shares of the kernel's sup below which the cross-checks skip a row.
 _FLOAT_GUARD = 1e-6
 _HP_GUARD = 1e-12
@@ -163,10 +173,9 @@ def gauss_crosscheck(t: float, op: TransformOp, ctx: PrecisionCtx,
     produced by near-total cancellation of the quadrature and binary64 cannot
     represent the comparison; the high-precision twin covers those rows).
     """
-    grid = op.grid
     if g is None:
-        g = gauss_kernel(t, grid, ctx)
-    ff = forward(_eprofile(t, grid, ctx), op)
+        g = gauss_kernel(t, op.grid, ctx)
+    ff = forward(g.eprofile, op)
     sup = float(np.max(np.abs(g.fn.values)))
     rows = [(ff[n], g.fn[n]) for n in range(window[0], window[1] + 1)]
     return worst(*(abs(a - b) / abs(b) for a, b in rows if abs(b) >= _FLOAT_GUARD * sup))
@@ -181,21 +190,17 @@ def gauss_crosscheck_hp(t: float, op: TransformOp, ctx: PrecisionCtx,
     cancellation; only rows where the closed form drops below ``_HP_GUARD`` of
     the kernel's sup are skipped (there the *lattice truncation* floor of the
     quadrature, not arithmetic, is what remains).  The closed form is the
-    working-precision values of ``g``; the e-profile comes from the same
-    lattice recurrence, and c_{q,v} is the transform's ``op.c_mp``.
+    working-precision values of ``g``, the e-profile ``g.eprofile_mp``, and
+    c_{q,v} the transform's ``op.c_mp``.
     """
-    grid, table = op.grid, op.table
-    p = grid.params
+    grid, p = op.grid, op.grid.params
     if g is None:
         g = gauss_kernel(t, grid, ctx)
     with mp.workdps(ctx.work_digits + 10):
         qm = mp.mpf(p.q)
-        exps = [int(n) for n in grid.exponents]
-        eprof = qexp_lattice_mp(_lattice_points(mp.mpf(t), grid), q2_exact(p.q), ctx)
         # Jackson weight times e-profile, once per grid point.
-        we = [(1 - qm) * qm ** (n * (2 * mp.mpf(p.v) + 2)) * e
-              for n, e in zip(exps, eprof)]
-        off = table.n_min
+        we = [(1 - qm) * qm ** (int(n) * (2 * mp.mpf(p.v) + 2)) * e
+              for n, e in zip(grid.exponents, g.eprofile_mp)]
         closed = {x: g.mp_values[grid.index(x)]
                   for x in range(window[0], window[1] + 1)}
         sup = max(abs(val) for val in closed.values())
@@ -203,8 +208,7 @@ def gauss_crosscheck_hp(t: float, op: TransformOp, ctx: PrecisionCtx,
         for x, cval in closed.items():
             if abs(cval) < _HP_GUARD * sup:
                 continue
-            jrow = table.mp_values[x + exps[0] - off:x + exps[-1] - off + 1]
-            row = mp.fdot(we, jrow) * op.c_mp
+            row = mp.fdot(we, op.table.row(x + grid.n_lo, x + grid.n_hi, hp=True)) * op.c_mp
             gaps.append(float(abs(row - cval) / abs(cval)))
         return worst(*gaps)
 
@@ -243,14 +247,14 @@ def heat_residual(f: GridFn, t: float, k: Kernel3,
     return worst(*(abs(du[n] - rhs[grid.index(n)]) / (1.0 + abs(du[n])) for n in rows))
 
 
-def heat_spectral_defect(f: GridFn, t: float, k: Kernel3, op: TransformOp,
-                         ctx: PrecisionCtx, window: tuple[int, int],
-                         g: GaussKernel | None = None) -> float:
+def heat_spectral_defect(f: GridFn, t: float, k: Kernel3, ctx: PrecisionCtx,
+                         window: tuple[int, int], g: GaussKernel | None = None) -> float:
     """|| F(P_t f) - e(-t x^2) . Ff ||_2 / || e(-t x^2) . Ff ||_2 on trusted rows."""
     grid = k.grid
-    u = heat_apply(f, t, k, ctx, g=g)
-    lhs = forward(u, op)
-    rhs = _eprofile(t, grid, ctx).values * forward(f, op).values
+    if g is None:
+        g = gauss_kernel(t, grid, ctx)
+    lhs = forward(heat_apply(f, t, k, ctx, g=g), k.op)
+    rhs = g.eprofile.values * forward(f, k.op).values
     sel = [grid.index(n) for n in range(window[0], window[1] + 1)]
     w = grid.weights()[sel]
     num = math.sqrt(float(w @ (lhs.values[sel] - rhs[sel]) ** 2))

@@ -62,9 +62,6 @@ class LatticeGrid:
         """Lattice point q^n (recomputed, never stored)."""
         return self.params.q ** n
 
-    def points(self) -> np.ndarray:
-        return np.asarray([self.x(int(n)) for n in self.exponents])
-
     def index(self, n: int) -> int:
         """Vector index of exponent n."""
         if not (self.n_lo <= n <= self.n_hi):

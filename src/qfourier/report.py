@@ -88,7 +88,6 @@ IDENTITIES: dict[str, tuple[str, float | None]] = {
     "basis-completeness": ("f = sum_x <f, psi_x> psi_x / ||psi_x||^2", 1e-9),
     "delta-multiplier": ("F[Delta f](x) = -x^2 Ff(x)", 1e-8),
     "kernel-symmetry": ("D(x,y,z) invariant under argument permutations", 0.0),
-    "kernel-row-sums": ("(1-q) sum_z q^{z(2v+2)} D(x,y,z) = 1", 1e-8),
     "kernel-transform-projection": (
         "int D(x,y,z) j_v(xt) x^{2v+1} d_q x = j_v(yt) j_v(zt)", 1e-8),
     # Gated for v >= 0 only; a v < 0 cell reports its raw minimum instead.
@@ -316,7 +315,7 @@ class _CellRunner:
     # ---------------- Bessel identities ----------------
 
     def check_bessel(self) -> Rows:
-        chk = bessel.decay_bound_check(self.table, self.ctx)
+        chk = bessel.decay_bound_check(self.table)
         yield "bessel-decay-bound", max(0.0, chk.max_ratio - 1.0)
 
         yield "bessel-eigen-relation", worst(*(
@@ -373,7 +372,6 @@ class _CellRunner:
             float(np.max(np.abs(kern.cube - kern.cube.transpose(perm))))
             for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
         ))
-        yield "kernel-row-sums", kern.max_rowsum_defect
         yield "kernel-transform-projection", self._projection_defect()
 
         mn, _ = translation.kernel_min(kern)
@@ -408,9 +406,9 @@ class _CellRunner:
 
         yield "hypergroup-expansion", translation.hypergroup_expansion_defect(kern)
         d14 = translation.hypergroup_expansion_defect(
-            kern, translation.hypergroup_window(kern, 14, self.ctx))
+            kern, translation.hypergroup_window(kern, 14))
         d20 = translation.hypergroup_expansion_defect(
-            kern, translation.hypergroup_window(kern, 20, self.ctx))
+            kern, translation.hypergroup_window(kern, 20))
         yield "hypergroup-window-growth", max(0.0, d20 - d14)
 
     def _projection_defect(self) -> float:
@@ -423,8 +421,7 @@ class _CellRunner:
             # D(., y, z) over x
             dyz = translation.translate(lattice.delta_fn(grid, z), y, kern).values
             for t in (-1, 0, 2):
-                jt = table.values[(t + grid.exponents) - table.n_min]
-                lhs = float((w * jt) @ dyz)
+                lhs = float((w * table.row(t + grid.n_lo, t + grid.n_hi)) @ dyz)
                 rhs = table.value(t + z) * table.value(t + y)
                 res = worst(res, abs(lhs - rhs) / max(abs(rhs), 1e-6))
         return res
@@ -452,15 +449,11 @@ class _CellRunner:
         yield "convolution-commutativity", comm
         yield "convolution-product-formula", prod
 
-    def _bump_density(self) -> GridFn:
-        """delta-bump probability density rho = delta_q(., 1) / c."""
-        d = lattice.delta_fn(self.grid, 0)
-        return GridFn(self.grid, d.values / self.c)
-
     def _check_multiplier(self) -> Rows:
         kern, grid = self.kern, self.grid
 
-        rho = self._bump_density()
+        # The delta-bump probability density rho = delta_q(., 1) / c.
+        rho = GridFn(grid, lattice.delta_fn(grid, 0).values / self.c)
         ns, coeffs = translation.multiplier_coeffs(rho, kern)
         expected = np.array([self.table.value(int(n)) for n in ns])
         yield "multiplier-bump-coefficients", float(np.max(np.abs(coeffs - expected)))
@@ -478,8 +471,7 @@ class _CellRunner:
 
         g = self.gauss(1.0)
         ns, coeffs = translation.multiplier_coeffs(g.fn, kern)
-        eprof = heat._eprofile(1.0, grid, self.ctx)
-        expected = np.array([eprof[int(n)] for n in ns])
+        expected = np.array([g.eprofile[int(n)] for n in ns])
         sup = float(np.max(np.abs(expected)))
         mask = np.abs(expected) >= 1e-6 * sup
         yield "multiplier-gauss-coefficients", float(np.max(
@@ -500,7 +492,7 @@ class _CellRunner:
                 t, self.op, self.ctx, self.window, g=g))
             for f in self.kprobes[:3]:
                 worst_s = worst(worst_s, heat.heat_spectral_defect(
-                    f, t, kern, self.op, self.ctx, self.window, g=g))
+                    f, t, kern, self.ctx, self.window, g=g))
                 worst_r = worst(worst_r, heat.heat_residual(
                     f, t, kern, self.ctx, self.window, gauss=self.gauss))
         yield "gauss-transform-consistency", worst_f

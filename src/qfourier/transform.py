@@ -19,12 +19,13 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .bessel import BesselTable, decay_bound_constant, decay_bound_log10
+from .bessel import BesselTable, decay_bound_log10
 from .errors import GridMismatch
 from .lattice import GridFn, LatticeGrid, inner, norm2
 from .numerics import TINY
-from .qseries import DEFAULT_CTX, PrecisionCtx, QParams, c_qv, c_qv_mp
+from .qseries import DEFAULT_CTX, PrecisionCtx, QParams
 
 __all__ = [
     "TransformOp",
@@ -46,33 +47,45 @@ __all__ = [
 
 @dataclass
 class TransformOp:
-    """Materialized transform matrix together with its building blocks."""
+    """Materialized transform matrix together with its building blocks.
+
+    c_{q,v} (``c``, and ``c_mp`` at working precision) is the table's.
+    """
 
     grid: LatticeGrid
     table: BesselTable
-    c: float
-    c_mp: mp.mpf = field(repr=False)         # c_{q,v} at working precision; c = float(c_mp)
     kernel: np.ndarray = field(repr=False)   # c (1-q) j_v(q^{n+m}), Hankel block
     weights: np.ndarray = field(repr=False)  # q^{m(2v+2)}
     matrix: np.ndarray = field(repr=False)   # kernel * weights (columns)
 
+    @property
+    def c(self) -> float:
+        return self.table.c
+
+    @property
+    def c_mp(self) -> mp.mpf:
+        return self.table.c_mp
+
+
+def _check_table(grid: LatticeGrid, table: BesselTable) -> None:
+    """Raise GridMismatch unless ``table`` is j_v of the grid's (q, v) on [2 n_lo, 2 n_hi]."""
+    if table.params != grid.params or table.n_min > 2 * grid.n_lo or table.n_max < 2 * grid.n_hi:
+        raise GridMismatch(f"table {table.params} on [{table.n_min}, {table.n_max}] does not "
+                           f"cover {grid.params} on [{2 * grid.n_lo}, {2 * grid.n_hi}]")
+
 
 def build_transform(grid: LatticeGrid, table: BesselTable,
                     ctx: PrecisionCtx = DEFAULT_CTX) -> TransformOp:
-    """Assemble the transform matrix from a shared Bessel table."""
-    if table.n_min > 2 * grid.n_lo or table.n_max < 2 * grid.n_hi:
-        raise GridMismatch(
-            f"table [{table.n_min}, {table.n_max}] does not cover "
-            f"[{2 * grid.n_lo}, {2 * grid.n_hi}]"
-        )
+    """Assemble the transform matrix from a shared Bessel table (``ctx`` is not read)."""
+    _check_table(grid, table)
     q, v = grid.params.q, grid.params.v
-    c_mp = c_qv_mp(grid.params, ctx)
-    c = float(c_mp)
     exps = grid.exponents
-    kernel = (c * (1.0 - q)) * table.hankel(exps)
+    # [n, m] = j_v(q^{n+m}): overlapping windows of one row.
+    hankel = sliding_window_view(table.row(2 * grid.n_lo, 2 * grid.n_hi), grid.size)
+    kernel = (table.c * (1.0 - q)) * hankel
     weights = np.power(q, exps.astype(float) * (2.0 * v + 2.0))
     matrix = kernel * weights[None, :]
-    return TransformOp(grid, table, c, c_mp, kernel, weights, matrix)
+    return TransformOp(grid, table, kernel, weights, matrix)
 
 
 def forward(f: GridFn, op: TransformOp) -> GridFn:
@@ -84,9 +97,7 @@ def forward(f: GridFn, op: TransformOp) -> GridFn:
 
 def basis_fn(op: TransformOp, x_exp: int) -> GridFn:
     """Basis function psi_x(t) = c_{q,v} j_v(x t, q^2) at x = q^{x_exp}."""
-    exps = op.grid.exponents
-    vals = op.c * op.table.values[(x_exp + exps) - op.table.n_min]
-    return GridFn(op.grid, vals)
+    return GridFn(op.grid, op.c * op.table.row(x_exp + op.grid.n_lo, x_exp + op.grid.n_hi))
 
 
 def psi_norm_sq(grid: LatticeGrid, x_exp: int) -> float:
@@ -122,8 +133,7 @@ def orthogonality_matrix(op: TransformOp, window: tuple[int, int]) -> OrthoCheck
     q, v = grid.params.q, grid.params.v
     lo, hi = window
     wexps = np.arange(lo, hi + 1)
-    psi = op.c * op.table.values[(wexps[:, None] + grid.exponents[None, :])
-                                 - op.table.n_min]
+    psi = np.array([basis_fn(op, int(x)).values for x in wexps])
     gram = (psi * grid.weights()[None, :]) @ psi.T
     scale = np.power(q, wexps.astype(float) * (v + 1.0))
     normalized = np.abs(gram) * (1.0 - q) * scale[:, None] * scale[None, :]
@@ -211,7 +221,7 @@ def _tail_weight_log10(p: QParams, c: float, s: np.ndarray) -> np.ndarray:
             + s * (2.0 * p.v + 2.0) * math.log10(p.q))
 
 
-def trusted_window(grid: LatticeGrid, table: BesselTable | None = None,
+def trusted_window(grid: LatticeGrid, table: BesselTable,
                    ctx: PrecisionCtx = DEFAULT_CTX) -> tuple[int, int]:
     """Exponent range where truncation cannot disturb the reproducing identity.
 
@@ -219,11 +229,12 @@ def trusted_window(grid: LatticeGrid, table: BesselTable | None = None,
     the truncated lattice is bounded using the two-branch decay envelope of
     j_v; the window keeps the exponents whose bound stays below ``_TRUST_TOL``.
     All bookkeeping runs in log10 space (the raw tail terms overflow/underflow
-    binary64 by hundreds of orders of magnitude).
+    binary64 by hundreds of orders of magnitude).  c_{q,v} and the decay
+    constant are the table's; ``ctx`` is accepted for positional callers
+    and not read.
     """
-    p = grid.params
-    const = decay_bound_constant(p, ctx)
-    c = c_qv(p, ctx)
+    _check_table(grid, table)
+    p, const, c = grid.params, table.decay_const, table.c
     exps = grid.exponents.astype(float)
 
     m_tail = np.concatenate([

@@ -64,14 +64,9 @@ from operator import mul
 import mpmath as mp
 import numpy as np
 
-from .bessel import (
-    BesselTable,
-    decay_bound_constant,
-    decay_bound_log10,
-    jv_table,
-)
+from .bessel import BesselTable, decay_bound_log10, jv_table
 from .errors import GridMismatch, NotProbability, OffWindow
-from .lattice import GridFn, LatticeGrid, jackson_integral, norm2, sup_norm
+from .lattice import GridFn, LatticeGrid, inner, jackson_integral, norm2, sup_norm
 from .numerics import TINY, to_fixed, worst
 from .qseries import DEFAULT_CTX, PrecisionCtx, QParams
 from .transform import (
@@ -114,16 +109,25 @@ class Kernel3:
     docstring bounds its truncation error).  ``op`` is the transform matrix
     every float apply goes through; an entry with *any* argument in the
     window is trusted, so translations by window x have full-grid output.
+    The grid, the table and c_{q,v} are the transform's.
     """
 
-    grid: LatticeGrid
-    table: BesselTable
-    c: float
     window_lo: int
     window_hi: int
     cube: np.ndarray = field(repr=False)
     op: TransformOp = field(repr=False)
-    max_rowsum_defect: float = 0.0
+
+    @property
+    def grid(self) -> LatticeGrid:
+        return self.op.grid
+
+    @property
+    def table(self) -> BesselTable:
+        return self.op.table
+
+    @property
+    def c(self) -> float:
+        return self.op.c
 
     @property
     def window(self) -> tuple[int, int]:
@@ -154,8 +158,7 @@ class Kernel3:
 
 def _translate_hat(op: TransformOp, x_exp: int, fhat: np.ndarray) -> np.ndarray:
     """M (j_v(q^{x_exp} .) fhat): T_{q,x} of the function whose transform is fhat."""
-    jx = op.table.values[(x_exp + op.grid.exponents) - op.table.n_min]
-    return op.matrix @ (jx * fhat)
+    return op.matrix @ (op.table.row(x_exp + op.grid.n_lo, x_exp + op.grid.n_hi) * fhat)
 
 
 # Tail bound below which an exponent's kernel entries are trusted (upper cutoff).
@@ -164,16 +167,16 @@ _ENTRY_TOL = 1e-12
 _ROWSUM_TOL = 1e-9
 
 
-def _upper_cutoff(grid: LatticeGrid, c: float, ctx: PrecisionCtx) -> int:
+def _upper_cutoff(op: TransformOp) -> int:
     """Largest exponent whose kernel entries keep their s-integral tail < _ENTRY_TOL.
 
     Exponents are accepted upward from ``n_lo`` until the first one whose
-    tail bound reaches ``_ENTRY_TOL``; ``c`` is c_{q,v}.
+    tail bound reaches ``_ENTRY_TOL``.
     """
+    grid, const = op.grid, op.table.decay_const
     p = grid.params
-    const = decay_bound_constant(p, ctx)
     s = np.arange(grid.n_lo - _TAIL_TERMS, grid.n_lo, dtype=float)
-    base = _tail_weight_log10(p, c, s) + 2.0 * math.log10(const)
+    base = _tail_weight_log10(p, op.c, s) + 2.0 * math.log10(const)
     es = np.arange(grid.n_lo, grid.n_hi + 1)
     log_tail = _logsum10(base + decay_bound_log10(es[:, None] + s, p, const))
     bad = np.flatnonzero(~(log_tail < math.log10(_ENTRY_TOL)))
@@ -189,14 +192,14 @@ def _window_cube(op: TransformOp, wexps: np.ndarray, ctx: PrecisionCtx) -> np.nd
     t_lo = int(wexps[0]) + grid.n_lo
     with mp.workdps(ctx.work_digits):
         bits = mp.mp.prec + 64  # guard bits below the working precision
-        jmp = table.mp_values
+        jmp = table.row(t_lo, table.n_max, hp=True)  # j_t for t >= t_lo
         q_mp = mp.mpf(p.q)
         g = 2 * mp.mpf(p.v) + 2
-        u = [c_mp * c_mp * (1 - q_mp) * q_mp ** (t * g) * jmp[t - table.n_min]
-             for t in range(t_lo, t_lo + n + width - 1)]
+        u = [c_mp * c_mp * (1 - q_mp) * q_mp ** (t * g) * j
+             for t, j in zip(range(t_lo, t_lo + n + width - 1), jmp)]
         ubits = bits - min(max(map(mp.mag, u[i:i + n])) for i in range(width))
         ufix = [to_fixed(x, ubits) for x in u]
-        jfix = [to_fixed(x, bits) for x in jmp[t_lo - table.n_min:]]  # J_{t_lo+m}
+        jfix = [to_fixed(x, bits) for x in jmp]  # J_{t_lo+m}
         with mp.workprec(bits):
             qpow = [q_mp ** (-int(a) * g) for a in wexps]
     faces = [list(map(mul, ufix[:n], jfix[d:d + n])) for d in range(width)]
@@ -227,14 +230,11 @@ def kernel(grid: LatticeGrid, table: BesselTable, ctx: PrecisionCtx = DEFAULT_CT
     """Tabulate the translation kernel on its trusted window."""
     op = build_transform(grid, table, ctx)
     one_hat = op.matrix @ np.ones(grid.size)
-
-    def rowsum_defects(a: int) -> np.ndarray:
-        """|1 - (1-q) sum_z q^{z(2v+2)} D(a, ., z)| over the grid: T_{q,a} 1."""
-        return np.abs(1.0 - _translate_hat(op, a, one_hat))
-
-    win_hi = _upper_cutoff(grid, op.c, ctx)
+    win_hi = _upper_cutoff(op)
     win_lo = grid.n_lo + 1
-    while win_lo < win_hi and rowsum_defects(win_lo)[grid.index(win_lo)] > _ROWSUM_TOL:
+    # The row sum (1-q) sum_z q^{z(2v+2)} D(a, a, z) = T_{q,a} 1 (a) lifts the low end.
+    while (win_lo < win_hi and abs(1.0 - _translate_hat(op, win_lo, one_hat)
+                                   [grid.index(win_lo)]) > _ROWSUM_TOL):
         win_lo += 1
     win_lo = max(win_lo, win_hi - max_width + 1)
     if win_hi - win_lo + 1 < 3:
@@ -242,11 +242,8 @@ def kernel(grid: LatticeGrid, table: BesselTable, ctx: PrecisionCtx = DEFAULT_CT
             f"kernel window collapsed to [{win_lo}, {win_hi}]; grid too small"
         )
 
-    wexps = np.arange(win_lo, win_hi + 1)
-    rows = slice(grid.index(int(win_lo)), grid.index(int(win_hi)) + 1)
-    cube = _window_cube(op, wexps, ctx)
-    defect = worst(*(float(np.max(rowsum_defects(int(a))[rows])) for a in wexps))
-    return Kernel3(grid, table, op.c, int(win_lo), int(win_hi), cube, op, defect)
+    cube = _window_cube(op, np.arange(win_lo, win_hi + 1), ctx)
+    return Kernel3(int(win_lo), int(win_hi), cube, op)
 
 
 def translate(f: GridFn, x_exp: int, k: Kernel3) -> GridFn:
@@ -334,8 +331,6 @@ class MarkovReport:
 
 def _markov_defects(apply_op, k: Kernel3, probes: list[GridFn],
                     unit_values: np.ndarray) -> MarkovReport:
-    from .lattice import inner as _inner
-
     unit_defect = float(np.max(np.abs(unit_values - 1.0)))
     symmetry = contraction = jensen = supd = 0.0
     images = [apply_op(f) for f in probes]
@@ -347,7 +342,7 @@ def _markov_defects(apply_op, k: Kernel3, probes: list[GridFn],
             tf2 = apply_op(GridFn(k.grid, f.values**2))
             jensen = worst(jensen, float(np.max(tf.values**2 - tf2.values)))
     for (f, tf), (g, tg) in zip(zip(probes, images), zip(probes[1:], images[1:])):
-        defect = abs(_inner(tf, g) - _inner(f, tg))
+        defect = abs(inner(tf, g) - inner(f, tg))
         symmetry = worst(symmetry, defect / max(norm2(f) * norm2(g), TINY))
     return MarkovReport(
         unit_defect=unit_defect,
@@ -358,26 +353,25 @@ def _markov_defects(apply_op, k: Kernel3, probes: list[GridFn],
     )
 
 
-def _spread_exponents(k: Kernel3, count: int = 5) -> list[int]:
-    pos = np.linspace(0, k.width - 1, num=min(count, k.width))
-    return sorted({int(k.window_exponents[int(round(i))]) for i in pos})
-
-
 def markov_check(k: Kernel3, probes: list[GridFn]) -> MarkovReport:
     """Markov-axiom defects for the translations {T_{q,x}} at window x values.
 
-    The unit fixed point is evaluated at window y exponents (beyond them the
-    product mass of (x, y) leaves the grid and the defect measures truncation,
-    not the operator); symmetry, contraction, Jensen and the sup bound are
-    probed with window-supported functions over the full grid.
+    The unit fixed point T_{q,x} 1 = 1 is evaluated for every window x at
+    window y exponents (beyond them the product mass of (x, y) leaves the
+    grid and the defect measures truncation, not the operator): these are
+    the kernel's row sums (1-q) sum_z q^{z(2v+2)} D(x, y, z).  Symmetry,
+    contraction, Jensen and the sup bound are probed at five spread window
+    x with window-supported functions over the full grid.
     """
-    x_exps = _spread_exponents(k)
+    x_exps = sorted({int(k.window_exponents[int(round(i))])
+                     for i in np.linspace(0, k.width - 1, num=min(5, k.width))})
     for f in probes:
         if not k.in_window(f):
             raise OffWindow("markov probes must be supported inside the kernel window")
     wsel = [k.grid.index(int(e)) for e in k.window_exponents]
-    one = GridFn(k.grid, np.ones(k.grid.size))
-    units = np.concatenate([translate(one, int(x), k).values[wsel] for x in x_exps])
+    one_hat = k.op.matrix @ np.ones(k.grid.size)
+    units = np.concatenate([_translate_hat(k.op, int(x), one_hat)[wsel]
+                            for x in k.window_exponents])
     reports = [
         _markov_defects(lambda f, _x=x: translate(f, int(_x), k), k, probes, units)
         for x in x_exps
@@ -409,14 +403,9 @@ def markov_check_convolution(rho: GridFn, k: Kernel3,
     return _markov_defects(apply_op, k, probes, units)
 
 
-def _basis_values(k: Kernel3, n: int) -> np.ndarray:
-    """f_n = psi_{q^n} / ||psi_{q^n}|| sampled on the grid (closed-form norm)."""
-    return basis_fn(k.op, n).values / math.sqrt(psi_norm_sq(k.grid, n))
-
-
 def basis_function(k: Kernel3, n: int) -> GridFn:
-    """Unit eigenfunction f_n = psi_{q^n}/||psi_{q^n}|| as a grid function."""
-    return GridFn(k.grid, _basis_values(k, n))
+    """Unit eigenfunction f_n = psi_{q^n}/||psi_{q^n}|| (closed-form norm)."""
+    return GridFn(k.grid, basis_fn(k.op, n).values / math.sqrt(psi_norm_sq(k.grid, n)))
 
 
 def eigen_check(k: Kernel3, n: int, x_exp: int) -> float:
@@ -425,7 +414,7 @@ def eigen_check(k: Kernel3, n: int, x_exp: int) -> float:
     The eigenvalue is j_v(q^{n} x, q^2): the lattice never contains 0, and
     f_n(0) is defined through j_v(0) = 1.
     """
-    fn = GridFn(k.grid, _basis_values(k, n))
+    fn = basis_function(k, n)
     lam = k.table.value(n + x_exp)
     tfn = translate(fn, x_exp, k)
     return norm2(GridFn(k.grid, tfn.values - lam * fn.values))
@@ -441,38 +430,25 @@ def multiplier_coeffs(rho: GridFn, k: Kernel3) -> tuple[np.ndarray, np.ndarray]:
     positive (reported, not assumed, elsewhere).
     """
     _check_probability(rho, k)
-    exps = k.grid.exponents
     wrho = k.grid.weights() * rho.values
     ns = k.window_exponents
-    coeffs = np.array([
-        k.c * float(k.table.values[(int(n) + exps) - k.table.n_min] @ wrho)
-        for n in ns
-    ])
+    lo, hi = k.grid.n_lo, k.grid.n_hi
+    coeffs = np.array([k.c * float(k.table.row(n + lo, n + hi) @ wrho) for n in ns])
     return ns, coeffs
 
 
-def _expansion_term_envelope(k: Kernel3, ctx: PrecisionCtx = DEFAULT_CTX) -> np.ndarray:
-    """log10 bound on the size of the n-th basis-expansion term over the cube.
-
-    term_n(x,y,z) = c^2 (1-q) q^{n(2v+2)} j(q^{n+a}) j(q^{n+b}) j(q^{n+c});
-    the bound takes the slowest-decaying window exponent in all three slots.
-    """
-    p = k.grid.params
-    const = decay_bound_constant(p, ctx)
-    ns = k.grid.exponents.astype(float)
-    return (_tail_weight_log10(p, k.c, ns)
-            + 3.0 * decay_bound_log10(ns + k.window_hi, p, const))
-
-
-def hypergroup_window(k: Kernel3, width: int,
-                      ctx: PrecisionCtx = DEFAULT_CTX) -> tuple[int, int]:
+def hypergroup_window(k: Kernel3, width: int) -> tuple[int, int]:
     """Best-positioned width-``width`` band of expansion indices inside the grid.
 
     Positive-n terms die geometrically (the lattice weight), negative-n terms
     quadratically (the decay bound), so the band that minimizes the predicted
-    missing mass sits asymmetrically; it is found by scanning the log-envelope.
+    missing mass sits asymmetrically; it is found by scanning the log-envelope
+    of term_n(x,y,z) = c^2 (1-q) q^{n(2v+2)} j(q^{n+a}) j(q^{n+b}) j(q^{n+c}),
+    bounded with the slowest-decaying window exponent in all three slots.
     """
-    env = _expansion_term_envelope(k, ctx)
+    p, ns = k.grid.params, k.grid.exponents.astype(float)
+    env = (_tail_weight_log10(p, k.c, ns)
+           + 3.0 * decay_bound_log10(ns + k.window_hi, p, k.table.decay_const))
     n = len(env)
     width = min(width, n)
     best_lo, best_cost = 0, math.inf
@@ -501,7 +477,7 @@ def hypergroup_expansion_defect(k: Kernel3,
     sel = [k.grid.index(int(e)) for e in wexps]
     rhs = np.zeros((k.width, k.width, k.width))
     for n in range(n_window[0], n_window[1] + 1):
-        fn = _basis_values(k, int(n))[sel]
+        fn = basis_function(k, int(n)).values[sel]
         fn0 = k.c / math.sqrt(psi_norm_sq(k.grid, int(n)))
         rhs += np.einsum("a,b,c->abc", fn, fn, fn) / fn0
     scale = float(np.max(np.abs(k.cube)))

@@ -74,8 +74,8 @@ def test_criterion_05_eigen_relation(suite):
 
 def test_criterion_06_kernel_identities(suite):
     _gate(suite, 6,
-          ["kernel-symmetry", "kernel-row-sums", "kernel-transform-projection"],
-          "kernel symmetry exact, row sums 1e-8, projection 1e-8")
+          ["kernel-symmetry", "markov-translation-unit", "kernel-transform-projection"],
+          "kernel symmetry exact, row sums (the Markov unit) 1e-8, projection 1e-8")
 
 
 def test_criterion_07_positivity(suite):

@@ -81,6 +81,33 @@ class TestTable:
         assert table.value(0) == pytest.approx(
             jv(1.0, grid.params, CTX), abs=1e-15)
 
+    def test_row_is_bounds_checked(self, cell_half):
+        table = cell_half.table
+        for lo, hi in ((table.n_min, 0), (-1, 2), (3, table.n_max)):
+            es = range(lo, hi + 1)
+            assert list(table.row(lo, hi)) == [table.value(e) for e in es]
+            assert table.row(lo, hi, hp=True) == [table.mp_value(e) for e in es]
+        for lo, hi in ((table.n_min - 1, 0), (0, table.n_max + 1)):
+            with pytest.raises(IndexError):
+                table.row(lo, hi)
+            with pytest.raises(IndexError):
+                table.row(lo, hi, hp=True)
+
+    def test_constants_once_and_on_first_use(self, monkeypatch):
+        # A table that no operator reads evaluates neither constant.
+        grid = LatticeGrid(QParams(0.5, 0.5), -10, 40)
+        table = jv_table(grid, CTX)
+        calls = []
+        c_qv_mp, const = bessel.c_qv_mp, bessel.decay_bound_constant
+        monkeypatch.setattr(bessel, "c_qv_mp", lambda *a: calls.append("c") or c_qv_mp(*a))
+        monkeypatch.setattr(bessel, "decay_bound_constant",
+                            lambda *a: calls.append("C") or const(*a))
+        assert calls == []
+        assert (table.c, table.c, table.decay_const, table.decay_const) == (
+            float(c_qv_mp(grid.params, CTX)), float(c_qv_mp(grid.params, CTX)),
+            const(grid.params, CTX), const(grid.params, CTX))
+        assert sorted(calls) == ["C", "c"]
+
     def test_reproducible_across_work_digits(self, cell_half):
         table80 = jv_table(cell_half.grid, PrecisionCtx(80, 1e-30))
         worst = max(ulps(float(a), float(b))
@@ -257,7 +284,7 @@ class TestRecurrenceTable:
 
 class TestDecayBound:
     def test_holds_on_table(self, cell_half):
-        chk = decay_bound_check(cell_half.table, CTX)
+        chk = decay_bound_check(cell_half.table)
         assert chk.max_ratio <= 1.0 + 1e-12
         assert chk.passed
 

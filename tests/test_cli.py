@@ -91,6 +91,30 @@ class TestCheck:
                     assert r["tolerance"] is None
 
 
+class TestGridFlags:
+    """--q/--v and --nlo/--nhi are read alike by every command; a half exits 2."""
+
+    @pytest.mark.parametrize("args", [
+        ["check", "--q", "0.5", "--v", "0.5", "--nlo", "-10"],
+        ["check", "--q", "0.5", "--v", "0.5", "--nhi", "40"],
+        ["check", "--v", "1.5"],
+        ["check", "--nlo", "-5", "--nhi", "9"],
+        ["kernel", "--q", "0.5", "--v", "0.5", "--nlo", "-10", "--x", "1", "--y", "1"],
+    ])
+    def test_half_given_exits_2(self, args, capsys):
+        assert main(args) == 2
+        assert "--" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["transform", "--out", "unused.csv"],
+                                         ["heat", "--t", "1.0"]])
+    def test_half_grid_with_a_file_exits_2(self, command, probe_csv, capsys):
+        path, _, _ = probe_csv
+        args = [command[0], "--q", "0.5", "--v", "0.5", "--nlo", "-10",
+                "--in", str(path), *command[1:]]
+        assert main(args) == 2
+        assert "--nlo and --nhi" in capsys.readouterr().err
+
+
 class TestToleranceOverrides:
     """--tolerance and SuiteConfig.tolerances accept gated registry names only."""
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfourier import heat, qseries
+from qfourier import bessel, heat, qseries
 from qfourier.heat import (
     GaussKernel,
     composition_defect,
@@ -24,6 +24,7 @@ from qfourier.heat import (
     qexp_ode_residual,
 )
 from qfourier.lattice import GridFn, LatticeGrid, jackson_integral
+from qfourier.numerics import ulps
 from qfourier.probes import seeded_probes
 from qfourier.qseries import (
     PrecisionCtx,
@@ -32,6 +33,7 @@ from qfourier.qseries import (
     q2_exact,
     qexp,
     qexp_lattice_mp,
+    qexp_mp,
 )
 from qfourier.report import SuiteConfig, run_cell
 from qfourier.translation import translate
@@ -132,6 +134,19 @@ class TestLatticeRecurrence:
         with pytest.raises(ValueError):
             qexp_lattice_mp([mp.mpf(0.5), mp.mpf(0.25)], q2_exact(0.5), CTX)
 
+    @pytest.mark.parametrize("t_idx", [0, 1, 2, 3])
+    def test_eprofile_within_one_ulp_of_one_product_per_point(self, t_idx):
+        # q = 0.8: the e-profile, rounded once from the exact q^2, against
+        # e(-t q^{2n}; q^2) by its own product at every grid point.  A
+        # binary64 profile stepping by q*q was up to 137 ulps off here.
+        grid = LatticeGrid(QParams(0.8, 0.5), -20, 120)
+        t = heat_times(0.8)[t_idx]
+        prof = gauss_kernel(t, grid, CTX).eprofile
+        with mp.workdps(CTX.work_digits + 10):
+            q2 = q2_exact(0.8)
+            assert max(ulps(prof[int(n)], float(qexp_mp(-(t * q2 ** int(n)), q2, CTX)))
+                       for n in grid.exponents) <= 1.0
+
 
 class TestCellMemo:
     def test_one_build_per_distinct_time(self, monkeypatch):
@@ -149,24 +164,52 @@ class TestCellMemo:
         assert calls
         assert len(calls) == len(set(calls))
 
-    def test_two_c_qv_evaluations_per_cell(self, monkeypatch):
-        # build_transform and trusted_window evaluate c_{q,v}; the
-        # high-precision Gauss cross-check reads the transform's op.c_mp.
+    def test_one_c_qv_and_one_decay_constant_per_cell(self, monkeypatch):
+        # The cell's Bessel table evaluates c_{q,v} and C once each; the
+        # transform, the trusted window, the kernel cutoff, the decay check,
+        # the hypergroup band and the Gauss cross-check all read its values.
         import sys
 
-        calls = []
-        original = qseries.c_qv_mp
+        calls = {"c_qv_mp": [], "decay_bound_constant": []}
+        originals = {"c_qv_mp": qseries.c_qv_mp,
+                     "decay_bound_constant": bessel.decay_bound_constant}
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting(name):
+            def wrapper(*args, **kwargs):
+                calls[name].append(args)
+                return originals[name](*args, **kwargs)
+            return wrapper
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("qfourier") and getattr(module, "c_qv_mp", None) is original:
-                monkeypatch.setattr(module, "c_qv_mp", counting)
+        for modname, module in list(sys.modules.items()):
+            if not modname.startswith("qfourier"):
+                continue
+            for name, original in originals.items():
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting(name))
         cfg = SuiteConfig(cells=((0.5, 0.5, -10, 40),), probes=10)
         assert run_cell(0.5, 0.5, -10, 40, cfg).passed
-        assert len(calls) == 2
+        assert {name: len(c) for name, c in calls.items()} == {
+            "c_qv_mp": 1, "decay_bound_constant": 1}
+
+    def test_one_eprofile_per_distinct_time(self, monkeypatch):
+        # Four times, each read by the float and hp cross-checks and three
+        # spectral defects (t = 1 also by the Gauss multiplier): four profiles.
+        calls = []
+        build = heat._eprofile_mp
+
+        def counting(t, grid, ctx):
+            calls.append(t)
+            return build(t, grid, ctx)
+
+        monkeypatch.setattr(heat, "_eprofile_mp", counting)
+        cfg = SuiteConfig(cells=((0.5, 0.5, -10, 40),), probes=10)
+        assert run_cell(0.5, 0.5, -10, 40, cfg).passed
+        assert sorted(calls) == sorted(heat_times(0.5))
+
+    def test_gauss_kernel_builds_no_eprofile(self, monkeypatch):
+        monkeypatch.setattr(heat, "_eprofile_mp", None)
+        g = gauss_kernel(1.0, LatticeGrid(QParams(0.5, 0.5), -10, 40), CTX)
+        assert np.all(g.fn.values > 0.0)
 
 
 class TestHeatFlow:
@@ -188,8 +231,7 @@ class TestHeatFlow:
 
     def test_spectral_diagonalization(self, cell_half, kprobes):
         worst = max(
-            heat_spectral_defect(f, t, cell_half.kern, cell_half.op, CTX,
-                                 cell_half.window)
+            heat_spectral_defect(f, t, cell_half.kern, CTX, cell_half.window)
             for t in heat_times(cell_half.p.q) for f in kprobes[:3]
         )
         assert worst < 1e-8

@@ -9,6 +9,7 @@ from qfourier.probes import seeded_probes
 from qfourier.transform import (
     basis_completeness_defect,
     basis_fn,
+    build_transform,
     delta_multiplier_defect,
     forward,
     inversion_residual,
@@ -16,6 +17,7 @@ from qfourier.transform import (
     plancherel_defect,
     psi_norm_sq,
     q_bessel_operator,
+    trusted_window,
 )
 
 
@@ -42,6 +44,18 @@ class TestForward:
         ff = forward(f, op)
         for x in range(*cell_half.window):
             assert ff[x] == pytest.approx(inner(f, basis_fn(op, x)), rel=1e-12)
+
+    def test_basis_row_off_the_table_raises(self, cell_half):
+        # psi_{q^-15} needs j_v(q^{-25}) on a table that starts at -20; the
+        # row must not wrap around to the table's far end.
+        with pytest.raises(IndexError):
+            basis_fn(cell_half.op, -15)
+
+    def test_table_of_another_order_rejected(self, cell_half, cell_v0):
+        with pytest.raises(GridMismatch):
+            build_transform(cell_half.grid, cell_v0.table)
+        with pytest.raises(GridMismatch):
+            trusted_window(cell_half.grid, cell_v0.table)
 
     def test_basis_function_concentrates(self, cell_half):
         # F psi_y is delta-like: off-target values vanish.
@@ -136,7 +150,7 @@ class TestQBesselOperator:
         # the whole interior is eigen_residual on the high-precision table.
         grid, table = cell_half.grid, cell_half.table
         q = grid.params.q
-        vals = table.values[(1 + grid.exponents) - table.n_min]
+        vals = table.row(1 + grid.n_lo, 1 + grid.n_hi)
         df = q_bessel_operator(GridFn(grid, vals))
         lo, hi = cell_half.window
         for n in range(max(lo, grid.n_lo + 1), min(hi, grid.n_hi - 1) + 1):

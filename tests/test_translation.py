@@ -64,7 +64,15 @@ class TestKernelBuild:
             assert np.array_equal(cube, cube.transpose(perm))
 
     def test_row_sums_are_unit(self, cell_half):
-        assert cell_half.kern.max_rowsum_defect < 1e-8
+        # The row sums (1-q) sum_z q^{z(2v+2)} D(x, y, z) over window (x, y)
+        # are the Markov unit T_{q,x} 1 (y), taken at every window x.
+        k, grid = cell_half.kern, cell_half.grid
+        one = GridFn(grid, np.ones(grid.size))
+        wsel = [grid.index(int(e)) for e in k.window_exponents]
+        rows = np.array([translate(one, int(x), k).values[wsel] for x in k.window_exponents])
+        unit = markov_check(k, []).unit_defect
+        assert unit == np.max(np.abs(rows - 1.0))
+        assert unit < 1e-8
 
     def test_cube_agrees_with_block(self, cell_half):
         # Same quantity through the high-precision and double paths: the
@@ -110,7 +118,7 @@ class TestTranslate:
         # T_{q,x} j_v(q^n .) = j_v(q^n x) j_v(q^n .), n on the lattice.
         k, grid, table = cell_half.kern, cell_half.grid, cell_half.table
         for n in (-1, 0, 2):
-            f = GridFn(grid, table.values[(n + grid.exponents) - table.n_min])
+            f = GridFn(grid, table.row(n + grid.n_lo, n + grid.n_hi))
             for x in (0, 1):
                 tf = translate(f, x, k)
                 expected = table.value(n + x) * f.values
@@ -184,7 +192,6 @@ def _fsum_cube(cell, dps: int = 80):
     """Reference cube: sorted window triples -> (D, sum |terms|) by mp.fsum."""
     p, grid, table, k = cell.p, cell.grid, cell.table, cell.kern
     exps = [int(s) for s in grid.exponents]
-    jmp = table.mp_values
     out = {}
     with mp.workdps(dps):
         c = c_qv_mp(p, cell.ctx)
@@ -192,7 +199,7 @@ def _fsum_cube(cell, dps: int = 80):
         w = [c * c * (1 - q) * q ** (s * (2 * mp.mpf(p.v) + 2)) for s in exps]
 
         def column(e):
-            return [jmp[e + s - table.n_min] for s in exps]
+            return [table.mp_value(e + s) for s in exps]
 
         wa = {}
         for a, b, d in combinations_with_replacement(k.window_exponents.tolist(), 3):
@@ -346,6 +353,16 @@ class TestEigenAndMultiplier:
                     for n in range(-2, 5) for x in (k.window_lo, 0, k.window_hi))
         assert worst < 1e-8
 
+    def test_rows_off_the_table_raise(self, cell_half):
+        # f_{-12} needs j_v(q^{-22}) on a table that starts at -20; the row
+        # must not wrap around to the table's far end (it read 1.1e10).
+        k = cell_half.kern
+        with pytest.raises(IndexError):
+            eigen_check(k, -12, k.window_lo)
+        with pytest.raises(IndexError):
+            multiplier_coeffs(GridFn(k.grid, delta_fn(k.grid, 0).values / k.c),
+                              translation.Kernel3(-11, -9, k.cube, k.op))
+
     def test_small_argument_eigenvalue_near_one(self, cell_half):
         # Deep small-argument regime: j_v(q^n x) ~ 1 and T f_n ~ f_n.
         k = cell_half.kern
@@ -396,8 +413,8 @@ class TestHypergroup:
 
     def test_window_growth_consistency(self, cell_half):
         k = cell_half.kern
-        d14 = hypergroup_expansion_defect(k, hypergroup_window(k, 14, CTX))
-        d20 = hypergroup_expansion_defect(k, hypergroup_window(k, 20, CTX))
+        d14 = hypergroup_expansion_defect(k, hypergroup_window(k, 14))
+        d20 = hypergroup_expansion_defect(k, hypergroup_window(k, 20))
         assert d20 <= d14
 
     def test_single_term_is_rank_one(self, cell_half):
