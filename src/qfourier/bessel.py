@@ -18,11 +18,14 @@ three-term recurrence
 
 and upward from the deep tail j_v dominates the second solution (Miller's
 algorithm; Gautschi, SIAM Review 9, 1967).  One sweep runs from (0, 1) a few
-exponents below n_min, at the series' precision for n_min plus guard digits,
-and is scaled once to the series at n_max.  It must equal the series at
-n_min to 1e-40 relative, or it restarts twice as deep.  Each entry is
-rounded at its own a-priori precision.  The series stays the independent
-route: ``bessel-table-reproducibility`` compares it with the table at anchor
+exponents below n_min and is scaled once to the series at n_max.  It must
+equal the series at n_min to 1e-40 relative, or it restarts twice as deep.
+The recurrence does not cancel as the series does, so the sweep runs at the
+working digits (at least 26), plus the q^{-2v} growth of the second solution
+up to n_max, plus 20 guard digits; the two series anchors keep the series'
+precision at n_min plus 30 digits.  Each entry is rounded at its own
+a-priori precision.  The series stays the independent route:
+``bessel-table-reproducibility`` compares it with the table at anchor
 exponents, which sees a wrong scale or a leftover of the second solution
 that the linear, homogeneous eigen relation cannot.
 """
@@ -56,14 +59,15 @@ __all__ = [
 # Escalating past this many decimal digits is treated as a failure to certify.
 _MAX_DIGITS = 50_000
 
-# A table sweep starts this many exponents below n_min, with this many digits
-# over the series' precision there; an uncertified start is doubled at most
-# _MAX_SWEEPS - 1 times.
+# A table sweep starts this many exponents below n_min, with this many guard
+# digits over the working digits and the top growth; an uncertified start is
+# doubled at most _MAX_SWEEPS - 1 times.
 _START_DEPTH, _SWEEP_GUARD_DIGITS, _MAX_SWEEPS = 10, 20, 4
 
-# Relative gap to the series at n_min that certifies a sweep.  The sweep and
-# its two series anchors carry at least 46 digits past every cancellation and
-# top growth, so a certified table is good to about this in every mp value.
+# Relative gap to the series at n_min that certifies a sweep.  The sweep
+# carries at least 46 digits past the top growth and its two series anchors
+# at least 46 past every cancellation, so a certified table is good to about
+# this in every mp value.
 _CERTIFY_REL = 1e-40
 
 
@@ -214,11 +218,13 @@ def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
     n_min, n_max = 2 * grid.n_lo, 2 * grid.n_hi
     # For v > 0 rounding errors grow like the second solution near the top,
     # by q^{-2v} a step.
-    growth = 2.0 * max(p.v, 0.0) * max(n_max, 0) * math.log10(1.0 / p.q)
-    dps = max(_entry_dps(n_min, p, ctx), 26 + math.ceil(growth)) + _SWEEP_GUARD_DIGITS
-    # The anchors get ten more digits, which keeps their own truncation
-    # (10^-(dps-5) of the largest term) well below the certification bound.
-    top, bottom = _series_at(n_max, p, ctx, dps + 10), _series_at(n_min, p, ctx, dps + 10)
+    growth = math.ceil(2.0 * max(p.v, 0.0) * max(n_max, 0) * math.log10(1.0 / p.q))
+    dps = max(ctx.work_digits, 26) + growth + _SWEEP_GUARD_DIGITS
+    # The anchors sum the series, which cancels _digits_lost at n_min; ten
+    # digits over the guard keep their own truncation (10^-(digits-5) of the
+    # largest term) well below the certification bound.
+    anchor_dps = max(_entry_dps(n_min, p, ctx), 26 + growth) + _SWEEP_GUARD_DIGITS + 10
+    top, bottom = _series_at(n_max, p, ctx, anchor_dps), _series_at(n_min, p, ctx, anchor_dps)
     depth = _START_DEPTH
     for _ in range(_MAX_SWEEPS):
         with mp.workdps(dps):
@@ -311,15 +317,19 @@ def eigen_residual(grid: LatticeGrid, lambda_exp: int, table: BesselTable) -> fl
     Evaluated on interior exponents only (the operator needs both neighbours)
     and on the high-precision table values: near x -> 0 the three-term
     difference cancels ~ q^{2n} of itself, which binary64 inputs cannot
-    survive, while 50-digit inputs certify the residual comfortably.
+    survive, while 50-digit inputs certify the residual comfortably.  The
+    factor q^{-2n} lifts the table's rounding (10^-work_digits) with it, so
+    rows with 2n log10(1/q) > work_digits - 12 are skipped: past them that
+    rounding alone reaches within three decades of a 1e-9 gate.
     """
     p = grid.params
+    n_cap = math.floor((table.ctx.work_digits - 12) / (2.0 * math.log10(1.0 / p.q)))
     res = 0.0
     with mp.workdps(max(table.ctx.work_digits, 50)):
         q = mp.mpf(p.q)
         q2v = q ** (2 * mp.mpf(p.v))
         lam2 = q ** (2 * lambda_exp)
-        for n in range(grid.n_lo + 1, grid.n_hi):
+        for n in range(grid.n_lo + 1, min(grid.n_hi, n_cap + 1)):
             f_prev = table.mp_value(lambda_exp + n - 1)  # j at lambda q^{n-1}
             f_mid = table.mp_value(lambda_exp + n)
             f_next = table.mp_value(lambda_exp + n + 1)

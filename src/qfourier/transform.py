@@ -213,12 +213,41 @@ def _logsum10(log_terms: np.ndarray, axis: int = -1) -> np.ndarray:
 _TRUST_TOL = 1e-12
 # Lattice-tail exponents summed beyond each end of the grid.
 _TAIL_TERMS = 80
+# Rows a per block of the (a, b, m) tail sum: B N 2 _TAIL_TERMS floats at a time.
+_TAIL_BLOCK = 8
 
 
 def _tail_weight_log10(p: QParams, c: float, s: np.ndarray) -> np.ndarray:
     """log10 of the lattice-tail weight c^2 (1-q) q^{s(2v+2)} at exponents s."""
     return (2.0 * math.log10(c) + math.log10(1.0 - p.q)
             + s * (2.0 * p.v + 2.0) * math.log10(p.q))
+
+
+def _trust_log10(grid: LatticeGrid, table: BesselTable) -> np.ndarray:
+    """log10 of the relative reproducing-identity bound at each grid exponent."""
+    p, const, c = grid.params, table.decay_const, table.c
+    exps = grid.exponents.astype(float)
+
+    m_tail = np.concatenate([
+        np.arange(grid.n_lo - _TAIL_TERMS, grid.n_lo, dtype=float),
+        np.arange(grid.n_hi + 1, grid.n_hi + 1 + _TAIL_TERMS, dtype=float),
+    ])
+    # log10 of c^2 (1-q) q^{m(2v+2)} B(a+m) B(b+m), summed over tail m, a
+    # block of rows a at a time.  The sum is (base + log_b[a]) + log_b[b] in
+    # that order, and each (a, b) reduces its own contiguous m axis, so the
+    # blocks give the bits of one (N, N, M) array.
+    base = _tail_weight_log10(p, c, m_tail)
+    log_b = decay_bound_log10(exps[:, None] + m_tail[None, :], p, const)
+    log_tail = np.concatenate([                                    # (N, N): (a, b)
+        _logsum10(base + log_b[i:i + _TAIL_BLOCK, None, :] + log_b[None, :, :], axis=2)
+        for i in range(0, len(exps), _TAIL_BLOCK)])
+
+    # (M^2 - I)[a, b] = w_b tail(a, b), w the Jackson weights (1-q) q^{b(2v+2)};
+    # push through the weighted L2 norm of column b relative to the unit bump's.
+    log_w = math.log10(1.0 - p.q) + exps * (2.0 * p.v + 2.0) * math.log10(p.q)
+    log_err = log_w[None, :] + log_tail
+    log_num2 = _logsum10(log_w[:, None] + 2.0 * log_err, axis=0)    # per column b
+    return 0.5 * (log_num2 - log_w)
 
 
 def trusted_window(grid: LatticeGrid, table: BesselTable,
@@ -229,32 +258,14 @@ def trusted_window(grid: LatticeGrid, table: BesselTable,
     the truncated lattice is bounded using the two-branch decay envelope of
     j_v; the window keeps the exponents whose bound stays below ``_TRUST_TOL``.
     All bookkeeping runs in log10 space (the raw tail terms overflow/underflow
-    binary64 by hundreds of orders of magnitude).  c_{q,v} and the decay
-    constant are the table's; ``ctx`` is accepted for positional callers
-    and not read.
+    binary64 by hundreds of orders of magnitude).  The tail sum over the
+    M = 2 ``_TAIL_TERMS`` lattice exponents beyond the grid is taken
+    ``_TAIL_BLOCK`` rows at a time, so memory is O(B N M) per block and
+    O(N^2) overall for N grid exponents.  c_{q,v} and the decay constant are
+    the table's; ``ctx`` is accepted for positional callers and not read.
     """
     _check_table(grid, table)
-    p, const, c = grid.params, table.decay_const, table.c
-    exps = grid.exponents.astype(float)
-
-    m_tail = np.concatenate([
-        np.arange(grid.n_lo - _TAIL_TERMS, grid.n_lo, dtype=float),
-        np.arange(grid.n_hi + 1, grid.n_hi + 1 + _TAIL_TERMS, dtype=float),
-    ])
-    # log10 of c^2 (1-q) q^{m(2v+2)} B(a+m) B(b+m), summed over tail m
-    base = _tail_weight_log10(p, c, m_tail)
-    log_b = decay_bound_log10(exps[:, None] + m_tail[None, :], p, const)
-    log_terms = base[None, None, :] + log_b[:, None, :] + log_b[None, :, :]
-    log_tail = _logsum10(log_terms, axis=2)                        # (N, N): (a, b)
-
-    # (M^2 - I)[a, b] = w_b tail(a, b), w the Jackson weights (1-q) q^{b(2v+2)};
-    # push through the weighted L2 norm of column b relative to the unit bump's.
-    log_w = math.log10(1.0 - p.q) + exps * (2.0 * p.v + 2.0) * math.log10(p.q)
-    log_err = log_w[None, :] + log_tail
-    log_num2 = _logsum10(log_w[:, None] + 2.0 * log_err, axis=0)    # per column b
-    log_rel = 0.5 * (log_num2 - log_w)
-
-    ok = log_rel < math.log10(_TRUST_TOL)
+    ok = _trust_log10(grid, table) < math.log10(_TRUST_TOL)
     if not ok.any():
         raise GridMismatch("no trusted exponents: grid too small for this (q, v)")
     idxs = np.flatnonzero(ok)

@@ -275,6 +275,33 @@ class TestRecurrenceTable:
         assert table.values.tobytes() == ref.values.tobytes()
         _assert_mp_values_match_series(table)
 
+    def test_sweep_runs_at_work_digits(self, monkeypatch):
+        # The series at n_min = -24 cancels ~600 digits at q = 0.3; the
+        # recurrence does not, and runs at 50 work digits plus 20 guard.
+        digits = []
+        sweep = bessel._sweep
+
+        def spy(p, n_start, n_max, dps):
+            digits.append(dps)
+            return sweep(p, n_start, n_max, dps)
+
+        monkeypatch.setattr(bessel, "_sweep", spy)
+        table = jv_table(default_scan_grid(QParams(0.3, 0.0)), CTX)
+        assert digits and max(digits) <= 70
+        assert bessel._anchor_ulps(table) == 0.0
+
+    def test_mp_values_at_both_ends_match_150_digit_series(self):
+        # q = 0.9 on [-30, 300]: the deepest entries, where the 70-digit
+        # sweep is furthest from the series' own precision, and the top.
+        p = QParams(0.9, 0.0)
+        table = jv_table(LatticeGrid(p, -30, 300), CTX)
+        lo, hi = table.n_min, table.n_max
+        for e in [*range(lo, lo + 4), *range(hi - 3, hi + 1)]:
+            lost = bessel._digits_lost(p.q ** min(e, 0), p)
+            ref = bessel._series_at(e, p, CTX, 150 + math.ceil(lost))
+            with mp.workdps(80):
+                assert abs(table.mp_value(e) - ref) <= mp.mpf("1e-49") * abs(ref), e
+
     def test_uncertified_start_raises(self, monkeypatch):
         monkeypatch.setattr(bessel, "_START_DEPTH", 0)
         monkeypatch.setattr(bessel, "_MAX_SWEEPS", 1)
@@ -307,6 +334,17 @@ class TestEigenRelation:
     def test_residual_small(self, cell_half, lambda_exp):
         r = eigen_residual(cell_half.grid, lambda_exp, cell_half.table)
         assert r < 1e-9
+
+    def test_rows_stop_where_table_rounding_would_show(self):
+        # q = 1/2, v = -0.7 on [-14, 97]: q^{-2n} lifts the 50-digit rounding
+        # to 6.6 at n = 96.  Rows stop at 2n log10(2) <= 50 - 12, n <= 63,
+        # so the grid beyond 64 adds no row.
+        p = QParams(0.5, -0.7)
+        table = jv_table(LatticeGrid(p, -14, 97), CTX)
+        long = [eigen_residual(LatticeGrid(p, -14, 97), le, table) for le in (-2, 0, 1, 3)]
+        short = [eigen_residual(LatticeGrid(p, -14, 64), le, table) for le in (-2, 0, 1, 3)]
+        assert long == short
+        assert max(long) < 1e-12
 
     def test_constant_function_is_annihilated(self, cell_half):
         # Delta 1 = (1 - (1+q^{2v}) + q^{2v}) / x^2 = 0, exactly.

@@ -90,6 +90,21 @@ class TestCheck:
                 else:
                     assert r["tolerance"] is None
 
+    def test_negative_order_fails_only_its_markov_and_hp_gates(self, tmp_path):
+        # q = 1/2, v = -0.7 on its scan grid [-14, 97]: the eigen relation is
+        # gated only on rows where q^{-2n} keeps the table's rounding small,
+        # so it no longer fails; the six v < 0 Markov rows and the hp Gauss
+        # row still do.
+        out = tmp_path / "r.json"
+        assert main(["check", "--q", "0.5", "--v", "-0.7", "--json", str(out)]) == 1
+        (cell,) = json.loads(out.read_text())["cells"]
+        failed = {r["name"] for r in cell["identities"] if r["gated"] and not r["passed"]}
+        assert failed == {
+            "gauss-transform-consistency-hp",
+            *(f"markov-{op}-{axis}" for op in ("translation", "bump")
+              for axis in ("contraction", "jensen", "sup")),
+        }
+
 
 class TestGridFlags:
     """--q/--v and --nlo/--nhi are read alike by every command; a half exits 2."""

@@ -1,11 +1,19 @@
 """Finite q-Hankel transform: involution, isometry, orthogonal basis."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qfourier import transform
+from qfourier.bessel import decay_bound_log10, jv_table
 from qfourier.errors import GridMismatch
-from qfourier.lattice import GridFn, delta_fn, inner, norm_p
+from qfourier.lattice import GridFn, LatticeGrid, delta_fn, inner, norm_p
+from qfourier.numerics import TINY
 from qfourier.probes import seeded_probes
+from qfourier.qseries import PrecisionCtx, QParams
+from qfourier.report import DEFAULT_CELLS
 from qfourier.transform import (
     basis_completeness_defect,
     basis_fn,
@@ -175,11 +183,60 @@ class TestDeltaMultiplier:
             delta_multiplier_defect(GridFn(grid, vals), cell_half.op)
 
 
+def _full_cube_trust_log10(grid, table):
+    """The reproducing-identity bound summed over one (N, N, M) tail cube.
+
+    The same operations as ``transform._logsum10`` on the whole cube, done in
+    place so the reference holds one cube, not four.
+    """
+    p, const, c = grid.params, table.decay_const, table.c
+    exps = grid.exponents.astype(float)
+    m_tail = np.concatenate([
+        np.arange(grid.n_lo - transform._TAIL_TERMS, grid.n_lo, dtype=float),
+        np.arange(grid.n_hi + 1, grid.n_hi + 1 + transform._TAIL_TERMS, dtype=float),
+    ])
+    base = transform._tail_weight_log10(p, c, m_tail)
+    log_b = decay_bound_log10(exps[:, None] + m_tail[None, :], p, const)
+    cube = base[None, None, :] + log_b[:, None, :] + log_b[None, :, :]
+    m = np.max(cube, axis=2, keepdims=True)
+    m_safe = np.where(np.isfinite(m), m, 0.0)
+    cube -= m_safe
+    np.clip(cube, -300.0, 0.0, out=cube)
+    np.power(10.0, cube, out=cube)
+    log_tail = m_safe[:, :, 0] + np.log10(np.maximum(cube.sum(axis=2), TINY))
+    del cube
+    log_w = math.log10(1.0 - p.q) + exps * (2.0 * p.v + 2.0) * math.log10(p.q)
+    log_err = log_w[None, :] + log_tail
+    log_num2 = transform._logsum10(log_w[:, None] + 2.0 * log_err, axis=0)
+    return 0.5 * (log_num2 - log_w)
+
+
 class TestWindowAndCompleteness:
     def test_trusted_window_straddles_one(self, cell_half):
         lo, hi = cell_half.window
         assert lo <= 0 <= hi
         assert lo >= cell_half.grid.n_lo
+
+    @pytest.mark.parametrize("q, v, n_lo, n_hi", list(DEFAULT_CELLS) + [(0.9, 0.0, -30, 300)])
+    def test_blocked_bound_matches_full_cube(self, q, v, n_lo, n_hi):
+        grid = LatticeGrid(QParams(q, v), n_lo, n_hi)
+        table = jv_table(grid, PrecisionCtx())
+        ref = _full_cube_trust_log10(grid, table)
+        assert transform._trust_log10(grid, table).tobytes() == ref.tobytes()
+
+    def test_one_call_holds_no_cube(self):
+        # q = 0.9 on [-30, 300]: the (N, N, 160) tail cube alone is 140 MB and
+        # its reduction peaked at 423 MB; row blocks keep the call near O(N^2).
+        grid = LatticeGrid(QParams(0.9, 0.0), -30, 300)
+        table = jv_table(grid, PrecisionCtx())
+        assert trusted_window(grid, table) == (-30, 8)   # constants built here
+        tracemalloc.start()
+        try:
+            trusted_window(grid, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
     def test_completeness_on_probes(self, cell_half, probes):
         worst = max(basis_completeness_defect(f, cell_half.op)
