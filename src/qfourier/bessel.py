@@ -20,11 +20,13 @@ and upward from the deep tail j_v dominates the second solution (Miller's
 algorithm; Gautschi, SIAM Review 9, 1967).  One sweep runs from (0, 1) a few
 exponents below n_min and is scaled once to the series at n_max.  It must
 equal the series at n_min to 1e-40 relative, or it restarts twice as deep.
-The recurrence does not cancel as the series does, so the sweep runs at the
-working digits (at least 26), plus the q^{-2v} growth of the second solution
-up to n_max, plus 20 guard digits; the two series anchors keep the series'
-precision at n_min plus 30 digits.  Each entry is rounded at its own
-a-priori precision.  The series stays the independent route:
+The recurrence does not cancel as the series does, so the sweep runs in
+Python ints at one scale 2^w, w the bits of the working digits (at least 26)
+plus the q^{-2v} growth of the second solution up to n_max plus 20 guard
+digits; a step errs as one mpf step at w bits would (:func:`_sweep`).  The
+two series anchors keep the series' precision at n_min plus 30 digits.  Each
+entry is its int times one mpf scale, rounded once at its own a-priori
+precision.  The series stays the independent route:
 ``bessel-table-reproducibility`` compares it with the table at anchor
 exponents, which sees a wrong scale or a leftover of the second solution
 that the linear, homogeneous eigen relation cannot.
@@ -38,10 +40,11 @@ from functools import cached_property
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import dps_to_prec, from_int, mpf_mul, round_nearest
 
 from .errors import PrecisionExhausted
 from .lattice import LatticeGrid
-from .numerics import ulps, worst
+from .numerics import to_fixed, ulps, worst
 from .qseries import DEFAULT_CTX, PrecisionCtx, QParams, c_qv_mp, q2_exact, qpoch_inf_mp
 
 __all__ = [
@@ -71,25 +74,24 @@ _START_DEPTH, _SWEEP_GUARD_DIGITS, _MAX_SWEEPS = 10, 20, 4
 _CERTIFY_REL = 1e-40
 
 
-def _digits_lost(x: float, p: QParams) -> float:
-    """A-priori estimate of decimal digits cancelled by the series at |x|.
+def _digits_lost(m: float, p: QParams) -> float:
+    """A-priori estimate of decimal digits cancelled by the series at |x| = q^-m.
 
     At |x| = q^-m the largest term is ~ q^{-m^2} and the sum ~ q^{m^2+(2v+1)m};
     the (2v+1)m part is counted only where it adds to the loss (v > -1/2).
+    It takes m, not x: q^-m overflows binary64 on deep grids.
     """
-    ax = abs(x)
-    if ax <= 1.0:
+    if m <= 0.0:
         return 0.0
-    m = math.log(ax) / -math.log(p.q)
     return (2.0 * m * m + max(2.0 * p.v + 1.0, 0.0) * m) * math.log10(1.0 / p.q)
 
 
-def _required_dps(x: float, p: QParams, ctx: PrecisionCtx) -> int:
-    lost = _digits_lost(x, p)
-    dps = max(ctx.work_digits, 16 + int(math.ceil(lost)) + 10)
+def _required_dps(m: float, p: QParams, ctx: PrecisionCtx) -> int:
+    """Digits of the series at |x| = q^-m; beyond _MAX_DIGITS, PrecisionExhausted."""
+    dps = max(ctx.work_digits, 16 + int(math.ceil(_digits_lost(m, p))) + 10)
     if dps > _MAX_DIGITS:
         raise PrecisionExhausted(
-            f"j_v at |x|={abs(x):g} needs ~{dps} digits (> {_MAX_DIGITS}); "
+            f"j_v at |x|=q^{-m:g} (q={p.q:g}) needs ~{dps} digits (> {_MAX_DIGITS}); "
             "shrink the grid or raise the ceiling"
         )
     return dps
@@ -120,7 +122,7 @@ def _jv_series_mp(x, p: QParams, ctx: PrecisionCtx, dps: int) -> mp.mpf:
 
 def _entry_dps(e: int, p: QParams, ctx: PrecisionCtx) -> int:
     """A-priori precision of the series at the lattice point q^e."""
-    return _required_dps(p.q ** min(e, 0), p, ctx)
+    return _required_dps(-e, p, ctx)
 
 
 def _series_at(e: int, p: QParams, ctx: PrecisionCtx, dps: int | None = None) -> mp.mpf:
@@ -134,7 +136,8 @@ def jv(x: float, p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
     """Normalized q-Bessel function j_v(x, q^2) for real x."""
     if x == 0.0:
         return 1.0
-    return float(_jv_series_mp(x, p, ctx, _required_dps(x, p, ctx)))
+    dps = _required_dps(math.log(abs(x)) / -math.log(p.q), p, ctx)
+    return float(_jv_series_mp(x, p, ctx, dps))
 
 
 @dataclass
@@ -192,20 +195,27 @@ class BesselTable:
         return decay_bound_constant(self.params, self.ctx)
 
 
-def _sweep(p: QParams, n_start: int, n_max: int, dps: int) -> list:
-    """The recurrence solution with j(q^{n_start-1}) = 0, j(q^{n_start}) = 1."""
-    with mp.workdps(dps):
+def _sweep(p: QParams, n_start: int, n_max: int, dps: int) -> list[int]:
+    """The recurrence solution y with y_{n_start-1} = 0, y_{n_start} = 1, as ints y 2^w.
+
+    w is the precision of ``dps`` digits.  A step truncates twice and its
+    coefficients 1 + q^{2v}, q^{-2v} and q^{2n} carry 2^-w each, so it adds
+    about 2^-w (1 + q^{-2v}) (1 + |1 + q^{2v} - q^{2n}| |y_n| + |y_{n-1}|) to
+    y_{n+1}: one mpf step at w bits, as |y| grows from 1 up the deep tail.
+    """
+    w = dps_to_prec(dps)
+    with mp.workprec(w):
         q2 = q2_exact(p.q)
         q2v = mp.mpf(p.q) ** (2 * mp.mpf(p.v))
-        a, r = 1 + q2v, 1 / q2v
-        u = q2 ** n_start               # q^{2n} at the current n
-        prev, cur = mp.mpf(0), mp.mpf(1)
-        out = [cur]
-        for _ in range(n_start, n_max):
-            prev, cur = cur, ((a - u) * cur - prev) * r
-            u *= q2
-            out.append(cur)
-        return out
+        a, r, q2_fix = to_fixed(1 + q2v, w), to_fixed(1 / q2v, w), to_fixed(q2, w)
+        u = to_fixed(q2 ** n_start, w)  # q^{2n} at the current n
+    prev, cur = 0, 1 << w
+    out = [cur]
+    for _ in range(n_start, n_max):
+        prev, cur = cur, (((a - u) * cur >> w) - prev) * r >> w
+        u = u * q2_fix >> w
+        out.append(cur)
+    return out
 
 
 def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
@@ -227,14 +237,13 @@ def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
     top, bottom = _series_at(n_max, p, ctx, anchor_dps), _series_at(n_min, p, ctx, anchor_dps)
     depth = _START_DEPTH
     for _ in range(_MAX_SWEEPS):
+        raw = _sweep(p, n_min - depth, n_max, dps)[depth:]
         with mp.workdps(dps):
-            raw = _sweep(p, n_min - depth, n_max, dps)[depth:]
-            scale = top / raw[-1]
-            sweep = [f * scale for f in raw]
+            scale = top / raw[-1]  # the 2^w of the ints cancels
             # A leftover of the second solution grows by up to q^{-2v} a step
             # to n_max and the scale spreads it over the table, so the start
             # is certified at mp level, not only to binary64.
-            if abs(sweep[0] - bottom) <= _CERTIFY_REL * abs(bottom):
+            if abs(raw[0] * scale - bottom) <= _CERTIFY_REL * abs(bottom):
                 break
         depth = max(2 * depth, 1)
     else:
@@ -242,10 +251,10 @@ def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
             f"j_v table on [{n_min}, {n_max}] at q={p.q:g}, v={p.v:g}: no recurrence "
             f"started up to {depth // 2} below n_min agrees with the series there "
             f"to {_CERTIFY_REL:g}")
-    mp_vals = []
-    for e, f in zip(range(n_min, n_max + 1), sweep):
-        with mp.workdps(_entry_dps(e, p, ctx)):
-            mp_vals.append(+f)
+    # One exact product, rounded once at the entry's own precision.
+    mp_vals = [mp.make_mpf(mpf_mul(from_int(f), scale._mpf_,
+                                   dps_to_prec(_entry_dps(e, p, ctx)), round_nearest))
+               for e, f in zip(range(n_min, n_max + 1), raw)]
     vals = np.array([float(v) for v in mp_vals])
     return BesselTable(p, n_min, n_max, vals, mp_vals, ctx)
 

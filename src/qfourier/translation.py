@@ -23,15 +23,16 @@ With g = 2v+2 and U_t = c^2 (1-q) q^{tg} j(q^t) over table exponents t,
     D(a, b, c) = q^{-ag} S_a(b-a, c-a),  S_a(d, e) = sum_{t=a+n_lo}^{a+n_hi} U_t j_{t+d} j_{t+e}.
 
 Table values become ints J_t = trunc(j_t 2^P), P = prec + 64 (prec the
-working precision in bits), and U_t, formed once at working precision, ints
-at one scale: 2^P over max |U_t| plus (that top less the smallest row top)
-guard bits, so no row is coarser than 2^-P of its largest term.  The face
+working precision in bits), and U_t, formed once at working precision from
+q^{tg} by one running product at P + 64 bits, ints at one scale: 2^P over
+max |U_t| plus (that top less the smallest row top) guard bits, so no row is
+coarser than 2^-P of its largest term.  The face
 a = window_lo is summed in full; S_{a+1} is S_a less its t = a+n_lo term
 plus the t = a+1+n_hi term, exactly.  S_a F_a, with F_a = q^{-ag} an int of
 at least P bits, becomes binary64 by one correctly rounded int/int
 division, before which an entry is off by at most
 
-    k 2^-prec T                           (mp U_t and F_a)
+    k 2^-prec T                           (mp U_t, F_a; q^{tg} adds N 2^-(P+64))
   + 2^-(prec+62) N C^2 q^{-ag} max |U_t|  (truncation to ints, t in row a)
   + 3 d T                                 (table error, |dj| <= d |j|)
 
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field
-from itertools import permutations
+from itertools import accumulate, repeat
 from operator import mul
 
 import mpmath as mp
@@ -185,19 +186,26 @@ def _upper_cutoff(op: TransformOp) -> int:
 
 
 def _window_cube(op: TransformOp, wexps: np.ndarray, ctx: PrecisionCtx) -> np.ndarray:
-    """D_v on the window by face sums and exact slides (module doc); exactly symmetric."""
+    """D_v on the window by face sums and exact slides (module doc).
+
+    Each entry is written once, in sorted order; one gather makes the cube symmetric.
+    """
     grid, table, c_mp = op.grid, op.table, op.c_mp
     p = grid.params
     n, width = grid.size, len(wexps)
     t_lo = int(wexps[0]) + grid.n_lo
     with mp.workdps(ctx.work_digits):
         bits = mp.mp.prec + 64  # guard bits below the working precision
-        jmp = table.row(t_lo, table.n_max, hp=True)  # j_t for t >= t_lo
+        jmp = table.row(t_lo, int(wexps[-1]) + grid.n_hi, hp=True)  # j_t of every row
         q_mp = mp.mpf(p.q)
         g = 2 * mp.mpf(p.v) + 2
-        u = [c_mp * c_mp * (1 - q_mp) * q_mp ** (t * g) * j
-             for t, j in zip(range(t_lo, t_lo + n + width - 1), jmp)]
-        ubits = bits - min(max(map(mp.mag, u[i:i + n])) for i in range(width))
+        with mp.workprec(bits + 64):  # q^{tg} by one running product
+            qg, q_lo = q_mp ** g, q_mp ** (t_lo * g)
+            qtg = list(accumulate(repeat(qg, len(jmp) - 1), mul, initial=q_lo))
+        c2 = c_mp * c_mp * (1 - q_mp)
+        u = [c2 * x * j for x, j in zip(qtg, jmp)]
+        mags = list(map(mp.mag, u))
+        ubits = bits - min(max(mags[i:i + n]) for i in range(width))
         ufix = [to_fixed(x, ubits) for x in u]
         jfix = [to_fixed(x, bits) for x in jmp]  # J_{t_lo+m}
         with mp.workprec(bits):
@@ -206,7 +214,7 @@ def _window_cube(op: TransformOp, wexps: np.ndarray, ctx: PrecisionCtx) -> np.nd
     # sums[d1][d2] = S_a(d1, d2) for the current row a, d1 <= d2.
     sums = [[0] * d1 + [sum(map(mul, face, jfix[d2:d2 + n])) for d2 in range(d1, width)]
             for d1, face in enumerate(faces)]
-    cube = np.empty((width, width, width))
+    tri = np.empty((width, width, width))  # tri[i, j, k] for i <= j <= k
     for i in range(width):
         out, inn = i - 1, i - 1 + n  # offsets of the t leaving and entering row i
         # F_a with at least ``bits`` bits, and a nonnegative total scale.
@@ -218,11 +226,8 @@ def _window_cube(op: TransformOp, wexps: np.ndarray, ctx: PrecisionCtx) -> np.nd
                 x_out, x_in = ufix[out] * jfix[out + d1], ufix[inn] * jfix[inn + d1]
                 for d2 in range(d1, width - i):
                     row[d2] += x_in * jfix[inn + d2] - x_out * jfix[out + d2]
-            for d2 in range(d1, width - i):
-                val = row[d2] * f_a / scale
-                for perm in set(permutations((i, i + d1, i + d2))):
-                    cube[perm] = val
-    return cube
+            tri[i, i + d1, i + d1:] = [row[d2] * f_a / scale for d2 in range(d1, width - i)]
+    return tri[tuple(np.sort(np.indices(tri.shape), axis=0))]
 
 
 def kernel(grid: LatticeGrid, table: BesselTable, ctx: PrecisionCtx = DEFAULT_CTX,

@@ -189,7 +189,7 @@ def _assert_mp_values_match_series(table: BesselTable) -> None:
     """Every mp value within 1e-40 relative of a (120 + lost)-digit series."""
     p = table.params
     for e, got in zip(range(table.n_min, table.n_max + 1), table.mp_values):
-        lost = bessel._digits_lost(p.q ** min(e, 0), p)
+        lost = bessel._digits_lost(-e, p)
         ref = bessel._series_at(e, p, CTX, 120 + math.ceil(lost))
         with mp.workdps(60):
             assert abs(got - ref) <= mp.mpf("1e-40") * abs(ref), e
@@ -225,9 +225,8 @@ class TestRecurrenceTable:
         # end loses its last digits.  The sweep no longer certifies, and the
         # anchors of a sound table disagree with the series.  Per-entry series
         # tables at 50 and 80 digits do not see it.
-        def lost(x, p):
-            m = math.log(abs(x)) / -math.log(p.q) if abs(x) > 1.0 else 0.0
-            return 2.0 * m * m * math.log10(1.0 / p.q)
+        def lost(m, p):
+            return 2.0 * m * m * math.log10(1.0 / p.q) if m > 0.0 else 0.0
 
         table = jv_table(DEEP, CTX)
         monkeypatch.setattr(bessel, "_digits_lost", lost)
@@ -290,6 +289,35 @@ class TestRecurrenceTable:
         assert digits and max(digits) <= 70
         assert bessel._anchor_ulps(table) == 0.0
 
+    @pytest.mark.parametrize("grid", [
+        default_scan_grid(QParams(0.9, -0.7)),       # the longest README sweep
+        LatticeGrid(QParams(0.5, 1.5), -2, 80),      # the most top growth
+    ], ids=["q0.9-v-0.7", "q0.5-v1.5"])
+    def test_integer_sweep_matches_mp_recurrence(self, grid, monkeypatch):
+        # Every step of the int sweep against the same recurrence in mpf at
+        # twice the digits: within 10^-(dps-10), lifted above n = 0 by the
+        # q^{-2v} a step that the second solution grows for v > 0.
+        calls = []
+        sweep = bessel._sweep
+
+        def spy(p, n_start, n_max, dps):
+            calls.append((p, n_start, n_max, dps, sweep(p, n_start, n_max, dps)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(bessel, "_sweep", spy)
+        jv_table(grid, CTX)
+        p, n_start, n_max, dps, got = calls[0]
+        assert len(got) == n_max - n_start + 1
+        w = mp.libmp.dps_to_prec(dps)
+        with mp.workdps(2 * dps):
+            q2, q2v = q2_exact(p.q), mp.mpf(p.q) ** (2 * mp.mpf(p.v))
+            u, prev, cur = q2 ** n_start, mp.mpf(0), mp.mpf(1)
+            for n, fixed in zip(range(n_start, n_max + 1), got):
+                tol = mp.mpf(10) ** -(dps - 10) * mp.mpf(p.q) ** (-2 * max(p.v, 0) * max(n, 0))
+                assert abs(mp.ldexp(fixed, -w) - cur) <= tol * abs(cur), n
+                prev, cur = cur, ((1 + q2v - u) * cur - prev) / q2v
+                u *= q2
+
     def test_mp_values_at_both_ends_match_150_digit_series(self):
         # q = 0.9 on [-30, 300]: the deepest entries, where the 70-digit
         # sweep is furthest from the series' own precision, and the top.
@@ -297,7 +325,7 @@ class TestRecurrenceTable:
         table = jv_table(LatticeGrid(p, -30, 300), CTX)
         lo, hi = table.n_min, table.n_max
         for e in [*range(lo, lo + 4), *range(hi - 3, hi + 1)]:
-            lost = bessel._digits_lost(p.q ** min(e, 0), p)
+            lost = bessel._digits_lost(-e, p)
             ref = bessel._series_at(e, p, CTX, 150 + math.ceil(lost))
             with mp.workdps(80):
                 assert abs(table.mp_value(e) - ref) <= mp.mpf("1e-49") * abs(ref), e

@@ -77,6 +77,14 @@ class TestCheck:
         monkeypatch.setattr(cli_mod, "run_suite", boom)
         assert main(["check", *CELL]) == 3
 
+    @pytest.mark.parametrize("command", [["check"], ["kernel", "--x", "1", "--y", "1"]])
+    def test_deep_grid_exits_3(self, command, capsys):
+        # q^-320 at q = 0.1 overflows binary64; the digit estimate is taken
+        # from the exponent, so the grid reports the ~2e5 digits it needs.
+        grid = ["--q", "0.1", "--v", "0", "--nlo", "-160", "--nhi", "40"]
+        assert main([command[0], *grid, *command[1:]]) == 3
+        assert "precision exhausted" in capsys.readouterr().err
+
     def test_report_lists_every_identity_with_status(self, tmp_path):
         out = tmp_path / "r.json"
         main(["check", *CELL, "--probes", "5", "--json", str(out)])
@@ -188,6 +196,22 @@ class TestKernel:
         assert main(["kernel", *CELL, "--x", "0.3", "--y", "1"]) == 2
 
 
+# The README scan: every pair's kernel window, and for v = -0.7 the O(1)
+# minima with their arguments, bit for bit.
+README_SCAN_WINDOWS = {
+    (0.3, -0.7): (-8, 7), (0.3, 0.0): (-9, 6), (0.3, 0.5): (-9, 6),
+    (0.5, -0.7): (-8, 7), (0.5, 0.0): (-9, 6), (0.5, 0.5): (-9, 6),
+    (0.7, -0.7): (-9, 6), (0.7, 0.0): (-9, 6), (0.7, 0.5): (-9, 6),
+    (0.9, -0.7): (-13, -1), (0.9, 0.0): (-13, -1), (0.9, 0.5): (-13, 0),
+}
+README_SCAN_NEGATIVE_ORDER = {
+    0.3: (-15.603411165390616, (7, 7, 7)),
+    0.5: (-36.423926554282019, (7, 7, 7)),
+    0.7: (-8.8661790254944339, (5, 5, 6)),
+    0.9: (-5.0467944713318085, (-6, -2, -1)),
+}
+
+
 class TestScanPositivity:
     def test_csv_columns_and_gate(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -200,6 +224,21 @@ class TestScanPositivity:
                            "argmin_x", "argmin_y", "argmin_z"]
         for row in rows[1:]:
             assert float(row[2]) >= -1e-10  # v >= 0 rows only here
+
+    def test_readme_windows_and_negative_order_minima_pinned(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        code = main(["scan-positivity", "--q-list", "0.3,0.5,0.7,0.9",
+                     "--v-list=-0.7,0,0.5", "--window", "16", "--out", str(out)])
+        assert code == 0
+        windows = {(float(q), float(v)): (int(lo), int(hi)) for q, v, lo, hi in re.findall(
+            r"q=(\S+) v=(\S+): .* window=\((-?\d+), (-?\d+)\)", capsys.readouterr().out)}
+        assert windows == README_SCAN_WINDOWS
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        got = {float(r["q"]): (float(r["min_kernel"]),
+                               (int(r["argmin_x"]), int(r["argmin_y"]), int(r["argmin_z"])))
+               for r in rows if float(r["v"]) == -0.7}
+        assert got == README_SCAN_NEGATIVE_ORDER
 
 
 class TestHeat:
