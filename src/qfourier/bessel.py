@@ -18,18 +18,25 @@ three-term recurrence
 
 and upward from the deep tail j_v dominates the second solution (Miller's
 algorithm; Gautschi, SIAM Review 9, 1967).  One sweep runs from (0, 1) a few
-exponents below n_min and is scaled once to the series at n_max.  It must
-equal the series at n_min to 1e-40 relative, or it restarts twice as deep.
-The recurrence does not cancel as the series does, so the sweep runs in
-Python ints at one scale 2^w, w the bits of the working digits (at least 26)
-plus the q^{-2v} growth of the second solution up to n_max plus 20 guard
-digits; a step errs as one mpf step at w bits would (:func:`_sweep`).  The
-two series anchors keep the series' precision at n_min plus 30 digits.  Each
-entry is its int times one mpf scale, rounded once at its own a-priori
-precision.  The series stays the independent route:
-``bessel-table-reproducibility`` compares it with the table at anchor
-exponents, which sees a wrong scale or a leftover of the second solution
-that the linear, homogeneous eigen relation cannot.
+exponents below n_min and is scaled once to j_v at n_max.  It must equal j_v
+at n_min to 1e-40 relative, or it restarts twice as deep.  The recurrence
+does not cancel as the series does, so the sweep runs in Python ints at one
+scale 2^w, w the bits of the working digits (at least 26) plus the q^{-2v}
+growth of the second solution up to n_max plus 20 guard digits; a step errs
+as one mpf step at w bits would (:func:`_sweep`).
+
+Neither anchor cancels as the series at q^{-m} does.  At n_max (x <= 1 on
+every grid with n_hi >= 0) the series is summed.  At n_min < 0 the lattice
+sum of :func:`_lattice_sum_mp`, from the z <-> c symmetry of 1phi1 (Gasper &
+Rahman sec. 1.4; Koornwinder & Swarttouw, Trans. AMS 333, 1992), starts at
+j_v's own size and its terms fall from there.  Each anchor runs at the
+sweep's digits plus 10, plus the digits its own terms are measured to cancel
+(largest |term| over |sum|, which grows only as q -> 1).  Each entry is its
+int times one mpf scale, rounded once at its own a-priori precision.  The
+series stays the independent route: ``bessel-table-reproducibility``
+compares it with the table at anchor exponents (at n_min a route other than
+the certifying one), which sees a wrong scale or a leftover of the second
+solution that the linear, homogeneous eigen relation cannot.
 """
 
 from __future__ import annotations
@@ -67,10 +74,10 @@ _MAX_DIGITS = 50_000
 # doubled at most _MAX_SWEEPS - 1 times.
 _START_DEPTH, _SWEEP_GUARD_DIGITS, _MAX_SWEEPS = 10, 20, 4
 
-# Relative gap to the series at n_min that certifies a sweep.  The sweep
-# carries at least 46 digits past the top growth and its two series anchors
-# at least 46 past every cancellation, so a certified table is good to about
-# this in every mp value.
+# Relative gap to j_v at n_min that certifies a sweep.  The sweep carries at
+# least 46 digits past the top growth and its two anchors at least 46 past
+# every cancellation, so a certified table is good to about this in every mp
+# value.
 _CERTIFY_REL = 1e-40
 
 
@@ -97,8 +104,8 @@ def _required_dps(m: float, p: QParams, ctx: PrecisionCtx) -> int:
     return dps
 
 
-def _jv_series_mp(x, p: QParams, ctx: PrecisionCtx, dps: int) -> mp.mpf:
-    """High-precision series sum at ``dps`` decimal digits."""
+def _jv_series_mp(x, p: QParams, ctx: PrecisionCtx, dps: int) -> tuple[mp.mpf, mp.mpf]:
+    """High-precision series sum at ``dps`` decimal digits, and its largest |term|."""
     with mp.workdps(dps):
         q = mp.mpf(p.q)
         q2 = q2_exact(p.q)
@@ -117,7 +124,47 @@ def _jv_series_mp(x, p: QParams, ctx: PrecisionCtx, dps: int) -> mp.mpf:
                 max_term = abs(term)
             if abs(term) < tol * max_term and u * x2 < 1:
                 break
-        return +total
+        return +total, max_term
+
+
+def _lattice_sum_mp(m: int, p: QParams, ctx: PrecisionCtx, dps: int) -> tuple[mp.mpf, mp.mpf]:
+    """The lattice sum of j_v(q^-m), m >= 1, at ``dps`` digits, and its largest |term|.
+
+    With c = q^{2v+2}, a limit of Heine's transformation gives the symmetry
+    1phi1(0; c; q^2, z) = ((z; q^2)_inf / (c; q^2)_inf) 1phi1(0; z; q^2, c)
+    (Gasper & Rahman, Basic Hypergeometric Series, sec. 1.4; Koornwinder &
+    Swarttouw, Trans. AMS 333, 1992).  At z = q^{2-2m} the factor (z; q^2)_inf
+    vanishes against the poles of the terms n >= m, which leaves
+
+        j_v(q^-m) = 1/((1-q) c_{q,v}) sum_{n>=m} (-1)^n q^{n(n-1)} c^n
+                    / ((q^2; q^2)_n (q^2; q^2)_{n-m}).
+
+    This returns the sum, without its factor 1/((1-q) c_{q,v}).  Its first
+    term, q^{m^2+(2v+1)m} / (q^2; q^2)_m, already has the size of j_v, and the
+    |term ratio| q^{2n} c / ((1 - q^{2n+2})(1 - q^{2n+2-2m})) falls with n:
+    once a term is below 10^-(dps-5) of the largest, the alternating tail is
+    too.  Only as q -> 1 do the first terms grow and cancel.
+    """
+    with mp.workdps(dps):
+        q2 = q2_exact(p.q)
+        c = mp.mpf(p.q) ** (2 * mp.mpf(p.v) + 2)
+        u, poch = mp.mpf(1), mp.mpf(1)
+        for _ in range(m):
+            u *= q2
+            poch *= 1 - u
+        term = (-1) ** m * q2 ** (m * (m - 1) // 2) * c ** m / poch
+        total, max_term = term, abs(term)
+        tol = min(mp.mpf(ctx.tail_tol), mp.mpf(10) ** -(dps - 5))
+        uk = mp.mpf(1)  # q^{2(n-m)}, while u is q^{2n}
+        while abs(term) >= tol * max_term:
+            ratio = u * c
+            u *= q2
+            uk *= q2
+            term *= -ratio / ((1 - u) * (1 - uk))
+            total += term
+            if abs(term) > max_term:
+                max_term = abs(term)
+        return total, max_term
 
 
 def _entry_dps(e: int, p: QParams, ctx: PrecisionCtx) -> int:
@@ -129,7 +176,37 @@ def _series_at(e: int, p: QParams, ctx: PrecisionCtx, dps: int | None = None) ->
     """The series at q^e (the point formed at the series' precision)."""
     dps = dps or _entry_dps(e, p, ctx)
     with mp.workdps(dps):
-        return _jv_series_mp(mp.mpf(p.q) ** e, p, ctx, dps)
+        return _jv_series_mp(mp.mpf(p.q) ** e, p, ctx, dps)[0]
+
+
+def _anchor(e: int, p: QParams, ctx: PrecisionCtx, dps: int) -> mp.mpf:
+    """j_v(q^e) good to about ``dps`` digits past the cancellation of its own terms.
+
+    Below 0 the lattice sum (:func:`_lattice_sum_mp`) times 1/((1-q) c_{q,v})
+    = (q^2; q^2)_inf / (q^{2v+2}; q^2)_inf, its two products taken at ``dps``
+    digits; from 0 up the series.  A sum runs at ``dps`` digits; where its
+    largest term over its sum shows more than five digits cancelled (measured,
+    not :func:`_digits_lost`), it runs again at ``dps`` plus those digits.
+    """
+    digits = dps
+    while digits <= _MAX_DIGITS:
+        with mp.workdps(digits):
+            total, max_term = (_lattice_sum_mp(-e, p, ctx, digits) if e < 0
+                               else _jv_series_mp(mp.mpf(p.q) ** e, p, ctx, digits))
+        lost = float(mp.log10(max_term / abs(total))) if total else digits
+        if lost <= digits - dps + 5:
+            break
+        digits = dps + math.ceil(lost)
+    else:
+        raise PrecisionExhausted(
+            f"j_v at q^{e} (q={p.q:g}, v={p.v:g}) needs over {_MAX_DIGITS} digits")
+    if e >= 0:
+        return total
+    at = PrecisionCtx(dps, ctx.tail_tol)
+    with mp.workdps(dps):
+        q2 = q2_exact(p.q)
+        c = mp.mpf(p.q) ** (2 * mp.mpf(p.v) + 2)
+        return total * qpoch_inf_mp(q2, q2, at) / qpoch_inf_mp(c, q2, at)
 
 
 def jv(x: float, p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
@@ -137,7 +214,7 @@ def jv(x: float, p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
     if x == 0.0:
         return 1.0
     dps = _required_dps(math.log(abs(x)) / -math.log(p.q), p, ctx)
-    return float(_jv_series_mp(x, p, ctx, dps))
+    return float(_jv_series_mp(x, p, ctx, dps)[0])
 
 
 @dataclass
@@ -222,7 +299,9 @@ def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
     """Tabulate j_v over [2 n_lo, 2 n_hi] (the range transform kernels need).
 
     One upward recurrence sweep, scaled to the series at n_max and certified
-    against it at n_min (module docstring).
+    against the lattice sum at n_min (the series if n_min >= 0), each anchor
+    at the sweep's digits plus its own measured cancellation (module
+    docstring).
     """
     p = grid.params
     n_min, n_max = 2 * grid.n_lo, 2 * grid.n_hi
@@ -230,11 +309,8 @@ def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
     # by q^{-2v} a step.
     growth = math.ceil(2.0 * max(p.v, 0.0) * max(n_max, 0) * math.log10(1.0 / p.q))
     dps = max(ctx.work_digits, 26) + growth + _SWEEP_GUARD_DIGITS
-    # The anchors sum the series, which cancels _digits_lost at n_min; ten
-    # digits over the guard keep their own truncation (10^-(digits-5) of the
-    # largest term) well below the certification bound.
-    anchor_dps = max(_entry_dps(n_min, p, ctx), 26 + growth) + _SWEEP_GUARD_DIGITS + 10
-    top, bottom = _series_at(n_max, p, ctx, anchor_dps), _series_at(n_min, p, ctx, anchor_dps)
+    # Each anchor carries ten digits over the sweep past its own cancellation.
+    top, bottom = (_anchor(e, p, ctx, dps + 10) for e in (n_max, n_min))
     depth = _START_DEPTH
     for _ in range(_MAX_SWEEPS):
         raw = _sweep(p, n_min - depth, n_max, dps)[depth:]

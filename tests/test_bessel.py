@@ -1,5 +1,6 @@
 """Normalized q-Bessel function: series, tables, decay bound, eigen relation."""
 
+import hashlib
 import math
 import sys
 from fractions import Fraction
@@ -7,6 +8,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfourier import bessel
 from qfourier.bessel import (
@@ -222,16 +225,22 @@ class TestRecurrenceTable:
 
     def test_dropped_order_term_fails_gate(self, monkeypatch):
         # The digit estimate without its (2v+1)m term: the series at the deep
-        # end loses its last digits.  The sweep no longer certifies, and the
-        # anchors of a sound table disagree with the series.  Per-entry series
-        # tables at 50 and 80 digits do not see it.
+        # end loses its last digits, and the anchors of a sound table disagree
+        # with the series.  Per-entry series tables at 50 and 80 digits do not
+        # see it.  The table's own anchors measure their cancellation and do
+        # not read the estimate: it still certifies, with the same binary64
+        # values; its mp values move only in their rounding (which reads the
+        # estimate), by less than 1e-50.
         def lost(m, p):
             return 2.0 * m * m * math.log10(1.0 / p.q) if m > 0.0 else 0.0
 
         table = jv_table(DEEP, CTX)
         monkeypatch.setattr(bessel, "_digits_lost", lost)
-        with pytest.raises(PrecisionExhausted):
-            jv_table(DEEP, CTX)
+        again = jv_table(DEEP, CTX)
+        assert again.values.tobytes() == table.values.tobytes()
+        with mp.workdps(60):
+            assert all(abs(a - b) <= mp.mpf("1e-50") * abs(a)
+                       for a, b in zip(table.mp_values, again.mp_values))
         assert bessel._anchor_ulps(table) > 1.0
 
         def series_table(ctx):
@@ -289,6 +298,59 @@ class TestRecurrenceTable:
         assert digits and max(digits) <= 70
         assert bessel._anchor_ulps(table) == 0.0
 
+    def test_anchors_run_at_sweep_digits(self, monkeypatch):
+        # The series cancels ~600 digits at n_min = -24 here, and anchors set
+        # by it ran at 671 digits.  No sum may run above the sweep's digits
+        # plus 10 plus the digits its own terms cancel, and none may be the
+        # series at n_min.
+        sweeps, sums = [], []
+        sweep, series, lattice = bessel._sweep, bessel._jv_series_mp, bessel._lattice_sum_mp
+
+        def spy_sweep(p, n_start, n_max, dps):
+            sweeps.append(dps)
+            return sweep(p, n_start, n_max, dps)
+
+        def spy_series(x, p, ctx, dps):
+            sums.append(("series", mp.mpf(x), dps, *series(x, p, ctx, dps)))
+            return sums[-1][-2:]
+
+        def spy_lattice(m, p, ctx, dps):
+            sums.append(("lattice", m, dps, *lattice(m, p, ctx, dps)))
+            return sums[-1][-2:]
+
+        monkeypatch.setattr(bessel, "_sweep", spy_sweep)
+        monkeypatch.setattr(bessel, "_jv_series_mp", spy_series)
+        monkeypatch.setattr(bessel, "_lattice_sum_mp", spy_lattice)
+        grid = default_scan_grid(QParams(0.3, 0.0))
+        table = jv_table(grid, CTX)
+        assert sorted(kind for kind, *_ in sums) == ["lattice", "series"]
+        for kind, at, dps, total, max_term in sums:
+            lost = float(mp.log10(max_term / abs(total)))
+            assert dps <= max(sweeps) + 10 + math.ceil(lost) < 671
+            assert at == -table.n_min if kind == "lattice" else at <= 1
+        assert bessel._anchor_ulps(table) == 0.0
+
+    def test_anchor_above_300_digits_certifies(self):
+        # v = 3 on n_max = 40 at q = 0.1: the second solution grows 240 digits,
+        # so the sweep runs at 310 digits and the anchors at 320.  Digit counts
+        # near 318 must not pass through a binary64 10^-(digits+5).
+        table = jv_table(LatticeGrid(QParams(0.1, 3.0), -6, 20), CTX)
+        assert bessel._anchor_ulps(table) == 0.0
+        _assert_mp_values_match_series(table)
+
+    def test_perturbed_anchor_fails_certification(self, monkeypatch):
+        # A lattice sum off by 1e-35 can be matched by no sweep.
+        lattice = bessel._lattice_sum_mp
+
+        def scaled(m, p, ctx, dps):
+            total, max_term = lattice(m, p, ctx, dps)
+            with mp.workdps(dps):
+                return total * (1 + mp.mpf("1e-35")), max_term
+
+        monkeypatch.setattr(bessel, "_lattice_sum_mp", scaled)
+        with pytest.raises(PrecisionExhausted):
+            jv_table(DEEP, CTX)
+
     @pytest.mark.parametrize("grid", [
         default_scan_grid(QParams(0.9, -0.7)),       # the longest README sweep
         LatticeGrid(QParams(0.5, 1.5), -2, 80),      # the most top growth
@@ -335,6 +397,147 @@ class TestRecurrenceTable:
         monkeypatch.setattr(bessel, "_MAX_SWEEPS", 1)
         with pytest.raises(PrecisionExhausted):
             jv_table(LatticeGrid(QParams(0.8, 0.5), -20, 120), CTX)
+
+
+def _assert_anchor_matches_series(q: float, v: float, m: int) -> None:
+    """The lattice anchor at the sweep digits of a 50-digit table, against a
+    (150 + lost)-digit series at q^-m."""
+    p = QParams(q, v)
+    dps = max(CTX.work_digits, 26) + bessel._SWEEP_GUARD_DIGITS + 10
+    got = bessel._anchor(-m, p, CTX, dps)
+    ref = bessel._series_at(-m, p, CTX, 150 + math.ceil(bessel._digits_lost(m, p)))
+    with mp.workdps(60):
+        assert abs(got - ref) <= mp.mpf("1e-45") * abs(ref), (q, v, m)
+
+
+class TestLatticeAnchor:
+    """j_v(q^-m) by the lattice sum against the power series."""
+
+    @pytest.mark.parametrize("q, v, m", [
+        (0.1, 3.0, 60),       # the series cancels ~7600 digits
+        (0.1, -0.99, 1),
+        (0.3, 0.0, 24),       # the README scan's deepest q = 0.3 anchor
+        (0.5, 1.5, 20),
+        (0.9, -0.7, 1),       # the terms grow 3.7 digits before they fall
+        (0.95, 0.5, 1),       # and 7 here: the anchor sums twice
+        (0.95, -0.999, 40),
+        (0.95, 3.0, 60),
+    ])
+    def test_matches_series(self, q, v, m):
+        _assert_anchor_matches_series(q, v, m)
+
+    @pytest.mark.parametrize("e", [-1, 0])
+    def test_cancellation_near_one_is_measured(self, e):
+        # At q = 0.99 the lattice sum at q^-1 and the series at 1 both cancel
+        # about 41 digits that _digits_lost does not count: each anchor sums
+        # again with the digits its terms showed.
+        p = QParams(0.99, 0.5)
+        got = bessel._anchor(e, p, CTX, 80)
+        ref = bessel._series_at(e, p, CTX, 300)
+        with mp.workdps(90):
+            assert abs(got - ref) <= mp.mpf("1e-70") * abs(ref)
+
+    @settings(max_examples=12, deadline=None)
+    @given(q=st.floats(0.1, 0.95), v=st.floats(-1.0, 3.0, exclude_min=True),
+           m=st.integers(1, 60))
+    def test_matches_series_anywhere(self, q, v, m):
+        _assert_anchor_matches_series(q, v, m)
+
+
+# sha256 of ``values`` and of the mp mantissas, as the tables were when both
+# anchors summed the series at n_min's precision: the README scan, the
+# default cells, and four more (an anchor above 300 digits and three
+# q >= 0.95 grids).  The lattice anchor must change no bit of them.
+_TABLE_SHA256 = {
+    (0.3, -0.7, -12, 59): (
+        "042866fb052d7aa141add024c6089a974d452d8d5a67f18774ab1090514bb4c3",
+        "8b0b7352242d7a90604aaa972296eb1644da270f3c5bfe373708fafa7a2fa9be"),
+    (0.3, 0.0, -12, 40): (
+        "06b51b2720dd1846acdaea5c9010609bb03a797007a30b9d2f062023c8731d65",
+        "04412579df8db3b3618eeb773db69ff22fb4ff0eb42267067b61617b53db1d84"),
+    (0.3, 0.5, -12, 40): (
+        "df783467d1f4f8def42db854d4dd737e1e365bb7b7e83ad1a514da5f74f220db",
+        "8139f3b7ac922690209587ab720ae3147b058de5e3bbec55c6b8bb948a599325"),
+    (0.5, -0.7, -14, 97): (
+        "88aeca30ace85525efd189ed6e80c26ffa5c6bf89f7f80621b366d6d90c98de4",
+        "ce0d95ba1242cd0bebda0eb3ba71c5a812f0d9be03257da3c0d58e3b304d885f"),
+    (0.5, 0.0, -14, 40): (
+        "faabea90ad8be19c4302f430f287ce6dd284ca83ab06ad1360360d6318737036",
+        "88866b66e0c6a6003f804007ff267e4baf337fb94fe729aadb7bfde66943e341"),
+    (0.5, 0.5, -14, 40): (
+        "2695a4745ff818685100363bff406e2a70990cc926188ef1fa925d7026423d89",
+        "a324950ce43ab24a2abf0de79f3781e8bf156ed75b60a7d3c06fcdd4176b80a3"),
+    (0.7, -0.7, -17, 181): (
+        "bd45a75df5336e702c7488e763affeca39a2fabb482e1d2a9302973653d5befd",
+        "3c7450659095a82f8391c7d55435bbddc86180ef29741476d8a54e70f6d47c85"),
+    (0.7, 0.0, -17, 60): (
+        "0353396b2d33bbccacbaaefe7e23a8c8c0d5b76aea71b9793fe2791c34645264",
+        "c000800afdffa93bda78d9d92db056b40a439845acd436a91296b227f6579246"),
+    (0.7, 0.5, -17, 43): (
+        "425395a7ea38af1e6cdfadb5b4772340cc64922a1345d135e567a7f1ba1eac43",
+        "0c5795fed11f9283270ac952fad8d8b7b6e9f56ed721c0a22be857405226bf5a"),
+    (0.9, -0.7, -25, 591): (
+        "71694d7abcf33b95d7db308f056a133729e61bb8c3f6f8883c542da118d0546a",
+        "5f0d7e57d1287256630fde703b2374b99a0e2c043f3bcbf4167b2a507882bba4"),
+    (0.9, 0.0, -25, 183): (
+        "9e9fa3526d726a572ff502977b9294b8dac82562ac671f1ff507df363c2d3e26",
+        "76007c0c4a60dc68d55dcbe1ff0c4521fe5ba771febeebff09f8c43305e48564"),
+    (0.9, 0.5, -25, 125): (
+        "8f205699d3a0a7d8979e12e58d028883c6789e4c777fae3a23095d00b9e6c1b7",
+        "1ee526c72ed1e22c7f298d792a855b5f32845f2464ccbd8c9be591bffd485731"),
+    (0.5, 0.0, -10, 40): (
+        "2b34a1ee82626eeb12aaad7a24b140d6a72669d57f7c0bdef210bbcdfeca6108",
+        "8a6eb0d772947f7918ab85b6ab533bec3ff36f84f1b5104a1e3ec1292262abe6"),
+    (0.5, 0.5, -10, 40): (
+        "c2c35cbbc80f4f9efc047457da52235097b88f4c8d66e58b391b7c3417ea3b49",
+        "06ce2ee2afc6fa0422d97b5fea701d7a97c39433d60dd3978d57e7b8fb75389d"),
+    (0.5, 1.5, -10, 40): (
+        "51c829f22fc13646dc9be5d67c944fdad7fa1a6759109b0587b5cf5777c49096",
+        "3e98071316a35aaa60c5470dd32ba23d24ee87213adcc73466081067ddd071a6"),
+    (0.8, 0.5, -20, 120): (
+        "c9dc37136662715b341940781a1ec52e670b123a3faa8e63fa733da0ae80406f",
+        "e82e33d2acaad678153bfd36ca24d9e6cceff22066a3f2d4454a3a9b52529408"),
+    (0.1, 3.0, -6, 20): (
+        "8d394126b1bf36f2850bb265cf809e8fd59c8a4951f999d6f56982727ca00c50",
+        "d779c2835b0973e0521d9a833e9384b803500022d259e5f37edf7e01051ef27e"),
+    (0.95, 0.5, -3, 6): (
+        "d014b9d7b305a4052f690406639cf213582350d81f23037818b7fdfc443de6dd",
+        "150c8b26ae7c52185659e9bc04c2415f48399667db78cba23d42c2287a8a1c2f"),
+    (0.97, 0.5, -5, 10): (
+        "2f0caf60c582bfa501e571b753db1c3fd98c7f483d316a0c9f40958d913cca1a",
+        "c25f1880635481cc6162ec087d6deaa77ac6804ed2c50debd3211d9a6e00eaab"),
+    (0.95, 0.0, -10, 20): (
+        "f009c9b758198ad989cd8080f7d690b7a5adbdbcb5addac6e020839cd5e6298a",
+        "9ad024a6c88e607068e57ae51436cdcf63dfa62c432343274f13ae9a490e6442"),
+}
+
+
+def _table_sha256(table: BesselTable) -> tuple[str, str]:
+    mantissas = hashlib.sha256()
+    for x in table.mp_values:
+        sign, man, exp, _ = x._mpf_
+        mantissas.update(f"{sign} {man:x} {exp};".encode())
+    return hashlib.sha256(table.values.tobytes()).hexdigest(), mantissas.hexdigest()
+
+
+class TestTableFingerprint:
+    def test_pins_cover_scan_and_default_cells(self):
+        scan = {(g.params.q, g.params.v, g.n_lo, g.n_hi) for g in (
+            default_scan_grid(QParams(q, v)) for q in (0.3, 0.5, 0.7, 0.9)
+            for v in (-0.7, 0.0, 0.5))}
+        assert scan | set(DEFAULT_CELLS) <= set(_TABLE_SHA256)
+
+    @pytest.mark.parametrize("q, v, n_lo, n_hi", list(_TABLE_SHA256))
+    def test_bit_identical(self, q, v, n_lo, n_hi):
+        table = jv_table(LatticeGrid(QParams(q, v), n_lo, n_hi), CTX)
+        assert _table_sha256(table) == _TABLE_SHA256[(q, v, n_lo, n_hi)]
+
+    @pytest.mark.parametrize("q, v, n_lo, n_hi", [(0.99, 0.5, -5, 5), (0.998, 0.5, -3, 6)])
+    def test_near_one_still_refused(self, q, v, n_lo, n_hi):
+        # No start up to 80 below n_min (the fourth sweep) certifies: at
+        # q = 0.99 that start still leaves 7e-18 of the second solution.
+        with pytest.raises(PrecisionExhausted):
+            jv_table(LatticeGrid(QParams(q, v), n_lo, n_hi), CTX)
 
 
 class TestDecayBound:
