@@ -9,8 +9,8 @@ Subcommands:
 * ``heat``             apply the heat semigroup / report the equation residual
 
 Exit codes: 0 all gated identities pass, 1 an identity failed, 2 bad
-configuration or input, 3 precision could not be certified.  Flags beat the
-environment (``QF_DIGITS``, ``QF_TAIL_TOL``), which beats built-in defaults.
+configuration or input, 3 precision or grid too small to certify.  Flags beat
+the environment (``QF_DIGITS``, ``QF_TAIL_TOL``), which beats built-in defaults.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .bessel import jv_table
-from .errors import ParseError, PrecisionExhausted, QFourierError
+from .errors import GridTooSmall, ParseError, PrecisionExhausted, QFourierError
 from .heat import gauss_mass_defect, gauss_memo, heat_apply, heat_residual
 from .lattice import LatticeGrid, delta_fn, load_csv, save_csv
 from .qseries import PrecisionCtx, QParams
@@ -280,6 +280,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except PrecisionExhausted as exc:
         print(f"error: precision exhausted: {exc}", file=sys.stderr)
+        return EXIT_PRECISION
+    except GridTooSmall as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
     except (QFourierError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,3 +35,7 @@ class NotProbability(QFourierError, ValueError):
 
 class ParseError(QFourierError, ValueError):
     """A data file could not be parsed."""
+
+
+class GridTooSmall(QFourierError, ValueError):
+    """A grid too short for (q, v): truncation leaves no trusted window."""

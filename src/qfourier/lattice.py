@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,10 +70,15 @@ class LatticeGrid:
         return n - self.n_lo
 
     def weights(self) -> np.ndarray:
-        """Jackson weights (1-q) q^{n(2v+2)} for the x^{2v+1} d_q x measure."""
+        """Jackson weights (1-q) q^{n(2v+2)} for the x^{2v+1} d_q x measure, read-only."""
+        return self._weights
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
         q, v = self.params.q, self.params.v
-        n = self.exponents.astype(float)
-        return (1.0 - q) * np.power(q, n * (2.0 * v + 2.0))
+        w = (1.0 - q) * np.power(q, self.exponents.astype(float) * (2.0 * v + 2.0))
+        w.flags.writeable = False
+        return w
 
 
 @dataclass

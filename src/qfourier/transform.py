@@ -8,8 +8,9 @@ a Hankel-type kernel (depends on n+m) times a diagonal weight.  On the
 infinite lattice M is an involution and an isometry; on a truncation those
 identities hold up to lattice-tail errors, which this module budgets
 explicitly: :func:`trusted_window` bounds, per exponent, the relative error
-the missing tails can inject into the reproducing identity, and identity
-checks gate only rows/columns whose bound is below tolerance.
+the missing tails can inject into the reproducing identity (one scaled
+GEMM per lattice tail), and identity checks gate only rows/columns whose
+bound is below tolerance.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bessel import BesselTable, decay_bound_log10
-from .errors import GridMismatch
+from .errors import GridMismatch, GridTooSmall
 from .lattice import GridFn, LatticeGrid, inner, norm2
 from .numerics import TINY
 from .qseries import DEFAULT_CTX, PrecisionCtx, QParams
@@ -213,8 +214,7 @@ def _logsum10(log_terms: np.ndarray, axis: int = -1) -> np.ndarray:
 _TRUST_TOL = 1e-12
 # Lattice-tail exponents summed beyond each end of the grid.
 _TAIL_TERMS = 80
-# Rows a per block of the (a, b, m) tail sum: B N 2 _TAIL_TERMS floats at a time.
-_TAIL_BLOCK = 8
+_LN10 = math.log(10.0)
 
 
 def _tail_weight_log10(p: QParams, c: float, s: np.ndarray) -> np.ndarray:
@@ -223,24 +223,39 @@ def _tail_weight_log10(p: QParams, c: float, s: np.ndarray) -> np.ndarray:
             + s * (2.0 * p.v + 2.0) * math.log10(p.q))
 
 
+def _gram_log10(log_half: np.ndarray) -> np.ndarray:
+    """log10 of sum_m 10^(L[a, m] + L[b, m]), an upper bound, for (N, M) log10 terms L.
+
+    With row maxima r and E = 10^(L - r) <= 1 the sum is 10^(r_a + r_b) E E^T:
+    one GEMM, no overflow.  A term lost to underflow has both factors <= 1, so
+    it is below tiny = 2^-1022 of 10^(r_a + r_b); adding M tiny keeps the
+    result an upper bound on the exact sum.
+    """
+    r = log_half.max(axis=1)
+    e = 10.0 ** (log_half - r[:, None])
+    floor = log_half.shape[1] * np.finfo(float).tiny
+    return r[:, None] + r[None, :] + np.log10(e @ e.T + floor)
+
+
 def _trust_log10(grid: LatticeGrid, table: BesselTable) -> np.ndarray:
-    """log10 of the relative reproducing-identity bound at each grid exponent."""
+    """log10 of the relative reproducing-identity bound at each grid exponent.
+
+    tail(a, b) = sum_m W_m B(a+m) B(b+m), W the tail weight and B the decay
+    envelope, is a Gram matrix: per lattice tail (the ``_TAIL_TERMS`` m beyond
+    one end of the grid) one GEMM, ``_gram_log10`` of L = log10 B(a+m) W_m^(1/2),
+    in O(N M + N^2) memory.  The tails are scaled apart, as a row's two differ
+    by hundreds of decades: under one scale the smaller is lost, to the floor
+    (up to 359 decades loose at q=0.124, v=1.964, [-33, 279]) or without it to
+    zero (307 decades low there at e=0).
+    """
     p, const, c = grid.params, table.decay_const, table.c
     exps = grid.exponents.astype(float)
-
-    m_tail = np.concatenate([
-        np.arange(grid.n_lo - _TAIL_TERMS, grid.n_lo, dtype=float),
-        np.arange(grid.n_hi + 1, grid.n_hi + 1 + _TAIL_TERMS, dtype=float),
-    ])
-    # log10 of c^2 (1-q) q^{m(2v+2)} B(a+m) B(b+m), summed over tail m, a
-    # block of rows a at a time.  The sum is (base + log_b[a]) + log_b[b] in
-    # that order, and each (a, b) reduces its own contiguous m axis, so the
-    # blocks give the bits of one (N, N, M) array.
-    base = _tail_weight_log10(p, c, m_tail)
-    log_b = decay_bound_log10(exps[:, None] + m_tail[None, :], p, const)
-    log_tail = np.concatenate([                                    # (N, N): (a, b)
-        _logsum10(base + log_b[i:i + _TAIL_BLOCK, None, :] + log_b[None, :, :], axis=2)
-        for i in range(0, len(exps), _TAIL_BLOCK)])
+    lower, upper = (
+        _gram_log10(decay_bound_log10(exps[:, None] + m, p, const)
+                    + 0.5 * _tail_weight_log10(p, c, m))
+        for m in (np.arange(grid.n_lo - _TAIL_TERMS, grid.n_lo, dtype=float),
+                  np.arange(grid.n_hi + 1, grid.n_hi + 1 + _TAIL_TERMS, dtype=float)))
+    log_tail = np.logaddexp(_LN10 * lower, _LN10 * upper) / _LN10    # (N, N): (a, b)
 
     # (M^2 - I)[a, b] = w_b tail(a, b), w the Jackson weights (1-q) q^{b(2v+2)};
     # push through the weighted L2 norm of column b relative to the unit bump's.
@@ -254,20 +269,19 @@ def trusted_window(grid: LatticeGrid, table: BesselTable,
                    ctx: PrecisionCtx = DEFAULT_CTX) -> tuple[int, int]:
     """Exponent range where truncation cannot disturb the reproducing identity.
 
-    For a unit bump at exponent b the relative L2 residual of F(Ff) = f on
-    the truncated lattice is bounded using the two-branch decay envelope of
-    j_v; the window keeps the exponents whose bound stays below ``_TRUST_TOL``.
-    All bookkeeping runs in log10 space (the raw tail terms overflow/underflow
-    binary64 by hundreds of orders of magnitude).  The tail sum over the
-    M = 2 ``_TAIL_TERMS`` lattice exponents beyond the grid is taken
-    ``_TAIL_BLOCK`` rows at a time, so memory is O(B N M) per block and
-    O(N^2) overall for N grid exponents.  c_{q,v} and the decay constant are
+    For a unit bump at exponent b the relative L2 residual of F(Ff) = f on the
+    truncated lattice is bounded in log10 space by the two-branch decay envelope
+    of j_v; the window keeps the exponents whose bound stays below
+    ``_TRUST_TOL``.  The bound's tail sum is a Gram matrix, one row-scaled GEMM
+    per lattice tail whose underflow floor keeps it an upper bound, in
+    O(N M + N^2) memory (``_trust_log10``).  c_{q,v} and the decay constant are
     the table's; ``ctx`` is accepted for positional callers and not read.
     """
     _check_table(grid, table)
     ok = _trust_log10(grid, table) < math.log10(_TRUST_TOL)
     if not ok.any():
-        raise GridMismatch("no trusted exponents: grid too small for this (q, v)")
+        raise GridTooSmall(f"no trusted exponents: grid [{grid.n_lo}, {grid.n_hi}] "
+                           f"is too small for q={grid.params.q}, v={grid.params.v}")
     idxs = np.flatnonzero(ok)
     return int(grid.exponents[idxs[0]]), int(grid.exponents[idxs[-1]])
 

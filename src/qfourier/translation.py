@@ -66,7 +66,7 @@ import mpmath as mp
 import numpy as np
 
 from .bessel import BesselTable, decay_bound_log10, jv_table
-from .errors import GridMismatch, NotProbability, OffWindow
+from .errors import GridMismatch, GridTooSmall, NotProbability, OffWindow
 from .lattice import GridFn, LatticeGrid, inner, jackson_integral, norm2, sup_norm
 from .numerics import TINY, to_fixed, worst
 from .qseries import DEFAULT_CTX, PrecisionCtx, QParams
@@ -243,9 +243,8 @@ def kernel(grid: LatticeGrid, table: BesselTable, ctx: PrecisionCtx = DEFAULT_CT
         win_lo += 1
     win_lo = max(win_lo, win_hi - max_width + 1)
     if win_hi - win_lo + 1 < 3:
-        raise GridMismatch(
-            f"kernel window collapsed to [{win_lo}, {win_hi}]; grid too small"
-        )
+        raise GridTooSmall(f"kernel window collapsed to [{win_lo}, {win_hi}]: grid [{grid.n_lo}, "
+                           f"{grid.n_hi}] is too small for q={grid.params.q}, v={grid.params.v}")
 
     cube = _window_cube(op, np.arange(win_lo, win_hi + 1), ctx)
     return Kernel3(int(win_lo), int(win_hi), cube, op)

@@ -85,6 +85,15 @@ class TestCheck:
         assert main([command[0], *grid, *command[1:]]) == 3
         assert "precision exhausted" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("q, where", [("0.9", "no trusted exponents: grid [-25, 125]"),
+                                          ("0.95", "kernel window collapsed")])
+    def test_grid_too_small_exits_3(self, q, where, capsys):
+        # The default scan grid of (q, 0.5) is too short for the window;
+        # the message names the grid and the pair.
+        assert main(["check", "--q", q, "--v", "0.5"]) == 3
+        err = capsys.readouterr().err
+        assert where in err and f"is too small for q={q}, v=0.5" in err
+
     def test_report_lists_every_identity_with_status(self, tmp_path):
         out = tmp_path / "r.json"
         main(["check", *CELL, "--probes", "5", "--json", str(out)])

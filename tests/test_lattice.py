@@ -53,6 +53,15 @@ class TestGrid:
         with pytest.raises(GridMismatch):
             GridFn(grid, np.zeros(grid.size + 1))
 
+    def test_weights_built_once_and_read_only(self, grid):
+        w = grid.weights()
+        assert grid.weights() is w
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+        with pytest.raises(ValueError):
+            w *= 2.0
+        assert np.array_equal(w, 0.5 * np.power(0.5, 3.0 * grid.exponents))
+
 
 class TestJackson:
     def test_single_point(self, grid):

@@ -5,10 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from qfourier import transform
 from qfourier.bessel import decay_bound_log10, jv_table
-from qfourier.errors import GridMismatch
+from qfourier.errors import GridMismatch, GridTooSmall, PrecisionExhausted
 from qfourier.lattice import GridFn, LatticeGrid, delta_fn, inner, norm_p
 from qfourier.numerics import TINY
 from qfourier.probes import seeded_probes
@@ -219,10 +221,75 @@ class TestWindowAndCompleteness:
 
     @pytest.mark.parametrize("q, v, n_lo, n_hi", list(DEFAULT_CELLS) + [(0.9, 0.0, -30, 300)])
     def test_blocked_bound_matches_full_cube(self, q, v, n_lo, n_hi):
+        # The Gram products round differently from the cube's sums, by at
+        # most 4.5e-13 decades on 90 grids.
         grid = LatticeGrid(QParams(q, v), n_lo, n_hi)
         table = jv_table(grid, PrecisionCtx())
         ref = _full_cube_trust_log10(grid, table)
-        assert transform._trust_log10(grid, table).tobytes() == ref.tobytes()
+        np.testing.assert_allclose(transform._trust_log10(grid, table), ref,
+                                   rtol=1e-14, atol=1e-12)
+
+    @pytest.mark.parametrize("q, v, n_lo, n_hi, window", [
+        (0.5, 0.0, -10, 40, (-10, 4)), (0.5, 0.5, -10, 40, (-10, 4)),
+        (0.5, 1.5, -10, 40, (-10, 5)), (0.8, 0.5, -20, 120, (-20, 8)),
+        (0.3, -0.7, -12, 59, (-12, 7)), (0.3, 0.0, -12, 40, (-12, 8)),
+        (0.3, 0.5, -12, 40, (-12, 8)), (0.5, -0.7, -14, 97, (-14, 7)),
+        (0.5, 0.0, -14, 40, (-14, 8)), (0.5, 0.5, -14, 40, (-14, 8)),
+        (0.7, -0.7, -17, 181, (-3, 7)), (0.7, 0.0, -17, 60, (-8, 8)),
+        (0.7, 0.5, -17, 43, (-8, 8)), (0.9, -0.7, -25, 591, None),
+        (0.9, 0.0, -25, 183, None), (0.9, 0.5, -25, 125, None),
+        (0.9, 0.0, -30, 300, (-30, 8)),
+        (0.9, 0.0, -40, 300, (-24, 18)),    # the bound clears _TRUST_TOL by 0.002 decades
+        (0.9, 0.5, -30, 300, (-30, 8)), (0.5, -0.7, -20, 140, (-20, 13)),
+        (0.5, 1.5, -2, 80, None),
+    ])
+    def test_window_pins(self, q, v, n_lo, n_hi, window):
+        # The default cells, the README scan's default grids and five longer
+        # grids; None: no trusted exponent, the grid is too small.
+        grid = LatticeGrid(QParams(q, v), n_lo, n_hi)
+        table = jv_table(grid, PrecisionCtx())
+        if window is None:
+            with pytest.raises(GridTooSmall, match=rf"\[{n_lo}, {n_hi}\].*q={q}, v={v}"):
+                trusted_window(grid, table)
+        else:
+            assert trusted_window(grid, table) == window
+
+    def test_tails_are_scaled_apart(self):
+        # One row's tails differ by hundreds of decades here.  Under one row
+        # scale the smaller tail is lost: the bound read up to 359 decades
+        # loose with the underflow floor, and 307 decades low at e=0 without it.
+        grid = LatticeGrid(QParams(0.124, 1.964), -33, 279)
+        table = jv_table(grid, PrecisionCtx())
+        ref = _full_cube_trust_log10(grid, table)
+        np.testing.assert_allclose(transform._trust_log10(grid, table), ref,
+                                   rtol=1e-14, atol=1e-12)
+        assert trusted_window(grid, table) == (-33, 279)
+
+    def test_gram_floor_keeps_an_upper_bound(self):
+        # Rows peaking 400 decades apart: every cross term underflows in E E^T.
+        log_half = np.array([[0.0, -200.0, -400.0], [-400.0, -200.0, 0.0], [-1.0, 0.0, -1.0]])
+        ln10 = math.log(10.0)
+        exact = np.logaddexp.reduce(
+            ln10 * (log_half[:, None, :] + log_half[None, :, :]), axis=2) / ln10
+        got = transform._gram_log10(log_half)
+        assert np.all(got >= exact - 1e-12)
+        np.testing.assert_allclose(np.diag(got), np.diag(exact), rtol=1e-14, atol=1e-12)
+        assert got[0, 1] <= math.log10(3 * np.finfo(float).tiny) + 1e-12
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(q=st.floats(0.1, 0.95), v=st.floats(-0.999, 3.0),
+           n_lo=st.integers(-40, -2), n_hi=st.integers(10, 300))
+    def test_random_grids_match_full_cube(self, q, v, n_lo, n_hi):
+        grid = LatticeGrid(QParams(q, v), n_lo, n_hi)
+        try:
+            table = jv_table(grid, PrecisionCtx())
+        except PrecisionExhausted:
+            reject()
+        ref = _full_cube_trust_log10(grid, table)
+        got = transform._trust_log10(grid, table)
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-12)
+        tol = math.log10(transform._TRUST_TOL)
+        assert np.array_equal(got < tol, ref < tol)
 
     def test_one_call_holds_no_cube(self):
         # q = 0.9 on [-30, 300]: the (N, N, 160) tail cube alone is 140 MB and
