@@ -42,6 +42,7 @@ solution that the linear, homogeneous eigen relation cannot.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -72,13 +73,17 @@ _MAX_DIGITS = 50_000
 # A table sweep starts this many exponents below n_min, with this many guard
 # digits over the working digits and the top growth; an uncertified start is
 # doubled at most _MAX_SWEEPS - 1 times.
-_START_DEPTH, _SWEEP_GUARD_DIGITS, _MAX_SWEEPS = 10, 20, 4
+_START_DEPTH, _SWEEP_GUARD_DIGITS, _MAX_SWEEPS = 10, 20, 5
 
 # Relative gap to j_v at n_min that certifies a sweep.  The sweep carries at
 # least 46 digits past the top growth and its two anchors at least 46 past
 # every cancellation, so a certified table is good to about this in every mp
 # value.
 _CERTIFY_REL = 1e-40
+
+# jv_exact_dyadic's first term count puts its first left-out term this many
+# bits below j_v's decay envelope: 11 past binary64's 53.
+_DYADIC_GUARD_BITS = 64
 
 
 def _digits_lost(m: float, p: QParams) -> float:
@@ -396,52 +401,77 @@ def decay_bound_check(table: BesselTable) -> DecayCheck:
     )
 
 
-def eigen_residual(grid: LatticeGrid, lambda_exp: int, table: BesselTable) -> float:
-    """Residual of Delta_{q,v} j_v(lambda .) = -lambda^2 j_v(lambda .).
+def eigen_residual(grid: LatticeGrid, lambda_exps: Sequence[int], table: BesselTable) -> float:
+    """Worst residual of Delta_{q,v} j_v(lambda .) = -lambda^2 j_v(lambda .), lambda = q^l.
 
-    Evaluated on interior exponents only (the operator needs both neighbours)
-    and on the high-precision table values: near x -> 0 the three-term
-    difference cancels ~ q^{2n} of itself, which binary64 inputs cannot
-    survive, while 50-digit inputs certify the residual comfortably.  The
-    factor q^{-2n} lifts the table's rounding (10^-work_digits) with it, so
-    rows with 2n log10(1/q) > work_digits - 12 are skipped: past them that
-    rounding alone reaches within three decades of a 1e-9 gate.
+    Taken over l in ``lambda_exps``, on interior exponents n only (the
+    operator needs both neighbours), and on the high-precision table values:
+    near x -> 0 the three-term difference cancels ~ q^{2n} of itself, which
+    binary64 inputs cannot survive, while 50-digit inputs certify the residual
+    comfortably.  Every lambda reads the same second differences
+    j(k-1) - (1+q^{2v}) j(k) + q^{2v} j(k+1) at table index k = l + n, so each
+    is formed once per k, and q^{-2n} once per row.  That factor lifts the
+    table's rounding (10^-work_digits) with it, so rows with
+    2n log10(1/q) > work_digits - 12 are skipped: past them that rounding
+    alone reaches within three decades of a 1e-9 gate.
     """
     p = grid.params
     n_cap = math.floor((table.ctx.work_digits - 12) / (2.0 * math.log10(1.0 / p.q)))
+    rows = range(grid.n_lo + 1, min(grid.n_hi, n_cap + 1))
     res = 0.0
     with mp.workdps(max(table.ctx.work_digits, 50)):
         q = mp.mpf(p.q)
         q2v = q ** (2 * mp.mpf(p.v))
-        lam2 = q ** (2 * lambda_exp)
-        for n in range(grid.n_lo + 1, min(grid.n_hi, n_cap + 1)):
-            f_prev = table.mp_value(lambda_exp + n - 1)  # j at lambda q^{n-1}
-            f_mid = table.mp_value(lambda_exp + n)
-            f_next = table.mp_value(lambda_exp + n + 1)
-            delta = (f_prev - (1 + q2v) * f_mid + q2v * f_next) * q ** (-2 * n)
-            resid = abs(delta + lam2 * f_mid) / (1 + abs(lam2 * f_mid))
-            if resid > res:
-                res = resid
+        j = table.mp_value
+        diffs = {k: j(k - 1) - (1 + q2v) * j(k) + q2v * j(k + 1)
+                 for k in {le + n for le in lambda_exps for n in rows}}
+        lifts = [(n, q ** (-2 * n)) for n in rows]
+        for le in lambda_exps:
+            lam2 = q ** (2 * le)
+            for n, lift in lifts:
+                lam2_f = lam2 * j(le + n)
+                resid = abs(diffs[le + n] * lift + lam2_f) / (1 + abs(lam2_f))
+                if resid > res:
+                    res = resid
         return float(res)
 
 
-def jv_exact_dyadic(m: int, v: float, terms: int = 60) -> float:
-    """j_v(q^m, q^2) at q = 1/2 by exact rational summation, rounded once.
+def jv_exact_dyadic(m: int, v: float) -> float:
+    """j_v(q^m, q^2) at q = 1/2, the infinite series correctly rounded to binary64.
 
-    Every series term is rational when q = 1/2 and 2v+2 is an integer: the
-    term ratio is -2^{2v+2k-2m} / ((2^{2v+2k} - 1)(4^k - 1)).  The partial
-    sum of ``terms`` terms is taken in Horner form with one integer numerator
-    and denominator, with no rounding at all, and turned into binary64 by one
-    correctly rounded int/int division.  Serves as the independent oracle for
-    the production (high-precision recurrence) path.
+    Every series term is rational when q = 1/2 and 2v+2 is an integer: with
+    s = 2v + 2k the ratio t_k / t_{k-1} is r_k = -2^{s-2m} / ((2^s - 1)(4^k - 1)).
+    It is negative and |r_k| falls with k, below 1 (at most 2/3) for
+    k >= max(1, 1-m).  So for K >= max(0, -1-m) the terms past t_K alternate
+    and fall, and the sum lies within B = |t_{K+1}| of the partial sum S_K.
+    S_K and B are summed forward in integers over one common denominator, with
+    no rounding at all.  K starts where t_{K+1} is about ``_DYADIC_GUARD_BITS``
+    below j_v's decay envelope 2^{-(m^2 - (2v+1)m)} (1 for m >= 0): S_K has
+    1 to 23 terms for m in [-8, 80] and v <= 3/2.  The value is returned only
+    when both ends of [S_K - B, S_K + B], each one correctly rounded int/int
+    division, round to the same double; else K doubles and the sum goes on.
+    Serves as the independent oracle for the production (high-precision
+    recurrence) path.
     """
     p2 = 2.0 * v + 2.0
     if p2 != int(p2) or p2 < 1:
         raise ValueError(f"exact dyadic oracle needs integer 2v+2 >= 1, got v={v}")
-    num, den = 1, 1
-    for k in range(terms, 0, -1):
-        s = int(p2) - 2 + 2 * k                   # 1 - q^{2v+2k} = (2^s - 1)/2^s
-        e = s - 2 * m                             # power of two over the ratio
-        b = (2**s - 1) * (4**k - 1) << max(-e, 0)
-        num, den = b * den - (num << max(e, 0)), b * den
-    return num / den
+    envelope = m * m - (int(p2) - 1) * m if m < 0 else 0     # -log2 of it
+    big_k = max(0, -1 - m)                                    # the tail bound holds
+    # -log2 |t_{K+1}| is (K+1)(K+2) + 2(K+1)m, up to the Pochhammer factors.
+    while (big_k + 1) * (big_k + 2) + 2 * (big_k + 1) * m < envelope + _DYADIC_GUARD_BITS:
+        big_k += 1
+    num = den = term = 1                          # S_k = num / den, t_k = term / den
+    k = 0
+    while True:
+        for k in range(k + 1, big_k + 2):         # on to t_{K+1} and S_{K+1}
+            s = int(p2) - 2 + 2 * k               # 1 - q^{2v+2k} = (2^s - 1)/2^s
+            e = s - 2 * m                         # power of two over the ratio
+            b = (2**s - 1) * (4**k - 1) << max(-e, 0)
+            term = -(term << max(e, 0))
+            num, den = num * b + term, den * b
+        lo, hi = (num - term - abs(term)) / den, (num - term + abs(term)) / den
+        # One double: equal, and of one sign (0.0 == -0.0 holds for two doubles).
+        if lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi):
+            return lo
+        big_k = 2 * big_k + 1

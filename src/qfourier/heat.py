@@ -191,16 +191,15 @@ def gauss_crosscheck_hp(t: float, op: TransformOp, ctx: PrecisionCtx,
     the kernel's sup are skipped (there the *lattice truncation* floor of the
     quadrature, not arithmetic, is what remains).  The closed form is the
     working-precision values of ``g``, the e-profile ``g.eprofile_mp``, and
-    c_{q,v} the transform's ``op.c_mp``.
+    c_{q,v} and the Jackson weights the transform's ``op.c_mp`` and
+    ``op.jackson_mp`` (built once per operator, at the table's digits plus ten).
     """
-    grid, p = op.grid, op.grid.params
+    grid = op.grid
     if g is None:
         g = gauss_kernel(t, grid, ctx)
     with mp.workdps(ctx.work_digits + 10):
-        qm = mp.mpf(p.q)
         # Jackson weight times e-profile, once per grid point.
-        we = [(1 - qm) * qm ** (int(n) * (2 * mp.mpf(p.v) + 2)) * e
-              for n, e in zip(grid.exponents, g.eprofile_mp)]
+        we = [w * e for w, e in zip(op.jackson_mp, g.eprofile_mp)]
         closed = {x: g.mp_values[grid.index(x)]
                   for x in range(window[0], window[1] + 1)}
         sup = max(abs(val) for val in closed.values())

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import mpmath as mp
 import numpy as np
@@ -50,7 +51,8 @@ __all__ = [
 class TransformOp:
     """Materialized transform matrix together with its building blocks.
 
-    c_{q,v} (``c``, and ``c_mp`` at working precision) is the table's.
+    c_{q,v} (``c``, and ``c_mp`` at working precision) is the table's.  The
+    mp Jackson weights ``jackson_mp`` are built once, on first use.
     """
 
     grid: LatticeGrid
@@ -66,6 +68,15 @@ class TransformOp:
     @property
     def c_mp(self) -> mp.mpf:
         return self.table.c_mp
+
+    @cached_property
+    def jackson_mp(self) -> list:
+        """(1-q) q^{n(2v+2)} over the grid's exponents, at the table's working
+        digits plus ten: the high-precision side of ``grid.weights()``."""
+        p = self.grid.params
+        with mp.workdps(self.table.ctx.work_digits + 10):
+            qm, order = mp.mpf(p.q), 2 * mp.mpf(p.v) + 2
+            return [(1 - qm) * qm ** (int(n) * order) for n in self.grid.exponents]
 
 
 def _check_table(grid: LatticeGrid, table: BesselTable) -> None:
@@ -227,14 +238,17 @@ def _gram_log10(log_half: np.ndarray) -> np.ndarray:
     """log10 of sum_m 10^(L[a, m] + L[b, m]), an upper bound, for (N, M) log10 terms L.
 
     With row maxima r and E = 10^(L - r) <= 1 the sum is 10^(r_a + r_b) E E^T:
-    one GEMM, no overflow.  A term lost to underflow has both factors <= 1, so
-    it is below tiny = 2^-1022 of 10^(r_a + r_b); adding M tiny keeps the
-    result an upper bound on the exact sum.
+    one GEMM, no overflow.  Entries of E below tiny = 2^-1022 are flushed to
+    zero first (subnormals slow the GEMM by about a quarter).  A term lost to
+    the flush or to underflow in the GEMM has both factors <= 1 and one below
+    tiny, or a product below tiny, so it is below tiny of 10^(r_a + r_b);
+    adding M tiny keeps the result an upper bound on the exact sum.
     """
+    tiny = np.finfo(float).tiny
     r = log_half.max(axis=1)
     e = 10.0 ** (log_half - r[:, None])
-    floor = log_half.shape[1] * np.finfo(float).tiny
-    return r[:, None] + r[None, :] + np.log10(e @ e.T + floor)
+    e[e < tiny] = 0.0
+    return r[:, None] + r[None, :] + np.log10(e @ e.T + log_half.shape[1] * tiny)
 
 
 def _trust_log10(grid: LatticeGrid, table: BesselTable) -> np.ndarray:

@@ -150,3 +150,29 @@ def test_registry_covers_the_default_suite(suite):
         expected = set(IDENTITIES) - ({"bessel-oracle-agreement"} if cell.q != 0.5 else set())
         assert set(names) == expected, f"q={cell.q}, v={cell.v}"
     assert any(cell.q != 0.5 for cell in suite.cells)
+
+
+# The rows whose both routes run in mp or exact integer arithmetic (no BLAS),
+# to the bit on each default cell; the q = 0.8 cell has no dyadic oracle.
+_PINNED_RESIDUALS = {
+    (0.5, 0.0): {"bessel-eigen-relation": 4.4186998533815585e-28,
+                 "bessel-oracle-agreement": 0.0,
+                 "gauss-transform-consistency-hp": 4.353004433596951e-15},
+    (0.5, 0.5): {"bessel-eigen-relation": 4.923694122339451e-28,
+                 "bessel-oracle-agreement": 0.0,
+                 "gauss-transform-consistency-hp": 1.323174691325644e-25},
+    (0.5, 1.5): {"bessel-eigen-relation": 1.7675912997158637e-28,
+                 "bessel-oracle-agreement": 0.0,
+                 "gauss-transform-consistency-hp": 8.483104276974059e-34},
+    (0.8, 0.5): {"bessel-eigen-relation": 7.238034962077162e-29,
+                 "gauss-transform-consistency-hp": 7.708016959528115e-24},
+}
+
+
+def test_high_precision_residuals_pinned(suite):
+    for cell in suite.cells:
+        pinned = _PINNED_RESIDUALS[(cell.q, cell.v)]
+        got = {r.name: r.residual for r in cell.identities if r.name in (
+            "bessel-eigen-relation", "bessel-oracle-agreement",
+            "gauss-transform-consistency-hp")}
+        assert got == pinned, f"q={cell.q}, v={cell.v}"

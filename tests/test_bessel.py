@@ -1,5 +1,6 @@
 """Normalized q-Bessel function: series, tables, decay bound, eigen relation."""
 
+import functools
 import hashlib
 import math
 import sys
@@ -130,7 +131,7 @@ class TestTable:
         table = jv_table(LatticeGrid(QParams(0.5, 1.5), -20, 80), CTX)
         checked = 0
         for n in range(-40, -7):
-            ref = jv_exact_dyadic(n, 1.5, terms=110)
+            ref = jv_exact_dyadic(n, 1.5)
             if abs(ref) < sys.float_info.min:
                 continue
             assert abs(table.value(n) - ref) <= 1e-15 * abs(ref), n
@@ -138,25 +139,43 @@ class TestTable:
         assert checked >= 20
 
 
-def _fraction_oracle(m: int, v: float, terms: int) -> float:
-    """The q = 1/2 series summed term by term in Fraction (the slow route)."""
-    q2, x2 = Fraction(1, 4), Fraction(1, 4) ** m
+@functools.cache
+def _series_coefficients(v: float, terms: int) -> tuple[list[int], int]:
+    """c_0..c_terms of j_v(x) = sum_k c_k x^{2k} at q = 1/2, each a Fraction
+    formed from its q-Pochhammer factors, as integers over one denominator."""
+    q2 = Fraction(1, 4)
     q2v = Fraction(1, 2) ** (int(2 * v + 2) - 2)
-    total = term = u = Fraction(1)
+    coeffs, u = [Fraction(1)], Fraction(1)
     for _ in range(terms):
         u *= q2
-        term *= -(u * x2) / ((1 - q2v * u) * (1 - u))
-        total += term
-    return float(total)
+        coeffs.append(coeffs[-1] * -u / ((1 - q2v * u) * (1 - u)))
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _fraction_oracle(m: int, v: float, terms: int) -> float:
+    """The first ``terms`` + 1 terms of the q = 1/2 series at x = 2^-m, summed
+    exactly in rationals and rounded once (the slow route, a fixed truncation)."""
+    nums, den = _series_coefficients(v, terms)
+    if m >= 0:
+        return sum(n << 2 * m * (terms - k) for k, n in enumerate(nums)) / (den << 2 * m * terms)
+    return sum(n << -2 * m * k for k, n in enumerate(nums)) / den
 
 
 class TestExactDyadic:
     @pytest.mark.parametrize("v", [-0.5, 0.0, 0.5, 1.5])
     def test_integer_horner_matches_fraction_sum(self, v):
-        for m in range(-8, 81, 11):
-            assert jv_exact_dyadic(m, v) == _fraction_oracle(m, v, 60), m
-        for m in range(-40, -8, 8):
-            assert jv_exact_dyadic(m, v, terms=110) == _fraction_oracle(m, v, 110), m
+        # 130 terms reach 2^-6600 of the sum's envelope at m = -40; the oracle
+        # picks its own term count and certifies its rounding.
+        for m in range(-40, 121):
+            assert jv_exact_dyadic(m, v) == _fraction_oracle(m, v, 130), m
+
+    def test_short_start_is_doubled_not_trusted(self, monkeypatch):
+        # Without the guard bits t_{K+1} starts about the size of j_v: the
+        # interval test must refuse that sum (20 of these 54 m) and go on.
+        monkeypatch.setattr(bessel, "_DYADIC_GUARD_BITS", 0)
+        for m in range(-40, 121, 3):
+            assert jv_exact_dyadic(m, 0.5) == _fraction_oracle(m, 0.5, 130), m
 
     @pytest.mark.parametrize("v", [0.25, -1.0])
     def test_rejects_orders_without_dyadic_terms(self, v):
@@ -174,7 +193,7 @@ def _with_mp(table: BesselTable, mp_vals: list) -> BesselTable:
 
 
 def _eigen_ok(table: BesselTable) -> bool:
-    return all(eigen_residual(DEEP, le, table) < 1e-9 for le in (-2, 0, 1, 3))
+    return eigen_residual(DEEP, (-2, 0, 1, 3), table) < 1e-9
 
 
 def _second_solution(table: BesselTable, dps: int) -> list:
@@ -532,10 +551,22 @@ class TestTableFingerprint:
         table = jv_table(LatticeGrid(QParams(q, v), n_lo, n_hi), CTX)
         assert _table_sha256(table) == _TABLE_SHA256[(q, v, n_lo, n_hi)]
 
-    @pytest.mark.parametrize("q, v, n_lo, n_hi", [(0.99, 0.5, -5, 5), (0.998, 0.5, -3, 6)])
+    @pytest.mark.parametrize("v", [0.0, 0.5])
+    def test_near_one_certifies_at_the_fifth_start(self, v):
+        # q = 0.99 on [-5, 5]: the start 80 below n_min still leaves 7e-18 of
+        # the second solution and the fifth, 160 below, certifies.  Both ends
+        # of the table against a 300-digit series (which cancels ~41 digits).
+        p = QParams(0.99, v)
+        table = jv_table(LatticeGrid(p, -5, 5), CTX)
+        for e in (table.n_min, 0):
+            ref = bessel._series_at(e, p, CTX, 300)
+            with mp.workdps(60):
+                assert abs(table.mp_value(e) - ref) <= mp.mpf("1e-40") * abs(ref), e
+            assert table.value(e) == float(ref), e
+
+    @pytest.mark.parametrize("q, v, n_lo, n_hi", [(0.998, 0.5, -3, 6)])
     def test_near_one_still_refused(self, q, v, n_lo, n_hi):
-        # No start up to 80 below n_min (the fourth sweep) certifies: at
-        # q = 0.99 that start still leaves 7e-18 of the second solution.
+        # No start up to 160 below n_min (the fifth sweep) certifies here.
         with pytest.raises(PrecisionExhausted):
             jv_table(LatticeGrid(QParams(q, v), n_lo, n_hi), CTX)
 
@@ -563,7 +594,7 @@ class TestDecayBound:
 class TestEigenRelation:
     @pytest.mark.parametrize("lambda_exp", [-2, 0, 1, 3])
     def test_residual_small(self, cell_half, lambda_exp):
-        r = eigen_residual(cell_half.grid, lambda_exp, cell_half.table)
+        r = eigen_residual(cell_half.grid, (lambda_exp,), cell_half.table)
         assert r < 1e-9
 
     def test_rows_stop_where_table_rounding_would_show(self):
@@ -572,10 +603,12 @@ class TestEigenRelation:
         # so the grid beyond 64 adds no row.
         p = QParams(0.5, -0.7)
         table = jv_table(LatticeGrid(p, -14, 97), CTX)
-        long = [eigen_residual(LatticeGrid(p, -14, 97), le, table) for le in (-2, 0, 1, 3)]
-        short = [eigen_residual(LatticeGrid(p, -14, 64), le, table) for le in (-2, 0, 1, 3)]
+        long = [eigen_residual(LatticeGrid(p, -14, 97), (le,), table) for le in (-2, 0, 1, 3)]
+        short = [eigen_residual(LatticeGrid(p, -14, 64), (le,), table) for le in (-2, 0, 1, 3)]
         assert long == short
         assert max(long) < 1e-12
+        # One call over all four lambda shares the differences, to the bit.
+        assert eigen_residual(LatticeGrid(p, -14, 97), (-2, 0, 1, 3), table) == max(long)
 
     def test_constant_function_is_annihilated(self, cell_half):
         # Delta 1 = (1 - (1+q^{2v}) + q^{2v}) / x^2 = 0, exactly.

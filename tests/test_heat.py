@@ -74,6 +74,16 @@ class TestGaussKernel:
         )
         assert worst < 1e-8
 
+    def test_hp_weights_built_once_per_operator(self, cell_half):
+        # The mp Jackson weights are the operator's, shared by every t, and
+        # are the float grid weights before their rounding.
+        op = cell_half.op
+        weights = op.jackson_mp
+        gauss_crosscheck_hp(1.0, op, CTX, cell_half.window)
+        assert op.jackson_mp is weights
+        np.testing.assert_allclose([float(w) for w in weights], cell_half.grid.weights(),
+                                   rtol=1e-15, atol=0.0)
+
     def test_rejects_nonpositive_time(self, cell_half):
         with pytest.raises(ValueError):
             gauss_kernel(-1.0, cell_half.grid, CTX)
