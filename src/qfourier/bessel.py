@@ -8,8 +8,8 @@ The series
 converges for every real x thanks to the q^{n(n+1)} super-decay, but for
 x = q^{-m} (m > 0) the largest term is ~ q^{-m^2} while the sum is
 ~ q^{m^2 + (2v+1)m}, so roughly (2 m^2 + (2v+1) m) log10(1/q) decimal digits
-cancel.  A scalar value is one series at a working precision chosen a
-priori from that estimate, rounded to binary64 exactly once.
+cancel.  A scalar value is one series, first at that estimate's digits, again
+wherever its terms show more cancelled, rounded to binary64 exactly once.
 
 A table sums no series per entry.  On x = q^n the eigen relation is the
 three-term recurrence
@@ -80,6 +80,8 @@ _START_DEPTH, _SWEEP_GUARD_DIGITS, _MAX_SWEEPS = 10, 20, 5
 # every cancellation, so a certified table is good to about this in every mp
 # value.
 _CERTIFY_REL = 1e-40
+
+_JV_DIGITS = 26  # a scalar jv's digits past its measured cancellation: binary64's 16 + 10
 
 # jv_exact_dyadic's first term count puts its first left-out term this many
 # bits below j_v's decay envelope: 11 past binary64's 53.
@@ -184,27 +186,34 @@ def _series_at(e: int, p: QParams, ctx: PrecisionCtx, dps: int | None = None) ->
         return _jv_series_mp(mp.mpf(p.q) ** e, p, ctx, dps)[0]
 
 
+def _measured(run, dps: int, where: str, digits: int | None = None) -> mp.mpf:
+    """``run(digits)``'s sum good to about ``dps`` digits past its terms' cancellation.
+
+    ``run`` gives a sum and its largest |term| at ``digits`` (first ``dps``).
+    Where those show more than ``digits - dps + 5`` digits cancelled (measured,
+    not :func:`_digits_lost`), it runs again at ``dps`` plus those digits.
+    """
+    digits = digits or dps
+    while digits <= _MAX_DIGITS:
+        with mp.workdps(digits):
+            total, max_term = run(digits)
+        lost = float(mp.log10(max_term / abs(total))) if total else digits
+        if lost <= digits - dps + 5:
+            return total
+        digits = dps + math.ceil(lost)
+    raise PrecisionExhausted(f"{where} needs over {_MAX_DIGITS} digits")
+
+
 def _anchor(e: int, p: QParams, ctx: PrecisionCtx, dps: int) -> mp.mpf:
     """j_v(q^e) good to about ``dps`` digits past the cancellation of its own terms.
 
     Below 0 the lattice sum (:func:`_lattice_sum_mp`) times 1/((1-q) c_{q,v})
     = (q^2; q^2)_inf / (q^{2v+2}; q^2)_inf, its two products taken at ``dps``
-    digits; from 0 up the series.  A sum runs at ``dps`` digits; where its
-    largest term over its sum shows more than five digits cancelled (measured,
-    not :func:`_digits_lost`), it runs again at ``dps`` plus those digits.
+    digits; from 0 up the series.  Either sum is :func:`_measured`.
     """
-    digits = dps
-    while digits <= _MAX_DIGITS:
-        with mp.workdps(digits):
-            total, max_term = (_lattice_sum_mp(-e, p, ctx, digits) if e < 0
-                               else _jv_series_mp(mp.mpf(p.q) ** e, p, ctx, digits))
-        lost = float(mp.log10(max_term / abs(total))) if total else digits
-        if lost <= digits - dps + 5:
-            break
-        digits = dps + math.ceil(lost)
-    else:
-        raise PrecisionExhausted(
-            f"j_v at q^{e} (q={p.q:g}, v={p.v:g}) needs over {_MAX_DIGITS} digits")
+    total = _measured(lambda d: (_lattice_sum_mp(-e, p, ctx, d) if e < 0
+                                 else _jv_series_mp(mp.mpf(p.q) ** e, p, ctx, d)),
+                      dps, f"j_v at q^{e} (q={p.q:g}, v={p.v:g})")
     if e >= 0:
         return total
     at = PrecisionCtx(dps, ctx.tail_tol)
@@ -215,11 +224,13 @@ def _anchor(e: int, p: QParams, ctx: PrecisionCtx, dps: int) -> mp.mpf:
 
 
 def jv(x: float, p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
-    """Normalized q-Bessel function j_v(x, q^2) for real x."""
+    """Normalized q-Bessel function j_v(x, q^2) for real x: the series from the
+    a-priori digits of :func:`_required_dps` on, :func:`_measured`."""
     if x == 0.0:
         return 1.0
-    dps = _required_dps(math.log(abs(x)) / -math.log(p.q), p, ctx)
-    return float(_jv_series_mp(x, p, ctx, dps)[0])
+    first = _required_dps(math.log(abs(x)) / -math.log(p.q), p, ctx)
+    return float(_measured(lambda d: _jv_series_mp(x, p, ctx, d), _JV_DIGITS,
+                           f"j_v at x={x:g} (q={p.q:g}, v={p.v:g})", first))
 
 
 @dataclass

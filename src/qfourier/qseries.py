@@ -10,12 +10,13 @@ and the Gauss-kernel amplitude
     A(t) = (-q^{2v+2} t; q^2)_inf (-q^{-2v}/t; q^2)_inf
            / ((-t; q^2)_inf (-q^2/t; q^2)_inf).
 
-Every operation comes in two flavours: a fast native-float path (public
-functions) and a software high-precision path (the ``*_mp`` twins, working
-at ``PrecisionCtx.work_digits`` decimal digits).  Tables consumed by other
-modules are generated on the high-precision path and rounded once.
-Every high-precision (a; q)_inf runs in Python integers at one fixed-point
-scale 2^W and forms one mpf at the end (:func:`qpoch_inf_mp` bounds its error).
+Each quantity has one route, at ``PrecisionCtx.work_digits`` decimal digits
+(the ``*_mp`` functions); tables consumed by other modules are generated on
+it and rounded once.  Every (a; q)_inf runs in Python integers at one
+fixed-point scale 2^W and forms one mpf at the end (:func:`qpoch_inf_mp`
+bounds its error).  The check report compares these products with series
+that share none of their code (Euler's two identities and Jacobi's triple
+product, in :mod:`qfourier.report`).
 """
 
 from __future__ import annotations
@@ -25,23 +26,18 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .errors import NonConvergent, PoleAtOne, PrecisionExhausted
+from .errors import PoleAtOne
 from .numerics import to_fixed
 
 __all__ = [
     "QParams",
     "PrecisionCtx",
     "DEFAULT_CTX",
-    "qpoch_finite",
-    "qpoch_inf",
     "qpoch_inf_mp",
     "q2_exact",
-    "c_qv",
     "c_qv_mp",
-    "qexp",
     "qexp_mp",
     "qexp_lattice_mp",
-    "gauss_amplitude",
     "gauss_amplitude_mp",
 ]
 
@@ -77,54 +73,6 @@ class PrecisionCtx:
 DEFAULT_CTX = PrecisionCtx()
 
 
-def _check_q(q: float) -> None:
-    if not (0.0 < q < 1.0):
-        raise ValueError(f"q must lie strictly inside (0, 1), got q={q}")
-
-
-def qpoch_finite(a: float, q: float, n: int) -> float:
-    """Finite q-Pochhammer symbol (a; q)_n = prod_{k<n} (1 - a q^k)."""
-    _check_q(q)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    prod = 1.0
-    aqk = a
-    for _ in range(n):
-        prod *= 1.0 - aqk
-        aqk *= q
-    return prod
-
-
-def _poch_terms(a: float, q: float, tail_tol: float) -> int:
-    """Number of factors K with |a| q^K < tail_tol (at least 1)."""
-    if a == 0.0:
-        return 1
-    # |a| q^K < tol  <=>  K > (log|a| - log tol) / log(1/q)
-    k = (math.log(abs(a)) - math.log(tail_tol)) / -math.log(q)
-    return max(1, int(math.ceil(k)) + 1)
-
-
-def qpoch_inf(a: float, q: float, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
-    """Infinite q-Pochhammer symbol (a; q)_inf, truncated at |a| q^K < tail_tol.
-
-    The omitted tail satisfies |log tail| <= |a| q^K / (1 - q - |a| q^K), so the
-    relative truncation error is below tail_tol/(1-q).  A factor that vanishes
-    exactly (a q^k = 1 for some k) makes the product exactly 0.
-    """
-    _check_q(q)
-    if a == 0.0:
-        return 1.0
-    prod = 1.0
-    aqk = a
-    for _ in range(_poch_terms(a, q, ctx.tail_tol)):
-        factor = 1.0 - aqk
-        if factor == 0.0:
-            return 0.0
-        prod *= factor
-        aqk *= q
-    return prod
-
-
 def q2_exact(q: float) -> mp.mpf:
     """The exact square of the binary64 ``q``: the one q^2 of every mp path.
 
@@ -148,7 +96,8 @@ def qpoch_inf_mp(a, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mp.mpf:
     ``mp.prec`` (or the bits of tol, if finer) plus the bits of that numerator.
     """
     qf = float(q)
-    _check_q(qf)
+    if not (0.0 < qf < 1.0):
+        raise ValueError(f"q must lie strictly inside (0, 1), got q={q}")
     with mp.workdps(ctx.work_digits + 10):
         a_ = mp.mpf(a)
         if a_ == 0:
@@ -175,11 +124,6 @@ def qpoch_inf_mp(a, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mp.mpf:
         return mp.ldexp(m, e - w)
 
 
-def c_qv(p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
-    """Normalization constant c_{q,v}; strictly positive."""
-    return float(c_qv_mp(p, ctx))
-
-
 def c_qv_mp(p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> mp.mpf:
     """High-precision c_{q,v} = (q^{2v+2};q^2)_inf / ((1-q)(q^2;q^2)_inf)."""
     with mp.workdps(ctx.work_digits + 10):
@@ -188,21 +132,6 @@ def c_qv_mp(p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> mp.mpf:
         num = qpoch_inf_mp(q ** (2 * mp.mpf(p.v) + 2), q2, ctx)
         den = qpoch_inf_mp(q2, q2, ctx)
         return num / den / (1 - q)
-
-
-def qexp(z: float, q: float, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
-    """q-exponential e(z, q) = 1/(z; q)_inf.
-
-    For |z| < 1 this sums the series sum_n z^n/(q;q)_n; the product form used
-    here extends it to every z < 1 (the product converges there and has no
-    zero factor, so a zero product is binary64 underflow).
-    """
-    if z >= 1.0:
-        raise PoleAtOne(f"e(z, q) has a pole at z = 1; got z={z}")
-    denom = qpoch_inf(z, q, ctx)
-    if denom == 0.0:
-        raise PrecisionExhausted(f"(z; q)_inf underflows binary64 at z={z}, q={q}")
-    return 1.0 / denom
 
 
 def qexp_mp(z, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mp.mpf:
@@ -235,11 +164,6 @@ def qexp_lattice_mp(zs, q2, ctx: PrecisionCtx = DEFAULT_CTX) -> list:
         return out
 
 
-def gauss_amplitude(t: float, p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
-    """Gauss-kernel amplitude A(t) for t > 0; strictly positive."""
-    return float(gauss_amplitude_mp(t, p, ctx))
-
-
 def gauss_amplitude_mp(t, p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> mp.mpf:
     """High-precision A(t), a ratio of four infinite Pochhammer products."""
     if not t > 0.0:
@@ -252,7 +176,5 @@ def gauss_amplitude_mp(t, p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> mp.mpf
         num = qpoch_inf_mp(-(q ** (2 * v + 2)) * t_, q2, ctx) * qpoch_inf_mp(
             -(q ** (-2 * v)) / t_, q2, ctx
         )
-        den = qpoch_inf_mp(-t_, q2, ctx) * qpoch_inf_mp(-q2 / t_, q2, ctx)
-        if den == 0:
-            raise NonConvergent(f"vanishing denominator product in A(t) at t={t}")
-        return num / den
+        # Every factor of the denominator exceeds 1: it never vanishes.
+        return num / (qpoch_inf_mp(-t_, q2, ctx) * qpoch_inf_mp(-q2 / t_, q2, ctx))

@@ -23,12 +23,13 @@ from dataclasses import asdict, dataclass, field
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import dps_to_prec, from_man_exp
 
 from . import bessel, heat, lattice, qseries, transform, translation
 from .lattice import GridFn, LatticeGrid, jackson_integral, norm2
-from .numerics import TINY, ulps, worst
+from .numerics import TINY, to_fixed, ulps, worst
 from .probes import seeded_probes
-from .qseries import PrecisionCtx, QParams
+from .qseries import PrecisionCtx, QParams, q2_exact
 
 __all__ = [
     "SuiteConfig",
@@ -60,12 +61,16 @@ def _markov_rows(op: str, statement: str) -> dict[str, tuple[str, float]]:
 
 # name -> (statement, tolerance); a tolerance of None marks an observational row.
 IDENTITIES: dict[str, tuple[str, float | None]] = {
-    "qpoch-splitting": ("(a;q)_inf = (a;q)_K (a q^K;q)_inf", 1e-12),
-    "qexp-product-inverse": ("e(z,q) (z;q)_inf = 1", 1e-12),
-    "qexp-series-agreement": ("sum z^n/(q;q)_n = 1/(z;q)_inf for |z| < 1", 1e-12),
-    "gauss-amplitude-lattice-scaling": ("A(q^{2m}) = q^{-2m(v+1)} A(1)", 1e-10),
+    "qpoch-splitting": (
+        "(a;q)_inf = (a;q)_K (a q^K;q)_inf: product vs K factors times Euler's series", 1e-12),
+    "qpoch-euler-series": (
+        "sum (-1)^n q^{n(n-1)/2} z^n/(q;q)_n = (z;q)_inf: Euler's series vs the product", 1e-12),
+    "qexp-series-agreement": (
+        "sum z^n/(q;q)_n = 1/(z;q)_inf for |z| < 1: Euler's series vs the product", 1e-12),
+    "gauss-amplitude-lattice-scaling": (
+        "A(q^{2m}) = q^{-2m(v+1)} A(1): theta ratio at q^{2m} vs four products at 1", 1e-10),
     "gauss-amplitude-offlattice-scaling": (
-        "A(t^2) t^{2(v+1)} vs A(1) at generic t (observational)", None),
+        "A(t^2) t^{2(v+1)} vs A(1), t generic: theta ratio vs products (observational)", None),
     "qexp-ode-identity": ("e(z,q^2) - e(q^2 z,q^2) = z e(z,q^2)", 1e-12),
     "jackson-linearity": ("integral(a f + b g) = a integral(f) + b integral(g)", 1e-12),
     "delta-reproduction": ("integral(f delta_q(x,.)) = f(x)", 1e-12),
@@ -154,25 +159,55 @@ class SuiteConfig:
         return PrecisionCtx(self.work_digits, self.tail_tol)
 
 
-def _qexp_partial_sum(z: float, q: float, ctx: PrecisionCtx) -> float:
-    """sum_n z^n/(q;q)_n for |z| < 1, summed in binary64.
+def _ratio_sum(x, r, d, ctx: PrecisionCtx) -> mp.mpf:
+    """sum_{n>=0} t_n, t_0 = 1, t_{n+1} = t_n x r^n / (1 - d^{n+1}), at working precision.
 
-    The tail past N terms is below |z|^N / ((q;q)_inf (1-|z|)); N puts it at
-    1e-17 of the sum 1/(z;q)_inf, at most 1000 terms.  The two products enter
-    as logarithms at working precision, since for q near 1 they leave the
-    binary64 range; so may (q;q)_n, and the sum stops where it underflows.
+    (x, r, d) = (z, 1, q) is Euler's series for 1/(z;q)_inf, (-z, q, q) his
+    series for (z;q)_inf, and (y, Q, 0) half of a theta series (Gasper &
+    Rahman secs. 1.3, 1.6).  The |ratio| must fall with n and end below 1, so
+    a term within one unit of 0 ends the sum.  Terms run in integers at one
+    scale 2^W, W the working precision plus 32 guard bits, one truncation a
+    step: N terms err by about 2N (sum|t_n| / |sum| + 1) units.  If that
+    measure needs more guard bits, the sum runs once more with them.
     """
-    log_tail = (math.log(1e-17 * (1 - abs(z))) + mp.log(qseries.qpoch_inf_mp(q, q, ctx))
-                - mp.log(abs(qseries.qpoch_inf_mp(z, q, ctx))))
-    n_terms = min(1000, math.ceil(float(log_tail) / math.log(abs(z))))
-    terms, qq_n, q_n = [1.0], 1.0, 1.0      # (q;q)_n and q^n as qpoch_finite forms them
-    for n in range(1, n_terms):
-        q_n *= q
-        qq_n *= 1.0 - q_n
-        if qq_n == 0.0:
+    prec = dps_to_prec(ctx.work_digits + 10)
+    xs = [a if isinstance(a, mp.mpf) else mp.mpf(a) for a in (x, r, d)]  # floats: exact
+    guard = 32
+    for _ in range(2):
+        w = prec + guard
+        one = 1 << w
+        g, r_fix, d_fix = (to_fixed(a, w) for a in xs)
+        t = total = mass = one
+        u, n = d_fix, 0                             # g = x r^n, u = d^{n+1}
+        while t > 1 or t < -1:
+            if u:
+                t = t * g // (one - u)
+                u = u * d_fix >> w
+            else:
+                t = t * g >> w
+            if r_fix != one:
+                g = g * r_fix >> w
+            n += 1
+            total += t
+            mass += abs(t)
+        need = mass.bit_length() - abs(total).bit_length() + (2 * n).bit_length() + 8
+        if need <= guard:
             break
-        terms.append(z**n / qq_n)
-    return math.fsum(terms)
+        guard = need
+    return mp.make_mpf(from_man_exp(total, -w))     # exact; the caller's precision rounds it
+
+
+def _theta_amplitudes(ts, p: QParams, ctx: PrecisionCtx) -> list:
+    """A(t) = theta(q^{2v+2} t) / theta(t) at each t, by Jacobi's triple product:
+    with Q = q^2, theta(w) = sum_{n in Z} Q^{n(n-1)/2} w^n = (Q;Q)_inf (-w;Q)_inf
+    (-Q/w;Q)_inf, two half sums, at w and at Q/w, that share their n = 0 term."""
+    with mp.workdps(ctx.work_digits + 10):
+        q2, c = q2_exact(p.q), mp.mpf(p.q) ** (2 * mp.mpf(p.v) + 2)
+
+        def theta(w):
+            return _ratio_sum(w, q2, 0, ctx) + _ratio_sum(q2 / w, q2, 0, ctx) - 1
+
+        return [theta(c * t) / theta(t) for t in map(mp.mpf, ts)]
 
 
 @dataclass
@@ -253,42 +288,33 @@ class _CellRunner:
     # ---------------- scalar q-series identities ----------------
 
     def check_qseries(self) -> Rows:
-        ctx, q, v = self.ctx, self.p.q, self.p.v
+        ctx, p, q = self.ctx, self.p, self.p.q
 
-        res = 0.0
-        for a in (0.25, -1.0, 0.9):
-            full = qseries.qpoch_inf(a, q, ctx)
-            for k in (1, 5, 10):
-                split = (qseries.qpoch_finite(a, q, k)
-                         * qseries.qpoch_inf(a * q**k, q, ctx))
-                res = worst(res, abs(split - full) / max(abs(full), TINY))
-        yield "qpoch-splitting", res
+        def rel(got, ref) -> float:
+            return float(abs(got / ref - 1))
 
-        res = 0.0
-        for z in (-4.0, -1.0, -0.5, 0.0, 0.3, 0.9):
-            prod = qseries.qexp(z, q, ctx) * qseries.qpoch_inf(z, q, ctx)
-            res = worst(res, abs(prod - 1.0))
-        yield "qexp-product-inverse", res
-
-        res = 0.0
-        for z in (-0.5, 0.3, 0.9):
-            exact = qseries.qexp(z, q, ctx)
-            res = worst(res, abs(_qexp_partial_sum(z, q, ctx) - exact) / abs(exact))
-        yield "qexp-series-agreement", res
-
-        a1 = qseries.gauss_amplitude(1.0, self.p, ctx)
-        yield "gauss-amplitude-lattice-scaling", worst(*(
-            abs(qseries.gauss_amplitude(q ** (2 * m), self.p, ctx)
-                * q ** (2 * m * (v + 1.0)) - a1) / a1
-            for m in range(-3, 4)
-        ))
-
-        # Off-lattice scaling is not asserted: recorded for information only.
-        t0 = 1.37
-        yield "gauss-amplitude-offlattice-scaling", abs(
-            qseries.gauss_amplitude(t0 * t0, self.p, ctx)
-            * t0 ** (2 * (v + 1.0)) - a1) / a1
-
+        with mp.workdps(ctx.work_digits + 10):
+            qm, q2, t0, s = mp.mpf(q), q2_exact(q), mp.mpf(1.37), 2 * mp.mpf(p.v) + 2
+            c = qm**s
+            poch = {a: qseries.qpoch_inf_mp(a, q, ctx)
+                    for a in (0.25, -1.0, 0.9, -4.0, -0.5, 0.0, 0.3)}
+            a1 = qseries.gauss_amplitude_mp(1.0, p, ctx)    # A's products at t = 1 only
+            *lattice, off = _theta_amplitudes([q2**m for m in range(-3, 4)] + [t0 * t0], p, ctx)
+            rows = {
+                # K factors times Euler's series for the tail (a q^K; q)_inf.
+                "qpoch-splitting": worst(*(
+                    rel(mp.fprod(1 - a * qm**j for j in range(k))
+                         * _ratio_sum(-a * qm**k, qm, qm, ctx), poch[a])
+                    for a in (0.25, -1.0, 0.9) for k in (1, 5, 10))),
+                "qpoch-euler-series": worst(*(rel(_ratio_sum(-z, qm, qm, ctx), poch[z])
+                                              for z in (-4.0, -1.0, -0.5, 0.0, 0.3, 0.9))),
+                "qexp-series-agreement": worst(*(rel(_ratio_sum(z, 1, qm, ctx), 1 / poch[z])
+                                                 for z in (-0.5, 0.3, 0.9))),
+                "gauss-amplitude-lattice-scaling": worst(*(
+                    rel(am * c**m, a1) for m, am in zip(range(-3, 4), lattice))),
+                "gauss-amplitude-offlattice-scaling": rel(off * t0**s, a1),
+            }
+        yield from rows.items()
         yield "qexp-ode-identity", heat.qexp_ode_residual(q, ctx)
 
     # ---------------- lattice quadrature identities ----------------

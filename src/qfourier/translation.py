@@ -243,8 +243,11 @@ def kernel(grid: LatticeGrid, table: BesselTable, ctx: PrecisionCtx = DEFAULT_CT
         win_lo += 1
     win_lo = max(win_lo, win_hi - max_width + 1)
     if win_hi - win_lo + 1 < 3:
-        raise GridTooSmall(f"kernel window collapsed to [{win_lo}, {win_hi}]: grid [{grid.n_lo}, "
-                           f"{grid.n_hi}] is too small for q={grid.params.q}, v={grid.params.v}")
+        why = (f"kernel window is empty: upper cutoff {win_hi} lies below the calibrated "
+               f"low end {win_lo}" if win_lo > win_hi
+               else f"kernel window collapsed to [{win_lo}, {win_hi}]")
+        raise GridTooSmall(f"{why}: grid [{grid.n_lo}, {grid.n_hi}] is too small for "
+                           f"q={grid.params.q}, v={grid.params.v}")
 
     cube = _window_cube(op, np.arange(win_lo, win_hi + 1), ctx)
     return Kernel3(int(win_lo), int(win_hi), cube, op)

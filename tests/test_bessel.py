@@ -48,6 +48,23 @@ class TestScalar:
         with pytest.raises(PrecisionExhausted):
             jv(2.0 ** 300, QParams(0.5, 0.5), CTX)
 
+    @pytest.mark.parametrize("q, x", [(0.99, 2.0), (0.99, 1.0), (0.98, 2.0)])
+    def test_measured_cancellation_near_one(self, q, x):
+        # The series cancels more digits here than the a-priori estimate counts
+        # (81 at q=0.99, x=2); a 400-digit sum of the same series is the truth.
+        v = 0.5
+        with mp.workdps(400):
+            qm = mp.mpf(q)
+            x2, c = mp.mpf(x) ** 2, qm ** (2 * v + 2)
+            total = term = u = mp.mpf(1)
+            for n in range(1, 10_000):
+                u *= qm * qm                                  # q^{2n}
+                term *= -u * x2 / ((1 - c * u / (qm * qm)) * (1 - u))
+                total += term
+                if u * x2 < 1 and abs(term) < mp.mpf(10) ** -390:
+                    break
+        assert ulps(jv(x, QParams(q, v), CTX), float(total)) <= 1.0
+
     def test_small_argument_expansion(self):
         # j = 1 - q^2 x^2 / ((1-q^{2v+2})(1-q^2)) + O(x^4).
         q, v = 0.5, 0.5

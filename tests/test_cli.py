@@ -94,6 +94,15 @@ class TestCheck:
         err = capsys.readouterr().err
         assert where in err and f"is too small for q={q}, v=0.5" in err
 
+    def test_empty_kernel_window_exits_3(self, capsys):
+        # At q=0.99 the upper cutoff falls below the low end: the message says
+        # the window is empty instead of printing an inverted range.
+        assert main(["check", "--q", "0.99", "--v", "0.5", "--nlo", "-5", "--nhi", "5"]) == 3
+        err = capsys.readouterr().err
+        assert ("kernel window is empty: upper cutoff -5 lies below the calibrated "
+                "low end -4") in err
+        assert "is too small for q=0.99, v=0.5" in err and "[-4, -5]" not in err
+
     def test_report_lists_every_identity_with_status(self, tmp_path):
         out = tmp_path / "r.json"
         main(["check", *CELL, "--probes", "5", "--json", str(out)])

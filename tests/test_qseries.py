@@ -1,23 +1,29 @@
 """Scalar q-series primitives against brute-force oracles."""
 
-import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfourier.errors import PoleAtOne, PrecisionExhausted
+from qfourier import qseries
+from qfourier.errors import PoleAtOne
 from qfourier.qseries import (
     PrecisionCtx,
     QParams,
-    c_qv,
-    gauss_amplitude,
-    qexp,
+    c_qv_mp,
+    gauss_amplitude_mp,
     q2_exact,
-    qpoch_finite,
-    qpoch_inf,
+    qexp_mp,
     qpoch_inf_mp,
+)
+from qfourier.report import (
+    IDENTITIES,
+    SuiteConfig,
+    _CellRunner,
+    _ratio_sum,
+    _theta_amplitudes,
 )
 
 CTX = PrecisionCtx()
@@ -45,49 +51,57 @@ POCH_CASES = [
 
 
 class TestQPochFinite:
+    """Finite products (a; q)_n = (a; q)_inf / (a q^n; q)_inf on the mp route."""
+
     def test_empty_product(self):
-        assert qpoch_finite(0.7, 0.5, 0) == 1.0
+        # |a| below the tail tolerance: no factor is taken.
+        assert qpoch_inf_mp(1e-70, 0.5, CTX) == 1
 
     def test_two_factors(self):
-        assert qpoch_finite(0.5, 0.5, 2) == pytest.approx(0.375, abs=0)
+        got = qpoch_inf_mp(0.5, 0.5, CTX) / qpoch_inf_mp(0.125, 0.5, CTX)
+        assert _rel(got, mp.mpf(0.375)) <= mp.mpf(10) ** -50
 
     def test_zero_factor(self):
-        assert qpoch_finite(2.0, 0.5, 3) == 0.0
+        # 2 * 0.5 = 1 exactly: the k = 1 factor vanishes.
+        assert qpoch_inf_mp(2.0, 0.5, CTX) == 0
 
     @given(a=st.floats(-2, 0.99), q=st.floats(0.05, 0.95), n=st.integers(0, 25))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_recurrence(self, a, q, n):
-        # a q^n accumulates by repeated multiplication inside the product, so
-        # the recurrence holds to rounding, not bitwise.
-        lhs = qpoch_finite(a, q, n + 1)
-        rhs = qpoch_finite(a, q, n) * (1 - a * q**n)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
+        # (a;q)_{n+1} = (a;q)_n (1 - a q^n), i.e. (x;q)_inf = (1 - x)(xq;q)_inf at x = a q^n.
+        with mp.workdps(CTX.work_digits + 10):
+            x = mp.mpf(a) * mp.mpf(q) ** n
+            lhs = qpoch_inf_mp(x, q, CTX)
+            rhs = (1 - x) * qpoch_inf_mp(mp.fmul(x, q, exact=True), q, CTX)
+        assert _rel(rhs, lhs) <= mp.mpf(10) ** -45
 
     def test_rejects_q_out_of_range(self):
         with pytest.raises(ValueError):
-            qpoch_finite(0.5, 1.0, 3)
+            qpoch_inf_mp(0.5, 1.0, CTX)
 
 
 class TestQPochInf:
     @pytest.mark.parametrize("a,q,expected", POCH_CASES)
     def test_frozen_oracle_values(self, a, q, expected):
-        assert qpoch_inf(a, q, CTX) == pytest.approx(expected, rel=1e-13)
+        assert float(qpoch_inf_mp(a, q, CTX)) == pytest.approx(expected, rel=1e-15)
         assert poch_oracle(a, q) == pytest.approx(expected, rel=1e-15)
 
     def test_a_zero(self):
-        assert qpoch_inf(0.0, 0.5, CTX) == 1.0
+        assert qpoch_inf_mp(0.0, 0.5, CTX) == 1
 
     def test_exact_zero_factor_returns_zero(self):
         # a = q^-2 makes the k = 2 factor vanish identically.
-        assert qpoch_inf(4.0, 0.5, CTX) == 0.0
-        assert qpoch_inf(1.0, 0.5, CTX) == 0.0
+        assert qpoch_inf_mp(4.0, 0.5, CTX) == 0
+        assert qpoch_inf_mp(1.0, 0.5, CTX) == 0
 
     @pytest.mark.parametrize("a,q", [(0.25, 0.25), (-1.0, 0.5), (0.9, 0.81)])
     @pytest.mark.parametrize("k", [1, 5, 10])
     def test_splitting(self, a, q, k):
-        whole = qpoch_inf(a, q, CTX)
-        split = qpoch_finite(a, q, k) * qpoch_inf(a * q**k, q, CTX)
-        assert split == pytest.approx(whole, rel=1e-13)
+        whole = qpoch_inf_mp(a, q, CTX)
+        with mp.workdps(CTX.work_digits + 10):
+            head = mp.fprod(1 - a * mp.mpf(q) ** j for j in range(k))
+            split = head * qpoch_inf_mp(a * mp.mpf(q) ** k, q, CTX)
+        assert _rel(split, whole) <= mp.mpf(10) ** -50
 
 
 def mpf_loop(a, q, ctx: PrecisionCtx = CTX, dps: int | None = None) -> mp.mpf:
@@ -169,16 +183,17 @@ class TestQPochInfMp:
 
 class TestCqv:
     def test_v_zero_collapses(self):
-        assert c_qv(QParams(0.5, 0.0), CTX) == pytest.approx(2.0, rel=1e-14)
+        assert _rel(c_qv_mp(QParams(0.5, 0.0), CTX), mp.mpf(2)) <= mp.mpf(10) ** -50
 
     def test_v_one_shift(self):
         # (q^4; q^2)_inf = (q^2; q^2)_inf / (1 - q^2) gives 1/((1-q)(1-q^2)).
-        assert c_qv(QParams(0.5, 1.0), CTX) == pytest.approx(8.0 / 3.0, rel=1e-14)
+        with mp.workdps(60):
+            assert _rel(c_qv_mp(QParams(0.5, 1.0), CTX), mp.mpf(8) / 3) <= mp.mpf(10) ** -50
 
     def test_against_product_oracle(self):
         q, v = 0.9, 0.5
         expected = poch_oracle(q ** (2 * v + 2), q * q) / poch_oracle(q * q, q * q) / (1 - q)
-        got = c_qv(QParams(q, v), CTX)
+        got = float(c_qv_mp(QParams(q, v), CTX))
         assert got > 0
         assert got == pytest.approx(expected, rel=1e-13)
 
@@ -205,68 +220,127 @@ class TestOneQ2:
 
 class TestQExp:
     def test_at_zero(self):
-        assert qexp(0.0, 0.5, CTX) == 1.0
+        assert qexp_mp(0.0, 0.5, CTX) == 1
 
     def test_series_agreement_inside_disk(self):
         z, q = 0.3, 0.25
-        series = math.fsum(z**n / qpoch_finite(q, q, n) for n in range(31))
-        assert qexp(z, q, CTX) == pytest.approx(series, rel=1e-12)
+        with mp.workdps(80):
+            series = mp.fsum(mp.mpf(z) ** n / mp.qp(mp.mpf(q), mp.mpf(q), n) for n in range(120))
+        assert _rel(qexp_mp(z, q, CTX), series) <= mp.mpf(10) ** -50
 
     def test_product_extension_at_minus_four(self):
         # Series diverges; the product does not.
         expected = 1.0 / poch_oracle(-4.0, 0.25)
-        assert qexp(-4.0, 0.25, CTX) == pytest.approx(expected, rel=1e-13)
+        assert float(qexp_mp(-4.0, 0.25, CTX)) == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("z", [-4.0, -1.0, -0.5, 0.0, 0.3, 0.9])
     @pytest.mark.parametrize("q", [0.25, 0.5, 0.81])
     def test_inverse_of_pochhammer(self, z, q):
-        assert qexp(z, q, CTX) * qpoch_inf(z, q, CTX) == pytest.approx(1.0, abs=1e-12)
+        assert _rel(qexp_mp(z, q, CTX) * qpoch_inf_mp(z, q, CTX), 1) <= mp.mpf(10) ** -50
 
     @pytest.mark.parametrize("z", [1.0, 1.5, 100.0])
     def test_pole_at_one(self, z):
         with pytest.raises(PoleAtOne):
-            qexp(z, 0.5, CTX)
+            qexp_mp(z, 0.5, CTX)
 
-    def test_underflowing_product_fails_loudly(self):
-        # (0.9; 0.9999)_inf is about e^-13000: binary64 holds 0, no factor does.
-        with pytest.raises(PrecisionExhausted, match=r"z=0\.9, q=0\.9999"):
-            qexp(0.9, 0.9999, CTX)
+
+def _qseries_rows(q: float, v: float = 0.5) -> dict:
+    # check_qseries reads only the cell's q, v and precision.
+    cell = SimpleNamespace(p=QParams(q, v), ctx=CTX, cfg=SuiteConfig())
+    return dict(_CellRunner.check_qseries(cell))
 
 
 class TestSeriesAgreementGate:
-    """The report's qexp-series-agreement sizes its own partial sums."""
-
-    @staticmethod
-    def _residual(q: float) -> float:
-        from types import SimpleNamespace
-
-        from qfourier.report import SuiteConfig, _CellRunner
-
-        # check_qseries reads only the cell's q, v and precision.
-        cell = SimpleNamespace(p=QParams(q, 0.5), ctx=CTX, cfg=SuiteConfig())
-        rows = _CellRunner.check_qseries(cell)
-        return dict(rows)["qexp-series-agreement"]
+    """The report's qexp-series-agreement: Euler's series in integers vs the product."""
 
     def test_passes_at_q09(self):
         # With 61 terms the truncation alone read 1.9e-11 against 1e-12.
-        assert self._residual(0.9) <= 1e-12
+        assert _qseries_rows(0.9)["qexp-series-agreement"] <= 1e-12
 
     def test_truncation_below_rounding_at_q08(self):
-        assert self._residual(0.8) < 2e-15
+        assert _qseries_rows(0.8)["qexp-series-agreement"] < 2e-15
 
-    def test_partial_sum_near_one(self):
-        # At q = 0.999 (q;q)_inf is below the binary64 range and (q;q)_n
-        # underflows within the 1000 terms: the sum is still a number.
-        from qfourier.report import _qexp_partial_sum
+    def test_passes_at_q095(self):
+        # The binary64 partial sum read 1.7e-10 here: its own rounding.
+        assert _qseries_rows(0.95)["qexp-series-agreement"] <= 1e-12
 
-        ctx = PrecisionCtx(16, 1e-10)     # fewer mp factors, same point
-        assert math.isfinite(_qexp_partial_sum(0.9, 0.999, ctx))
+
+# The rows' probe points, as check_qseries takes them.
+EULER1_Z = (-0.5, 0.3, 0.9)
+EULER2_Z = (-4.0, -1.0, -0.5, 0.0, 0.3, 0.9)
+SCALAR_ROWS = ("qpoch-splitting", "qpoch-euler-series", "qexp-series-agreement",
+               "gauss-amplitude-lattice-scaling")
+
+
+class TestIndependentRoutes:
+    """Each scalar row sets the products against series that share none of their code."""
+
+    @given(q=st.floats(0.1, 0.95), which=st.sampled_from(["euler1", "euler2"]))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_euler_sums_against_products(self, q, which):
+        with mp.workdps(CTX.work_digits + 10):
+            for z in EULER1_Z if which == "euler1" else EULER2_Z:
+                prod = qpoch_inf_mp(z, q, CTX)
+                if which == "euler1":
+                    got, want = _ratio_sum(z, 1, q, CTX), 1 / prod
+                else:
+                    got, want = _ratio_sum(-z, q, q, CTX), prod
+                assert _rel(got, want) <= mp.mpf(10) ** -45
+
+    @given(q=st.floats(0.1, 0.95), v=st.floats(-0.99, 3.0),
+           t=st.one_of(st.integers(-3, 3), st.floats(0.05, 20.0)))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_theta_ratio_against_products(self, q, v, t):
+        # An int t is the lattice point q^{2t}; a float t is off the lattice.
+        p = QParams(q, v)
+        tt = q2_exact(q) ** t if isinstance(t, int) else t
+        (theta,) = _theta_amplitudes([tt], p, CTX)
+        assert _rel(theta, gauss_amplitude_mp(tt, p, CTX)) <= mp.mpf(10) ** -45
+
+    def test_cancelling_sums_run_again(self):
+        # At q = 0.97 these alternating sums cancel more bits than the first
+        # pass's 32 guard bits: only the second pass, with the measured bits,
+        # is good to working precision (one pass with no guard bits read 6e-33
+        # and 3e-48).
+        q = 0.97
+        with mp.workdps(CTX.work_digits + 10):
+            assert _rel(_ratio_sum(-0.9, q, q, CTX), qpoch_inf_mp(0.9, q, CTX)) <= 1e-50
+            assert _rel(_ratio_sum(-0.5, 1, q, CTX) * qpoch_inf_mp(-0.5, q, CTX), 1) <= 1e-50
+
+    def test_perturbed_products_fail_every_row(self, monkeypatch):
+        # A relative error that depends on a, so it does not cancel in A(t)'s
+        # ratio of four products: a row whose two sides share the product
+        # would not see it.
+        exact = qseries.qpoch_inf_mp
+
+        def perturbed(a, q, ctx=CTX):
+            return exact(a, q, ctx) * (1 + mp.mpf(1e-9) * (1 + abs(mp.mpf(a))))
+
+        monkeypatch.setattr(qseries, "qpoch_inf_mp", perturbed)
+        rows = _qseries_rows(0.5)
+        for name in SCALAR_ROWS:
+            assert rows[name] > IDENTITIES[name][1], name
+
+    def test_rows_pass_unperturbed(self):
+        rows = _qseries_rows(0.5)
+        for name in SCALAR_ROWS:
+            assert rows[name] <= 1e-40, name
+
+
+class TestOneRoute:
+    def test_only_mp_functions_exported(self):
+        import qfourier
+
+        base = {"QParams", "PrecisionCtx", "DEFAULT_CTX", "q2_exact"}
+        assert all(n in base or n.endswith("_mp") for n in qseries.__all__)
+        for name in ("qpoch_finite", "qpoch_inf", "qexp", "c_qv", "gauss_amplitude"):
+            assert not hasattr(qseries, name) and name not in qfourier.__all__
 
 
 class TestGaussAmplitude:
     def test_positive(self):
         for t in (0.01, 0.5, 1.0, 7.3):
-            assert gauss_amplitude(t, QParams(0.5, 0.0), CTX) > 0.0
+            assert gauss_amplitude_mp(t, QParams(0.5, 0.0), CTX) > 0
 
     def test_frozen_product_oracle_value(self):
         # A(1) at q = 1/2, v = 0: four products at base q^2 = 1/4.
@@ -274,20 +348,21 @@ class TestGaussAmplitude:
         expected = (poch_oracle(-q2, q2) * poch_oracle(-1.0, q2)
                     / (poch_oracle(-1.0, q2) * poch_oracle(-q2, q2)))
         assert expected == pytest.approx(1.0, rel=1e-15)  # t=1, v=0 collapses
-        assert gauss_amplitude(1.0, QParams(0.5, 0.0), CTX) == pytest.approx(
-            expected, rel=1e-13)
+        assert float(gauss_amplitude_mp(1.0, QParams(0.5, 0.0), CTX)) == pytest.approx(
+            expected, rel=1e-15)
 
     @pytest.mark.parametrize("m", [-3, -2, -1, 1, 2, 3])
     def test_lattice_quasi_periodicity(self, m):
         q, v = 0.5, 0.5
         p = QParams(q, v)
-        a1 = gauss_amplitude(1.0, p, CTX)
-        lhs = gauss_amplitude(q ** (2 * m), p, CTX)
-        assert lhs * q ** (2 * m * (v + 1)) == pytest.approx(a1, rel=1e-10)
+        a1 = gauss_amplitude_mp(1.0, p, CTX)
+        with mp.workdps(CTX.work_digits + 10):
+            lhs = gauss_amplitude_mp(mp.mpf(q) ** (2 * m), p, CTX)
+            assert _rel(lhs * mp.mpf(q) ** (2 * m * (v + 1)), a1) <= mp.mpf(10) ** -45
 
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
-            gauss_amplitude(0.0, QParams(0.5, 0.5), CTX)
+            gauss_amplitude_mp(0.0, QParams(0.5, 0.5), CTX)
 
 
 class TestValidation:
