@@ -1,5 +1,6 @@
 """q-Gauss kernel and heat semigroup."""
 
+import hashlib
 import math
 
 import mpmath as mp
@@ -34,7 +35,7 @@ from qfourier.qseries import (
     qexp_lattice_mp,
     qexp_mp,
 )
-from qfourier.report import SuiteConfig, run_cell
+from qfourier.report import DEFAULT_CELLS, SuiteConfig, run_cell
 from qfourier.translation import translate
 
 CTX = PrecisionCtx()
@@ -94,6 +95,50 @@ class TestGaussKernel:
     def test_keeps_working_precision_values(self, cell_half):
         g = gauss_kernel(1.0, cell_half.grid, CTX)
         assert [float(x) for x in g.mp_values] == list(g.fn.values)
+
+
+def _check_times(q):
+    """Every t the check builds G(., t) at: q^6, q^4, q^2, 1, q^-2, the q^2 t of
+    the heat residual (q*q*q**2 is not q**4 at q = 0.8) and the composition's 2."""
+    return sorted({q**6, q**4, q**2, 1.0, q**-2, 2.0}
+                  | {q * q * t for t in (q**4, q**2, 1.0, q**-2)})
+
+
+# sha256 of the binary64 kernel values and of the binary64 e-profiles, each
+# over the cell's times in order: they depend on mp arithmetic only.
+_GAUSS_SHA256 = {
+    (0.5, 0.0, -10, 40): (
+        "a4500e661aff4d42f6b8567584f4bbc3bdbbea10d79ead9b17639d96eadece0e",
+        "b172161af5d17bc546aabff02314eec93c43c9cef859c37fb64c6dc879fef322"),
+    (0.5, 0.5, -10, 40): (
+        "9a4404b2554caf0311d0da77d1f202f7240af639f2f4453858fdf58cc4054567",
+        "b172161af5d17bc546aabff02314eec93c43c9cef859c37fb64c6dc879fef322"),
+    (0.5, 1.5, -10, 40): (
+        "347b8cd9d943f97020f462aa065bbdfe3704132e5d3adf67453cf29e4b10116a",
+        "b172161af5d17bc546aabff02314eec93c43c9cef859c37fb64c6dc879fef322"),
+    (0.8, 0.5, -20, 120): (
+        "88f273eb19afca64397c79cd6fe49809905466aa92031f17076361f913106ddc",
+        "3c518705f8836265c425c394869417a5a32981b593b6cd67c1d4a4ebce3585ff"),
+    (0.9, 0.0, -30, 300): (
+        "65d501bf7e99a60d3637756489301d895073196424dd4de884481a90e0b08e20",
+        "8f66d9424a9f05f8c9859d254f11e48c99fb756aa38ce81841a8e59bebf4ff52"),
+}
+
+
+class TestGaussFingerprint:
+    def test_pins_cover_the_default_cells(self):
+        assert set(DEFAULT_CELLS) <= set(_GAUSS_SHA256)
+
+    @pytest.mark.parametrize("q, v, n_lo, n_hi", list(_GAUSS_SHA256))
+    def test_bit_identical(self, q, v, n_lo, n_hi):
+        grid = LatticeGrid(QParams(q, v), n_lo, n_hi)
+        times = [q**4, 1.0, q**-2] if (q, v, n_lo, n_hi) not in DEFAULT_CELLS else _check_times(q)
+        fn, prof = hashlib.sha256(), hashlib.sha256()
+        for t in times:
+            g = gauss_kernel(t, grid, CTX)
+            fn.update(g.fn.values.tobytes())
+            prof.update(g.eprofile.values.tobytes())
+        assert (fn.hexdigest(), prof.hexdigest()) == _GAUSS_SHA256[(q, v, n_lo, n_hi)]
 
 
 def _float_step_kernel(t, grid):
