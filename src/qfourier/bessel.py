@@ -353,11 +353,13 @@ def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
 
 def _anchor_ulps(table: BesselTable) -> float:
     """Worst binary64 gap between the table and the series at the anchors:
-    n_min..n_min+3, the quarter points and n_max - 1 (n_max is the scale)."""
-    lo, hi = table.n_min, table.n_max
+    n_min..n_min+3, the quarter points and n_max - 1 (n_max is the scale),
+    the series :func:`_measured` from :func:`_entry_dps` on, as in :func:`jv`."""
+    lo, hi, p, ctx = table.n_min, table.n_max, table.params, table.ctx
     anchors = {*range(lo, lo + 4), *(lo + k * (hi - lo) // 4 for k in (1, 2, 3)), hi - 1}
-    return worst(*(ulps(table.value(e), float(_series_at(e, table.params, table.ctx)))
-                   for e in sorted(anchors) if lo <= e < hi))
+    return worst(*(ulps(table.value(e), float(_measured(
+        lambda d: _jv_series_mp(mp.mpf(p.q) ** e, p, ctx, d), _JV_DIGITS, f"j_v at q^{e}",
+        _entry_dps(e, p, ctx)))) for e in sorted(anchors) if lo <= e < hi))
 
 
 def decay_bound_constant(p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> float:

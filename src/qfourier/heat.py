@@ -12,7 +12,10 @@ e(-t x^2, q^2), satisfies the q-heat equation
 
 with the Jackson time difference D_{q^2,t} u = (u(., t) - u(., q^2 t)) /
 ((1-q^2) t), and is a Markov operator because c G(., t) y^{2v+1} d_q y is a
-probability measure.
+probability measure.  The kernel and its e-profile divide by an integer run
+of products (:func:`qseries.qexp_lattice_mp`, scale 2^W, W the working bits
+plus guard bits); the high-precision transform route is an integer dot per
+row, its truncation 2^-prec below the smallest gated closed-form value.
 """
 
 from __future__ import annotations
@@ -21,12 +24,14 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import dps_to_prec, fone
 
 from .lattice import GridFn, LatticeGrid, norm_p
-from .numerics import TINY, ulps, worst
+from .numerics import TINY, to_fixed, ulps, worst
 from .qseries import (
     DEFAULT_CTX,
     PrecisionCtx,
@@ -59,37 +64,37 @@ __all__ = [
 class GaussKernel:
     """q-Gauss kernel at time t, sampled on a grid; strictly positive.
 
-    ``mp_values`` keeps the working-precision values that ``fn`` rounds once,
-    for checks that must not lose them to binary64.  The kernel's transform
-    side, the e-profile y -> e(-t y^2; q^2), is built on first use.
+    ``fn`` rounds ``amp_mp`` = A(t) over ``run``, the int pairs of the products
+    (-q^{-2v} q^{2n}/t; q^2)_inf, once; the e-profile is built on first use.
     """
 
     t: float
     grid: LatticeGrid
     amplitude: float
     fn: GridFn = field(repr=False)
-    mp_values: list = field(repr=False)
+    amp_mp: mp.mpf = field(repr=False)
+    run: list = field(repr=False)
     ctx: PrecisionCtx = field(default=DEFAULT_CTX, repr=False)
 
     @cached_property
-    def eprofile_mp(self) -> list:
-        """e(-t q^{2n}; q^2) over the grid's exponents, at working precision."""
-        return _eprofile_mp(self.t, self.grid, self.ctx)
+    def eprofile_run(self) -> list:
+        """The run of (-t q^{2n}; q^2)_inf over the grid's exponents."""
+        return _eprofile_run(self.t, self.grid, self.ctx)
 
     @cached_property
     def eprofile(self) -> GridFn:
-        """``eprofile_mp`` rounded once to binary64."""
-        return GridFn(self.grid, np.array([float(e) for e in self.eprofile_mp]))
+        """e(-t q^{2n}; q^2), the reciprocals of ``eprofile_run``, in binary64."""
+        return GridFn(self.grid, _binary64(fone, self.eprofile_run))
 
 
 # A lookup t -> G(., t) on one grid.
 GaussLookup = Callable[[float], GaussKernel]
 
 
-def _lattice_points(a, grid: LatticeGrid) -> list:
-    """-a q^{2n} over the grid's exponents, stepping by exactly q2_exact(q)."""
-    q2 = q2_exact(grid.params.q)
-    return [-(a * q2 ** int(n)) for n in grid.exponents]
+def _binary64(num, run: list) -> np.ndarray:
+    """Raw mpf num / (m 2^e) over a run, by int true division: rounded once."""
+    _, man, exp, _ = num
+    return np.array([(man << exp - e) / m if exp >= e else man / (m << e - exp) for m, e in run])
 
 
 def _gauss_prefactor(t: float, grid: LatticeGrid):
@@ -99,25 +104,21 @@ def _gauss_prefactor(t: float, grid: LatticeGrid):
 
 def gauss_kernel(t: float, grid: LatticeGrid,
                  ctx: PrecisionCtx = DEFAULT_CTX) -> GaussKernel:
-    """Closed-form kernel values A(t) e(-q^{-2v} q^{2n}/t, q^2), rounded once.
-
-    The q-exponentials come from one product at n_hi and the lattice
-    recurrence of :func:`qseries.qexp_lattice_mp` below it.
-    """
+    """Closed-form kernel values A(t) e(-q^{-2v} q^{2n}/t, q^2), rounded once
+    from one integer run of products (:func:`qseries.qexp_lattice_mp`)."""
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
     with mp.workdps(ctx.work_digits + 10):
         amp = gauss_amplitude_mp(t, grid.params, ctx)
-        zs = _lattice_points(_gauss_prefactor(t, grid), grid)
-        mp_vals = [amp * e for e in qexp_lattice_mp(zs, q2_exact(grid.params.q), ctx)]
-    vals = np.array([float(x) for x in mp_vals])
-    return GaussKernel(t, grid, float(amp), GridFn(grid, vals), mp_vals, ctx)
+        run = qexp_lattice_mp(_gauss_prefactor(t, grid), q2_exact(grid.params.q),
+                              grid.n_lo, grid.n_hi, ctx)
+    return GaussKernel(t, grid, float(amp), GridFn(grid, _binary64(amp._mpf_, run)),
+                       amp, run, ctx)
 
 
-def _eprofile_mp(t: float, grid: LatticeGrid, ctx: PrecisionCtx) -> list:
-    """y -> e(-t y^2; q^2) on the grid: one product and the lattice recurrence."""
-    with mp.workdps(ctx.work_digits + 10):
-        return qexp_lattice_mp(_lattice_points(mp.mpf(t), grid), q2_exact(grid.params.q), ctx)
+def _eprofile_run(t: float, grid: LatticeGrid, ctx: PrecisionCtx) -> list:
+    """(-t q^{2n}; q^2)_inf over the grid: y -> e(-t y^2; q^2) is its reciprocal."""
+    return qexp_lattice_mp(t, q2_exact(grid.params.q), grid.n_lo, grid.n_hi, ctx)
 
 
 def gauss_memo(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> GaussLookup:
@@ -140,16 +141,15 @@ def gauss_recurrence_defect(g: GaussKernel, exps,
     """Largest binary64-ulp gap between G(q^n, t) and one direct product each.
 
     The direct route evaluates A(t) e(z_n; q^2) at each exponent in ``exps``
-    with its own truncated product, so a kernel whose recurrence steps by a
-    q^2 other than its product base shows here.
+    with its own truncated product (A(t) is the kernel's), so a kernel whose
+    run steps by a q^2 other than the exact one shows here.
     """
     grid = g.grid
     with mp.workdps(ctx.work_digits + 10):
-        amp = gauss_amplitude_mp(g.t, grid.params, ctx)
         q2 = q2_exact(grid.params.q)
         pref = _gauss_prefactor(g.t, grid)
         return worst(*(
-            ulps(g.fn[n], float(amp * qexp_mp(-(pref * q2 ** int(n)), q2, ctx)))
+            ulps(g.fn[n], float(g.amp_mp * qexp_mp(-(pref * q2 ** int(n)), q2, ctx)))
             for n in exps
         ))
 
@@ -181,35 +181,51 @@ def gauss_crosscheck(t: float, op: TransformOp, ctx: PrecisionCtx,
     return worst(*(abs(a - b) / abs(b) for a, b in rows if abs(b) >= _FLOAT_GUARD * sup))
 
 
+def _fixed_ratio(num, m: int, e: int, bits: int) -> int:
+    """floor(num 2^bits / (m 2^e)) for a positive raw mpf num."""
+    shift = num[2] + bits - e
+    return (num[1] << shift) // m if shift >= 0 else (num[1] >> -shift) // m
+
+
+def _hp_rows(g: GaussKernel, op: TransformOp, window: tuple[int, int]) -> tuple[int, dict]:
+    """S1+S2 and {x: (dot, closed)} of :func:`gauss_crosscheck_hp`'s gated rows."""
+    grid = op.grid
+    rows = range(window[0], window[1] + 1)
+    guard = _HP_GUARD * max(g.fn[x] for x in rows)
+    gated = [x for x in rows if g.fn[x] >= guard]
+    # 2^low <= 2^-(prec+1) C_min / c, as C_min > 2^(frexp exponent - 2).
+    low = (math.frexp(min(g.fn[x] for x in gated))[1] - mp.mag(op.c_mp)
+           - dps_to_prec(g.ctx.work_digits + 10) - 3)
+    jmp = op.table.row(window[0] + grid.n_lo, window[1] + grid.n_hi, hp=True)
+    s1 = max(map(mp.mag, jmp)) + grid.size.bit_length() - low
+    u = [_fixed_ratio(w._mpf_, m, e, s1) for w, (m, e) in zip(op.jackson_mp, g.eprofile_run)]
+    s2 = sum(u).bit_length() - s1 - low
+    jfix = [to_fixed(j, s2) for j in jmp]
+    amp, (_, c_man, c_exp, _) = g.amp_mp._mpf_, op.c_mp._mpf_
+    closed = {x: _fixed_ratio(amp, c_man * m, c_exp + e, s1 + s2)
+              for x in gated for m, e in [g.run[grid.index(x)]]}
+    return s1 + s2, {x: (sum(map(mul, u, jfix[x - window[0]:])), cx) for x, cx in closed.items()}
+
+
 def gauss_crosscheck_hp(t: float, op: TransformOp, ctx: PrecisionCtx,
                         window: tuple[int, int], g: GaussKernel | None = None) -> float:
     """High-precision check of the transform route against the closed form.
 
-    Both sides are evaluated in software precision on the trusted window, so
-    the comparison survives 20+ orders of magnitude of quadrature
-    cancellation; only rows where the closed form drops below ``_HP_GUARD`` of
-    the kernel's sup are skipped (there the *lattice truncation* floor of the
-    quadrature, not arithmetic, is what remains).  The closed form is the
-    working-precision values of ``g``, the e-profile ``g.eprofile_mp``, and
-    c_{q,v} and the Jackson weights the transform's ``op.c_mp`` and
-    ``op.jackson_mp`` (built once per operator, at the table's digits plus ten).
+    Beyond binary64 the comparison survives 20+ orders of magnitude of
+    quadrature cancellation; only trusted rows where the closed form drops
+    below ``_HP_GUARD`` of the kernel's sup are skipped (there the *lattice
+    truncation* floor of the quadrature, not arithmetic, is what remains).
+    Row x is one integer dot, sum_j u_j J_{x+j} with u_j = floor(w_j e_j 2^S1)
+    (Jackson weights ``op.jackson_mp``, e-profile run) and J_k = j_v(q^k) 2^S2
+    truncated, against floor(G(q^x, t) 2^(S1+S2) / c).  Its truncation error
+    is below N 2^-S1 max|J| + 2^-(S1+S2) sum_j u_j; S1 and S2 come from the
+    measured max|J| and sum of u, each term at most 2^-(prec+1) C_min / c, so
+    c times the bound sits 2^-prec below C_min, the smallest gated closed-form
+    value (prec: the bits of the working digits plus ten).
     """
-    grid = op.grid
-    if g is None:
-        g = gauss_kernel(t, grid, ctx)
-    with mp.workdps(ctx.work_digits + 10):
-        # Jackson weight times e-profile, once per grid point.
-        we = [w * e for w, e in zip(op.jackson_mp, g.eprofile_mp)]
-        closed = {x: g.mp_values[grid.index(x)]
-                  for x in range(window[0], window[1] + 1)}
-        sup = max(abs(val) for val in closed.values())
-        gaps = []
-        for x, cval in closed.items():
-            if abs(cval) < _HP_GUARD * sup:
-                continue
-            row = mp.fdot(we, op.table.row(x + grid.n_lo, x + grid.n_hi, hp=True)) * op.c_mp
-            gaps.append(float(abs(row - cval) / abs(cval)))
-        return worst(*gaps)
+    g = g or gauss_kernel(t, op.grid, ctx)
+    _, rows = _hp_rows(g, op, window)
+    return worst(*(abs(dot - closed) / closed for dot, closed in rows.values()))
 
 
 def heat_apply(f: GridFn, t: float, k: Kernel3, ctx: PrecisionCtx = DEFAULT_CTX,

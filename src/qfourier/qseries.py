@@ -12,11 +12,11 @@ and the Gauss-kernel amplitude
 
 Each quantity has one route, at ``PrecisionCtx.work_digits`` decimal digits
 (the ``*_mp`` functions); tables consumed by other modules are generated on
-it and rounded once.  Every (a; q)_inf runs in Python integers at one
-fixed-point scale 2^W and forms one mpf at the end (:func:`qpoch_inf_mp`
-bounds its error).  The check report compares these products with series
-that share none of their code (Euler's two identities and Jacobi's triple
-product, in :mod:`qfourier.report`).
+it and rounded once.  Every (a; q)_inf, alone or in a lattice run
+(:func:`qexp_lattice_mp`), runs in Python integers at one fixed-point scale
+2^W (:func:`qpoch_inf_mp` bounds its error).  The check report compares these
+products with series that share none of their code (Euler's two identities
+and Jacobi's triple product, in :mod:`qfourier.report`).
 """
 
 from __future__ import annotations
@@ -84,6 +84,18 @@ def q2_exact(q: float) -> mp.mpf:
     return mp.fmul(q, q, exact=True)
 
 
+def _fixed_loop(a_, q_, ctx: PrecisionCtx, k_min: int = 0) -> tuple[int, int, int, int]:
+    """W, and tol, a and q at scale 2^W, for a factor loop from a (k_min factors or more)."""
+    # Stop at |a q^k| < tol = min(tail_tol, 10^-(work_digits+5)) = 2^-tol_bits.
+    tol_bits = max(-math.log2(ctx.tail_tol), (ctx.work_digits + 5) * math.log2(10))
+    inv, mag = math.ceil(1 / (1 - float(q_))), mp.mag(a_)  # inv >= 1/(1-q)
+    k = max(k_min, math.ceil((mag + tol_bits) / -math.log2(float(q_))) + 1)  # >= K
+    # A scale coarser than tol would truncate it to 0: the loop never stops.
+    w = max(mp.mp.prec, math.ceil(tol_bits)) + (((inv << max(mag, 0)) + k) * inv).bit_length()
+    tol_fix = min(to_fixed(mp.mpf(ctx.tail_tol), w), (1 << w) // 10 ** (ctx.work_digits + 5))
+    return w, tol_fix, to_fixed(a_, w), to_fixed(q_, w)
+
+
 def qpoch_inf_mp(a, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mp.mpf:
     """High-precision (a; q)_inf at ``ctx.work_digits`` decimal digits.
 
@@ -102,16 +114,8 @@ def qpoch_inf_mp(a, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mp.mpf:
         a_ = mp.mpf(a)
         if a_ == 0:
             return mp.mpf(1)
-        q_ = q if isinstance(q, mp.mpf) else mp.mpf(q)
-        # Stop at |a q^k| < tol = min(tail_tol, 10^-(work_digits+5)) = 2^-tol_bits.
-        tol_bits = max(-math.log2(ctx.tail_tol), (ctx.work_digits + 5) * math.log2(10))
-        inv, mag = math.ceil(1 / (1 - qf)), mp.mag(a_)  # inv >= 1/(1-q)
-        k = math.ceil((mag + tol_bits) / -math.log2(qf)) + 1  # >= K
-        # A scale coarser than tol would truncate it to 0: the loop never stops.
-        w = max(mp.mp.prec, math.ceil(tol_bits)) + (((inv << max(mag, 0)) + k) * inv).bit_length()
-        one = 1 << w
-        tol_fix = min(to_fixed(mp.mpf(ctx.tail_tol), w), one // 10 ** (ctx.work_digits + 5))
-        x, q_fix, neg_tol = to_fixed(a_, w), to_fixed(q_, w), -tol_fix
+        w, tol_fix, x, q_fix = _fixed_loop(a_, q if isinstance(q, mp.mpf) else mp.mpf(q), ctx)
+        one, neg_tol = 1 << w, -tol_fix
         m, e = one, 0  # the product is m 2^(e-w)
         while x >= tol_fix or x <= neg_tol:
             m *= one - x
@@ -142,26 +146,34 @@ def qexp_mp(z, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mp.mpf:
         return 1 / qpoch_inf_mp(z, q, ctx)
 
 
-def qexp_lattice_mp(zs, q2, ctx: PrecisionCtx = DEFAULT_CTX) -> list:
-    """e(z_k; q2) along a geometric run z_{k+1} = q2 z_k of negative points.
+def qexp_lattice_mp(a, q2, n_lo: int, n_hi: int, ctx: PrecisionCtx = DEFAULT_CTX) -> list:
+    """(z_n; q2)_inf = m 2^e as int pairs (m, e) for z_n = -a q2^n, n = n_lo..n_hi.
 
-    One truncated product is taken at the last point, where |z| is smallest;
-    the functional equation (z; q2)_inf = (1 - z) (q2 z; q2)_inf then steps
-    back along the run, one multiplication per point.  Every factor 1 - z_k
-    is above 1, so nothing cancels and the values agree with one product per
-    point to working precision -- provided the run steps by exactly the
-    product base ``q2`` (pass :func:`q2_exact`, and build the points from it).
+    One factor loop at the scale 2^W and tol of :func:`qpoch_inf_mp`: x = |z|
+    starts at n_lo (20 guard bits) and steps as x Q >> W, Q the fixed-point
+    ``q2`` (pass :func:`q2_exact`: steps and product base are one number), on
+    past n_hi while x >= tol; the products accumulate back from there by
+    (z; q2)_inf = (1 - z)(q2 z; q2)_inf.  Every factor 1 + x exceeds 1, so the
+    error is :func:`qpoch_inf_mp`'s bound with min |1 - a q^k| = 1.
     """
-    if any(z >= 0 for z in zs):
-        raise ValueError("the lattice run must be negative")
+    if not a > 0:
+        raise ValueError(f"the run z_n = -a q2^n needs a > 0, got a={a}")
     with mp.workdps(ctx.work_digits + 10):
-        prod = qpoch_inf_mp(zs[-1], q2, ctx)
-        out = [1 / prod]
-        for z in reversed(zs[:-1]):
-            prod *= 1 - z
-            out.append(1 / prod)
-        out.reverse()
-        return out
+        with mp.workprec(mp.mp.prec + 20):
+            x_lo = mp.mpf(a) * q2 ** n_lo
+        w, tol_fix, x, q_fix = _fixed_loop(x_lo, q2, ctx, n_hi - n_lo + 1)
+    xs = []
+    while len(xs) <= n_hi - n_lo or x >= tol_fix:
+        xs.append(x)
+        x = x * q_fix >> w
+    one, m, e, out = 1 << w, 1 << w, -w, []  # the product is m 2^e
+    for x in reversed(xs):
+        m *= one + x
+        s = m.bit_length() - w
+        m >>= s
+        e += s - w
+        out.append((m, e))
+    return out[::-1][:n_hi - n_lo + 1]
 
 
 def gauss_amplitude_mp(t, p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> mp.mpf:

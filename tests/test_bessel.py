@@ -259,14 +259,15 @@ class TestRecurrenceTable:
         assert _eigen_ok(bad)
         assert bessel._anchor_ulps(bad) > 1.0
 
-    def test_dropped_order_term_fails_gate(self, monkeypatch):
+    def test_dropped_order_term_leaves_gate_sound(self, monkeypatch):
         # The digit estimate without its (2v+1)m term: the series at the deep
-        # end loses its last digits, and the anchors of a sound table disagree
-        # with the series.  Per-entry series tables at 50 and 80 digits do not
-        # see it.  The table's own anchors measure their cancellation and do
-        # not read the estimate: it still certifies, with the same binary64
-        # values; its mp values move only in their rounding (which reads the
-        # estimate), by less than 1e-50.
+        # end, summed at the estimate's digits, loses its last digits, and
+        # per-entry series tables at 50 and 80 digits do not see it.  The
+        # table's own anchors and the gate's reference measure their
+        # cancellation and only start from the estimate: the table still
+        # certifies, with the same binary64 values (its mp values move only in
+        # their rounding, which reads the estimate, by less than 1e-50), and
+        # the gate reads it sound.
         def lost(m, p):
             return 2.0 * m * m * math.log10(1.0 / p.q) if m > 0.0 else 0.0
 
@@ -277,7 +278,7 @@ class TestRecurrenceTable:
         with mp.workdps(60):
             assert all(abs(a - b) <= mp.mpf("1e-50") * abs(a)
                        for a, b in zip(table.mp_values, again.mp_values))
-        assert bessel._anchor_ulps(table) > 1.0
+        assert bessel._anchor_ulps(table) == 0.0
 
         def series_table(ctx):
             return [float(bessel._series_at(e, DEEP.params, ctx))
@@ -285,6 +286,14 @@ class TestRecurrenceTable:
 
         pairs = zip(series_table(CTX), series_table(PrecisionCtx(80, 1e-30)))
         assert max(ulps(a, b) for a, b in pairs) <= 1.0
+
+    @pytest.mark.parametrize("v", [0.0, 0.5])
+    def test_gate_measures_the_cancellation_near_one(self, v):
+        # q = 0.99 on [-5, 5]: the series cancels more digits than the
+        # estimate gives it, and a reference summed at the estimate's digits
+        # read 3.2e15 (v = 0) and 1.6e15 ulps (v = 0.5) off a sound table.
+        table = jv_table(LatticeGrid(QParams(0.99, v), -5, 5), CTX)
+        assert bessel._anchor_ulps(table) <= 1.0
 
     @pytest.mark.parametrize("q, v, n_lo, n_hi", list(DEFAULT_CELLS) + [
         (0.9, v, default_scan_grid(QParams(0.9, v)).n_lo,

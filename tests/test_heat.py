@@ -1,12 +1,14 @@
 """q-Gauss kernel and heat semigroup."""
 
+import dataclasses
 import hashlib
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfourier import bessel, heat, qseries
@@ -24,6 +26,7 @@ from qfourier.heat import (
     heat_spectral_defect,
     qexp_ode_residual,
 )
+from qfourier.bessel import jv_table
 from qfourier.lattice import GridFn, LatticeGrid, jackson_integral
 from qfourier.numerics import ulps
 from qfourier.probes import seeded_probes
@@ -36,6 +39,7 @@ from qfourier.qseries import (
     qexp_mp,
 )
 from qfourier.report import DEFAULT_CELLS, SuiteConfig, run_cell
+from qfourier.transform import build_transform, trusted_window
 from qfourier.translation import translate
 
 CTX = PrecisionCtx()
@@ -92,9 +96,46 @@ class TestGaussKernel:
         with pytest.raises(ValueError):
             gauss_kernel(0.0, cell_half.grid, CTX)
 
+    @pytest.mark.parametrize("q, v, n_lo, n_hi", list(DEFAULT_CELLS))
+    def test_integer_dot_matches_fdot(self, q, v, n_lo, n_hi):
+        # The reference: mp.fdot of the mp Jackson weights times the e-profile
+        # with the hp table row, times c, and A(t) over the kernel's product,
+        # at the working digits plus ten.
+        grid = LatticeGrid(QParams(q, v), n_lo, n_hi)
+        table = jv_table(grid, CTX)
+        op, window = build_transform(grid, table, CTX), trusted_window(grid, table, CTX)
+        for t in heat_times(q):
+            g = gauss_kernel(t, grid, CTX)
+            scale, rows = heat._hp_rows(g, op, window)
+            assert window[1] in rows or window[0] in rows
+            with mp.workdps(CTX.work_digits + 10):
+                we = [w / mp.ldexp(m, e) for w, (m, e) in zip(op.jackson_mp, g.eprofile_run)]
+                for x, (dot, closed) in rows.items():
+                    ref = mp.fdot(we, table.row(x + n_lo, x + n_hi, hp=True)) * op.c_mp
+                    m, e = g.run[grid.index(x)]
+                    ref_closed = g.amp_mp / mp.ldexp(m, e)
+                    assert abs(mp.ldexp(dot, -scale) * op.c_mp - ref) <= 1e-45 * abs(ref), x
+                    assert (abs(mp.ldexp(closed, -scale) * op.c_mp - ref_closed)
+                            <= 1e-45 * ref_closed), x
+
+    @pytest.mark.parametrize("pick", [max, min])
+    def test_hp_sees_one_closed_form_value_moved(self, cell_half, pick):
+        # One gated closed-form value (the largest, then the smallest) times
+        # 1 + 1e-10: the product under it divided by that factor.
+        g = gauss_kernel(1.0, cell_half.grid, CTX)
+        _, rows = heat._hp_rows(g, cell_half.op, cell_half.window)
+        x = pick(rows, key=lambda n: g.fn[n])
+        assert gauss_crosscheck_hp(1.0, cell_half.op, CTX, cell_half.window, g=g) <= 1e-15
+        run = list(g.run)
+        m, e = run[cell_half.grid.index(x)]
+        run[cell_half.grid.index(x)] = (m * 10**10 // (10**10 + 1), e)
+        moved = dataclasses.replace(g, run=run)
+        assert gauss_crosscheck_hp(1.0, cell_half.op, CTX, cell_half.window, g=moved) >= 5e-11
+
     def test_keeps_working_precision_values(self, cell_half):
         g = gauss_kernel(1.0, cell_half.grid, CTX)
-        assert [float(x) for x in g.mp_values] == list(g.fn.values)
+        with mp.workdps(CTX.work_digits + 10):
+            assert [float(g.amp_mp / mp.ldexp(m, e)) for m, e in g.run] == list(g.fn.values)
 
 
 def _check_times(q):
@@ -142,16 +183,22 @@ class TestGaussFingerprint:
 
 
 def _float_step_kernel(t, grid):
-    """G(., t) whose lattice steps by float(q*q) while the product base is exact."""
+    """G(., t) from a run on float(q*q): the lattice steps by it, and the
+    products take it as their base, where the exact q^2 is the kernel's."""
     p = grid.params
     with mp.workdps(CTX.work_digits + 10):
         amp = gauss_amplitude_mp(t, p, CTX)
         pref = mp.mpf(p.q) ** (-2 * mp.mpf(p.v)) / t
-        step = mp.mpf(p.q * p.q)
-        zs = [-(pref * step ** int(n)) for n in grid.exponents]
-        mp_vals = [amp * e for e in qexp_lattice_mp(zs, q2_exact(p.q), CTX)]
-    vals = np.array([float(x) for x in mp_vals])
-    return GaussKernel(t, grid, float(amp), GridFn(grid, vals), mp_vals)
+        run = qexp_lattice_mp(pref, mp.mpf(p.q * p.q), grid.n_lo, grid.n_hi, CTX)
+        vals = np.array([float(amp / mp.ldexp(m, e)) for m, e in run])
+    return GaussKernel(t, grid, float(amp), GridFn(grid, vals), amp, run)
+
+
+def _direct_eprofile(t, grid):
+    """e(-t q^{2n}; q^2) by its own product at every grid point, in binary64."""
+    with mp.workdps(CTX.work_digits + 10):
+        q2 = q2_exact(grid.params.q)
+        return np.array([float(qexp_mp(-(t * q2 ** int(n)), q2, CTX)) for n in grid.exponents])
 
 
 def _spread(grid):
@@ -171,6 +218,36 @@ class TestLatticeRecurrence:
         g = gauss_kernel(t, grid, CTX)
         assert gauss_recurrence_defect(g, grid.exponents, CTX) <= 4.0
 
+    @settings(max_examples=20, deadline=None)
+    @given(q=st.floats(0.1, 0.95),
+           v=st.floats(-0.99, 3.0),
+           t=st.floats(1e-3, 1e3),
+           n_lo=st.integers(-40, -4))
+    @example(q=0.1, v=0.5, t=1.0, n_lo=-40)  # |z| at n_lo: 1e80
+    def test_deep_grids_agree_with_one_product_per_point(self, q, v, t, n_lo):
+        # From n_lo = -40 the run's |z| passes 1e20 (at q <= 0.3 or so): the
+        # kernel within 4 ulps and the e-profile within 1 ulp of one product
+        # per point, 0.0 and subnormal values included.
+        grid = LatticeGrid(QParams(q, v), n_lo, 4)
+        g = gauss_kernel(t, grid, CTX)
+        assert gauss_recurrence_defect(g, grid.exponents, CTX) <= 4.0
+        assert max(map(ulps, g.eprofile.values, _direct_eprofile(t, grid))) <= 1.0
+
+    def test_underflow_matches_one_product_per_point(self):
+        # q = 0.3, t = 1e3 on [-40, 4]: |z| at n_lo passes 1e38, and both the
+        # kernel and the e-profile fall through a subnormal value to 0.0.
+        grid = LatticeGrid(QParams(0.3, 0.5), -40, 4)
+        g = gauss_kernel(1e3, grid, CTX)
+        with mp.workdps(CTX.work_digits + 10):
+            q2, pref = q2_exact(0.3), heat._gauss_prefactor(1e3, grid)
+            kernel = np.array([float(g.amp_mp * qexp_mp(-(pref * q2 ** int(n)), q2, CTX))
+                               for n in grid.exponents])
+        for got, want in ((g.fn.values, kernel), (g.eprofile.values, _direct_eprofile(1e3, grid))):
+            low = want < sys.float_info.min
+            assert 0 < np.count_nonzero(want[low]) < np.count_nonzero(low)
+            assert np.array_equal(got[low], want[low])
+            assert max(map(ulps, got, want)) <= 4.0
+
     def test_float_q2_step_breaks_the_identity(self):
         # At q = 0.8, float(q*q) is not the exact square of q: a recurrence
         # stepping by it drifts ~150 ulps from the direct products.
@@ -185,8 +262,10 @@ class TestLatticeRecurrence:
         assert gauss_recurrence_defect(bad, cell_half.grid.exponents, CTX) == 0.0
 
     def test_rejects_nonnegative_points(self):
-        with pytest.raises(ValueError):
-            qexp_lattice_mp([mp.mpf(0.5), mp.mpf(0.25)], q2_exact(0.5), CTX)
+        # z_n = -a q^{2n} must be negative: a > 0.
+        for a in (-0.5, 0.0):
+            with pytest.raises(ValueError):
+                qexp_lattice_mp(a, q2_exact(0.5), 0, 1, CTX)
 
     @pytest.mark.parametrize("t_idx", [0, 1, 2, 3])
     def test_eprofile_within_one_ulp_of_one_product_per_point(self, t_idx):
@@ -196,10 +275,7 @@ class TestLatticeRecurrence:
         grid = LatticeGrid(QParams(0.8, 0.5), -20, 120)
         t = heat_times(0.8)[t_idx]
         prof = gauss_kernel(t, grid, CTX).eprofile
-        with mp.workdps(CTX.work_digits + 10):
-            q2 = q2_exact(0.8)
-            assert max(ulps(prof[int(n)], float(qexp_mp(-(t * q2 ** int(n)), q2, CTX)))
-                       for n in grid.exponents) <= 1.0
+        assert max(map(ulps, prof.values, _direct_eprofile(t, grid))) <= 1.0
 
 
 class TestCellMemo:
@@ -249,19 +325,19 @@ class TestCellMemo:
         # Four times, each read by the float and hp cross-checks and three
         # spectral defects (t = 1 also by the Gauss multiplier): four profiles.
         calls = []
-        build = heat._eprofile_mp
+        build = heat._eprofile_run
 
         def counting(t, grid, ctx):
             calls.append(t)
             return build(t, grid, ctx)
 
-        monkeypatch.setattr(heat, "_eprofile_mp", counting)
+        monkeypatch.setattr(heat, "_eprofile_run", counting)
         cfg = SuiteConfig(cells=((0.5, 0.5, -10, 40),), probes=10)
         assert run_cell(0.5, 0.5, -10, 40, cfg).passed
         assert sorted(calls) == sorted(heat_times(0.5))
 
     def test_gauss_kernel_builds_no_eprofile(self, monkeypatch):
-        monkeypatch.setattr(heat, "_eprofile_mp", None)
+        monkeypatch.setattr(heat, "_eprofile_run", None)
         g = gauss_kernel(1.0, LatticeGrid(QParams(0.5, 0.5), -10, 40), CTX)
         assert np.all(g.fn.values > 0.0)
 
