@@ -19,7 +19,6 @@ from .bessel import (
 from .errors import (
     GridMismatch,
     GridTooSmall,
-    NonConvergent,
     NotProbability,
     OffGrid,
     OffWindow,
@@ -128,7 +127,6 @@ __all__ = [
     "CheckReport",
     "run_suite",
     "QFourierError",
-    "NonConvergent",
     "PoleAtOne",
     "PrecisionExhausted",
     "GridMismatch",

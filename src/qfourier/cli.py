@@ -36,7 +36,7 @@ from .report import (
     report_to_json,
     run_suite,
 )
-from .transform import build_transform, forward
+from .transform import build_transform, forward, trusted_window
 from .translation import default_scan_grid, kernel, positivity_min, translate
 
 EXIT_OK = 0
@@ -208,7 +208,7 @@ def cmd_heat(args) -> int:
     if args.outfile:
         save_csv(u, args.outfile)
     if args.residual:
-        resid = heat_residual(f, args.t, k, ctx, gauss=gauss)
+        resid = heat_residual(f, args.t, k, trusted_window(grid, table, ctx), gauss)
         mass = gauss_mass_defect(gauss(args.t), k.c)
         print(json.dumps({"t": args.t, "residual": resid,
                           "mass_defect": mass}, sort_keys=True))

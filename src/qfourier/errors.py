@@ -5,10 +5,6 @@ class QFourierError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonConvergent(QFourierError, ArithmeticError):
-    """An infinite product or series cannot be truncated safely."""
-
-
 class PoleAtOne(QFourierError, ValueError):
     """q-exponential evaluated at or beyond its pole at z = 1."""
 

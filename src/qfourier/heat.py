@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from operator import mul
 
 import mpmath as mp
@@ -40,7 +40,7 @@ from .qseries import (
     qexp_lattice_mp,
     qexp_mp,
 )
-from .transform import TransformOp, forward, q_bessel_operator, trusted_window
+from .transform import TransformOp, forward, q_bessel_operator
 from .translation import Kernel3, MarkovReport, convolve, markov_check_convolution
 
 __all__ = [
@@ -66,11 +66,11 @@ class GaussKernel:
 
     ``fn`` rounds ``amp_mp`` = A(t) over ``run``, the int pairs of the products
     (-q^{-2v} q^{2n}/t; q^2)_inf, once; the e-profile is built on first use.
+    The checks below read their t and working digits from the kernel.
     """
 
     t: float
     grid: LatticeGrid
-    amplitude: float
     fn: GridFn = field(repr=False)
     amp_mp: mp.mpf = field(repr=False)
     run: list = field(repr=False)
@@ -112,8 +112,7 @@ def gauss_kernel(t: float, grid: LatticeGrid,
         amp = gauss_amplitude_mp(t, grid.params, ctx)
         run = qexp_lattice_mp(_gauss_prefactor(t, grid), q2_exact(grid.params.q),
                               grid.n_lo, grid.n_hi, ctx)
-    return GaussKernel(t, grid, float(amp), GridFn(grid, _binary64(amp._mpf_, run)),
-                       amp, run, ctx)
+    return GaussKernel(t, grid, GridFn(grid, _binary64(amp._mpf_, run)), amp, run, ctx)
 
 
 def _eprofile_run(t: float, grid: LatticeGrid, ctx: PrecisionCtx) -> list:
@@ -126,25 +125,18 @@ def gauss_memo(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> GaussLooku
 
     Its scope is its caller's: one check cell, or one CLI command.
     """
-    built: dict[float, GaussKernel] = {}
-
-    def lookup(t: float) -> GaussKernel:
-        if t not in built:
-            built[t] = gauss_kernel(t, grid, ctx)
-        return built[t]
-
-    return lookup
+    return cache(lambda t: gauss_kernel(t, grid, ctx))
 
 
-def gauss_recurrence_defect(g: GaussKernel, exps,
-                            ctx: PrecisionCtx = DEFAULT_CTX) -> float:
+def gauss_recurrence_defect(g: GaussKernel, exps) -> float:
     """Largest binary64-ulp gap between G(q^n, t) and one direct product each.
 
     The direct route evaluates A(t) e(z_n; q^2) at each exponent in ``exps``
-    with its own truncated product (A(t) is the kernel's), so a kernel whose
-    run steps by a q^2 other than the exact one shows here.
+    with its own truncated product at the kernel's digits (A(t) is the
+    kernel's), so a kernel whose run steps by a q^2 other than the exact one
+    shows here.
     """
-    grid = g.grid
+    grid, ctx = g.grid, g.ctx
     with mp.workdps(ctx.work_digits + 10):
         q2 = q2_exact(grid.params.q)
         pref = _gauss_prefactor(g.t, grid)
@@ -164,17 +156,14 @@ _FLOAT_GUARD = 1e-6
 _HP_GUARD = 1e-12
 
 
-def gauss_crosscheck(t: float, op: TransformOp, ctx: PrecisionCtx,
-                     window: tuple[int, int], g: GaussKernel | None = None) -> float:
-    """Float-path check: forward of the e-profile vs the closed form.
+def gauss_crosscheck(g: GaussKernel, op: TransformOp, window: tuple[int, int]) -> float:
+    """Float-path check: forward of ``g``'s e-profile vs its closed form.
 
     Relative error is measured on trusted rows where the closed form carries
     at least ``_FLOAT_GUARD`` of the kernel's sup (below that the true value is
     produced by near-total cancellation of the quadrature and binary64 cannot
     represent the comparison; the high-precision twin covers those rows).
     """
-    if g is None:
-        g = gauss_kernel(t, op.grid, ctx)
     ff = forward(g.eprofile, op)
     sup = float(np.max(np.abs(g.fn.values)))
     rows = [(ff[n], g.fn[n]) for n in range(window[0], window[1] + 1)]
@@ -207,8 +196,7 @@ def _hp_rows(g: GaussKernel, op: TransformOp, window: tuple[int, int]) -> tuple[
     return s1 + s2, {x: (sum(map(mul, u, jfix[x - window[0]:])), cx) for x, cx in closed.items()}
 
 
-def gauss_crosscheck_hp(t: float, op: TransformOp, ctx: PrecisionCtx,
-                        window: tuple[int, int], g: GaussKernel | None = None) -> float:
+def gauss_crosscheck_hp(g: GaussKernel, op: TransformOp, window: tuple[int, int]) -> float:
     """High-precision check of the transform route against the closed form.
 
     Beyond binary64 the comparison survives 20+ orders of magnitude of
@@ -221,9 +209,8 @@ def gauss_crosscheck_hp(t: float, op: TransformOp, ctx: PrecisionCtx,
     is below N 2^-S1 max|J| + 2^-(S1+S2) sum_j u_j; S1 and S2 come from the
     measured max|J| and sum of u, each term at most 2^-(prec+1) C_min / c, so
     c times the bound sits 2^-prec below C_min, the smallest gated closed-form
-    value (prec: the bits of the working digits plus ten).
+    value (prec: the bits of the kernel's working digits plus ten).
     """
-    g = g or gauss_kernel(t, op.grid, ctx)
     _, rows = _hp_rows(g, op, window)
     return worst(*(abs(dot - closed) / closed for dot, closed in rows.values()))
 
@@ -236,39 +223,31 @@ def heat_apply(f: GridFn, t: float, k: Kernel3, ctx: PrecisionCtx = DEFAULT_CTX,
     return convolve(g.fn, f, k)
 
 
-def heat_residual(f: GridFn, t: float, k: Kernel3,
-                  ctx: PrecisionCtx = DEFAULT_CTX,
-                  window: tuple[int, int] | None = None,
-                  gauss: GaussLookup | None = None) -> float:
+def heat_residual(f: GridFn, t: float, k: Kernel3, window: tuple[int, int],
+                  gauss: GaussLookup) -> float:
     """Pointwise q-heat-equation residual of u = P_t f on trusted interior rows.
 
     The time difference uses u at t and q^2 t; rows are restricted to the
-    trusted window, where the q^{-2n} amplification of the space operator
+    trusted ``window``, where the q^{-2n} amplification of the space operator
     stays far below the tolerance budget.  ``gauss`` supplies the kernels at
-    both times (built here when omitted).
+    both times.
     """
     grid = k.grid
-    if window is None:
-        window = trusted_window(grid, k.table, ctx)
-    if gauss is None:
-        gauss = gauss_memo(grid, ctx)
     q = grid.params.q
     s = q * q * t
-    u_t = heat_apply(f, t, k, ctx, g=gauss(t))
-    u_s = heat_apply(f, s, k, ctx, g=gauss(s))
+    u_t = heat_apply(f, t, k, g=gauss(t))
+    u_s = heat_apply(f, s, k, g=gauss(s))
     du = q_bessel_operator(u_t)
     rhs = (u_t.values - u_s.values) / t  # (1-q^2) D_{q^2,t} u
     rows = range(max(window[0], grid.n_lo + 1), min(window[1], grid.n_hi - 1) + 1)
     return worst(*(abs(du[n] - rhs[grid.index(n)]) / (1.0 + abs(du[n])) for n in rows))
 
 
-def heat_spectral_defect(f: GridFn, t: float, k: Kernel3, ctx: PrecisionCtx,
-                         window: tuple[int, int], g: GaussKernel | None = None) -> float:
-    """|| F(P_t f) - e(-t x^2) . Ff ||_2 / || e(-t x^2) . Ff ||_2 on trusted rows."""
+def heat_spectral_defect(f: GridFn, g: GaussKernel, k: Kernel3,
+                         window: tuple[int, int]) -> float:
+    """|| F(P_t f) - e(-t x^2) . Ff ||_2 / || e(-t x^2) . Ff ||_2 on trusted rows, t = g.t."""
     grid = k.grid
-    if g is None:
-        g = gauss_kernel(t, grid, ctx)
-    lhs = forward(heat_apply(f, t, k, ctx, g=g), k.op)
+    lhs = forward(heat_apply(f, g.t, k, g=g), k.op)
     rhs = g.eprofile.values * forward(f, k.op).values
     sel = [grid.index(n) for n in range(window[0], window[1] + 1)]
     w = grid.weights()[sel]
@@ -277,12 +256,8 @@ def heat_spectral_defect(f: GridFn, t: float, k: Kernel3, ctx: PrecisionCtx,
     return num / max(den, TINY)
 
 
-def heat_markov_check(t: float, k: Kernel3, probes: list[GridFn],
-                      ctx: PrecisionCtx = DEFAULT_CTX,
-                      g: GaussKernel | None = None) -> MarkovReport:
-    """Markov-axiom defects of P_t (the Gauss kernel is a probability density)."""
-    if g is None:
-        g = gauss_kernel(t, k.grid, ctx)
+def heat_markov_check(g: GaussKernel, k: Kernel3, probes: list[GridFn]) -> MarkovReport:
+    """Markov-axiom defects of P_t, t = g.t (the Gauss kernel is a probability density)."""
     return markov_check_convolution(g.fn, k, probes)
 
 
@@ -311,24 +286,22 @@ def qexp_ode_residual(q: float, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
 
 
 def composition_defect(f: GridFn, t: float, s: float, k: Kernel3,
-                       ctx: PrecisionCtx = DEFAULT_CTX,
-                       gauss: GaussLookup | None = None) -> float:
+                       gauss: GaussLookup) -> float:
     """|| P_t P_s f - P_{t+s} f ||_2 / || P_{t+s} f ||_2 on window rows.
 
     Reported without a gate: the composition law in t is not implied by the
     q-exponential symbol (e(a)e(b) != e(a+b)), so this measures how far the
-    family is from a classical semigroup.
+    family is from a classical semigroup.  ``gauss`` supplies the kernels at
+    s, t and t + s.
     """
     grid = k.grid
-    if gauss is None:
-        gauss = gauss_memo(grid, ctx)
-    u_s = heat_apply(f, s, k, ctx, g=gauss(s))
+    u_s = heat_apply(f, s, k, g=gauss(s))
     # u_s has full-grid support, so neither factor of P_t u_s = M (MG Mu_s)
     # is window-supported and only its window rows are trusted.
     m = k.op.matrix
     sel = [grid.index(int(e)) for e in k.window_exponents]
     lhs = (m @ ((m @ gauss(t).fn.values) * (m @ u_s.values)))[sel]
-    u_ts = heat_apply(f, t + s, k, ctx, g=gauss(t + s))
+    u_ts = heat_apply(f, t + s, k, g=gauss(t + s))
     ww = grid.weights()[sel]
     num = math.sqrt(float(ww @ (lhs - u_ts.values[sel]) ** 2))
     den = math.sqrt(float(ww @ u_ts.values[sel] ** 2))

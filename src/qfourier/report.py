@@ -336,13 +336,13 @@ class _CellRunner:
             res = worst(res, abs(rep - f[n]) / max(abs(f[n]), TINY))
         yield "delta-reproduction", res
 
-        yield "cauchy-schwarz", max(0.0, abs(lattice.inner(f, g)) - norm2(f) * norm2(g))
+        yield "cauchy-schwarz", worst(abs(lattice.inner(f, g)) - norm2(f) * norm2(g))
 
     # ---------------- Bessel identities ----------------
 
     def check_bessel(self) -> Rows:
         chk = bessel.decay_bound_check(self.table)
-        yield "bessel-decay-bound", max(0.0, chk.max_ratio - 1.0)
+        yield "bessel-decay-bound", worst(chk.max_ratio - 1.0)
 
         yield "bessel-eigen-relation", bessel.eigen_residual(
             self.grid, (-2, 0, 1, 3), self.table)
@@ -370,7 +370,10 @@ class _CellRunner:
         yield "orthogonality-offdiag", ortho.max_offdiag
         yield "orthogonality-diagonal", ortho.max_diag_rel
 
-        rebuilt = op.kernel * op.weights[None, :]
+        # M rebuilt from the table by one gather, in build_transform's order of operations.
+        e, q, v = grid.exponents, self.p.q, self.p.v
+        rebuilt = ((self.c * (1.0 - q)) * self.table.values[np.add.outer(e, e) - self.table.n_min]
+                   * np.power(q, e.astype(float) * (2.0 * v + 2.0))[None, :])
         yield "transform-matrix-structure", float(np.count_nonzero(rebuilt != op.matrix))
 
         sup_j = float(np.max(np.abs(self.table.values)))
@@ -382,7 +385,7 @@ class _CellRunner:
             decay = worst(decay, abs(ff[grid.n_lo]) / max(sup_ff, TINY))
             supb = worst(supb, sup_ff / (self.c * sup_j * l1) - 1.0)
         yield "transform-decay-at-infinity", decay
-        yield "transform-sup-bound", max(0.0, supb)
+        yield "transform-sup-bound", worst(supb)
 
         yield "basis-completeness", worst(*(
             transform.basis_completeness_defect(f, op) for f in self.tprobes[:5]))
@@ -402,7 +405,7 @@ class _CellRunner:
 
         mn, _ = translation.kernel_min(kern)
         if self.p.v >= 0.0:
-            yield "kernel-positivity", max(0.0, -mn)
+            yield "kernel-positivity", worst(-mn)
         else:
             # The one row whose statement depends on the cell: observed, raw minimum.
             yield IdentityResult("kernel-positivity",
@@ -435,7 +438,7 @@ class _CellRunner:
             kern, translation.hypergroup_window(kern, 14))
         d20 = translation.hypergroup_expansion_defect(
             kern, translation.hypergroup_window(kern, 20))
-        yield "hypergroup-window-growth", max(0.0, d20 - d14)
+        yield "hypergroup-window-growth", worst(d20 - d14)
 
     def _projection_defect(self) -> float:
         kern, grid, table = self.kern, self.grid, self.table
@@ -512,31 +515,25 @@ class _CellRunner:
         for t in (q**4, q**2, 1.0, q**-2):
             g = self.gauss(t)
             worst_m = worst(worst_m, heat.gauss_mass_defect(g, self.c))
-            worst_f = worst(worst_f, heat.gauss_crosscheck(
-                t, self.op, self.ctx, self.window, g=g))
-            worst_h = worst(worst_h, heat.gauss_crosscheck_hp(
-                t, self.op, self.ctx, self.window, g=g))
+            worst_f = worst(worst_f, heat.gauss_crosscheck(g, self.op, self.window))
+            worst_h = worst(worst_h, heat.gauss_crosscheck_hp(g, self.op, self.window))
             for f in self.kprobes[:3]:
-                worst_s = worst(worst_s, heat.heat_spectral_defect(
-                    f, t, kern, self.ctx, self.window, g=g))
-                worst_r = worst(worst_r, heat.heat_residual(
-                    f, t, kern, self.ctx, self.window, gauss=self.gauss))
+                worst_s = worst(worst_s, heat.heat_spectral_defect(f, g, kern, self.window))
+                worst_r = worst(worst_r, heat.heat_residual(f, t, kern, self.window, self.gauss))
         yield "gauss-transform-consistency", worst_f
         yield "gauss-transform-consistency-hp", worst_h
         yield "gauss-mass", worst_m
         # Both ends, the middle and the quarter points of the grid.
         exps = sorted({int(round(n)) for n in
                        np.linspace(self.grid.n_lo, self.grid.n_hi, 5)})
-        yield "gauss-lattice-recurrence", heat.gauss_recurrence_defect(
-            self.gauss(1.0), exps, self.ctx)
+        yield "gauss-lattice-recurrence", heat.gauss_recurrence_defect(self.gauss(1.0), exps)
         yield "heat-spectral-diagonalization", worst_s
         yield "heat-equation-residual", worst_r
 
-        yield from _markov("heat", heat.heat_markov_check(
-            1.0, kern, self.mprobes, self.ctx, g=self.gauss(1.0)))
+        yield from _markov("heat", heat.heat_markov_check(self.gauss(1.0), kern, self.mprobes))
 
         yield "heat-composition", heat.composition_defect(
-            self.kprobes[0], 1.0, 1.0, kern, self.ctx, gauss=self.gauss)
+            self.kprobes[0], 1.0, 1.0, kern, self.gauss)
 
     def _result(self, name: str, residual: float) -> IdentityResult:
         """The registry row ``name`` applied to its residual."""

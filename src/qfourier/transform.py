@@ -49,7 +49,7 @@ __all__ = [
 
 @dataclass
 class TransformOp:
-    """Materialized transform matrix together with its building blocks.
+    """Materialized transform matrix on a grid, with the table it is built from.
 
     c_{q,v} (``c``, and ``c_mp`` at working precision) is the table's.  The
     mp Jackson weights ``jackson_mp`` are built once, on first use.
@@ -57,9 +57,7 @@ class TransformOp:
 
     grid: LatticeGrid
     table: BesselTable
-    kernel: np.ndarray = field(repr=False)   # c (1-q) j_v(q^{n+m}), Hankel block
-    weights: np.ndarray = field(repr=False)  # q^{m(2v+2)}
-    matrix: np.ndarray = field(repr=False)   # kernel * weights (columns)
+    matrix: np.ndarray = field(repr=False)   # c (1-q) j_v(q^{n+m}) q^{m(2v+2)}
 
     @property
     def c(self) -> float:
@@ -94,10 +92,8 @@ def build_transform(grid: LatticeGrid, table: BesselTable,
     exps = grid.exponents
     # [n, m] = j_v(q^{n+m}): overlapping windows of one row.
     hankel = sliding_window_view(table.row(2 * grid.n_lo, 2 * grid.n_hi), grid.size)
-    kernel = (table.c * (1.0 - q)) * hankel
     weights = np.power(q, exps.astype(float) * (2.0 * v + 2.0))
-    matrix = kernel * weights[None, :]
-    return TransformOp(grid, table, kernel, weights, matrix)
+    return TransformOp(grid, table, (table.c * (1.0 - q)) * hankel * weights[None, :])
 
 
 def forward(f: GridFn, op: TransformOp) -> GridFn:

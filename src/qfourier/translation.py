@@ -185,16 +185,17 @@ def _upper_cutoff(op: TransformOp) -> int:
     return grid.n_lo + max(accepted - 1, 0)
 
 
-def _window_cube(op: TransformOp, wexps: np.ndarray, ctx: PrecisionCtx) -> np.ndarray:
+def _window_cube(op: TransformOp, wexps: np.ndarray) -> np.ndarray:
     """D_v on the window by face sums and exact slides (module doc).
 
-    Each entry is written once, in sorted order; one gather makes the cube symmetric.
+    The working precision is the table's, as the error bound assumes.  Each
+    entry is written once, in sorted order; one gather makes the cube symmetric.
     """
     grid, table, c_mp = op.grid, op.table, op.c_mp
     p = grid.params
     n, width = grid.size, len(wexps)
     t_lo = int(wexps[0]) + grid.n_lo
-    with mp.workdps(ctx.work_digits):
+    with mp.workdps(table.ctx.work_digits):
         bits = mp.mp.prec + 64  # guard bits below the working precision
         jmp = table.row(t_lo, int(wexps[-1]) + grid.n_hi, hp=True)  # j_t of every row
         q_mp = mp.mpf(p.q)
@@ -232,7 +233,11 @@ def _window_cube(op: TransformOp, wexps: np.ndarray, ctx: PrecisionCtx) -> np.nd
 
 def kernel(grid: LatticeGrid, table: BesselTable, ctx: PrecisionCtx = DEFAULT_CTX,
            max_width: int = 24) -> Kernel3:
-    """Tabulate the translation kernel on its trusted window."""
+    """Tabulate the translation kernel on its trusted window.
+
+    The working digits are the table's; ``ctx`` is accepted for positional
+    callers and not read.
+    """
     op = build_transform(grid, table, ctx)
     one_hat = op.matrix @ np.ones(grid.size)
     win_hi = _upper_cutoff(op)
@@ -249,7 +254,7 @@ def kernel(grid: LatticeGrid, table: BesselTable, ctx: PrecisionCtx = DEFAULT_CT
         raise GridTooSmall(f"{why}: grid [{grid.n_lo}, {grid.n_hi}] is too small for "
                            f"q={grid.params.q}, v={grid.params.v}")
 
-    cube = _window_cube(op, np.arange(win_lo, win_hi + 1), ctx)
+    cube = _window_cube(op, np.arange(win_lo, win_hi + 1))
     return Kernel3(int(win_lo), int(win_hi), cube, op)
 
 

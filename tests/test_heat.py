@@ -19,6 +19,7 @@ from qfourier.heat import (
     gauss_crosscheck_hp,
     gauss_kernel,
     gauss_mass_defect,
+    gauss_memo,
     gauss_recurrence_defect,
     heat_apply,
     heat_markov_check,
@@ -66,13 +67,15 @@ class TestGaussKernel:
         assert gauss_mass_defect(g, cell_half.op.c) < 1e-8
 
     def test_closed_form_vs_transform_float(self, cell_half):
-        worst = max(gauss_crosscheck(t, cell_half.op, CTX, cell_half.window)
+        worst = max(gauss_crosscheck(gauss_kernel(t, cell_half.grid, CTX), cell_half.op,
+                                     cell_half.window)
                     for t in heat_times(cell_half.p.q))
         assert worst < 1e-8
 
     def test_closed_form_vs_transform_hp(self, cell_half):
         worst = max(
-            gauss_crosscheck_hp(t, cell_half.op, CTX, cell_half.window)
+            gauss_crosscheck_hp(gauss_kernel(t, cell_half.grid, CTX), cell_half.op,
+                                cell_half.window)
             for t in heat_times(cell_half.p.q)
         )
         assert worst < 1e-8
@@ -82,7 +85,7 @@ class TestGaussKernel:
         # are the float grid weights before their rounding.
         op = cell_half.op
         weights = op.jackson_mp
-        gauss_crosscheck_hp(1.0, op, CTX, cell_half.window)
+        gauss_crosscheck_hp(gauss_kernel(1.0, cell_half.grid, CTX), op, cell_half.window)
         assert op.jackson_mp is weights
         np.testing.assert_allclose([float(w) for w in weights], cell_half.grid.weights(),
                                    rtol=1e-15, atol=0.0)
@@ -124,12 +127,12 @@ class TestGaussKernel:
         g = gauss_kernel(1.0, cell_half.grid, CTX)
         _, rows = heat._hp_rows(g, cell_half.op, cell_half.window)
         x = pick(rows, key=lambda n: g.fn[n])
-        assert gauss_crosscheck_hp(1.0, cell_half.op, CTX, cell_half.window, g=g) <= 1e-15
+        assert gauss_crosscheck_hp(g, cell_half.op, cell_half.window) <= 1e-15
         run = list(g.run)
         m, e = run[cell_half.grid.index(x)]
         run[cell_half.grid.index(x)] = (m * 10**10 // (10**10 + 1), e)
         moved = dataclasses.replace(g, run=run)
-        assert gauss_crosscheck_hp(1.0, cell_half.op, CTX, cell_half.window, g=moved) >= 5e-11
+        assert gauss_crosscheck_hp(moved, cell_half.op, cell_half.window) >= 5e-11
 
     def test_keeps_working_precision_values(self, cell_half):
         g = gauss_kernel(1.0, cell_half.grid, CTX)
@@ -190,7 +193,7 @@ def _float_step_kernel(t, grid):
         pref = mp.mpf(p.q) ** (-2 * mp.mpf(p.v)) / t
         run = qexp_lattice_mp(pref, mp.mpf(p.q * p.q), grid.n_lo, grid.n_hi, CTX)
         vals = np.array([float(amp / mp.ldexp(m, e)) for m, e in run])
-    return GaussKernel(t, grid, float(amp), GridFn(grid, vals), amp, run)
+    return GaussKernel(t, grid, GridFn(grid, vals), amp, run, CTX)
 
 
 def _direct_eprofile(t, grid):
@@ -215,7 +218,7 @@ class TestLatticeRecurrence:
         grid = LatticeGrid(QParams(q, v), -4, 10)
         t = q ** (2 * m) if on_lattice else t_off
         g = gauss_kernel(t, grid, CTX)
-        assert gauss_recurrence_defect(g, grid.exponents, CTX) <= 4.0
+        assert gauss_recurrence_defect(g, grid.exponents) <= 4.0
 
     @settings(max_examples=20, deadline=None)
     @given(q=st.floats(0.1, 0.95),
@@ -229,7 +232,7 @@ class TestLatticeRecurrence:
         # per point, 0.0 and subnormal values included.
         grid = LatticeGrid(QParams(q, v), n_lo, 4)
         g = gauss_kernel(t, grid, CTX)
-        assert gauss_recurrence_defect(g, grid.exponents, CTX) <= 4.0
+        assert gauss_recurrence_defect(g, grid.exponents) <= 4.0
         assert max(map(ulps, g.eprofile.values, _direct_eprofile(t, grid))) <= 1.0
 
     def test_underflow_matches_one_product_per_point(self):
@@ -252,13 +255,13 @@ class TestLatticeRecurrence:
         # stepping by it drifts ~150 ulps from the direct products.
         grid = LatticeGrid(QParams(0.8, 0.5), -20, 120)
         bad = _float_step_kernel(1.0, grid)
-        assert gauss_recurrence_defect(bad, _spread(grid), CTX) > 100.0
+        assert gauss_recurrence_defect(bad, _spread(grid)) > 100.0
         good = gauss_kernel(1.0, grid, CTX)
-        assert gauss_recurrence_defect(good, _spread(grid), CTX) <= 4.0
+        assert gauss_recurrence_defect(good, _spread(grid)) <= 4.0
 
     def test_float_q2_step_is_harmless_when_q2_is_exact(self, cell_half):
         bad = _float_step_kernel(1.0, cell_half.grid)
-        assert gauss_recurrence_defect(bad, cell_half.grid.exponents, CTX) == 0.0
+        assert gauss_recurrence_defect(bad, cell_half.grid.exponents) == 0.0
 
     def test_rejects_nonnegative_points(self):
         # z_n = -a q^{2n} must be negative: a > 0.
@@ -360,14 +363,16 @@ class TestHeatFlow:
 
     def test_spectral_diagonalization(self, cell_half, kprobes):
         worst = max(
-            heat_spectral_defect(f, t, cell_half.kern, CTX, cell_half.window)
+            heat_spectral_defect(f, gauss_kernel(t, cell_half.grid, CTX), cell_half.kern,
+                                 cell_half.window)
             for t in heat_times(cell_half.p.q) for f in kprobes[:3]
         )
         assert worst < 1e-8
 
     def test_heat_equation_residual(self, cell_half, kprobes):
+        gauss = gauss_memo(cell_half.grid, CTX)
         worst = max(
-            heat_residual(f, t, cell_half.kern, CTX, cell_half.window)
+            heat_residual(f, t, cell_half.kern, cell_half.window, gauss)
             for t in heat_times(cell_half.p.q) for f in kprobes[:3]
         )
         assert worst < 1e-7
@@ -390,7 +395,8 @@ class TestHeatMarkov:
                            nonneg=True)
         q = cell_half.p.q
         for t in (q**2, 1.0, q**-2):
-            rep = heat_markov_check(t, cell_half.kern, kprobes + nn, CTX)
+            rep = heat_markov_check(gauss_kernel(t, cell_half.grid, CTX), cell_half.kern,
+                                    kprobes + nn)
             assert rep.worst() < 1e-8
 
     def test_symmetry_specifically(self, cell_half, kprobes):
@@ -438,12 +444,13 @@ class TestNaN:
     def test_residual_is_nan_not_zero(self, cell_half, kprobes):
         f = kprobes[1].copy()
         f.values[f.grid.index(int(cell_half.kern.window_exponents[-1]))] = math.nan
-        assert math.isnan(heat_residual(f, 1.0, cell_half.kern, CTX,
-                                        cell_half.window))
+        assert math.isnan(heat_residual(f, 1.0, cell_half.kern, cell_half.window,
+                                        gauss_memo(cell_half.grid, CTX)))
 
 
 class TestComposition:
     def test_defect_is_finite_and_reported(self, cell_half, kprobes):
-        d = composition_defect(kprobes[0], 1.0, 1.0, cell_half.kern, CTX)
+        d = composition_defect(kprobes[0], 1.0, 1.0, cell_half.kern,
+                               gauss_memo(cell_half.grid, CTX))
         assert np.isfinite(d)
         assert d >= 0.0

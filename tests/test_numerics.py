@@ -1,7 +1,11 @@
 """Residual bookkeeping: NaN must survive the fold into a worst residual."""
 
 import math
+from types import SimpleNamespace
 
+import pytest
+
+from qfourier import bessel, lattice, report, translation
 from qfourier.numerics import ulps, worst
 
 
@@ -23,3 +27,40 @@ def test_worst_keeps_nan_in_any_position():
 def test_ulps():
     assert ulps(1.0, 1.0) == 0.0
     assert ulps(1.0, 1.0 + 2 * math.ulp(1.0)) == 2.0
+
+
+@pytest.fixture(scope="module")
+def runner():
+    return report._CellRunner(0.5, 0.5, -10, 40, report.SuiteConfig(probes=10))
+
+
+def _row(runner, check, name):
+    """The finished result of row ``name``, read from the cell check ``check``."""
+    for row in getattr(runner, check)():
+        result = row if isinstance(row, report.IdentityResult) else runner._result(*row)
+        if result.name == name:
+            return result
+    raise AssertionError(f"{check} yields no row {name}")
+
+
+# (check, row, module, function, a stand-in whose NaN reaches the row).
+_NAN_ROWS = [
+    ("check_lattice", "cauchy-schwarz", lattice, "inner", lambda f, g: math.nan),
+    ("check_bessel", "bessel-decay-bound", bessel, "decay_bound_check",
+     lambda table: SimpleNamespace(max_ratio=math.nan)),
+    ("check_transform", "transform-sup-bound", lattice, "norm_p", lambda f, p: math.nan),
+    ("check_translation", "kernel-positivity", translation, "kernel_min",
+     lambda k: (math.nan, (0, 0, 0))),
+    ("check_translation", "hypergroup-window-growth", translation,
+     "hypergroup_expansion_defect", lambda k, n_window=None: math.nan),
+]
+
+
+@pytest.mark.parametrize("check, name, module, fn, nan_fn", _NAN_ROWS,
+                         ids=[r[1] for r in _NAN_ROWS])
+def test_gated_row_fails_on_nan(runner, monkeypatch, check, name, module, fn, nan_fn):
+    assert _row(runner, check, name).passed
+    monkeypatch.setattr(module, fn, nan_fn)
+    result = _row(runner, check, name)
+    assert math.isnan(result.residual)
+    assert result.gated and not result.passed

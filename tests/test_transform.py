@@ -1,5 +1,6 @@
 """Finite q-Hankel transform: involution, isometry, orthogonal basis."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -15,7 +16,7 @@ from qfourier.lattice import GridFn, LatticeGrid, delta_fn, inner, norm_p
 from qfourier.numerics import TINY
 from qfourier.probes import seeded_probes
 from qfourier.qseries import PrecisionCtx, QParams
-from qfourier.report import DEFAULT_CELLS
+from qfourier.report import DEFAULT_CELLS, SuiteConfig, _CellRunner
 from qfourier.transform import (
     basis_completeness_defect,
     basis_fn,
@@ -135,15 +136,37 @@ class TestOrthogonality:
         assert inner(psi, psi) == pytest.approx(32.0, rel=1e-9)
 
 
+def _column_weights(grid):
+    """q^{m(2v+2)} over the grid's exponents, as build_transform forms them."""
+    p = grid.params
+    return np.power(p.q, grid.exponents.astype(float) * (2.0 * p.v + 2.0))
+
+
 class TestMatrixStructure:
-    def test_bitwise_reconstruction(self, cell_half):
-        op = cell_half.op
-        assert np.array_equal(op.kernel * op.weights[None, :], op.matrix)
+    def test_bitwise_reconstruction(self):
+        # M[n, m] = c (1-q) j_v(q^{n+m}) q^{m(2v+2)}, gathered from the table,
+        # on the default cells and three more grids.
+        for q, v, n_lo, n_hi in list(DEFAULT_CELLS) + [
+                (0.9, 0.0, -30, 300), (0.3, -0.7, -12, 59), (0.95, 0.5, -100, 600)]:
+            grid = LatticeGrid(QParams(q, v), n_lo, n_hi)
+            table = jv_table(grid, PrecisionCtx())
+            op = build_transform(grid, table)
+            e = grid.exponents
+            rebuilt = ((op.c * (1.0 - q)) * table.values[np.add.outer(e, e) - table.n_min]
+                       * _column_weights(grid)[None, :])
+            assert np.array_equal(rebuilt, op.matrix), (q, v, n_lo, n_hi)
+
+    def test_report_row_flags_weights_on_rows(self):
+        # Weights on rows instead of columns: every off-diagonal entry moves.
+        runner = _CellRunner(0.5, 0.5, -10, 40, SuiteConfig(probes=10))
+        op, w = runner.op, _column_weights(runner.grid)
+        runner.op = dataclasses.replace(op, matrix=op.matrix / w[None, :] * w[:, None])
+        n = runner.grid.size
+        assert dict(runner.check_transform())["transform-matrix-structure"] == n * (n - 1)
 
     def test_normalized_symmetry_exact_for_dyadic_q(self, cell_half):
         # q = 1/2 weights are powers of two: division undoes multiplication.
-        op = cell_half.op
-        lhs = op.matrix / op.weights[None, :]
+        lhs = cell_half.op.matrix / _column_weights(cell_half.grid)[None, :]
         assert np.array_equal(lhs, lhs.T)
 
 

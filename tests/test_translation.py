@@ -249,7 +249,7 @@ def shallow_window():
     grid = LatticeGrid(p, -3, 40)
     table = jv_table(grid, CTX)
     wexps = np.arange(-3, 5)
-    cube = translation._window_cube(build_transform(grid, table, CTX), wexps, CTX)
+    cube = translation._window_cube(build_transform(grid, table, CTX), wexps)
     kern = SimpleNamespace(window_exponents=wexps, cube=cube,
                            windex=lambda e: int(e - wexps[0]))
     return SimpleNamespace(p=p, ctx=CTX, grid=grid, table=table, kern=kern)
