@@ -8,8 +8,10 @@ The series
 converges for every real x thanks to the q^{n(n+1)} super-decay, but for
 x = q^{-m} (m > 0) the largest term is ~ q^{-m^2} while the sum is
 ~ q^{m^2 + (2v+1)m}, so roughly (2 m^2 + (2v+1) m) log10(1/q) decimal digits
-cancel.  A scalar value is one series, first at that estimate's digits, again
-wherever its terms show more cancelled, rounded to binary64 exactly once.
+cancel, more as q -> 1.  Every sum here is :func:`qseries.ratio_sum_mp`'s,
+which measures that cancellation and sums again until its guard covers it.
+A scalar value is one series, the estimate only its first guard, rounded to
+binary64 exactly once.
 
 A table sums no series per entry.  On x = q^n the eigen relation is the
 three-term recurrence
@@ -27,16 +29,16 @@ as one mpf step at w bits would (:func:`_sweep`).
 
 Neither anchor cancels as the series at q^{-m} does.  At n_max (x <= 1 on
 every grid with n_hi >= 0) the series is summed.  At n_min < 0 the lattice
-sum of :func:`_lattice_sum_mp`, from the z <-> c symmetry of 1phi1 (Gasper &
-Rahman sec. 1.4; Koornwinder & Swarttouw, Trans. AMS 333, 1992), starts at
-j_v's own size and its terms fall from there.  Each anchor runs at the
-sweep's digits plus 10, plus the digits its own terms are measured to cancel
-(largest |term| over |sum|, which grows only as q -> 1).  Each entry is its
-int times one mpf scale, rounded once at its own a-priori precision.  The
-series stays the independent route: ``bessel-table-reproducibility``
-compares it with the table at anchor exponents (at n_min a route other than
-the certifying one), which sees a wrong scale or a leftover of the second
-solution that the linear, homogeneous eigen relation cannot.
+sum of :func:`_anchor`, from the z <-> c symmetry of 1phi1 (Gasper & Rahman
+sec. 1.4; Koornwinder & Swarttouw, Trans. AMS 333, 1992), starts at j_v's
+own size and its terms fall from there.  Each anchor runs at the sweep's
+digits plus 10, plus the digits its own terms are measured to cancel (which
+grow only as q -> 1).  Each entry is its int times one mpf scale, rounded
+once at its own a-priori precision.  The series stays the independent route:
+``bessel-table-reproducibility`` compares it with the table at anchor
+exponents (at n_min a route other than the certifying one), which sees a
+wrong scale or a leftover of the second solution that the linear,
+homogeneous eigen relation cannot.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ from mpmath.libmp import dps_to_prec, from_int, mpf_mul, round_nearest
 from .errors import PrecisionExhausted
 from .lattice import LatticeGrid
 from .numerics import to_fixed, ulps, worst
-from .qseries import DEFAULT_CTX, PrecisionCtx, QParams, c_qv_mp, q2_exact, qpoch_inf_mp
+from .qseries import (DEFAULT_CTX, PrecisionCtx, QParams, c_qv_mp, q2_exact, qpoch_inf_mp,
+                      ratio_sum_mp)
 
 __all__ = [
     "BesselTable",
@@ -66,9 +69,6 @@ __all__ = [
     "eigen_residual",
     "jv_exact_dyadic",
 ]
-
-# Escalating past this many decimal digits is treated as a failure to certify.
-_MAX_DIGITS = 50_000
 
 # A table sweep starts this many exponents below n_min, with this many guard
 # digits over the working digits and the top growth; an uncertified start is
@@ -93,144 +93,59 @@ def _digits_lost(m: float, p: QParams) -> float:
 
     At |x| = q^-m the largest term is ~ q^{-m^2} and the sum ~ q^{m^2+(2v+1)m};
     the (2v+1)m part is counted only where it adds to the loss (v > -1/2).
-    It takes m, not x: q^-m overflows binary64 on deep grids.
+    It takes m, not x: q^-m overflows binary64 on deep grids.  Blind to the
+    (q^2; q^2)_n denominators, it falls short as q -> 1, so it only sets a
+    sum's first guard (:func:`_series`) and the digits entries are rounded at.
     """
     if m <= 0.0:
         return 0.0
     return (2.0 * m * m + max(2.0 * p.v + 1.0, 0.0) * m) * math.log10(1.0 / p.q)
 
 
-def _required_dps(m: float, p: QParams, ctx: PrecisionCtx) -> int:
-    """Digits of the series at |x| = q^-m; beyond _MAX_DIGITS, PrecisionExhausted."""
-    dps = max(ctx.work_digits, 16 + int(math.ceil(_digits_lost(m, p))) + 10)
-    if dps > _MAX_DIGITS:
-        raise PrecisionExhausted(
-            f"j_v at |x|=q^{-m:g} (q={p.q:g}) needs ~{dps} digits (> {_MAX_DIGITS}); "
-            "shrink the grid or raise the ceiling"
-        )
-    return dps
-
-
-def _jv_series_mp(x, p: QParams, ctx: PrecisionCtx, dps: int) -> tuple[mp.mpf, mp.mpf]:
-    """High-precision series sum at ``dps`` decimal digits, and its largest |term|."""
-    with mp.workdps(dps):
-        q = mp.mpf(p.q)
+def _series(x2, m: float, p: QParams, digits: int, where: str) -> mp.mpf:
+    """The series of j_v at x^2 = ``x2()``, |x| = q^-m: (x, r, d, a) =
+    (-x^2 q^2, q^2, q^2, q^{2v}), from 32 guard bits plus :func:`_digits_lost`'s."""
+    def inputs():
         q2 = q2_exact(p.q)
-        x2 = mp.mpf(x) ** 2
-        q2v = q ** (2 * mp.mpf(p.v))
-        tol = min(mp.mpf(ctx.tail_tol), mp.mpf(10) ** -(dps - 5))
-        total = mp.mpf(1)
-        term = mp.mpf(1)
-        max_term = mp.mpf(1)
-        u = mp.mpf(1)
-        for _ in range(100_000):
-            u *= q2
-            term *= -(u * x2) / ((1 - q2v * u) * (1 - u))
-            total += term
-            if abs(term) > max_term:
-                max_term = abs(term)
-            if abs(term) < tol * max_term and u * x2 < 1:
-                break
-        return +total, max_term
+        return -x2() * q2, q2, q2, mp.mpf(p.q) ** (2 * mp.mpf(p.v))
 
-
-def _lattice_sum_mp(m: int, p: QParams, ctx: PrecisionCtx, dps: int) -> tuple[mp.mpf, mp.mpf]:
-    """The lattice sum of j_v(q^-m), m >= 1, at ``dps`` digits, and its largest |term|.
-
-    With c = q^{2v+2}, a limit of Heine's transformation gives the symmetry
-    1phi1(0; c; q^2, z) = ((z; q^2)_inf / (c; q^2)_inf) 1phi1(0; z; q^2, c)
-    (Gasper & Rahman, Basic Hypergeometric Series, sec. 1.4; Koornwinder &
-    Swarttouw, Trans. AMS 333, 1992).  At z = q^{2-2m} the factor (z; q^2)_inf
-    vanishes against the poles of the terms n >= m, which leaves
-
-        j_v(q^-m) = 1/((1-q) c_{q,v}) sum_{n>=m} (-1)^n q^{n(n-1)} c^n
-                    / ((q^2; q^2)_n (q^2; q^2)_{n-m}).
-
-    This returns the sum, without its factor 1/((1-q) c_{q,v}).  Its first
-    term, q^{m^2+(2v+1)m} / (q^2; q^2)_m, already has the size of j_v, and the
-    |term ratio| q^{2n} c / ((1 - q^{2n+2})(1 - q^{2n+2-2m})) falls with n:
-    once a term is below 10^-(dps-5) of the largest, the alternating tail is
-    too.  Only as q -> 1 do the first terms grow and cancel.
-    """
-    with mp.workdps(dps):
-        q2 = q2_exact(p.q)
-        c = mp.mpf(p.q) ** (2 * mp.mpf(p.v) + 2)
-        u, poch = mp.mpf(1), mp.mpf(1)
-        for _ in range(m):
-            u *= q2
-            poch *= 1 - u
-        term = (-1) ** m * q2 ** (m * (m - 1) // 2) * c ** m / poch
-        total, max_term = term, abs(term)
-        tol = min(mp.mpf(ctx.tail_tol), mp.mpf(10) ** -(dps - 5))
-        uk = mp.mpf(1)  # q^{2(n-m)}, while u is q^{2n}
-        while abs(term) >= tol * max_term:
-            ratio = u * c
-            u *= q2
-            uk *= q2
-            term *= -ratio / ((1 - u) * (1 - uk))
-            total += term
-            if abs(term) > max_term:
-                max_term = abs(term)
-        return total, max_term
-
-
-def _entry_dps(e: int, p: QParams, ctx: PrecisionCtx) -> int:
-    """A-priori precision of the series at the lattice point q^e."""
-    return _required_dps(-e, p, ctx)
-
-
-def _series_at(e: int, p: QParams, ctx: PrecisionCtx, dps: int | None = None) -> mp.mpf:
-    """The series at q^e (the point formed at the series' precision)."""
-    dps = dps or _entry_dps(e, p, ctx)
-    with mp.workdps(dps):
-        return _jv_series_mp(mp.mpf(p.q) ** e, p, ctx, dps)[0]
-
-
-def _measured(run, dps: int, where: str, digits: int | None = None) -> mp.mpf:
-    """``run(digits)``'s sum good to about ``dps`` digits past its terms' cancellation.
-
-    ``run`` gives a sum and its largest |term| at ``digits`` (first ``dps``).
-    Where those show more than ``digits - dps + 5`` digits cancelled (measured,
-    not :func:`_digits_lost`), it runs again at ``dps`` plus those digits.
-    """
-    digits = digits or dps
-    while digits <= _MAX_DIGITS:
-        with mp.workdps(digits):
-            total, max_term = run(digits)
-        lost = float(mp.log10(max_term / abs(total))) if total else digits
-        if lost <= digits - dps + 5:
-            return total
-        digits = dps + math.ceil(lost)
-    raise PrecisionExhausted(f"{where} needs over {_MAX_DIGITS} digits")
+    return ratio_sum_mp(inputs, digits, where, 32 + math.ceil(_digits_lost(m, p) * math.log2(10)))
 
 
 def _anchor(e: int, p: QParams, ctx: PrecisionCtx, dps: int) -> mp.mpf:
     """j_v(q^e) good to about ``dps`` digits past the cancellation of its own terms.
 
-    Below 0 the lattice sum (:func:`_lattice_sum_mp`) times 1/((1-q) c_{q,v})
-    = (q^2; q^2)_inf / (q^{2v+2}; q^2)_inf, its two products taken at ``dps``
-    digits; from 0 up the series.  Either sum is :func:`_measured`.
+    From 0 up the series.  Below 0, with m = -e and c = q^{2v+2}, the lattice
+    sum of the module docstring: at z = q^{2-2m} the factor (z; q^2)_inf of the
+    1phi1 symmetry vanishes against the poles of its terms n >= m, leaving
+    j_v(q^-m) = (-1)^m q^{m(m-1)} c^m (q^{2m+2}; q^2)_inf / (c; q^2)_inf times
+    the sum at (x, r, d, a) = (-c q^{2m}, q^2, q^2, q^{2m}), whose first term
+    has j_v's own size.  Its two products are taken at ``dps`` digits.
     """
-    total = _measured(lambda d: (_lattice_sum_mp(-e, p, ctx, d) if e < 0
-                                 else _jv_series_mp(mp.mpf(p.q) ** e, p, ctx, d)),
-                      dps, f"j_v at q^{e} (q={p.q:g}, v={p.v:g})")
+    where = f"j_v at q^{e} (q={p.q:g}, v={p.v:g})"
     if e >= 0:
-        return total
+        return _series(lambda: q2_exact(p.q) ** e, 0.0, p, dps, where)
+    m = -e
+
+    def inputs():
+        q2 = q2_exact(p.q)
+        return -(mp.mpf(p.q) ** (2 * mp.mpf(p.v) + 2)) * q2 ** m, q2, q2, q2 ** m
+
+    total = ratio_sum_mp(inputs, dps, "the lattice sum of " + where)
     at = PrecisionCtx(dps, ctx.tail_tol)
     with mp.workdps(dps):
         q2 = q2_exact(p.q)
         c = mp.mpf(p.q) ** (2 * mp.mpf(p.v) + 2)
-        return total * qpoch_inf_mp(q2, q2, at) / qpoch_inf_mp(c, q2, at)
+        return ((-1) ** m * total * q2 ** (m * (m - 1) // 2) * c ** m
+                * qpoch_inf_mp(q2 ** (m + 1), q2, at) / qpoch_inf_mp(c, q2, at))
 
 
-def jv(x: float, p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
-    """Normalized q-Bessel function j_v(x, q^2) for real x: the series from the
-    a-priori digits of :func:`_required_dps` on, :func:`_measured`."""
+def jv(x: float, p: QParams) -> float:
+    """Normalized q-Bessel function j_v(x, q^2) for real x, its series measured."""
     if x == 0.0:
         return 1.0
-    first = _required_dps(math.log(abs(x)) / -math.log(p.q), p, ctx)
-    return float(_measured(lambda d: _jv_series_mp(x, p, ctx, d), _JV_DIGITS,
-                           f"j_v at x={x:g} (q={p.q:g}, v={p.v:g})", first))
+    return float(_series(lambda: mp.mpf(x) ** 2, math.log(abs(x)) / -math.log(p.q), p,
+                         _JV_DIGITS, f"j_v at x={x:g} (q={p.q:g}, v={p.v:g})"))
 
 
 @dataclass
@@ -343,9 +258,9 @@ def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
             f"j_v table on [{n_min}, {n_max}] at q={p.q:g}, v={p.v:g}: no recurrence "
             f"started up to {depth // 2} below n_min agrees with the series there "
             f"to {_CERTIFY_REL:g}")
-    # One exact product, rounded once at the entry's own precision.
-    mp_vals = [mp.make_mpf(mpf_mul(from_int(f), scale._mpf_,
-                                   dps_to_prec(_entry_dps(e, p, ctx)), round_nearest))
+    # One exact product, rounded once at the entry's own a-priori precision.
+    mp_vals = [mp.make_mpf(mpf_mul(from_int(f), scale._mpf_, dps_to_prec(max(
+        ctx.work_digits, 26 + math.ceil(_digits_lost(-e, p)))), round_nearest))
                for e, f in zip(range(n_min, n_max + 1), raw)]
     vals = np.array([float(v) for v in mp_vals])
     return BesselTable(p, n_min, n_max, vals, mp_vals, ctx)
@@ -354,12 +269,12 @@ def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
 def _anchor_ulps(table: BesselTable) -> float:
     """Worst binary64 gap between the table and the series at the anchors:
     n_min..n_min+3, the quarter points and n_max - 1 (n_max is the scale),
-    the series :func:`_measured` from :func:`_entry_dps` on, as in :func:`jv`."""
-    lo, hi, p, ctx = table.n_min, table.n_max, table.params, table.ctx
+    each series measured as in :func:`jv`."""
+    lo, hi, p = table.n_min, table.n_max, table.params
     anchors = {*range(lo, lo + 4), *(lo + k * (hi - lo) // 4 for k in (1, 2, 3)), hi - 1}
-    return worst(*(ulps(table.value(e), float(_measured(
-        lambda d: _jv_series_mp(mp.mpf(p.q) ** e, p, ctx, d), _JV_DIGITS, f"j_v at q^{e}",
-        _entry_dps(e, p, ctx)))) for e in sorted(anchors) if lo <= e < hi))
+    return worst(*(ulps(table.value(e), float(_series(
+        lambda: q2_exact(p.q) ** e, -e, p, _JV_DIGITS, f"j_v at q^{e}")))
+        for e in sorted(anchors) if lo <= e < hi))
 
 
 def decay_bound_constant(p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> float:

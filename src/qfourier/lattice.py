@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, OffGrid, ParseError
+from .errors import GridMismatch, OffGrid, ParseError, PrecisionExhausted
 from .qseries import QParams
 
 __all__ = [
@@ -32,6 +33,18 @@ __all__ = [
     "save_csv",
     "load_csv",
 ]
+
+# log10 of the largest finite and the smallest normal binary64 number.
+_LOG10_MAX, _LOG10_MIN = math.log10(sys.float_info.max), math.log10(sys.float_info.min)
+
+
+def _binary64_span(p: QParams) -> tuple[int, int]:
+    """The n at which the Jackson weight (1-q) q^{n(2v+2)}, and the power under
+    it, are finite, normal binary64 numbers (taken in log10: they overflow).
+    A grid must start inside the span, or its sums are inf or NaN; past its
+    top weights only drop points, but a delta there (1/weight) is refused."""
+    step, lw = (2.0 * p.v + 2.0) * math.log10(p.q), math.log10(1.0 - p.q)
+    return math.floor(_LOG10_MAX / step) + 1, math.floor((_LOG10_MIN - lw) / step)
 
 
 @dataclass(frozen=True)
@@ -50,6 +63,12 @@ class LatticeGrid:
             )
         if self.size < 8:
             raise ValueError(f"grid needs at least 8 points, got {self.size}")
+        lo, hi = _binary64_span(self.params)
+        if self.n_lo < lo:
+            raise PrecisionExhausted(
+                f"the Jackson weight (1-q) q^{{n(2v+2)}} at q={self.params.q:g}, "
+                f"v={self.params.v:g} overflows binary64 at n={self.n_lo}; it is a "
+                f"finite, normal number for n in [{lo}, {hi}]")
 
     @property
     def size(self) -> int:
@@ -144,9 +163,14 @@ def delta_fn(grid: LatticeGrid, x_exp: int) -> GridFn:
     """Reproducing delta at x = q^{x_exp}: value 1/((1-q) x^{2(v+1)}) at x.
 
     Integrating delta against any even f reproduces f(x) exactly (the single
-    surviving term of the Jackson sum).
+    surviving term of the Jackson sum).  Where the weight at x is below the
+    normal binary64 range that value is not a double: PrecisionExhausted.
     """
     idx = grid.index(x_exp)  # raises OffGrid outside the grid
+    lo, hi = _binary64_span(grid.params)
+    if x_exp > hi:
+        raise PrecisionExhausted(f"delta at q^{x_exp}: its Jackson weight underflows "
+                                 f"binary64 (it is normal for n in [{lo}, {hi}])")
     q, v = grid.params.q, grid.params.v
     vals = np.zeros(grid.size)
     vals[idx] = 1.0 / ((1.0 - q) * q ** (x_exp * 2.0 * (v + 1.0)))

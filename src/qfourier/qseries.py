@@ -14,9 +14,10 @@ Each quantity has one route, at ``PrecisionCtx.work_digits`` decimal digits
 (the ``*_mp`` functions); tables consumed by other modules are generated on
 it and rounded once.  Every (a; q)_inf, alone or in a lattice run
 (:func:`qexp_lattice_mp`), runs in Python integers at one fixed-point scale
-2^W (:func:`qpoch_inf_mp` bounds its error).  The check report compares these
-products with series that share none of their code (Euler's two identities
-and Jacobi's triple product, in :mod:`qfourier.report`).
+2^W (:func:`qpoch_inf_mp` bounds its error).  Every series, j_v's in
+:mod:`qfourier.bessel` and those the check report sets against the products
+(Euler's and Jacobi's, sharing none of their code), is summed by one
+evaluator, :func:`ratio_sum_mp`, in integers too, past its measured cancellation.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import dps_to_prec, from_man_exp
 
-from .errors import PoleAtOne
+from .errors import PoleAtOne, PrecisionExhausted
 from .numerics import to_fixed
 
 __all__ = [
@@ -39,7 +41,11 @@ __all__ = [
     "qexp_mp",
     "qexp_lattice_mp",
     "gauss_amplitude_mp",
+    "ratio_sum_mp",
 ]
+
+# A sum that needs more than this many decimal digits is refused, not certified.
+MAX_DIGITS = 50_000
 
 
 @dataclass(frozen=True)
@@ -190,3 +196,41 @@ def gauss_amplitude_mp(t, p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> mp.mpf
         )
         # Every factor of the denominator exceeds 1: it never vanishes.
         return num / (qpoch_inf_mp(-t_, q2, ctx) * qpoch_inf_mp(-q2 / t_, q2, ctx))
+
+
+def ratio_sum_mp(inputs, digits: int, where: str, guard: int = 32) -> mp.mpf:
+    """sum_{n>=0} t_n, t_0 = 1, t_{n+1} = t_n x r^n / ((1 - a d^{n+1})(1 - d^{n+1})),
+    good to about ``digits`` decimal digits past the cancellation of its terms.
+
+    (x, r, d, a) = (z, 1, q, 0) is Euler's series for 1/(z;q)_inf, (-z, q, q, 0)
+    his series for (z;q)_inf, (y, Q, 0, 0) half a theta series (Gasper & Rahman
+    secs. 1.3, 1.6), (-x^2 q^2, q^2, q^2, q^{2v}) the series of j_v(x, q^2) and
+    (-c q^{2m}, q^2, q^2, q^{2m}) its lattice sum (sec. 1.4).  The |ratio| must
+    fall with n and end below 1, so a term within one unit of 0 ends the sum.
+    Terms run in integers at one scale 2^W, W the bits of ``digits`` plus
+    ``guard``, one truncation a step: N terms err by about
+    2N (sum|t_n| / |sum| + 1) units.  Until ``guard`` covers that measure the
+    sum runs again with it, ``inputs()`` called under each pass's
+    ``mp.workprec(W)``, so that they carry W bits (q^{2e} for e < 0 is not
+    exact); past :data:`MAX_DIGITS`, PrecisionExhausted names ``where``.
+    """
+    prec = dps_to_prec(digits)
+    while prec + guard <= dps_to_prec(MAX_DIGITS):
+        w = prec + guard
+        with mp.workprec(w):
+            g, r, d, a = (to_fixed(mp.mpf(y), w) for y in inputs())
+        one = 1 << w
+        t = total = mass = one
+        u, n = d, 0                                 # g = x r^n, u = d^{n+1}
+        while t > 1 or t < -1:
+            t = (t * g << w) // ((one - (a * u >> w)) * (one - u))
+            u = u * d >> w
+            g = g * r >> w
+            n += 1
+            total += t
+            mass += abs(t)
+        need = mass.bit_length() - abs(total).bit_length() + (2 * n).bit_length() + 8
+        if need <= guard:
+            return mp.make_mpf(from_man_exp(total, -w))  # exact; the caller's precision rounds it
+        guard = need
+    raise PrecisionExhausted(f"{where} needs over {MAX_DIGITS} digits")

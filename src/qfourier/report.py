@@ -7,6 +7,10 @@ them into one :class:`CellReport` per (q, v, grid) cell and an aggregate
 :class:`CheckReport` whose JSON serialization is byte-identical across runs
 with the same configuration and seed (the runtime field aside).
 
+The scalar q-series rows set the products of :mod:`qfourier.qseries`
+against Euler's and Jacobi's series, summed by its one series evaluator
+:func:`~qfourier.qseries.ratio_sum_mp` and sharing no code with them.
+
 Gated identities decide the exit status.  Observational entries (tolerance
 ``None``, marked ``gated: false``) record quantities the library deliberately
 does not assert: amplitude scaling off the lattice, kernel positivity for
@@ -23,11 +27,10 @@ from dataclasses import asdict, dataclass, field
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import dps_to_prec, from_man_exp
 
 from . import bessel, heat, lattice, qseries, transform, translation
 from .lattice import GridFn, LatticeGrid, jackson_integral, norm2
-from .numerics import TINY, to_fixed, ulps, worst
+from .numerics import TINY, ulps, worst
 from .probes import seeded_probes
 from .qseries import PrecisionCtx, QParams, q2_exact
 
@@ -159,53 +162,20 @@ class SuiteConfig:
         return PrecisionCtx(self.work_digits, self.tail_tol)
 
 
-def _ratio_sum(x, r, d, ctx: PrecisionCtx) -> mp.mpf:
-    """sum_{n>=0} t_n, t_0 = 1, t_{n+1} = t_n x r^n / (1 - d^{n+1}), at working precision.
-
-    (x, r, d) = (z, 1, q) is Euler's series for 1/(z;q)_inf, (-z, q, q) his
-    series for (z;q)_inf, and (y, Q, 0) half of a theta series (Gasper &
-    Rahman secs. 1.3, 1.6).  The |ratio| must fall with n and end below 1, so
-    a term within one unit of 0 ends the sum.  Terms run in integers at one
-    scale 2^W, W the working precision plus 32 guard bits, one truncation a
-    step: N terms err by about 2N (sum|t_n| / |sum| + 1) units.  If that
-    measure needs more guard bits, the sum runs once more with them.
-    """
-    prec = dps_to_prec(ctx.work_digits + 10)
-    xs = [a if isinstance(a, mp.mpf) else mp.mpf(a) for a in (x, r, d)]  # floats: exact
-    guard = 32
-    for _ in range(2):
-        w = prec + guard
-        one = 1 << w
-        g, r_fix, d_fix = (to_fixed(a, w) for a in xs)
-        t = total = mass = one
-        u, n = d_fix, 0                             # g = x r^n, u = d^{n+1}
-        while t > 1 or t < -1:
-            if u:
-                t = t * g // (one - u)
-                u = u * d_fix >> w
-            else:
-                t = t * g >> w
-            if r_fix != one:
-                g = g * r_fix >> w
-            n += 1
-            total += t
-            mass += abs(t)
-        need = mass.bit_length() - abs(total).bit_length() + (2 * n).bit_length() + 8
-        if need <= guard:
-            break
-        guard = need
-    return mp.make_mpf(from_man_exp(total, -w))     # exact; the caller's precision rounds it
-
-
 def _theta_amplitudes(ts, p: QParams, ctx: PrecisionCtx) -> list:
     """A(t) = theta(q^{2v+2} t) / theta(t) at each t, by Jacobi's triple product:
     with Q = q^2, theta(w) = sum_{n in Z} Q^{n(n-1)/2} w^n = (Q;Q)_inf (-w;Q)_inf
     (-Q/w;Q)_inf, two half sums, at w and at Q/w, that share their n = 0 term."""
-    with mp.workdps(ctx.work_digits + 10):
+    digits = ctx.work_digits + 10
+    with mp.workdps(digits):
         q2, c = q2_exact(p.q), mp.mpf(p.q) ** (2 * mp.mpf(p.v) + 2)
 
+        def half(y):
+            return qseries.ratio_sum_mp(lambda: (y, q2, 0, 0), digits,
+                                        f"a theta series at q={p.q:g}")
+
         def theta(w):
-            return _ratio_sum(w, q2, 0, ctx) + _ratio_sum(q2 / w, q2, 0, ctx) - 1
+            return half(w) + half(q2 / w) - 1
 
         return [theta(c * t) / theta(t) for t in map(mp.mpf, ts)]
 
@@ -293,6 +263,10 @@ class _CellRunner:
         def rel(got, ref) -> float:
             return float(abs(got / ref - 1))
 
+        def euler(x, r):    # (x, r) = (z, 1) for 1/(z;q)_inf, (-z, q) for (z;q)_inf
+            return qseries.ratio_sum_mp(lambda: (x, r, qm, 0), ctx.work_digits + 10,
+                                        f"Euler's series at q={q:g}")
+
         with mp.workdps(ctx.work_digits + 10):
             qm, q2, t0, s = mp.mpf(q), q2_exact(q), mp.mpf(1.37), 2 * mp.mpf(p.v) + 2
             c = qm**s
@@ -304,11 +278,11 @@ class _CellRunner:
                 # K factors times Euler's series for the tail (a q^K; q)_inf.
                 "qpoch-splitting": worst(*(
                     rel(mp.fprod(1 - a * qm**j for j in range(k))
-                         * _ratio_sum(-a * qm**k, qm, qm, ctx), poch[a])
+                         * euler(-a * qm**k, qm), poch[a])
                     for a in (0.25, -1.0, 0.9) for k in (1, 5, 10))),
-                "qpoch-euler-series": worst(*(rel(_ratio_sum(-z, qm, qm, ctx), poch[z])
+                "qpoch-euler-series": worst(*(rel(euler(-z, qm), poch[z])
                                               for z in (-4.0, -1.0, -0.5, 0.0, 0.3, 0.9))),
-                "qexp-series-agreement": worst(*(rel(_ratio_sum(z, 1, qm, ctx), 1 / poch[z])
+                "qexp-series-agreement": worst(*(rel(euler(z, 1), 1 / poch[z])
                                                  for z in (-0.5, 0.3, 0.9))),
                 "gauss-amplitude-lattice-scaling": worst(*(
                     rel(am * c**m, a1) for m, am in zip(range(-3, 4), lattice))),

@@ -7,11 +7,14 @@ at its stated tolerance, printing one pass/fail line per criterion.  Run as
     pytest tests/test_acceptance.py -v -s
 """
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from qfourier.qseries import PrecisionCtx, QParams
-from qfourier.report import IDENTITIES, SuiteConfig, run_suite
+from qfourier.report import IDENTITIES, CheckReport, SuiteConfig, report_to_json, run_suite
 from qfourier.translation import positivity_min
 
 
@@ -176,3 +179,15 @@ def test_high_precision_residuals_pinned(suite):
             "bessel-eigen-relation", "bessel-oracle-agreement",
             "gauss-transform-consistency-hp")}
         assert got == pinned, f"q={cell.q}, v={cell.v}"
+
+
+# sha256 of the default report's JSON with every cell's runtime_s zeroed: the
+# report is byte-identical across refactors that must not move a residual.
+# A change that moves one on purpose updates this pin and says why.
+_REPORT_SHA256 = "ec1a4edd54572c62363ed55d7c33cc94f712c46a74fb1ff6d6b8513b424b2607"
+
+
+def test_default_report_pinned(suite):
+    zeroed = CheckReport(suite.config,
+                         [dataclasses.replace(c, runtime_s=0.0) for c in suite.cells])
+    assert hashlib.sha256(report_to_json(zeroed).encode()).hexdigest() == _REPORT_SHA256

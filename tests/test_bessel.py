@@ -27,6 +27,7 @@ from qfourier.lattice import LatticeGrid
 from qfourier.qseries import PrecisionCtx, QParams, q2_exact
 from qfourier.report import DEFAULT_CELLS
 from qfourier.translation import default_scan_grid
+from qhyper_ref import jv_ref
 
 CTX = PrecisionCtx()
 
@@ -39,14 +40,14 @@ def ulps(a: float, b: float) -> float:
 
 class TestScalar:
     def test_at_zero(self):
-        assert jv(0.0, QParams(0.5, 0.5), CTX) == 1.0
-        assert jv(0.0, QParams(0.9, 1.5), CTX) == 1.0
+        assert jv(0.0, QParams(0.5, 0.5)) == 1.0
+        assert jv(0.0, QParams(0.9, 1.5)) == 1.0
 
     def test_precision_ceiling(self):
         from qfourier.errors import PrecisionExhausted
 
         with pytest.raises(PrecisionExhausted):
-            jv(2.0 ** 300, QParams(0.5, 0.5), CTX)
+            jv(2.0 ** 300, QParams(0.5, 0.5))
 
     @pytest.mark.parametrize("q, x", [(0.99, 2.0), (0.99, 1.0), (0.98, 2.0)])
     def test_measured_cancellation_near_one(self, q, x):
@@ -63,18 +64,18 @@ class TestScalar:
                 total += term
                 if u * x2 < 1 and abs(term) < mp.mpf(10) ** -390:
                     break
-        assert ulps(jv(x, QParams(q, v), CTX), float(total)) <= 1.0
+        assert ulps(jv(x, QParams(q, v)), float(total)) <= 1.0
 
     def test_small_argument_expansion(self):
         # j = 1 - q^2 x^2 / ((1-q^{2v+2})(1-q^2)) + O(x^4).
         q, v = 0.5, 0.5
         x = q**10
         two_term = 1 - q**2 * x**2 / ((1 - q ** (2 * v + 2)) * (1 - q**2))
-        assert jv(x, QParams(q, v), CTX) == pytest.approx(two_term, abs=1e-10)
+        assert jv(x, QParams(q, v)) == pytest.approx(two_term, abs=1e-10)
 
     @pytest.mark.parametrize("m", [-5, -3, 0, 2])
     def test_exact_rational_oracle(self, m):
-        got = jv(0.5 ** m, QParams(0.5, 0.0), CTX)
+        got = jv(0.5 ** m, QParams(0.5, 0.0))
         assert ulps(got, jv_exact_dyadic(m, 0.0)) <= 2.0
 
     def test_alternating_partial_sums_bracket(self):
@@ -89,7 +90,7 @@ class TestScalar:
             term *= -(u * x * x) / ((1 - q2v * u) * (1 - u))
             total += term
             partials.append(total)
-        limit = jv(x, QParams(q, v), CTX)
+        limit = jv(x, QParams(q, v))
         for lo, hi in zip(partials[1::2], partials[0::2]):
             assert lo - 1e-15 <= limit <= hi + 1e-15
 
@@ -100,7 +101,7 @@ class TestTable:
         assert table.n_min == 2 * grid.n_lo
         assert table.n_max == 2 * grid.n_hi
         assert table.value(0) == pytest.approx(
-            jv(1.0, grid.params, CTX), abs=1e-15)
+            jv(1.0, grid.params), abs=1e-15)
 
     def test_row_is_bounds_checked(self, cell_half):
         table = cell_half.table
@@ -225,11 +226,10 @@ def _second_solution(table: BesselTable, dps: int) -> list:
 
 
 def _assert_mp_values_match_series(table: BesselTable) -> None:
-    """Every mp value within 1e-40 relative of a (120 + lost)-digit series."""
+    """Every mp value within 1e-40 relative of mpmath's qhyper."""
     p = table.params
     for e, got in zip(range(table.n_min, table.n_max + 1), table.mp_values):
-        lost = bessel._digits_lost(-e, p)
-        ref = bessel._series_at(e, p, CTX, 120 + math.ceil(lost))
+        ref = jv_ref(p.q, p.v, e, 50)
         with mp.workdps(60):
             assert abs(got - ref) <= mp.mpf("1e-40") * abs(ref), e
 
@@ -258,34 +258,6 @@ class TestRecurrenceTable:
             bad = _with_mp(table, [j + eps * t for j, t in zip(table.mp_values, y)])
         assert _eigen_ok(bad)
         assert bessel._anchor_ulps(bad) > 1.0
-
-    def test_dropped_order_term_leaves_gate_sound(self, monkeypatch):
-        # The digit estimate without its (2v+1)m term: the series at the deep
-        # end, summed at the estimate's digits, loses its last digits, and
-        # per-entry series tables at 50 and 80 digits do not see it.  The
-        # table's own anchors and the gate's reference measure their
-        # cancellation and only start from the estimate: the table still
-        # certifies, with the same binary64 values (its mp values move only in
-        # their rounding, which reads the estimate, by less than 1e-50), and
-        # the gate reads it sound.
-        def lost(m, p):
-            return 2.0 * m * m * math.log10(1.0 / p.q) if m > 0.0 else 0.0
-
-        table = jv_table(DEEP, CTX)
-        monkeypatch.setattr(bessel, "_digits_lost", lost)
-        again = jv_table(DEEP, CTX)
-        assert again.values.tobytes() == table.values.tobytes()
-        with mp.workdps(60):
-            assert all(abs(a - b) <= mp.mpf("1e-50") * abs(a)
-                       for a, b in zip(table.mp_values, again.mp_values))
-        assert bessel._anchor_ulps(table) == 0.0
-
-        def series_table(ctx):
-            return [float(bessel._series_at(e, DEEP.params, ctx))
-                    for e in range(table.n_min, table.n_max + 1)]
-
-        pairs = zip(series_table(CTX), series_table(PrecisionCtx(80, 1e-30)))
-        assert max(ulps(a, b) for a, b in pairs) <= 1.0
 
     @pytest.mark.parametrize("v", [0.0, 0.5])
     def test_gate_measures_the_cancellation_near_one(self, v):
@@ -345,34 +317,37 @@ class TestRecurrenceTable:
 
     def test_anchors_run_at_sweep_digits(self, monkeypatch):
         # The series cancels ~600 digits at n_min = -24 here, and anchors set
-        # by it ran at 671 digits.  No sum may run above the sweep's digits
-        # plus 10 plus the digits its own terms cancel, and none may be the
-        # series at n_min.
+        # by it ran at 671 digits.  The two sums, the series at n_max and the
+        # lattice sum at n_min, each run one pass, at the sweep's digits plus
+        # 10 plus the 32 first guard bits: their terms cancel less than that.
         sweeps, sums = [], []
-        sweep, series, lattice = bessel._sweep, bessel._jv_series_mp, bessel._lattice_sum_mp
+        sweep, ratio_sum = bessel._sweep, bessel.ratio_sum_mp
 
         def spy_sweep(p, n_start, n_max, dps):
             sweeps.append(dps)
             return sweep(p, n_start, n_max, dps)
 
-        def spy_series(x, p, ctx, dps):
-            sums.append(("series", mp.mpf(x), dps, *series(x, p, ctx, dps)))
-            return sums[-1][-2:]
+        def spy_sum(inputs, digits, where, guard=32):
+            passes = []
 
-        def spy_lattice(m, p, ctx, dps):
-            sums.append(("lattice", m, dps, *lattice(m, p, ctx, dps)))
-            return sums[-1][-2:]
+            def spy_inputs():
+                passes.append(mp.mp.prec)     # each pass reads its inputs once
+                return inputs()
+
+            sums.append((where, digits, passes))
+            return ratio_sum(spy_inputs, digits, where, guard)
 
         monkeypatch.setattr(bessel, "_sweep", spy_sweep)
-        monkeypatch.setattr(bessel, "_jv_series_mp", spy_series)
-        monkeypatch.setattr(bessel, "_lattice_sum_mp", spy_lattice)
+        monkeypatch.setattr(bessel, "ratio_sum_mp", spy_sum)
         grid = default_scan_grid(QParams(0.3, 0.0))
         table = jv_table(grid, CTX)
-        assert sorted(kind for kind, *_ in sums) == ["lattice", "series"]
-        for kind, at, dps, total, max_term in sums:
-            lost = float(mp.log10(max_term / abs(total)))
-            assert dps <= max(sweeps) + 10 + math.ceil(lost) < 671
-            assert at == -table.n_min if kind == "lattice" else at <= 1
+        assert [where for where, *_ in sums] == [
+            f"j_v at q^{table.n_max} (q=0.3, v=0)",
+            f"the lattice sum of j_v at q^{table.n_min} (q=0.3, v=0)"]
+        for _, digits, passes in sums:
+            assert digits == max(sweeps) + 10
+            assert passes == [mp.libmp.dps_to_prec(digits) + 32]
+            assert passes[0] < mp.libmp.dps_to_prec(671)
         assert bessel._anchor_ulps(table) == 0.0
 
     def test_anchor_above_300_digits_certifies(self):
@@ -385,14 +360,16 @@ class TestRecurrenceTable:
 
     def test_perturbed_anchor_fails_certification(self, monkeypatch):
         # A lattice sum off by 1e-35 can be matched by no sweep.
-        lattice = bessel._lattice_sum_mp
+        ratio_sum = bessel.ratio_sum_mp
 
-        def scaled(m, p, ctx, dps):
-            total, max_term = lattice(m, p, ctx, dps)
-            with mp.workdps(dps):
-                return total * (1 + mp.mpf("1e-35")), max_term
+        def scaled(inputs, digits, where, guard=32):
+            total = ratio_sum(inputs, digits, where, guard)
+            if where.startswith("the lattice sum"):
+                with mp.workdps(digits):
+                    return total * (1 + mp.mpf("1e-35"))
+            return total
 
-        monkeypatch.setattr(bessel, "_lattice_sum_mp", scaled)
+        monkeypatch.setattr(bessel, "ratio_sum_mp", scaled)
         with pytest.raises(PrecisionExhausted):
             jv_table(DEEP, CTX)
 
@@ -427,13 +404,13 @@ class TestRecurrenceTable:
 
     def test_mp_values_at_both_ends_match_150_digit_series(self):
         # q = 0.9 on [-30, 300]: the deepest entries, where the 70-digit
-        # sweep is furthest from the series' own precision, and the top.
+        # sweep is furthest from the series' own precision, and the top,
+        # against mpmath's qhyper.
         p = QParams(0.9, 0.0)
         table = jv_table(LatticeGrid(p, -30, 300), CTX)
         lo, hi = table.n_min, table.n_max
         for e in [*range(lo, lo + 4), *range(hi - 3, hi + 1)]:
-            lost = bessel._digits_lost(-e, p)
-            ref = bessel._series_at(e, p, CTX, 150 + math.ceil(lost))
+            ref = jv_ref(p.q, p.v, e, 60)
             with mp.workdps(80):
                 assert abs(table.mp_value(e) - ref) <= mp.mpf("1e-49") * abs(ref), e
 
@@ -445,12 +422,12 @@ class TestRecurrenceTable:
 
 
 def _assert_anchor_matches_series(q: float, v: float, m: int) -> None:
-    """The lattice anchor at the sweep digits of a 50-digit table, against a
-    (150 + lost)-digit series at q^-m."""
+    """The lattice anchor at the sweep digits of a 50-digit table, against
+    mpmath's qhyper at q^-m."""
     p = QParams(q, v)
     dps = max(CTX.work_digits, 26) + bessel._SWEEP_GUARD_DIGITS + 10
     got = bessel._anchor(-m, p, CTX, dps)
-    ref = bessel._series_at(-m, p, CTX, 150 + math.ceil(bessel._digits_lost(m, p)))
+    ref = jv_ref(q, v, -m, 55)
     with mp.workdps(60):
         assert abs(got - ref) <= mp.mpf("1e-45") * abs(ref), (q, v, m)
 
@@ -474,11 +451,11 @@ class TestLatticeAnchor:
     @pytest.mark.parametrize("e", [-1, 0])
     def test_cancellation_near_one_is_measured(self, e):
         # At q = 0.99 the lattice sum at q^-1 and the series at 1 both cancel
-        # about 41 digits that _digits_lost does not count: each anchor sums
-        # again with the digits its terms showed.
+        # about 41 digits that the a-priori estimate does not count: each
+        # anchor sums again with the digits its terms showed.
         p = QParams(0.99, 0.5)
         got = bessel._anchor(e, p, CTX, 80)
-        ref = bessel._series_at(e, p, CTX, 300)
+        ref = jv_ref(0.99, 0.5, e, 80, extra=50)
         with mp.workdps(90):
             assert abs(got - ref) <= mp.mpf("1e-70") * abs(ref)
 
@@ -581,11 +558,11 @@ class TestTableFingerprint:
     def test_near_one_certifies_at_the_fifth_start(self, v):
         # q = 0.99 on [-5, 5]: the start 80 below n_min still leaves 7e-18 of
         # the second solution and the fifth, 160 below, certifies.  Both ends
-        # of the table against a 300-digit series (which cancels ~41 digits).
+        # of the table against mpmath's qhyper (the series cancels ~41 digits).
         p = QParams(0.99, v)
         table = jv_table(LatticeGrid(p, -5, 5), CTX)
         for e in (table.n_min, 0):
-            ref = bessel._series_at(e, p, CTX, 300)
+            ref = jv_ref(0.99, v, e, 50, extra=50)
             with mp.workdps(60):
                 assert abs(table.mp_value(e) - ref) <= mp.mpf("1e-40") * abs(ref), e
             assert table.value(e) == float(ref), e
@@ -608,13 +585,13 @@ class TestDecayBound:
         const = decay_bound_constant(p, CTX)
         for n in range(-8, 0):
             bound = const * p.q ** (n * n - (2 * p.v + 1) * n)
-            assert abs(jv(p.q**n, p, CTX)) <= bound * (1 + 1e-12)
+            assert abs(jv(p.q**n, p)) <= bound * (1 + 1e-12)
 
     def test_positive_branch_explicitly(self):
         p = QParams(0.5, 0.0)
         const = decay_bound_constant(p, CTX)
         for n in range(0, 30):
-            assert abs(jv(p.q**n, p, CTX)) <= const * (1 + 1e-12)
+            assert abs(jv(p.q**n, p)) <= const * (1 + 1e-12)
 
 
 class TestEigenRelation:

@@ -79,11 +79,24 @@ class TestCheck:
 
     @pytest.mark.parametrize("command", [["check"], ["kernel", "--x", "1", "--y", "1"]])
     def test_deep_grid_exits_3(self, command, capsys):
-        # q^-320 at q = 0.1 overflows binary64; the digit estimate is taken
-        # from the exponent, so the grid reports the ~2e5 digits it needs.
+        # The Jackson weight q^{2n} at n = -160, q = 0.1 is 1e320, past
+        # binary64: the grid is refused before any table is built.
         grid = ["--q", "0.1", "--v", "0", "--nlo", "-160", "--nhi", "40"]
         assert main([command[0], *grid, *command[1:]]) == 3
         assert "precision exhausted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--nlo", "-40", "--nhi", "20"],
+        ["kernel", "--nlo", "-40", "--nhi", "20", "--x", "1", "--y", "1"],
+        ["check", "--nlo", "-6", "--nhi", "45"]])
+    def test_weights_off_binary64_exit_3(self, argv, capsys):
+        # At q = 0.1, v = 3 the weights 0.9 q^{8n} overflow at n = -40 (an
+        # OverflowError in delta_fn, or a NaN row sum from kernel), and the
+        # check's delta at n = 43 divided by a weight that underflows to 0.
+        # Each exits 3, and the message names the exponents that fit.
+        assert main([argv[0], "--q", "0.1", "--v", "3", *argv[1:]]) == 3
+        err = capsys.readouterr().err
+        assert "precision exhausted" in err and "for n in [-38, 38]" in err
 
     @pytest.mark.parametrize("q, where", [("0.9", "no trusted exponents: grid [-25, 125]"),
                                           ("0.95", "kernel window collapsed")])

@@ -1,11 +1,13 @@
 """Truncated lattice, Jackson quadrature, and CSV round-trip."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfourier.errors import GridMismatch, OffGrid, ParseError
+from qfourier.errors import GridMismatch, OffGrid, ParseError, PrecisionExhausted
 from qfourier.lattice import (
     GridFn,
     LatticeGrid,
@@ -62,6 +64,21 @@ class TestGrid:
             w *= 2.0
         assert np.array_equal(w, 0.5 * np.power(0.5, 3.0 * grid.exponents))
 
+    def test_weights_stay_normal_binary64(self):
+        # At q = 0.1, v = 3 the weights 0.9 q^{8n} are normal doubles for n in
+        # [-38, 38].  A grid may not start below that span (the weight is inf
+        # at n = -40), and a delta may not sit above it (its value 1/weight
+        # was a ZeroDivisionError at n = 45).
+        p = QParams(0.1, 3.0)
+        grid = LatticeGrid(p, -38, 39)
+        w = grid.weights()
+        assert np.all(np.isfinite(w)) and w[:-1].min() >= sys.float_info.min
+        for n in (-38, 38):
+            assert np.isfinite(delta_fn(grid, n).values).all()
+        with pytest.raises(PrecisionExhausted, match=r"normal for n in \[-38, 38\]"):
+            delta_fn(grid, 39)
+        with pytest.raises(PrecisionExhausted, match=r"overflows binary64 at n=-39"):
+            LatticeGrid(p, -39, 38)
 
 class TestJackson:
     def test_single_point(self, grid):

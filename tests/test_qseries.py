@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfourier import qseries
-from qfourier.errors import PoleAtOne
+from qfourier import bessel, qseries
+from qfourier.errors import PoleAtOne, PrecisionExhausted
+from qfourier.lattice import LatticeGrid
 from qfourier.qseries import (
     PrecisionCtx,
     QParams,
@@ -17,14 +18,15 @@ from qfourier.qseries import (
     q2_exact,
     qexp_mp,
     qpoch_inf_mp,
+    ratio_sum_mp,
 )
 from qfourier.report import (
     IDENTITIES,
     SuiteConfig,
     _CellRunner,
-    _ratio_sum,
     _theta_amplitudes,
 )
+from qhyper_ref import jv_ref
 
 CTX = PrecisionCtx()
 
@@ -272,6 +274,17 @@ SCALAR_ROWS = ("qpoch-splitting", "qpoch-euler-series", "qexp-series-agreement",
                "gauss-amplitude-lattice-scaling")
 
 
+def _euler(x, r, q, passes: list | None = None) -> mp.mpf:
+    """Euler's series (x, r, d) = (z, 1, q) or (-z, q, q) at the report's digits;
+    ``passes`` collects the precision of each pass."""
+    def inputs():
+        if passes is not None:
+            passes.append(mp.mp.prec)
+        return x, r, q, 0
+
+    return ratio_sum_mp(inputs, CTX.work_digits + 10, "Euler's series")
+
+
 class TestIndependentRoutes:
     """Each scalar row sets the products against series that share none of their code."""
 
@@ -282,9 +295,9 @@ class TestIndependentRoutes:
             for z in EULER1_Z if which == "euler1" else EULER2_Z:
                 prod = qpoch_inf_mp(z, q, CTX)
                 if which == "euler1":
-                    got, want = _ratio_sum(z, 1, q, CTX), 1 / prod
+                    got, want = _euler(z, 1, q), 1 / prod
                 else:
-                    got, want = _ratio_sum(-z, q, q, CTX), prod
+                    got, want = _euler(-z, q, q), prod
                 assert _rel(got, want) <= mp.mpf(10) ** -45
 
     @given(q=st.floats(0.1, 0.95), v=st.floats(-0.99, 3.0),
@@ -299,13 +312,17 @@ class TestIndependentRoutes:
 
     def test_cancelling_sums_run_again(self):
         # At q = 0.97 these alternating sums cancel more bits than the first
-        # pass's 32 guard bits: only the second pass, with the measured bits,
-        # is good to working precision (one pass with no guard bits read 6e-33
-        # and 3e-48).
-        q = 0.97
+        # pass's 32 guard bits: only a later pass, with the measured bits, is
+        # good to working precision (one pass with no guard bits read 6e-33
+        # and 3e-48).  The second pass of the first sum measures one bit more
+        # than it was given, and a third runs.
+        q, first = 0.97, mp.libmp.dps_to_prec(CTX.work_digits + 10) + 32
         with mp.workdps(CTX.work_digits + 10):
-            assert _rel(_ratio_sum(-0.9, q, q, CTX), qpoch_inf_mp(0.9, q, CTX)) <= 1e-50
-            assert _rel(_ratio_sum(-0.5, 1, q, CTX) * qpoch_inf_mp(-0.5, q, CTX), 1) <= 1e-50
+            for x, r, want in ((-0.9, q, qpoch_inf_mp(0.9, q, CTX)),
+                               (-0.5, 1, 1 / qpoch_inf_mp(-0.5, q, CTX))):
+                passes = []
+                assert _rel(_euler(x, r, q, passes), want) <= 1e-50
+                assert len(passes) >= 2 and passes[0] == first < passes[1]
 
     def test_perturbed_products_fail_every_row(self, monkeypatch):
         # A relative error that depends on a, so it does not cancel in A(t)'s
@@ -325,6 +342,57 @@ class TestIndependentRoutes:
         rows = _qseries_rows(0.5)
         for name in SCALAR_ROWS:
             assert rows[name] <= 1e-40, name
+
+
+def _jv_inputs(q: float, v: float, e: int, passes: list | None = None):
+    """The j_v series at x = q^e as ratio_sum_mp takes it:
+    (x, r, d, a) = (-x^2 q^2, q^2, q^2, q^{2v})."""
+    def inputs():
+        if passes is not None:
+            passes.append(mp.mp.prec)
+        q2 = q2_exact(q)
+        return -(q2 ** (e + 1)), q2, q2, mp.mpf(q) ** (2 * mp.mpf(v))
+
+    return inputs
+
+
+def _ulps53(got, ref) -> mp.mpf:
+    """Gap of two mpfs rounded to binary64's 53 bits, in units of the last
+    place of ``ref``'s (no exponent range: the values may underflow a double)."""
+    with mp.workprec(53):
+        a, b = +got, +ref
+        _, man, exp, bc = b._mpf_
+        return abs(a - b) / mp.ldexp(1, exp + bc - 53)
+
+
+class TestRatioSum:
+    """The one series evaluator on its own."""
+
+    def test_short_first_guard_gives_the_same_double(self):
+        # The j_v series at q^-20 (q = 1/2, v = 3/2) cancels about 265 digits.
+        # From 32 guard bits, with no estimate, the sum measures that and runs
+        # again: the table's double, as from the estimate's first guard.
+        passes = []
+        got = ratio_sum_mp(_jv_inputs(0.5, 1.5, -20, passes), 26, "j_v at q^-20")
+        table = bessel.jv_table(LatticeGrid(QParams(0.5, 1.5), -10, 40), CTX)
+        assert float(got) == table.value(-20) == float(jv_ref(0.5, 1.5, -20))
+        assert passes[0] == mp.libmp.dps_to_prec(26) + 32 and len(passes) >= 2
+
+    def test_past_max_digits_raises(self, monkeypatch):
+        # The same sum needs some 900 bits once measured: past a 100-digit
+        # ceiling it is refused, naming the sum.
+        monkeypatch.setattr(qseries, "MAX_DIGITS", 100)
+        with pytest.raises(PrecisionExhausted, match="j_v at q\\^-20 needs over 100 digits"):
+            ratio_sum_mp(_jv_inputs(0.5, 1.5, -20), 26, "j_v at q^-20")
+
+    @given(q=st.floats(0.1, 0.99), v=st.floats(-1.0, 3.0, exclude_min=True),
+           e=st.integers(-30, 30))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_jv_series_against_qhyper(self, q, v, e):
+        # The reference's loss estimate falls about 41 digits short near
+        # q = 0.99, hence the extra digits.
+        got = ratio_sum_mp(_jv_inputs(q, v, e), 26, f"j_v at q^{e}")
+        assert _ulps53(got, jv_ref(q, v, e, 20, extra=50)) <= 1
 
 
 class TestOneRoute:
