@@ -55,7 +55,6 @@ __all__ = [
     "heat_residual",
     "heat_spectral_defect",
     "heat_markov_check",
-    "qexp_ode_residual",
     "composition_defect",
 ]
 
@@ -217,9 +216,14 @@ def gauss_crosscheck_hp(g: GaussKernel, op: TransformOp, window: tuple[int, int]
 
 def heat_apply(f: GridFn, t: float, k: Kernel3, ctx: PrecisionCtx = DEFAULT_CTX,
                g: GaussKernel | None = None) -> GridFn:
-    """Heat flow P_t f = G(., t) *_q f for window-supported f."""
+    """Heat flow P_t f = G(., t) *_q f for window-supported f.
+
+    A given kernel ``g`` must be the one at time ``t``: ValueError otherwise.
+    """
     if g is None:
         g = gauss_kernel(t, k.grid, ctx)
+    elif g.t != t:
+        raise ValueError(f"Gauss kernel at t={g.t} given for heat flow at t={t}")
     return convolve(g.fn, f, k)
 
 
@@ -259,30 +263,6 @@ def heat_spectral_defect(f: GridFn, g: GaussKernel, k: Kernel3,
 def heat_markov_check(g: GaussKernel, k: Kernel3, probes: list[GridFn]) -> MarkovReport:
     """Markov-axiom defects of P_t, t = g.t (the Gauss kernel is a probability density)."""
     return markov_check_convolution(g.fn, k, probes)
-
-
-# The sample points z < 0 of the q-exponential's functional equation.
-_ODE_SAMPLES = tuple(-(10.0 ** e) for e in np.linspace(-6.0, 4.0, 20))
-
-
-def qexp_ode_residual(q: float, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
-    """Residual of e(z, q^2) - e(q^2 z, q^2) = z e(z, q^2) at ``_ODE_SAMPLES``.
-
-    This identity is what makes psi(t) = e(-t x^2, q^2) solve the scalar
-    q-difference equation -x^2 psi = (1-q^2) D_{q^2,t} psi, pinning the
-    Jackson convention for the time difference.  Evaluated in software
-    precision on the exact q^2: near z = 0 the left side differences away
-    ~|z| of itself, and a binary64 q^2 z reads its own rounding (1e-15).
-    """
-    with mp.workdps(ctx.work_digits):
-        q2 = q2_exact(q)
-        gaps = []
-        for z in _ODE_SAMPLES:
-            ez = qexp_mp(z, q2, ctx)
-            lhs = ez - qexp_mp(q2 * z, q2, ctx)
-            rhs = mp.mpf(z) * ez
-            gaps.append(float(abs(lhs - rhs) / abs(rhs)))
-        return worst(*gaps)
 
 
 def composition_defect(f: GridFn, t: float, s: float, k: Kernel3,

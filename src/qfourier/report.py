@@ -74,7 +74,6 @@ IDENTITIES: dict[str, tuple[str, float | None]] = {
         "A(q^{2m}) = q^{-2m(v+1)} A(1): theta ratio at q^{2m} vs four products at 1", 1e-10),
     "gauss-amplitude-offlattice-scaling": (
         "A(t^2) t^{2(v+1)} vs A(1), t generic: theta ratio vs products (observational)", None),
-    "qexp-ode-identity": ("e(z,q^2) - e(q^2 z,q^2) = z e(z,q^2)", 1e-12),
     "jackson-linearity": ("integral(a f + b g) = a integral(f) + b integral(g)", 1e-12),
     "delta-reproduction": ("integral(f delta_q(x,.)) = f(x)", 1e-12),
     "cauchy-schwarz": ("|<f,g>| <= ||f|| ||g||", 1e-12),
@@ -95,7 +94,6 @@ IDENTITIES: dict[str, tuple[str, float | None]] = {
     "transform-sup-bound": ("sup |Ff| <= c sup|j_v| ||f||_1", 1e-12),
     "basis-completeness": ("f = sum_x <f, psi_x> psi_x / ||psi_x||^2", 1e-9),
     "delta-multiplier": ("F[Delta f](x) = -x^2 Ff(x)", 1e-8),
-    "kernel-symmetry": ("D(x,y,z) invariant under argument permutations", 0.0),
     "kernel-transform-projection": (
         "int D(x,y,z) j_v(xt) x^{2v+1} d_q x = j_v(yt) j_v(zt)", 1e-8),
     # Gated for v >= 0 only; a v < 0 cell reports its raw minimum instead.
@@ -105,9 +103,6 @@ IDENTITIES: dict[str, tuple[str, float | None]] = {
     **_markov_rows("translation", "T_{{q,x}} Markov axiom: {}"),
     "convolution-commutativity": (
         "f * g = g * f: M route vs window-cube contraction", 1e-8),
-    "convolution-product-formula": ("F(f * g) = Ff . Fg", 1e-8),
-    "multiplier-bump-coefficients": (
-        "c_n = j_v(q^n) for the point-mass density at 1", 1e-8),
     "multiplier-diagonal-action": ("f_n * rho = c_n f_n", 1e-8),
     **_markov_rows("bump", "f -> f * rho Markov axiom ({})"),
     "multiplier-gauss-coefficients": (
@@ -239,6 +234,9 @@ class _CellRunner:
         self.ctx = cfg.ctx()
         self.p = QParams(q, v)
         self.grid = LatticeGrid(self.p, n_lo, n_hi)
+        # The delta-reproduction deltas come first: a grid whose Jackson weights
+        # leave binary64 there is refused before the table is built.
+        self.deltas = {n: lattice.delta_fn(self.grid, n) for n in range(n_lo, n_hi + 1, 7)}
         self.table = bessel.jv_table(self.grid, self.ctx)
         self.kern = translation.kernel(self.grid, self.table, self.ctx,
                                        max_width=cfg.window)
@@ -289,7 +287,6 @@ class _CellRunner:
                 "gauss-amplitude-offlattice-scaling": rel(off * t0**s, a1),
             }
         yield from rows.items()
-        yield "qexp-ode-identity", heat.qexp_ode_residual(q, ctx)
 
     # ---------------- lattice quadrature identities ----------------
 
@@ -304,8 +301,7 @@ class _CellRunner:
         ) / max(abs(jackson_integral(f)) + abs(jackson_integral(g)), TINY)
 
         res = 0.0
-        for n in range(self.grid.n_lo, self.grid.n_hi + 1, 7):
-            d = lattice.delta_fn(self.grid, n)
+        for n, d in self.deltas.items():
             rep = jackson_integral(GridFn(self.grid, d.values * f.values))
             res = worst(res, abs(rep - f[n]) / max(abs(f[n]), TINY))
         yield "delta-reproduction", res
@@ -371,10 +367,6 @@ class _CellRunner:
     def check_translation(self) -> Rows:
         kern, grid = self.kern, self.grid
 
-        yield "kernel-symmetry", worst(*(
-            float(np.max(np.abs(kern.cube - kern.cube.transpose(perm))))
-            for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-        ))
         yield "kernel-transform-projection", self._projection_defect()
 
         mn, _ = translation.kernel_min(kern)
@@ -430,12 +422,12 @@ class _CellRunner:
         return res
 
     def _check_convolution(self) -> Rows:
-        kern, op, grid = self.kern, self.op, self.grid
+        kern, grid = self.kern, self.grid
         pairs = list(zip(self.kprobes[0:40:2], self.kprobes[1:40:2]))
         w = grid.weights()
         wsel = [grid.index(int(e)) for e in kern.window_exponents]
         ww = w[wsel]
-        comm = prod = 0.0
+        comm = 0.0
         for f, g in pairs:
             fg = translation.convolve(f, g, kern)
             # g * f through the cube: c sum_{y,z} D(x,y,z) (w g)_y (w f)_z,
@@ -444,22 +436,13 @@ class _CellRunner:
                                     (w * g.values)[wsel], (w * f.values)[wsel])
             gap = math.sqrt(float(ww @ (fg.values[wsel] - gf) ** 2))
             comm = worst(comm, gap / max(math.sqrt(float(ww @ gf ** 2)), TINY))
-            lhs = transform.forward(fg, op)
-            rhs = GridFn(grid, transform.forward(f, op).values
-                         * transform.forward(g, op).values)
-            prod = worst(prod, norm2(GridFn(grid, lhs.values - rhs.values))
-                         / max(norm2(rhs), TINY))
         yield "convolution-commutativity", comm
-        yield "convolution-product-formula", prod
 
     def _check_multiplier(self) -> Rows:
         kern, grid = self.kern, self.grid
 
         # The delta-bump probability density rho = delta_q(., 1) / c.
         rho = GridFn(grid, lattice.delta_fn(grid, 0).values / self.c)
-        ns, coeffs = translation.multiplier_coeffs(rho, kern)
-        expected = np.array([self.table.value(int(n)) for n in ns])
-        yield "multiplier-bump-coefficients", float(np.max(np.abs(coeffs - expected)))
 
         res = 0.0
         for n in (-2, 0, 1, 3):

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from qfourier import bessel, cli
 from qfourier.cli import main
 from qfourier.lattice import LatticeGrid, load_csv, save_csv
 from qfourier.probes import seeded_probes
@@ -89,11 +90,17 @@ class TestCheck:
         ["check", "--nlo", "-40", "--nhi", "20"],
         ["kernel", "--nlo", "-40", "--nhi", "20", "--x", "1", "--y", "1"],
         ["check", "--nlo", "-6", "--nhi", "45"]])
-    def test_weights_off_binary64_exit_3(self, argv, capsys):
+    def test_weights_off_binary64_exit_3(self, argv, capsys, monkeypatch):
         # At q = 0.1, v = 3 the weights 0.9 q^{8n} overflow at n = -40 (an
         # OverflowError in delta_fn, or a NaN row sum from kernel), and the
         # check's delta at n = 43 divided by a weight that underflows to 0.
-        # Each exits 3, and the message names the exponents that fit.
+        # Each exits 3, before any table is built, and the message names the
+        # exponents that fit.
+        def no_table(*args):
+            raise AssertionError("jv_table called on a refused grid")
+
+        monkeypatch.setattr(bessel, "jv_table", no_table)
+        monkeypatch.setattr(cli, "jv_table", no_table)
         assert main([argv[0], "--q", "0.1", "--v", "3", *argv[1:]]) == 3
         err = capsys.readouterr().err
         assert "precision exhausted" in err and "for n in [-38, 38]" in err
@@ -175,7 +182,12 @@ class TestToleranceOverrides:
     BAD = [("kernel-postivity", 1e-30),      # misspelt: no such identity
            ("heat-composition", 1.0),        # observational: nothing to gate
            ("transform-inversion", math.nan),
-           ("transform-inversion", -1.0)]
+           ("transform-inversion", -1.0),
+           # Removed from the registry: they only re-checked their own construction.
+           ("kernel-symmetry", 0.0),
+           ("multiplier-bump-coefficients", 1e-8),
+           ("qexp-ode-identity", 1e-12),
+           ("convolution-product-formula", 1e-8)]
 
     @pytest.mark.parametrize("name, tol", BAD)
     def test_suite_config_rejects(self, name, tol):

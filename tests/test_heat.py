@@ -25,7 +25,6 @@ from qfourier.heat import (
     heat_markov_check,
     heat_residual,
     heat_spectral_defect,
-    qexp_ode_residual,
 )
 from qfourier.lattice import GridFn, LatticeGrid, jackson_integral
 from qfourier.numerics import ulps
@@ -388,6 +387,13 @@ class TestHeatFlow:
         assert abs(k.c * jackson_integral(u)
                    - k.c * jackson_integral(bump)) < 1e-8
 
+    def test_kernel_for_another_time_is_refused(self, cell_half, kprobes):
+        k, g = cell_half.kern, gauss_kernel(1.0, cell_half.grid, CTX)
+        with pytest.raises(ValueError, match="t=1.0 given for heat flow at t=0.25"):
+            heat_apply(kprobes[0], 0.25, k, CTX, g=g)
+        assert np.array_equal(heat_apply(kprobes[0], 1.0, k, CTX, g=g).values,
+                              heat_apply(kprobes[0], 1.0, k, CTX).values)
+
 
 class TestHeatMarkov:
     def test_axioms_at_three_times(self, cell_half, kprobes):
@@ -419,17 +425,6 @@ class TestHeatMarkov:
 
 
 class TestScalarIdentity:
-    def test_ode_identity(self, cell_half):
-        assert qexp_ode_residual(cell_half.p.q, CTX) < 1e-12
-
-    def test_ode_identity_measures_the_identity_not_binary64_q2(self, monkeypatch):
-        # q = 0.8: q*q is not exact in binary64.  On the exact q^2 the
-        # residual is working-precision noise; on the rounded one it reads
-        # the ~1e-16 rounding of q^2 z.
-        assert qexp_ode_residual(0.8, CTX) <= 1e-30
-        monkeypatch.setattr(heat, "q2_exact", lambda q: q * q)
-        assert qexp_ode_residual(0.8, CTX) > 1e-30
-
     def test_symbol_matches_pointwise(self, cell_half):
         # e(z,q^2) - e(q^2 z, q^2) = z e(z, q^2) spot-checked on the mp route.
         q2 = q2_exact(cell_half.p.q)
