@@ -30,7 +30,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import dps_to_prec, fone
 
-from .lattice import GridFn, LatticeGrid, norm_p
+from .lattice import GridFn, LatticeGrid, norm_p, stack
 from .numerics import TINY, to_fixed, ulps, worst
 from .qseries import (
     DEFAULT_CTX,
@@ -40,8 +40,8 @@ from .qseries import (
     qexp_lattice_mp,
     qexp_mp,
 )
-from .transform import TransformOp, forward, q_bessel_operator
-from .translation import Kernel3, MarkovReport, convolve, markov_check_convolution
+from .transform import TransformOp, forward, q_bessel_rows
+from .translation import Kernel3, MarkovReport, convolve, convolve_rows, markov_check_convolution
 
 __all__ = [
     "GaussKernel",
@@ -227,37 +227,37 @@ def heat_apply(f: GridFn, t: float, k: Kernel3, ctx: PrecisionCtx = DEFAULT_CTX,
     return convolve(g.fn, f, k)
 
 
-def heat_residual(f: GridFn, t: float, k: Kernel3, window: tuple[int, int],
-                  gauss: GaussLookup) -> float:
-    """Pointwise q-heat-equation residual of u = P_t f on trusted interior rows.
+def heat_residual(f: GridFn | list[GridFn], t: float, k: Kernel3,
+                  window: tuple[int, int], gauss: GaussLookup) -> float:
+    """Pointwise q-heat-equation residual of u = P_t f on trusted interior rows,
+    worst over f, one window-supported probe or a list of them.
 
     The time difference uses u at t and q^2 t; rows are restricted to the
     trusted ``window``, where the q^{-2n} amplification of the space operator
     stays far below the tolerance budget.  ``gauss`` supplies the kernels at
     both times.
     """
-    grid = k.grid
-    q = grid.params.q
-    s = q * q * t
-    u_t = heat_apply(f, t, k, g=gauss(t))
-    u_s = heat_apply(f, s, k, g=gauss(s))
-    du = q_bessel_operator(u_t)
-    rhs = (u_t.values - u_s.values) / t  # (1-q^2) D_{q^2,t} u
-    rows = range(max(window[0], grid.n_lo + 1), min(window[1], grid.n_hi - 1) + 1)
-    return worst(*(abs(du[n] - rhs[grid.index(n)]) / (1.0 + abs(du[n])) for n in rows))
+    grid, q = k.grid, k.grid.params.q
+    fs, s = stack(grid, f), q * q * t
+    u_t = convolve_rows(fs, gauss(t).fn.values, k)
+    rhs = (u_t - convolve_rows(fs, gauss(s).fn.values, k)) / t  # (1-q^2) D_{q^2,t} u
+    lo, hi = max(window[0], grid.n_lo + 1) - grid.n_lo, min(window[1], grid.n_hi - 1) - grid.n_lo
+    du = q_bessel_rows(u_t, grid)[1][:, lo - 1:hi]  # its column i is grid row i + 1
+    return worst(*(np.abs(du - rhs[:, lo:hi + 1]) / (1.0 + np.abs(du))).ravel())
 
 
-def heat_spectral_defect(f: GridFn, g: GaussKernel, k: Kernel3,
+def heat_spectral_defect(f: GridFn | list[GridFn], g: GaussKernel, k: Kernel3,
                          window: tuple[int, int]) -> float:
-    """|| F(P_t f) - e(-t x^2) . Ff ||_2 / || e(-t x^2) . Ff ||_2 on trusted rows, t = g.t."""
-    grid = k.grid
-    lhs = forward(heat_apply(f, g.t, k, g=g), k.op)
-    rhs = g.eprofile.values * forward(f, k.op).values
-    sel = [grid.index(n) for n in range(window[0], window[1] + 1)]
-    w = grid.weights()[sel]
-    num = math.sqrt(float(w @ (lhs.values[sel] - rhs[sel]) ** 2))
-    den = math.sqrt(float(w @ rhs[sel] ** 2))
-    return num / max(den, TINY)
+    """Worst || F(P_t f) - e(-t x^2) . Ff ||_2 / || e(-t x^2) . Ff ||_2 on trusted rows,
+    t = g.t, over f, one window-supported probe or a list of them."""
+    grid, m = k.grid, k.op.matrix
+    fs = stack(grid, f)
+    lhs = convolve_rows(fs, g.fn.values, k) @ m.T
+    rhs = g.eprofile.values * (fs @ m.T)
+    rows = slice(grid.index(window[0]), grid.index(window[1]) + 1)
+    w = grid.weights()[rows]
+    num = np.sqrt(((lhs - rhs)[:, rows] ** 2) @ w)
+    return worst(*num / np.maximum(np.sqrt(rhs[:, rows] ** 2 @ w), TINY))
 
 
 def heat_markov_check(g: GaussKernel, k: Kernel3, probes: list[GridFn]) -> MarkovReport:

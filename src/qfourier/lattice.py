@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,6 +28,8 @@ __all__ = [
     "GridFn",
     "jackson_integral",
     "inner",
+    "stack",
+    "norms",
     "norm_p",
     "sup_norm",
     "delta_fn",
@@ -143,11 +146,24 @@ def inner(f: GridFn, g: GridFn) -> float:
     return float(f.grid.weights() @ (f.values * g.values))
 
 
-def norm_p(f: GridFn, p: float) -> float:
-    """L^p norm with the x^{2v+1} d_q x weight, p >= 1."""
+def stack(grid: LatticeGrid, fns: GridFn | Sequence[GridFn]) -> np.ndarray:
+    """One function on ``grid``, or a sequence of them, as the rows of a (P, N) matrix."""
+    fns = [fns] if isinstance(fns, GridFn) else list(fns)
+    if any(f.grid != grid for f in fns):
+        raise GridMismatch("grid functions live on different lattices")
+    return np.array([f.values for f in fns]).reshape(len(fns), grid.size)
+
+
+def norms(values: np.ndarray, grid: LatticeGrid, p: float = 2.0) -> np.ndarray:
+    """L^p norms, weight x^{2v+1} d_q x, p >= 1, of one value vector or of each row."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    return float(f.grid.weights() @ np.abs(f.values) ** p) ** (1.0 / p)
+    return (np.abs(values) ** p @ grid.weights()) ** (1.0 / p)
+
+
+def norm_p(f: GridFn, p: float) -> float:
+    """L^p norm with the x^{2v+1} d_q x weight, p >= 1."""
+    return float(norms(f.values, f.grid, p))
 
 
 def norm2(f: GridFn) -> float:

@@ -20,7 +20,6 @@ v < 0, and the semigroup composition gap.
 from __future__ import annotations
 
 import json
-import math
 import time
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
@@ -250,8 +249,9 @@ class _CellRunner:
         self.kprobes_nn = seeded_probes(self.grid, self.kern.window, 6,
                                         cfg.seed + 2, nonneg=True)
         self.mprobes = self.kprobes[:10] + self.kprobes_nn      # Markov-axiom probes
-        # Every Gauss kernel of the cell comes from here, built once per t.
+        # Every Gauss kernel of the cell, built once per t; t = 1 now (check_qseries reads A(1)).
         self.gauss = heat.gauss_memo(self.grid, self.ctx)
+        self.gauss(1.0)
 
     # ---------------- scalar q-series identities ----------------
 
@@ -270,7 +270,7 @@ class _CellRunner:
             c = qm**s
             poch = {a: qseries.qpoch_inf_mp(a, q, ctx)
                     for a in (0.25, -1.0, 0.9, -4.0, -0.5, 0.0, 0.3)}
-            a1 = qseries.gauss_amplitude_mp(1.0, p, ctx)    # A's products at t = 1 only
+            a1 = self.gauss(1.0).amp_mp     # A's products at t = 1 only, built once a cell
             *lattice, off = _theta_amplitudes([q2**m for m in range(-3, 4)] + [t0 * t0], p, ctx)
             rows = {
                 # K factors times Euler's series for the tail (a q^K; q)_inf.
@@ -300,11 +300,10 @@ class _CellRunner:
             - a * jackson_integral(f) - b * jackson_integral(g)
         ) / max(abs(jackson_integral(f)) + abs(jackson_integral(g)), TINY)
 
-        res = 0.0
-        for n, d in self.deltas.items():
-            rep = jackson_integral(GridFn(self.grid, d.values * f.values))
-            res = worst(res, abs(rep - f[n]) / max(abs(f[n]), TINY))
-        yield "delta-reproduction", res
+        # Row n of the stack is the delta at q^n: its integral against f is one term.
+        rep = (lattice.stack(self.grid, self.deltas.values()) * f.values) @ self.grid.weights()
+        fn = f.values[[self.grid.index(n) for n in self.deltas]]
+        yield "delta-reproduction", worst(*np.abs(rep - fn) / np.maximum(np.abs(fn), TINY))
 
         yield "cauchy-schwarz", worst(abs(lattice.inner(f, g)) - norm2(f) * norm2(g))
 
@@ -331,10 +330,8 @@ class _CellRunner:
     def check_transform(self) -> Rows:
         op, grid = self.op, self.grid
 
-        yield "transform-inversion", worst(*(
-            transform.inversion_residual(f, op) for f in self.tprobes))
-        yield "transform-plancherel", worst(*(
-            transform.plancherel_defect(f, op) for f in self.tprobes))
+        yield "transform-inversion", transform.inversion_residual(self.tprobes, op)
+        yield "transform-plancherel", transform.plancherel_defect(self.tprobes, op)
 
         ortho = transform.orthogonality_matrix(op, self.window)
         yield "orthogonality-offdiag", ortho.max_offdiag
@@ -347,20 +344,15 @@ class _CellRunner:
         yield "transform-matrix-structure", float(np.count_nonzero(rebuilt != op.matrix))
 
         sup_j = float(np.max(np.abs(self.table.values)))
-        decay = supb = 0.0
-        for f in self.tprobes[:20]:
-            l1 = lattice.norm_p(f, 1.0)
-            ff = transform.forward(f, op)
-            sup_ff = float(np.max(np.abs(ff.values)))
-            decay = worst(decay, abs(ff[grid.n_lo]) / max(sup_ff, TINY))
-            supb = worst(supb, sup_ff / (self.c * sup_j * l1) - 1.0)
-        yield "transform-decay-at-infinity", decay
-        yield "transform-sup-bound", worst(supb)
+        fs = lattice.stack(grid, self.tprobes[:20])
+        ff = np.abs(fs @ op.matrix.T)                   # |Ff|, one row per probe
+        sup_ff = np.max(ff, axis=1)
+        yield "transform-decay-at-infinity", worst(*ff[:, 0] / np.maximum(sup_ff, TINY))
+        yield "transform-sup-bound", worst(
+            *sup_ff / (self.c * sup_j * lattice.norms(fs, grid, 1.0)) - 1.0)
 
-        yield "basis-completeness", worst(*(
-            transform.basis_completeness_defect(f, op) for f in self.tprobes[:5]))
-        yield "delta-multiplier", worst(*(
-            transform.delta_multiplier_defect(f, op) for f in self.tprobes[:20]))
+        yield "basis-completeness", transform.basis_completeness_defect(self.tprobes[:5], op)
+        yield "delta-multiplier", transform.delta_multiplier_defect(self.tprobes[:20], op)
 
     # ---------------- translation identities ----------------
 
@@ -380,19 +372,15 @@ class _CellRunner:
 
         # Window exponent nearest 1; the M route against the cube on window rows.
         x_used = int(min(kern.window_exponents, key=abs))
-        wsel = [grid.index(int(e)) for e in kern.window_exponents]
-        res = 0.0
-        for a in (x_used, kern.window_lo, kern.window_hi):
-            td = translation.translate(lattice.delta_fn(grid, a), x_used, kern)
-            dv = kern.cube[kern.windex(x_used), :, kern.windex(a)]
-            scale = float(np.max(np.abs(dv)))
-            res = worst(res, float(np.max(np.abs(td.values[wsel] - dv)))
-                        / max(scale, TINY))
-        yield "translation-delta", res
+        ays = (x_used, kern.window_lo, kern.window_hi)
+        td = translation.translate_rows(lattice.stack(grid, [
+            lattice.delta_fn(grid, a) for a in ays]), x_used, kern)[:, kern.window_slice]
+        dv = kern.cube[kern.windex(x_used)][:, [kern.windex(a) for a in ays]].T
+        yield "translation-delta", worst(*np.max(np.abs(td - dv), axis=1)
+                                         / np.maximum(np.max(np.abs(dv), axis=1), TINY))
 
-        xs = [kern.window_lo, kern.window_hi] if kern.width > 1 else [kern.window_lo]
-        yield "translation-eigenfunctions", worst(*(
-            translation.eigen_check(kern, n, x) for n in range(-2, 5) for x in xs))
+        yield "translation-eigenfunctions", worst(*(translation.eigen_check(
+            kern, range(-2, 5), x) for x in sorted({kern.window_lo, kern.window_hi})))
 
         yield from _markov("translation", translation.markov_check(kern, self.mprobes))
 
@@ -400,43 +388,32 @@ class _CellRunner:
         yield from self._check_multiplier()
 
         yield "hypergroup-expansion", translation.hypergroup_expansion_defect(kern)
-        d14 = translation.hypergroup_expansion_defect(
-            kern, translation.hypergroup_window(kern, 14))
-        d20 = translation.hypergroup_expansion_defect(
-            kern, translation.hypergroup_window(kern, 20))
+        d14, d20 = (translation.hypergroup_expansion_defect(
+            kern, translation.hypergroup_window(kern, width)) for width in (14, 20))
         yield "hypergroup-window-growth", worst(d20 - d14)
 
     def _projection_defect(self) -> float:
-        kern, grid, table = self.kern, self.grid, self.table
-        w = grid.weights()
-        res = 0.0
-        pairs = [(kern.window_lo, kern.window_hi), (0, 0),
-                 (kern.window_hi, kern.window_hi)]
-        for y, z in pairs:
-            # D(., y, z) over x
-            dyz = translation.translate(lattice.delta_fn(grid, z), y, kern).values
-            for t in (-1, 0, 2):
-                lhs = float((w * table.row(t + grid.n_lo, t + grid.n_hi)) @ dyz)
-                rhs = table.value(t + z) * table.value(t + y)
-                res = worst(res, abs(lhs - rhs) / max(abs(rhs), 1e-6))
-        return res
+        kern, grid, table, (lo, hi) = self.kern, self.grid, self.table, self.kern.window
+        ys, zs, ts = (lo, 0, hi), (hi, 0, hi), (-1, 0, 2)
+        # Row (y, z) is D(., y, z) over x; column t of lhs its integral against j_v(xt).
+        dyz = translation.translate_rows(
+            lattice.stack(grid, [lattice.delta_fn(grid, z) for z in zs]), ys, kern)
+        lhs = dyz @ (grid.weights() * transform.hankel_rows(self.op, ts)).T
+        rhs = np.array([[table.value(t + z) * table.value(t + y) for t in ts]
+                        for y, z in zip(ys, zs)])
+        return worst(*(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-6)).ravel())
 
     def _check_convolution(self) -> Rows:
-        kern, grid = self.kern, self.grid
-        pairs = list(zip(self.kprobes[0:40:2], self.kprobes[1:40:2]))
-        w = grid.weights()
-        wsel = [grid.index(int(e)) for e in kern.window_exponents]
-        ww = w[wsel]
-        comm = 0.0
-        for f, g in pairs:
-            fg = translation.convolve(f, g, kern)
-            # g * f through the cube: c sum_{y,z} D(x,y,z) (w g)_y (w f)_z,
-            # both probes window-supported.
-            gf = kern.c * np.einsum("xyz,y,z->x", kern.cube,
-                                    (w * g.values)[wsel], (w * f.values)[wsel])
-            gap = math.sqrt(float(ww @ (fg.values[wsel] - gf) ** 2))
-            comm = worst(comm, gap / max(math.sqrt(float(ww @ gf ** 2)), TINY))
-        yield "convolution-commutativity", comm
+        kern, grid, win = self.kern, self.grid, self.kern.window_slice
+        ww = grid.weights()[win]
+        # Pairs (f, g) of window-supported probes, one per row of f and of g.
+        f, g = (lattice.stack(grid, self.kprobes[i:40:2]) for i in (0, 1))
+        fg = translation.convolve_rows(f, g, kern)[:, win]
+        # g * f through the cube: c sum_{y,z} D(x,y,z) (w g)_y (w f)_z, slice x at a time.
+        wg, wf = g[:, win] * ww, f[:, win] * ww
+        gf = kern.c * np.array([np.sum((wg @ slab) * wf, axis=1) for slab in kern.cube]).T
+        gap = np.sqrt(((fg - gf) ** 2) @ ww)
+        yield "convolution-commutativity", worst(*gap / np.maximum(np.sqrt(gf ** 2 @ ww), TINY))
 
     def _check_multiplier(self) -> Rows:
         kern, grid = self.kern, self.grid
@@ -444,13 +421,11 @@ class _CellRunner:
         # The delta-bump probability density rho = delta_q(., 1) / c.
         rho = GridFn(grid, lattice.delta_fn(grid, 0).values / self.c)
 
-        res = 0.0
-        for n in (-2, 0, 1, 3):
-            fn = translation.basis_function(kern, n)
-            conv = translation.convolve(fn, rho, kern)
-            cn = self.table.value(n)
-            res = worst(res, norm2(GridFn(grid, conv.values - cn * fn.values)))
-        yield "multiplier-diagonal-action", res
+        ns = (-2, 0, 1, 3)
+        fn = translation.basis_rows(kern, ns)
+        cn = np.array([self.table.value(n) for n in ns])
+        yield "multiplier-diagonal-action", worst(*lattice.norms(
+            translation.convolve_rows(fn, rho.values, kern) - cn[:, None] * fn, grid))
 
         yield from _markov("bump", translation.markov_check_convolution(
             rho, kern, self.mprobes))
@@ -466,26 +441,21 @@ class _CellRunner:
     # ---------------- heat identities ----------------
 
     def check_heat(self) -> Rows:
-        kern, q = self.kern, self.p.q
-
-        worst_f = worst_h = worst_m = worst_s = worst_r = 0.0
-        for t in (q**4, q**2, 1.0, q**-2):
-            g = self.gauss(t)
-            worst_m = worst(worst_m, heat.gauss_mass_defect(g, self.c))
-            worst_f = worst(worst_f, heat.gauss_crosscheck(g, self.op, self.window))
-            worst_h = worst(worst_h, heat.gauss_crosscheck_hp(g, self.op, self.window))
-            for f in self.kprobes[:3]:
-                worst_s = worst(worst_s, heat.heat_spectral_defect(f, g, kern, self.window))
-                worst_r = worst(worst_r, heat.heat_residual(f, t, kern, self.window, self.gauss))
-        yield "gauss-transform-consistency", worst_f
-        yield "gauss-transform-consistency-hp", worst_h
-        yield "gauss-mass", worst_m
+        kern, q, op, win, fs = self.kern, self.p.q, self.op, self.window, self.kprobes[:3]
+        gs = [self.gauss(t) for t in (q**4, q**2, 1.0, q**-2)]     # each row: worst over t
+        yield "gauss-transform-consistency", worst(*(
+            heat.gauss_crosscheck(g, op, win) for g in gs))
+        yield "gauss-transform-consistency-hp", worst(*(
+            heat.gauss_crosscheck_hp(g, op, win) for g in gs))
+        yield "gauss-mass", worst(*(heat.gauss_mass_defect(g, self.c) for g in gs))
         # Both ends, the middle and the quarter points of the grid.
         exps = sorted({int(round(n)) for n in
                        np.linspace(self.grid.n_lo, self.grid.n_hi, 5)})
         yield "gauss-lattice-recurrence", heat.gauss_recurrence_defect(self.gauss(1.0), exps)
-        yield "heat-spectral-diagonalization", worst_s
-        yield "heat-equation-residual", worst_r
+        yield "heat-spectral-diagonalization", worst(*(
+            heat.heat_spectral_defect(fs, g, kern, win) for g in gs))
+        yield "heat-equation-residual", worst(*(
+            heat.heat_residual(fs, g.t, kern, win, self.gauss) for g in gs))
 
         yield from _markov("heat", heat.heat_markov_check(self.gauss(1.0), kern, self.mprobes))
 

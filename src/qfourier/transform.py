@@ -16,6 +16,7 @@ bound is below tolerance.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,14 +26,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .bessel import BesselTable, decay_bound_log10
 from .errors import GridMismatch, GridTooSmall
-from .lattice import GridFn, LatticeGrid, inner, norm2
-from .numerics import TINY
+from .lattice import GridFn, LatticeGrid, norms, stack
+from .numerics import TINY, worst
 from .qseries import DEFAULT_CTX, PrecisionCtx, QParams
 
 __all__ = [
     "TransformOp",
     "build_transform",
     "forward",
+    "hankel_rows",
     "basis_fn",
     "psi_norm_sq",
     "inversion_residual",
@@ -40,7 +42,7 @@ __all__ = [
     "OrthoCheck",
     "orthogonality_matrix",
     "q_bessel_operator",
-    "extend_to_grid",
+    "q_bessel_rows",
     "delta_multiplier_defect",
     "trusted_window",
     "basis_completeness_defect",
@@ -103,9 +105,18 @@ def forward(f: GridFn, op: TransformOp) -> GridFn:
     return GridFn(op.grid, op.matrix @ f.values)
 
 
+def hankel_rows(op: TransformOp, x_exps) -> np.ndarray:
+    """Rows x of the Hankel block j_v(q^{x+n}), n over the grid, for x in ``x_exps``
+    (an int gives one row): windows of one bounds-checked table row."""
+    xs = np.atleast_1d(x_exps)
+    lo = int(xs.min())
+    row = op.table.row(lo + op.grid.n_lo, int(xs.max()) + op.grid.n_hi)
+    return sliding_window_view(row, op.grid.size)[xs - lo]
+
+
 def basis_fn(op: TransformOp, x_exp: int) -> GridFn:
     """Basis function psi_x(t) = c_{q,v} j_v(x t, q^2) at x = q^{x_exp}."""
-    return GridFn(op.grid, op.c * op.table.row(x_exp + op.grid.n_lo, x_exp + op.grid.n_hi))
+    return GridFn(op.grid, op.c * hankel_rows(op, x_exp)[0])
 
 
 def psi_norm_sq(grid: LatticeGrid, x_exp: int) -> float:
@@ -114,16 +125,17 @@ def psi_norm_sq(grid: LatticeGrid, x_exp: int) -> float:
     return q ** (-2.0 * x_exp * (v + 1.0)) / (1.0 - q)
 
 
-def inversion_residual(f: GridFn, op: TransformOp) -> float:
-    """||F(Ff) - f||_2 / ||f||_2 (0 on the infinite lattice)."""
-    ff = forward(forward(f, op), op)
-    return norm2(GridFn(f.grid, ff.values - f.values)) / max(norm2(f), TINY)
+def inversion_residual(f: GridFn | Sequence[GridFn], op: TransformOp) -> float:
+    """Worst ||F(Ff) - f||_2 / ||f||_2 over f, one probe or a sequence (0 on the lattice)."""
+    fs, m = stack(op.grid, f), op.matrix
+    return worst(*norms(fs @ m.T @ m.T - fs, op.grid) / np.maximum(norms(fs, op.grid), TINY))
 
 
-def plancherel_defect(f: GridFn, op: TransformOp) -> float:
-    """| ||Ff||_2 - ||f||_2 | / ||f||_2."""
-    nf = norm2(f)
-    return abs(norm2(forward(f, op)) - nf) / max(nf, TINY)
+def plancherel_defect(f: GridFn | Sequence[GridFn], op: TransformOp) -> float:
+    """Worst | ||Ff||_2 - ||f||_2 | / ||f||_2 over f, one probe or a sequence."""
+    fs = stack(op.grid, f)
+    nf = norms(fs, op.grid)
+    return worst(*np.abs(norms(fs @ op.matrix.T, op.grid) - nf) / np.maximum(nf, TINY))
 
 
 @dataclass(frozen=True)
@@ -141,7 +153,7 @@ def orthogonality_matrix(op: TransformOp, window: tuple[int, int]) -> OrthoCheck
     q, v = grid.params.q, grid.params.v
     lo, hi = window
     wexps = np.arange(lo, hi + 1)
-    psi = np.array([basis_fn(op, int(x)).values for x in wexps])
+    psi = op.c * hankel_rows(op, wexps)
     gram = (psi * grid.weights()[None, :]) @ psi.T
     scale = np.power(q, wexps.astype(float) * (v + 1.0))
     normalized = np.abs(gram) * (1.0 - q) * scale[:, None] * scale[None, :]
@@ -151,14 +163,18 @@ def orthogonality_matrix(op: TransformOp, window: tuple[int, int]) -> OrthoCheck
 
 
 def q_bessel_operator(f: GridFn) -> GridFn:
+    """Delta f of :func:`q_bessel_rows` on the grid trimmed by one exponent at each end."""
+    return GridFn(*q_bessel_rows(f.values, f.grid))
+
+
+def q_bessel_rows(values: np.ndarray, grid: LatticeGrid) -> tuple[LatticeGrid, np.ndarray]:
     """Second-order q-difference operator
 
-        Delta f(x) = [f(x/q) - (1+q^{2v}) f(x) + q^{2v} f(qx)] / x^2,
+        Delta f(x) = [f(x/q) - (1+q^{2v}) f(x) + q^{2v} f(qx)] / x^2
 
-    evaluated on interior exponents only (the ends lack a neighbour); the
-    result lives on the grid trimmed by one exponent at each end.
+    of one value vector, or of each row of a stack, on interior exponents only
+    (the ends lack a neighbour): the trimmed grid and the values on it.
     """
-    grid = f.grid
     q, v = grid.params.q, grid.params.v
     q2v = q ** (2.0 * v)
     if grid.n_lo + 1 >= 0 or grid.n_hi - 1 <= 0 or grid.size - 2 < 8:
@@ -167,46 +183,28 @@ def q_bessel_operator(f: GridFn) -> GridFn:
             f"x = 1 with 8+ points; grid [{grid.n_lo}, {grid.n_hi}] is too tight"
         )
     inner_grid = LatticeGrid(grid.params, grid.n_lo + 1, grid.n_hi - 1)
-    fv = f.values
-    combo = fv[:-2] - (1.0 + q2v) * fv[1:-1] + q2v * fv[2:]
+    combo = values[..., :-2] - (1.0 + q2v) * values[..., 1:-1] + q2v * values[..., 2:]
     n = inner_grid.exponents.astype(float)
-    return GridFn(inner_grid, combo * np.power(q, -2.0 * n))
+    return inner_grid, combo * np.power(q, -2.0 * n)
 
 
-def extend_to_grid(f: GridFn, grid: LatticeGrid) -> GridFn:
-    """Zero-pad a function on a subrange of ``grid`` out to the full grid."""
-    if f.grid.params != grid.params:
-        raise GridMismatch("subgrid has different lattice parameters")
-    if f.grid.n_lo < grid.n_lo or f.grid.n_hi > grid.n_hi:
-        raise GridMismatch("function range is not contained in the target grid")
-    vals = np.zeros(grid.size)
-    a = f.grid.n_lo - grid.n_lo
-    vals[a:a + f.grid.size] = f.values
-    return GridFn(grid, vals)
-
-
-def delta_multiplier_defect(f: GridFn, op: TransformOp) -> float:
-    """Residual of F[Delta f](x) = -x^2 Ff(x) for compactly supported f.
+def delta_multiplier_defect(f: GridFn | Sequence[GridFn], op: TransformOp) -> float:
+    """Worst residual of F[Delta f](x) = -x^2 Ff(x) over compactly supported f, one or several.
 
     Requires f to vanish within two exponents of both grid ends, so the
     extended Delta f coincides with the infinite-lattice one and the identity
     holds exactly (only rounding remains).
     """
-    grid = f.grid
-    supp = f.support_exponents()
-    if supp.size == 0:
-        return 0.0
-    if supp.min() < grid.n_lo + 2 or supp.max() > grid.n_hi - 2:
-        raise GridMismatch(
-            "delta-multiplier check needs support margin >= 2 from both ends"
-        )
-    df = extend_to_grid(q_bessel_operator(f), grid)
-    lhs = forward(df, op)
-    ff = forward(f, op)
+    grid, m = op.grid, op.matrix
+    fs = stack(grid, f)
+    supp = grid.exponents[np.any(fs != 0.0, axis=0)]
+    if supp.size and (supp.min() < grid.n_lo + 2 or supp.max() > grid.n_hi - 2):
+        raise GridMismatch("delta-multiplier check needs support margin >= 2 from both ends")
+    df = np.zeros_like(fs)
+    df[:, 1:-1] = q_bessel_rows(fs, grid)[1]       # Delta f, zero-extended
     x2 = np.power(grid.params.q, 2.0 * grid.exponents.astype(float))
-    rhs = GridFn(grid, -x2 * ff.values)
-    diff = GridFn(grid, lhs.values - rhs.values)
-    return norm2(diff) / max(norm2(rhs), TINY)
+    rhs = -x2 * (fs @ m.T)
+    return worst(*norms(df @ m.T - rhs, grid) / np.maximum(norms(rhs, grid), TINY))
 
 
 def _logsum10(log_terms: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -296,17 +294,16 @@ def trusted_window(grid: LatticeGrid, table: BesselTable,
     return int(grid.exponents[idxs[0]]), int(grid.exponents[idxs[-1]])
 
 
-def basis_completeness_defect(f: GridFn, op: TransformOp) -> float:
+def basis_completeness_defect(f: GridFn | Sequence[GridFn], op: TransformOp) -> float:
     """Expand f over {psi_x / ||psi_x||} (closed-form norms) and resum.
 
-    Returns ||reconstruction - f||_2 / ||f||_2.  The expansion runs over the
-    whole grid: coefficients of deep-lattice basis functions are tiny but not
-    negligible, and dropping them would lose the q^{2x(v+1)}-weighted tail.
+    Returns the worst ||reconstruction - f||_2 / ||f||_2 over f, one probe or a
+    sequence.  The expansion runs over the whole grid: coefficients of
+    deep-lattice basis functions are tiny but not negligible, and dropping them
+    would lose the q^{2x(v+1)}-weighted tail.
     """
     grid = op.grid
-    recon = np.zeros(grid.size)
-    for x_exp in grid.exponents:
-        psi = basis_fn(op, int(x_exp))
-        coeff = inner(f, psi) / psi_norm_sq(grid, int(x_exp))
-        recon += coeff * psi.values
-    return norm2(GridFn(grid, recon - f.values)) / max(norm2(f), TINY)
+    fs = stack(grid, f)
+    psi = op.c * hankel_rows(op, grid.exponents)
+    coeffs = (fs * grid.weights()) @ psi.T / psi_norm_sq(grid, grid.exponents)
+    return worst(*norms(coeffs @ psi - fs, grid) / np.maximum(norms(fs, grid), TINY))

@@ -67,7 +67,7 @@ import numpy as np
 
 from .bessel import BesselTable, decay_bound_log10, jv_table
 from .errors import GridMismatch, GridTooSmall, NotProbability, OffWindow
-from .lattice import GridFn, LatticeGrid, inner, jackson_integral, norm2, sup_norm
+from .lattice import GridFn, LatticeGrid, jackson_integral, norms, stack
 from .numerics import TINY, to_fixed, worst
 from .qseries import DEFAULT_CTX, PrecisionCtx, QParams
 from .transform import (
@@ -75,8 +75,8 @@ from .transform import (
     TransformOp,
     _logsum10,
     _tail_weight_log10,
-    basis_fn,
     build_transform,
+    hankel_rows,
     psi_norm_sq,
 )
 
@@ -86,6 +86,8 @@ __all__ = [
     "kernel",
     "translate",
     "convolve",
+    "translate_rows",
+    "convolve_rows",
     "kernel_min",
     "positivity_min",
     "PositivityResult",
@@ -93,6 +95,7 @@ __all__ = [
     "markov_check_convolution",
     "eigen_check",
     "basis_function",
+    "basis_rows",
     "multiplier_coeffs",
     "hypergroup_expansion_defect",
     "hypergroup_window",
@@ -141,6 +144,11 @@ class Kernel3:
     @property
     def width(self) -> int:
         return self.window_hi - self.window_lo + 1
+
+    @property
+    def window_slice(self) -> slice:
+        """Positions of the window exponents in a grid vector."""
+        return slice(self.window_lo - self.grid.n_lo, self.window_hi - self.grid.n_lo + 1)
 
     def windex(self, e: int) -> int:
         if not (self.window_lo <= e <= self.window_hi):
@@ -287,6 +295,25 @@ def convolve(f: GridFn, g: GridFn, k: Kernel3) -> GridFn:
     return GridFn(k.grid, m @ ((m @ f.values) * (m @ g.values)))
 
 
+def translate_rows(f: np.ndarray, x_exps, k: Kernel3) -> np.ndarray:
+    """T_{q,x} f = M (j_v(x .) Mf) on each row of a value stack; ``x_exps`` is one window
+    exponent, or one per row."""
+    for x in np.atleast_1d(x_exps):
+        k.windex(int(x))
+    m = k.op.matrix
+    return ((f @ m.T) * hankel_rows(k.op, x_exps)) @ m.T
+
+
+def convolve_rows(f: np.ndarray, g: np.ndarray, k: Kernel3) -> np.ndarray:
+    """f *_q g = M (Mf Mg) on each row pair of value stacks (one vector g serves every
+    row); as in :func:`convolve`, one factor of each pair must be window-supported."""
+    off = [np.any(np.delete(v, k.window_slice, axis=-1) != 0.0, axis=-1) for v in (f, g)]
+    if np.any(off[0] & off[1]):
+        raise OffWindow("neither convolution factor is supported inside the kernel window")
+    m = k.op.matrix
+    return ((f @ m.T) * (g @ m.T)) @ m.T
+
+
 def kernel_min(k: Kernel3) -> tuple[float, tuple[int, int, int]]:
     """Minimum of the trusted window cube and its argument exponents."""
     idx = np.unravel_index(int(np.argmin(k.cube)), k.cube.shape)
@@ -341,27 +368,21 @@ class MarkovReport:
         return worst(*astuple(self))
 
 
-def _markov_defects(apply_op, k: Kernel3, probes: list[GridFn],
+def _markov_defects(apply_rows, k: Kernel3, f: np.ndarray,
                     unit_values: np.ndarray) -> MarkovReport:
-    unit_defect = float(np.max(np.abs(unit_values - 1.0)))
-    symmetry = contraction = jensen = supd = 0.0
-    images = [apply_op(f) for f in probes]
-    for f, tf in zip(probes, images):
-        nf = norm2(f)
-        contraction = worst(contraction, norm2(tf) / max(nf, TINY) - 1.0)
-        supd = worst(supd, sup_norm(tf) / max(sup_norm(f), TINY) - 1.0)
-        if np.all(f.values >= 0.0):
-            tf2 = apply_op(GridFn(k.grid, f.values**2))
-            jensen = worst(jensen, float(np.max(tf.values**2 - tf2.values)))
-    for (f, tf), (g, tg) in zip(zip(probes, images), zip(probes[1:], images[1:])):
-        defect = abs(inner(tf, g) - inner(f, tg))
-        symmetry = worst(symmetry, defect / max(norm2(f) * norm2(g), TINY))
+    """Axiom defects of f -> apply_rows(f) on the probe rows of f, all rows at once."""
+    grid, w = k.grid, k.grid.weights()
+    tf, nf = apply_rows(f), norms(f, grid)
+    nn = np.all(f >= 0.0, axis=1)                   # Jensen needs f >= 0
+    # Symmetry: <Tf, g> - <f, Tg> over consecutive probe pairs (f, g).
+    symmetry = np.abs((tf[:-1] * f[1:]) @ w - (f[:-1] * tf[1:]) @ w)
     return MarkovReport(
-        unit_defect=unit_defect,
-        symmetry_defect=float(symmetry),
-        contraction_defect=float(contraction),
-        jensen_defect=float(jensen),
-        sup_defect=float(supd),
+        unit_defect=float(np.max(np.abs(unit_values - 1.0))),
+        symmetry_defect=float(worst(*symmetry / np.maximum(nf[:-1] * nf[1:], TINY))),
+        contraction_defect=float(worst(*norms(tf, grid) / np.maximum(nf, TINY) - 1.0)),
+        jensen_defect=float(worst(*np.max(tf[nn] ** 2 - apply_rows(f[nn] ** 2), axis=1))),
+        sup_defect=float(worst(*np.max(np.abs(tf), axis=1)
+                               / np.maximum(np.max(np.abs(f), axis=1), TINY) - 1.0)),
     )
 
 
@@ -380,14 +401,12 @@ def markov_check(k: Kernel3, probes: list[GridFn]) -> MarkovReport:
     for f in probes:
         if not k.in_window(f):
             raise OffWindow("markov probes must be supported inside the kernel window")
-    wsel = [k.grid.index(int(e)) for e in k.window_exponents]
+    fs = stack(k.grid, probes)
     one_hat = k.op.matrix @ np.ones(k.grid.size)
-    units = np.concatenate([_translate_hat(k.op, int(x), one_hat)[wsel]
+    units = np.concatenate([_translate_hat(k.op, int(x), one_hat)[k.window_slice]
                             for x in k.window_exponents])
-    reports = [
-        _markov_defects(lambda f, _x=x: translate(f, int(_x), k), k, probes, units)
-        for x in x_exps
-    ]
+    reports = [_markov_defects(lambda v, _x=x: translate_rows(v, _x, k), k, fs, units)
+               for x in x_exps]
     # Each axis's worst over x; the unit defect is the same in every report.
     return MarkovReport(*(worst(*axis) for axis in zip(*map(astuple, reports))))
 
@@ -408,28 +427,30 @@ def markov_check_convolution(rho: GridFn, k: Kernel3,
     # int D(x, y, .) rho(y) dy, and (1 * rho)(x) = c int row.
     rows = np.array([translate(rho, int(x), k).values for x in k.window_exponents])
     units = k.c * (rows @ k.grid.weights())
+    return _markov_defects(lambda v: convolve_rows(v, rho.values, k), k,
+                           stack(k.grid, probes), units)
 
-    def apply_op(f: GridFn) -> GridFn:
-        return convolve(f, rho, k)
 
-    return _markov_defects(apply_op, k, probes, units)
+def basis_rows(k: Kernel3, ns) -> np.ndarray:
+    """Unit eigenfunctions f_n = psi_{q^n}/||psi_{q^n}||, closed-form norms, one row an n."""
+    return k.c * hankel_rows(k.op, ns) / np.sqrt(psi_norm_sq(k.grid, np.atleast_1d(ns)))[:, None]
 
 
 def basis_function(k: Kernel3, n: int) -> GridFn:
     """Unit eigenfunction f_n = psi_{q^n}/||psi_{q^n}|| (closed-form norm)."""
-    return GridFn(k.grid, basis_fn(k.op, n).values / math.sqrt(psi_norm_sq(k.grid, n)))
+    return GridFn(k.grid, basis_rows(k, n)[0])
 
 
-def eigen_check(k: Kernel3, n: int, x_exp: int) -> float:
-    """|| T_{q,x} f_n - (f_n(x)/f_n(0)) f_n ||_2 for the unit eigenfunction f_n.
+def eigen_check(k: Kernel3, n, x_exp: int) -> float:
+    """Worst || T_{q,x} f_n - (f_n(x)/f_n(0)) f_n ||_2 over the unit eigenfunctions
+    f_n, n one exponent or several.
 
     The eigenvalue is j_v(q^{n} x, q^2): the lattice never contains 0, and
     f_n(0) is defined through j_v(0) = 1.
     """
-    fn = basis_function(k, n)
-    lam = k.table.value(n + x_exp)
-    tfn = translate(fn, x_exp, k)
-    return norm2(GridFn(k.grid, tfn.values - lam * fn.values))
+    fn = basis_rows(k, n)
+    lam = np.array([k.table.value(int(m) + x_exp) for m in np.atleast_1d(n)])
+    return worst(*norms(translate_rows(fn, x_exp, k) - lam[:, None] * fn, k.grid))
 
 
 def multiplier_coeffs(rho: GridFn, k: Kernel3) -> tuple[np.ndarray, np.ndarray]:
@@ -463,13 +484,11 @@ def hypergroup_window(k: Kernel3, width: int) -> tuple[int, int]:
            + 3.0 * decay_bound_log10(ns + k.window_hi, p, k.table.decay_const))
     n = len(env)
     width = min(width, n)
-    best_lo, best_cost = 0, math.inf
-    for lo in range(0, n - width + 1):
-        outside = np.concatenate([env[:lo], env[lo + width:]])
-        cost = float(np.max(outside)) if outside.size else -math.inf
-        if cost < best_cost:
-            best_lo, best_cost = lo, cost
-    lo_exp = int(k.grid.exponents[best_lo])
+    # Band [lo, lo + width) costs max(prefix max, suffix max); argmin keeps the first best.
+    before = np.concatenate(([-math.inf], np.maximum.accumulate(env)))
+    after = np.concatenate((np.maximum.accumulate(env[::-1])[::-1], [-math.inf]))
+    los = np.arange(n - width + 1)
+    lo_exp = int(k.grid.exponents[int(np.argmin(np.maximum(before[los], after[los + width])))])
     return lo_exp, lo_exp + width - 1
 
 
@@ -485,12 +504,10 @@ def hypergroup_expansion_defect(k: Kernel3,
     """
     if n_window is None:
         n_window = (k.grid.n_lo, k.grid.n_hi)
-    wexps = k.window_exponents
-    sel = [k.grid.index(int(e)) for e in wexps]
-    rhs = np.zeros((k.width, k.width, k.width))
-    for n in range(n_window[0], n_window[1] + 1):
-        fn = basis_function(k, int(n)).values[sel]
-        fn0 = k.c / math.sqrt(psi_norm_sq(k.grid, int(n)))
-        rhs += np.einsum("a,b,c->abc", fn, fn, fn) / fn0
+    ns = np.arange(n_window[0], n_window[1] + 1)
+    fn = basis_rows(k, ns)[:, k.window_slice]       # f_n(y) at window y, one row per n
+    ratio = hankel_rows(k.op, ns)[:, k.window_slice]    # f_n(x)/f_n(0) = j_v(q^{n+x})
+    # Slice x of the sum is one product: (ratio[:, x] f_n)^T f_n over n.
+    rhs = np.array([(ratio[:, [a]] * fn).T @ fn for a in range(k.width)])
     scale = float(np.max(np.abs(k.cube)))
     return float(np.max(np.abs(k.cube - rhs))) / max(scale, TINY)

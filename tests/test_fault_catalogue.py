@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from qfourier import qseries, report, translation
-from qfourier.lattice import GridFn
 from qfourier.report import SuiteConfig, run_cell
 
 CELLS = [(0.5, 0.5, -10, 40), (0.8, 0.5, -20, 120)]     # two of the default cells
@@ -50,16 +49,18 @@ def scaled_product(qpoch_inf_mp):
     return lambda *args: qpoch_inf_mp(*args) * (1 + mp.mpf("1e-11"))
 
 
-def scaled_convolution(convolve):
-    """f * g times 1 + 1e-6."""
-    return lambda f, g, k: GridFn(k.grid, convolve(f, g, k).values * (1 + 1e-6))
+def scaled_convolution(convolve_rows):
+    """f * g times 1 + 1e-6, on every row of a stack."""
+    return lambda f, g, k: convolve_rows(f, g, k) * (1 + 1e-6)
 
 
 # (module, name, fault, runner method the fault is live in or None for the
 # whole cell, kept rows that must fail).  The q-product faults are live only
 # in the scalar q-series checks, where the deleted row ran: planted for the
 # whole cell, a late product makes the Gauss densities lose their unit mass
-# and the cell raises NotProbability before any row is gated.
+# and the cell raises NotProbability before any row is gated.  The
+# convolution fault sits in ``translation.convolve_rows``, the product formula
+# that the report's convolution rows and the Markov convolution checks share.
 FAULTS = {
     "kernel-symmetry": (
         translation, "_window_cube", asymmetric_cube, None,
@@ -74,7 +75,7 @@ FAULTS = {
         qseries, "qpoch_inf_mp", scaled_product, "check_qseries",
         {"qpoch-splitting", "qpoch-euler-series", "qexp-series-agreement"}),
     "convolution-product-formula": (
-        translation, "convolve", scaled_convolution, None,
+        translation, "convolve_rows", scaled_convolution, None,
         {"convolution-commutativity", "multiplier-diagonal-action",
          "markov-bump-jensen", "markov-bump-sup"}),
 }

@@ -3,6 +3,7 @@
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from qfourier import bessel, lattice, report, translation
@@ -43,24 +44,40 @@ def _row(runner, check, name):
     raise AssertionError(f"{check} yields no row {name}")
 
 
-# (check, row, module, function, a stand-in whose NaN reaches the row).
+def _patch(module, fn, stand_in):
+    """Plant: ``module.fn`` replaced by a stand-in whose NaN reaches the row."""
+    return lambda monkeypatch, runner: monkeypatch.setattr(module, fn, stand_in)
+
+
+def _nan_probe(probes):
+    """Plant: a NaN at the first nonzero value of the runner's first ``probes`` probe,
+    an input that the row's probes, stacked as one matrix, carry into its residual."""
+    def plant(monkeypatch, runner):
+        f = getattr(runner, probes)[0].copy()
+        f.values[np.flatnonzero(f.values)[0]] = math.nan
+        monkeypatch.setattr(runner, probes, [f] + getattr(runner, probes)[1:])
+    return plant
+
+
+# (check, row, how its NaN is planted).
 _NAN_ROWS = [
-    ("check_lattice", "cauchy-schwarz", lattice, "inner", lambda f, g: math.nan),
-    ("check_bessel", "bessel-decay-bound", bessel, "decay_bound_check",
-     lambda table: SimpleNamespace(max_ratio=math.nan)),
-    ("check_transform", "transform-sup-bound", lattice, "norm_p", lambda f, p: math.nan),
-    ("check_translation", "kernel-positivity", translation, "kernel_min",
-     lambda k: (math.nan, (0, 0, 0))),
-    ("check_translation", "hypergroup-window-growth", translation,
-     "hypergroup_expansion_defect", lambda k, n_window=None: math.nan),
+    ("check_lattice", "cauchy-schwarz", _patch(lattice, "inner", lambda f, g: math.nan)),
+    ("check_bessel", "bessel-decay-bound", _patch(
+        bessel, "decay_bound_check", lambda table: SimpleNamespace(max_ratio=math.nan))),
+    ("check_transform", "transform-inversion", _nan_probe("tprobes")),
+    ("check_transform", "transform-sup-bound", _nan_probe("tprobes")),
+    ("check_translation", "kernel-positivity", _patch(
+        translation, "kernel_min", lambda k: (math.nan, (0, 0, 0)))),
+    ("check_translation", "markov-translation-contraction", _nan_probe("mprobes")),
+    ("check_translation", "hypergroup-window-growth", _patch(
+        translation, "hypergroup_expansion_defect", lambda k, n_window=None: math.nan)),
 ]
 
 
-@pytest.mark.parametrize("check, name, module, fn, nan_fn", _NAN_ROWS,
-                         ids=[r[1] for r in _NAN_ROWS])
-def test_gated_row_fails_on_nan(runner, monkeypatch, check, name, module, fn, nan_fn):
+@pytest.mark.parametrize("check, name, plant", _NAN_ROWS, ids=[r[1] for r in _NAN_ROWS])
+def test_gated_row_fails_on_nan(runner, monkeypatch, check, name, plant):
     assert _row(runner, check, name).passed
-    monkeypatch.setattr(module, fn, nan_fn)
+    plant(monkeypatch, runner)
     result = _row(runner, check, name)
     assert math.isnan(result.residual)
     assert result.gated and not result.passed
