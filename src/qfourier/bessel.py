@@ -102,12 +102,15 @@ def _digits_lost(m: float, p: QParams) -> float:
     return (2.0 * m * m + max(2.0 * p.v + 1.0, 0.0) * m) * math.log10(1.0 / p.q)
 
 
-def _series(x2, m: float, p: QParams, digits: int, where: str) -> mp.mpf:
+def _series(x2, m: float, p: QParams, digits: int, where: str, shifts: int = 0):
     """The series of j_v at x^2 = ``x2()``, |x| = q^-m: (x, r, d, a) =
-    (-x^2 q^2, q^2, q^2, q^{2v}), from 32 guard bits plus :func:`_digits_lost`'s."""
+    (-x^2 q^2, q^2, q^2, q^{2v}), from 32 guard bits plus :func:`_digits_lost`'s.
+    With ``shifts`` = k > 0, the list of the series at x^2, x^2 q^2, .., x^2 q^{2k},
+    from one chain of terms (:func:`ratio_sum_mp`'s scales q^{2i})."""
     def inputs():
         q2 = q2_exact(p.q)
-        return -x2() * q2, q2, q2, mp.mpf(p.q) ** (2 * mp.mpf(p.v))
+        return (-x2() * q2, q2, q2, mp.mpf(p.q) ** (2 * mp.mpf(p.v)),
+                *(q2 ** i for i in range(1, shifts + 1)))
 
     return ratio_sum_mp(inputs, digits, where, 32 + math.ceil(_digits_lost(m, p) * math.log2(10)))
 
@@ -268,13 +271,17 @@ def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
 
 def _anchor_ulps(table: BesselTable) -> float:
     """Worst binary64 gap between the table and the series at the anchors:
-    n_min..n_min+3, the quarter points and n_max - 1 (n_max is the scale),
-    each series measured as in :func:`jv`."""
+    n_min..n_min+3 (one chain of terms, from n_min), the quarter points and
+    n_max - 1 (n_max is the scale), each series measured as in :func:`jv`."""
     lo, hi, p = table.n_min, table.n_max, table.params
-    anchors = {*range(lo, lo + 4), *(lo + k * (hi - lo) // 4 for k in (1, 2, 3)), hi - 1}
-    return worst(*(ulps(table.value(e), float(_series(
-        lambda: q2_exact(p.q) ** e, -e, p, _JV_DIGITS, f"j_v at q^{e}")))
-        for e in sorted(anchors) if lo <= e < hi))
+
+    def series(e, shifts=0):
+        return _series(lambda: q2_exact(p.q) ** e, -e, p, _JV_DIGITS, f"j_v at q^{e}", shifts)
+
+    rest = {lo + k * (hi - lo) // 4 for k in (1, 2, 3)} | {hi - 1}
+    sums = [*zip(range(lo, lo + 4), series(lo, 3)),
+            *((e, series(e)) for e in sorted(rest) if lo + 4 <= e < hi)]
+    return worst(*(ulps(table.value(e), float(s)) for e, s in sums))
 
 
 def decay_bound_constant(p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
@@ -336,32 +343,32 @@ def eigen_residual(grid: LatticeGrid, lambda_exps: Sequence[int], table: BesselT
     operator needs both neighbours), and on the high-precision table values:
     near x -> 0 the three-term difference cancels ~ q^{2n} of itself, which
     binary64 inputs cannot survive, while 50-digit inputs certify the residual
-    comfortably.  Every lambda reads the same second differences
-    j(k-1) - (1+q^{2v}) j(k) + q^{2v} j(k+1) at table index k = l + n, so each
-    is formed once per k, and q^{-2n} once per row.  That factor lifts the
-    table's rounding (10^-work_digits) with it, so rows with
+    comfortably.  At table entry k = l + n the residual is
+    |d(k) q^{-2n} + q^{2l} j(k)| / (1 + q^{2l} |j(k)|), d(k) the second
+    difference j(k-1) - (1+q^{2v}) j(k) + q^{2v} j(k+1), or
+    |d(k) + q^{2k} j(k)| / (q^{2k} (q^{-2l} + |j(k)|)): the smallest l that
+    reaches k is the worst there.  So each distinct k costs three table reads
+    and one residual, and q^{-2n} is formed once per row.  That factor lifts
+    the table's rounding (10^-work_digits) with it, so rows with
     2n log10(1/q) > work_digits - 12 are skipped: past them that rounding
     alone reaches within three decades of a 1e-9 gate.
     """
     p = grid.params
     n_cap = math.floor((table.ctx.work_digits - 12) / (2.0 * math.log10(1.0 / p.q)))
     rows = range(grid.n_lo + 1, min(grid.n_hi, n_cap + 1))
-    res = 0.0
+    # k -> the smallest l with k - l a row: a smaller l overwrites a larger.
+    worst_l = {le + n: le for le in sorted(lambda_exps, reverse=True) for n in rows}
     with mp.workdps(max(table.ctx.work_digits, 50)):
         q = mp.mpf(p.q)
         q2v = q ** (2 * mp.mpf(p.v))
-        j = table.mp_value
-        diffs = {k: j(k - 1) - (1 + q2v) * j(k) + q2v * j(k + 1)
-                 for k in {le + n for le in lambda_exps for n in rows}}
-        lifts = [(n, q ** (-2 * n)) for n in rows]
-        for le in lambda_exps:
-            lam2 = q ** (2 * le)
-            for n, lift in lifts:
-                lam2_f = lam2 * j(le + n)
-                resid = abs(diffs[le + n] * lift + lam2_f) / (1 + abs(lam2_f))
-                if resid > res:
-                    res = resid
-        return float(res)
+        lifts = {n: q ** (-2 * n) for n in rows}
+        res = []
+        for k, le in worst_l.items():
+            j0 = table.mp_value(k)
+            diff = table.mp_value(k - 1) - (1 + q2v) * j0 + q2v * table.mp_value(k + 1)
+            lam2_f = q ** (2 * le) * j0
+            res.append(float(abs(diff * lifts[k - le] + lam2_f) / (1 + abs(lam2_f))))
+        return worst(*res)
 
 
 def jv_exact_dyadic(m: int, v: float) -> float:

@@ -21,12 +21,10 @@ def bump_probe(grid: LatticeGrid, window: tuple[int, int],
     """Sparse nonnegative bump: 1-3 adjacent window exponents, positive heights."""
     lo, hi = window
     width = min(int(rng.integers(1, 4)), hi - lo + 1)
-    start = rng.integers(lo, hi - width + 2)
+    start = int(rng.integers(lo, hi - width + 2))
     vals = np.zeros(grid.size)
-    for k in range(width):
-        vals[grid.index(int(start + k))] = rng.uniform(0.2, 1.0)
-    nrm = np.sqrt(grid.weights() @ vals**2)
-    return GridFn(grid, vals / nrm)
+    vals[grid.index(start):grid.index(start + width - 1) + 1] = rng.uniform(0.2, 1.0, width)
+    return GridFn(grid, vals / np.sqrt(grid.weights() @ vals**2))
 
 
 def _dense_probe(grid: LatticeGrid, window: tuple[int, int],
@@ -35,9 +33,9 @@ def _dense_probe(grid: LatticeGrid, window: tuple[int, int],
     center = rng.uniform(lo + 1, hi - 1) if hi - lo > 2 else 0.5 * (lo + hi)
     spread = rng.uniform(1.0, max(1.5, (hi - lo) / 3.0))
     vals = np.zeros(grid.size)
-    for n in range(lo, hi + 1):
-        envelope = np.exp(-((n - center) / spread) ** 2)
-        vals[grid.index(n)] = envelope * rng.normal()
+    # The scalar np.exp of each point: the vector loop rounds some differently.
+    envelope = [np.exp(-((n - center) / spread) ** 2) for n in range(lo, hi + 1)]
+    vals[grid.index(lo):grid.index(hi) + 1] = envelope * rng.normal(size=hi - lo + 1)
     nrm = np.sqrt(grid.weights() @ vals**2)
     if nrm == 0.0:
         vals[grid.index(int(round(center)))] = 1.0

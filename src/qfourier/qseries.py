@@ -198,7 +198,7 @@ def gauss_amplitude_mp(t, p: QParams, ctx: PrecisionCtx = DEFAULT_CTX) -> mp.mpf
         return num / (qpoch_inf_mp(-t_, q2, ctx) * qpoch_inf_mp(-q2 / t_, q2, ctx))
 
 
-def ratio_sum_mp(inputs, digits: int, where: str, guard: int = 32) -> mp.mpf:
+def ratio_sum_mp(inputs, digits: int, where: str, guard: int = 32):
     """sum_{n>=0} t_n, t_0 = 1, t_{n+1} = t_n x r^n / ((1 - a d^{n+1})(1 - d^{n+1})),
     good to about ``digits`` decimal digits past the cancellation of its terms.
 
@@ -209,28 +209,47 @@ def ratio_sum_mp(inputs, digits: int, where: str, guard: int = 32) -> mp.mpf:
     fall with n and end below 1, so a term within one unit of 0 ends the sum.
     Terms run in integers at one scale 2^W, W the bits of ``digits`` plus
     ``guard``, one truncation a step: N terms err by about
-    2N (sum|t_n| / |sum| + 1) units.  Until ``guard`` covers that measure the
-    sum runs again with it, ``inputs()`` called under each pass's
-    ``mp.workprec(W)``, so that they carry W bits (q^{2e} for e < 0 is not
-    exact); past :data:`MAX_DIGITS`, PrecisionExhausted names ``where``.
+    2N (sum|t_n| / |sum| + 1) units.  A factor that is exactly one is not
+    divided by: for a = 0 the step is t x r^n // (1 - d^{n+1}), for
+    d^{n+1} = 0 (d = 0, or underflowed) t x r^n >> W, the same floors.  Until
+    ``guard`` covers that measure the sum runs again with it, ``inputs()``
+    called under each pass's ``mp.workprec(W)``, so that they carry W bits
+    (q^{2e} for e < 0 is not exact); past :data:`MAX_DIGITS`,
+    PrecisionExhausted names ``where``.
+
+    Scales s_1..s_k in (0, 1] after (x, r, d, a) make it the list of the sums
+    at x, x s_1, .., x s_k from one chain: term n at x s is t_n P_n >> W, with
+    P_n = s^n within 2n units, so it errs by s^n times t_n's error plus
+    2n |t_n| + 1 units, and the sum is measured with sum|t_n| and 4N for 2N.
     """
     prec = dps_to_prec(digits)
     while prec + guard <= dps_to_prec(MAX_DIGITS):
         w = prec + guard
         with mp.workprec(w):
-            g, r, d, a = (to_fixed(mp.mpf(y), w) for y in inputs())
+            g, r, d, a, *scales = (to_fixed(mp.mpf(y), w) for y in inputs())
         one = 1 << w
         t = total = mass = one
+        pows, totals = [one] * len(scales), [one] * len(scales)
         u, n = d, 0                                 # g = x r^n, u = d^{n+1}
         while t > 1 or t < -1:
-            t = (t * g << w) // ((one - (a * u >> w)) * (one - u))
+            if not u:
+                t = t * g >> w
+            elif a:
+                t = (t * g << w) // ((one - (a * u >> w)) * (one - u))
+            else:
+                t = t * g // (one - u)
             u = u * d >> w
             g = g * r >> w
             n += 1
             total += t
             mass += abs(t)
-        need = mass.bit_length() - abs(total).bit_length() + (2 * n).bit_length() + 8
-        if need <= guard:
-            return mp.make_mpf(from_man_exp(total, -w))  # exact; the caller's precision rounds it
+            for i, s in enumerate(scales):
+                pows[i] = pows[i] * s >> w
+                totals[i] += t * pows[i] >> w
+        need = max(mass.bit_length() - abs(x).bit_length() + (f * n).bit_length() + 8
+                   for x, f in [(total, 2), *((x, 4) for x in totals)])
+        if need <= guard:       # exact sums; the caller's precision rounds them
+            sums = [mp.make_mpf(from_man_exp(x, -w)) for x in (total, *totals)]
+            return sums if scales else sums[0]
         guard = need
     raise PrecisionExhausted(f"{where} needs over {MAX_DIGITS} digits")

@@ -3,6 +3,7 @@
 import math
 from types import SimpleNamespace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -59,11 +60,20 @@ def _nan_probe(probes):
     return plant
 
 
+def _nan_table_entry(monkeypatch, runner):
+    """Plant: one mp value of the cell's table, at q^0, set to NaN."""
+    table = runner.table
+    vals = list(table.mp_values)
+    vals[table.index(0)] = mp.nan
+    monkeypatch.setattr(table, "mp_values", vals)
+
+
 # (check, row, how its NaN is planted).
 _NAN_ROWS = [
     ("check_lattice", "cauchy-schwarz", _patch(lattice, "inner", lambda f, g: math.nan)),
     ("check_bessel", "bessel-decay-bound", _patch(
         bessel, "decay_bound_check", lambda table: SimpleNamespace(max_ratio=math.nan))),
+    ("check_bessel", "bessel-eigen-relation", _nan_table_entry),
     ("check_transform", "transform-inversion", _nan_probe("tprobes")),
     ("check_transform", "transform-sup-bound", _nan_probe("tprobes")),
     ("check_translation", "kernel-positivity", _patch(
