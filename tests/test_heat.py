@@ -140,10 +140,12 @@ class TestGaussKernel:
 
 
 def _check_times(q):
-    """Every t the check builds G(., t) at: q^6, q^4, q^2, 1, q^-2, the q^2 t of
-    the heat residual (q*q*q**2 is not q**4 at q = 0.8) and the composition's 2."""
-    return sorted({q**6, q**4, q**2, 1.0, q**-2, 2.0}
-                  | {q * q * t for t in (q**4, q**2, 1.0, q**-2)})
+    """Every t the check builds G(., t) at: its rows' q^4, q^2, 1 and q^-2, the
+    q * q * t of the heat residual below each and the composition's 2.  The
+    rows name q^4 as q * q * (q * q), the residual's float below q^2 (q**4 is
+    one ulp lower at q = 0.8), so six times in all."""
+    rows = (q * q * (q * q), q * q, 1.0, q**-2)
+    return sorted({*rows, 2.0} | {q * q * t for t in rows})
 
 
 # sha256 of the binary64 kernel values and of the binary64 e-profiles, each
@@ -159,8 +161,8 @@ _GAUSS_SHA256 = {
         "347b8cd9d943f97020f462aa065bbdfe3704132e5d3adf67453cf29e4b10116a",
         "b172161af5d17bc546aabff02314eec93c43c9cef859c37fb64c6dc879fef322"),
     (0.8, 0.5, -20, 120): (
-        "88f273eb19afca64397c79cd6fe49809905466aa92031f17076361f913106ddc",
-        "3c518705f8836265c425c394869417a5a32981b593b6cd67c1d4a4ebce3585ff"),
+        "1b16097e5f671748b7b83f352934af443beb7abeabf8181a3239436459a13fb0",
+        "f03d6dd8c0596cbd28db2c317c3a4e9dbe824c784f965fb2c32d736e42b542bd"),
     (0.9, 0.0, -30, 300): (
         "65d501bf7e99a60d3637756489301d895073196424dd4de884481a90e0b08e20",
         "8f66d9424a9f05f8c9859d254f11e48c99fb756aa38ce81841a8e59bebf4ff52"),
@@ -281,6 +283,9 @@ class TestLatticeRecurrence:
 
 class TestCellMemo:
     def test_one_build_per_distinct_time(self, monkeypatch):
+        # Six on every default cell, at the times of the Gauss pins:
+        # heat_residual's q * q * t below t = q^2 is the rows' own q^4, also
+        # at q = 0.8.
         calls = []
         build = heat.gauss_kernel
 
@@ -289,11 +294,11 @@ class TestCellMemo:
             return build(t, grid, ctx)
 
         monkeypatch.setattr(heat, "gauss_kernel", counting)
-        cfg = SuiteConfig(cells=((0.5, 0.5, -10, 40),), probes=10)
-        report = run_cell(0.5, 0.5, -10, 40, cfg)
-        assert report.passed
-        assert calls
-        assert len(calls) == len(set(calls))
+        for cell in DEFAULT_CELLS:
+            calls.clear()
+            assert run_cell(*cell, SuiteConfig(cells=(cell,), probes=10)).passed
+            assert len(calls) == len(set(calls)) == 6, cell
+            assert sorted(t for t, _ in calls) == _check_times(cell[0]), cell
 
     def test_one_c_qv_and_one_decay_constant_per_cell(self, monkeypatch):
         # The cell's Bessel table evaluates c_{q,v} and C once each; the
