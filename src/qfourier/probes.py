@@ -33,7 +33,7 @@ def _dense_probe(grid: LatticeGrid, window: tuple[int, int],
     center = rng.uniform(lo + 1, hi - 1) if hi - lo > 2 else 0.5 * (lo + hi)
     spread = rng.uniform(1.0, max(1.5, (hi - lo) / 3.0))
     vals = np.zeros(grid.size)
-    # The scalar np.exp of each point: the vector loop rounds some differently.
+    # The scalar np.exp of each point: numpy picks its vector exp by CPU.
     envelope = [np.exp(-((n - center) / spread) ** 2) for n in range(lo, hi + 1)]
     vals[grid.index(lo):grid.index(hi) + 1] = envelope * rng.normal(size=hi - lo + 1)
     nrm = np.sqrt(grid.weights() @ vals**2)
