@@ -1,5 +1,6 @@
 """Translation kernel, q-convolution, Markov machinery, hypergroup expansion."""
 
+import hashlib
 import tracemalloc
 from itertools import combinations_with_replacement
 from operator import mul
@@ -15,6 +16,7 @@ from qfourier.errors import NotProbability, OffWindow
 from qfourier.lattice import GridFn, LatticeGrid, delta_fn, jackson_integral, norm2
 from qfourier.probes import seeded_probes
 from qfourier.qseries import PrecisionCtx, QParams, c_qv_mp
+from qfourier.report import DEFAULT_CELLS, SuiteConfig
 from qfourier.transform import build_transform, forward
 from qfourier.translation import (
     basis_function,
@@ -293,6 +295,48 @@ class TestDeepCubeEntry:
                              * js[0] * js[1] * js[2])
             ref = float(mp.fsum(terms))
         assert got == pytest.approx(ref, rel=1e-6)
+
+
+# sha256 of ``kernel.cube.tobytes()`` as the big-integer face sums made it: the
+# four default cells at the suite's width 24, and the README scan's twelve
+# pairs on their default grids at width 16, as positivity_min builds them.
+_CUBE_SHA256 = {
+    (0.5, 0.0, -10, 40, 24): "9e81e7d0d7f28b5a6cb5996a1f5ab4049068b0aa20a858fc825a32ca7e12fdc1",
+    (0.5, 0.5, -10, 40, 24): "89e7af3da976d02d2fef047a25635b6f1f991d5bffabe015a37d97cbbffd64f5",
+    (0.5, 1.5, -10, 40, 24): "7bef744064cb44eb134552a2143fa50d2eca8d8fe9196c4a6dfa72fb7e568bab",
+    (0.8, 0.5, -20, 120, 24): "5b774834d5d715c946ed1278a229201ddd376076e3e7a0228a70110870607553",
+    (0.3, -0.7, -12, 59, 16): "4af9bd255c64d8b557cf1405eba70f009334cca65e0e74d945d234b6117a85fc",
+    (0.3, 0.0, -12, 40, 16): "300d945ec5b5dcbf66f88baca4e0e3394308d15ecc0d2e5ffc82cebbad6be2c2",
+    (0.3, 0.5, -12, 40, 16): "b97273d50a3ca2fe7c40471b07fafb7081f203c768b859031363b3d948a52ec6",
+    (0.5, -0.7, -14, 97, 16): "4b845eb435f00cc28603e79a66bf5fde7a0d470e78e36fbec90fb00f154be5a5",
+    (0.5, 0.0, -14, 40, 16): "a52242d92c8fdb73615ce3527e22c36071774545f479ee8ae54dcc4df55d49f4",
+    (0.5, 0.5, -14, 40, 16): "e16ac38afe38457b4f7b2a091e5bcfa791e8dda44394795544aef5613b46a992",
+    (0.7, -0.7, -17, 181, 16): "fc273498b80dba41100b49f226badb74cf84c334af84e10078a4048f0e8f850e",
+    (0.7, 0.0, -17, 60, 16): "95321335713d988251bcf585c99104bc5d9fd93cad5d9ef59d061f5c7f50bb6d",
+    (0.7, 0.5, -17, 43, 16): "743e2c8af745d0ae6770603418f23ce7700e2e9e648b261c2c20bd59917f0f83",
+    (0.9, -0.7, -25, 591, 16): "7103ddbba4cffeebb62d13b1412037bd83fa2cc51bc3c2b7dc548ddc26674ab7",
+    (0.9, 0.0, -25, 183, 16): "14a3897ddc92daeaf0e8ef2c818497e35871c9175c43ef1dae19393f52430994",
+    (0.9, 0.5, -25, 125, 16): "b93167f06b7cc50470c923392395bf833e094b24c977cdb0355d13be262f9d43",
+}
+
+
+def _cube_sha256(q, v, n_lo, n_hi, width) -> str:
+    grid = LatticeGrid(QParams(q, v), n_lo, n_hi)
+    k = kernel(grid, jv_table(grid, CTX), CTX, max_width=width)
+    return hashlib.sha256(k.cube.tobytes()).hexdigest()
+
+
+class TestCubeFingerprint:
+    def test_pins_cover_scan_and_default_cells(self):
+        scan = {(g.params.q, g.params.v, g.n_lo, g.n_hi, 16) for g in (
+            default_scan_grid(QParams(q, v)) for q in (0.3, 0.5, 0.7, 0.9)
+            for v in (-0.7, 0.0, 0.5))}
+        default = {(*cell, SuiteConfig().window) for cell in DEFAULT_CELLS}
+        assert scan | default == set(_CUBE_SHA256)
+
+    @pytest.mark.parametrize("key", list(_CUBE_SHA256))
+    def test_bit_identical(self, key):
+        assert _cube_sha256(*key) == _CUBE_SHA256[key]
 
 
 class TestPositivity:
