@@ -14,8 +14,10 @@ with the Jackson time difference D_{q^2,t} u = (u(., t) - u(., q^2 t)) /
 ((1-q^2) t), and is a Markov operator because c G(., t) y^{2v+1} d_q y is a
 probability measure.  The kernel and its e-profile divide by an integer run
 of products (:func:`qseries.qexp_lattice_mp`, scale 2^W, W the working bits
-plus guard bits); the high-precision transform route is an integer dot per
-row, its truncation 2^-prec below the smallest gated closed-form value.
+plus guard bits); the high-precision transform route is an exact integer dot
+per row, all rows one binary64 GEMM over 16-bit digits
+(:func:`numerics.hankel_dots`), its truncation 2^-prec below the smallest gated
+closed-form value.
 """
 
 from __future__ import annotations
@@ -24,14 +26,13 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from operator import mul
 
 import mpmath as mp
 import numpy as np
 from mpmath.libmp import dps_to_prec, fone
 
 from .lattice import GridFn, LatticeGrid, norm_p, stack
-from .numerics import TINY, to_fixed, ulps, worst
+from .numerics import TINY, hankel_dots, to_fixed, ulps, worst
 from .qseries import (
     DEFAULT_CTX,
     PrecisionCtx,
@@ -192,7 +193,8 @@ def _hp_rows(g: GaussKernel, op: TransformOp, window: tuple[int, int]) -> tuple[
     amp, (_, c_man, c_exp, _) = g.amp_mp._mpf_, op.c_mp._mpf_
     closed = {x: _fixed_ratio(amp, c_man * m, c_exp + e, s1 + s2)
               for x in gated for m, e in [g.run[grid.index(x)]]}
-    return s1 + s2, {x: (sum(map(mul, u, jfix[x - window[0]:])), cx) for x, cx in closed.items()}
+    dots = hankel_dots([u], jfix, [[x - window[0] for x in closed]])[0]
+    return s1 + s2, {x: (dot, cx) for (x, cx), dot in zip(closed.items(), dots)}
 
 
 def gauss_crosscheck_hp(g: GaussKernel, op: TransformOp, window: tuple[int, int]) -> float:
@@ -202,7 +204,8 @@ def gauss_crosscheck_hp(g: GaussKernel, op: TransformOp, window: tuple[int, int]
     quadrature cancellation; only trusted rows where the closed form drops
     below ``_HP_GUARD`` of the kernel's sup are skipped (there the *lattice
     truncation* floor of the quadrature, not arithmetic, is what remains).
-    Row x is one integer dot, sum_j u_j J_{x+j} with u_j = floor(w_j e_j 2^S1)
+    Row x is one exact integer dot (a digit GEMM for all rows,
+    :func:`numerics.hankel_dots`), sum_j u_j J_{x+j} with u_j = floor(w_j e_j 2^S1)
     (Jackson weights ``op.jackson_mp``, e-profile run) and J_k = j_v(q^k) 2^S2
     truncated, against floor(G(q^x, t) 2^(S1+S2) / c).  Its truncation error
     is below N 2^-S1 max|J| + 2^-(S1+S2) sum_j u_j; S1 and S2 come from the

@@ -4,14 +4,19 @@
 folds residuals into their maximum without losing a NaN (the builtin
 ``max(0.0, nan)`` is 0.0, so a NaN met after the first residual would
 vanish and the gate would pass); ``ulps`` measures a binary64 gap;
-``to_fixed`` turns an mpf into the integer of a fixed-point sum or product.
+``to_fixed`` turns an mpf into the integer of a fixed-point sum or product,
+and ``hankel_dots`` sums such integers' shifted dot products exactly.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
-__all__ = ["TINY", "worst", "ulps", "to_fixed"]
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+__all__ = ["TINY", "worst", "ulps", "to_fixed", "hankel_dots"]
 
 TINY = 1e-300
 
@@ -41,3 +46,46 @@ def to_fixed(x, bits: int) -> int:
     shift = exp + bits
     man = man << shift if shift >= 0 else man >> -shift
     return -man if sign else man
+
+
+_EXACT_TERMS = 1 << 21  # digit products, each below 2^32: sums below 2^53
+
+
+def _digits(xs, k: int) -> np.ndarray:
+    """k base-2^16 two's-complement digits an int, least first; the top one signed."""
+    raw = b"".join(x.to_bytes(2 * k, "little", signed=True) for x in xs)
+    d = np.frombuffer(raw, "<u2").reshape(-1, k).astype(float)
+    d[:, -1] -= (d[:, -1] >= 1 << 15) * 65536.0
+    return d
+
+
+def hankel_dots(rows, b, shifts) -> list[list[int]]:
+    """Exact ints sum_{t<n} a[t] b[t+s], for each row a of ``rows`` (each n long)
+    and each s in its entry of ``shifts`` (0 <= s <= len(b) - n).
+
+    Integer digits, split error-free as in Ozaki, Ogita, Oishi & Rump (Numer.
+    Algorithms 59, 2012): per row one binary64 GEMM of a's digits against b's
+    shifted digit windows and a 0/1 GEMM folding digit pair (k, l) onto k+l,
+    then one int64 carry pass.  An output digit sums n min(ka, kb) products of
+    digits below 2^16 (ka, kb digits an int); up to 2^21 of them every partial
+    sum is an integer below 2^53, exact under any BLAS order, blocking or thread
+    count.  Past that, ValueError, before any array is built.
+    """
+    n = len(rows[0])
+    ka = (max(map(int.bit_length, chain.from_iterable(rows))) + 16) // 16
+    kb = (max(map(int.bit_length, b)) + 16) // 16
+    if n * min(ka, kb) > _EXACT_TERMS:
+        raise ValueError(f"{n} terms of {min(ka, kb)} digits: past 2^21 digit products")
+    # win[s] holds the digits of b[s:s+n], one row a digit.
+    win = sliding_window_view(_digits(b, kb).T.copy(), n, axis=1).transpose(1, 0, 2)
+    fold = (np.add.outer(np.arange(kb), np.arange(ka)).reshape(-1, 1)
+            == np.arange(ka + kb - 1)).astype(float)
+    v = np.concatenate([(win[list(ss)].reshape(-1, n) @ _digits(a, ka)).reshape(-1, kb * ka)
+                        @ fold for a, ss in zip(rows, shifts)]).astype(np.int64)
+    for k in range(v.shape[1] - 1):  # carry the low digits into [0, 2^16)
+        v[:, k + 1] += v[:, k] >> 16
+        v[:, k] &= 0xFFFF
+    top = 16 * (v.shape[1] - 1)
+    flat = iter([int.from_bytes(lo.tobytes(), "little") + (int(hi) << top)
+                 for lo, hi in zip(v[:, :-1].astype("<u2"), v[:, -1])])
+    return [[next(flat) for _ in ss] for ss in shifts]

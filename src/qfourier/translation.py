@@ -26,11 +26,12 @@ Table values become ints J_t = trunc(j_t 2^P), P = prec + 64 (prec the
 working precision in bits), and U_t, formed once at working precision from
 q^{tg} by one running product at P + 64 bits, ints at one scale: 2^P over
 max |U_t| plus (that top less the smallest row top) guard bits, so no row is
-coarser than 2^-P of its largest term.  The face
-a = window_lo is summed in full; S_{a+1} is S_a less its t = a+n_lo term
-plus the t = a+1+n_hi term, exactly.  S_a F_a, with F_a = q^{-ag} an int of
-at least P bits, becomes binary64 by one correctly rounded int/int
-division, before which an entry is off by at most
+coarser than 2^-P of its largest term.  The face a = window_lo is summed in
+full, exactly, as binary64 GEMMs over 16-bit digits of the products
+U_t J_{t+d} and of J (:func:`numerics.hankel_dots` states the 2^53 bound);
+S_{a+1} is S_a less its t = a+n_lo term plus the t = a+1+n_hi term, exactly.
+S_a F_a, with F_a = q^{-ag} an int of at least P bits, becomes binary64 by
+one correctly rounded int/int division, before which an entry is off by at most
 
     k 2^-prec T                           (mp U_t, F_a; q^{tg} adds N 2^-(P+64))
   + 2^-(prec+62) N C^2 q^{-ag} max |U_t|  (truncation to ints, t in row a)
@@ -68,7 +69,7 @@ import numpy as np
 from .bessel import BesselTable, decay_bound_log10, jv_table
 from .errors import GridMismatch, GridTooSmall, NotProbability, OffWindow
 from .lattice import GridFn, LatticeGrid, jackson_integral, norms, stack
-from .numerics import TINY, to_fixed, worst
+from .numerics import TINY, hankel_dots, to_fixed, worst
 from .qseries import DEFAULT_CTX, PrecisionCtx, QParams
 from .transform import (
     _TAIL_TERMS,
@@ -194,7 +195,7 @@ def _upper_cutoff(op: TransformOp) -> int:
 
 
 def _window_cube(op: TransformOp, wexps: np.ndarray) -> np.ndarray:
-    """D_v on the window by face sums and exact slides (module doc).
+    """D_v on the window: face sums as exact digit GEMMs, then exact slides (module doc).
 
     The working precision is the table's, as the error bound assumes.  Each
     entry is written once, in sorted order; one gather makes the cube symmetric.
@@ -221,8 +222,8 @@ def _window_cube(op: TransformOp, wexps: np.ndarray) -> np.ndarray:
             qpow = [q_mp ** (-int(a) * g) for a in wexps]
     faces = [list(map(mul, ufix[:n], jfix[d:d + n])) for d in range(width)]
     # sums[d1][d2] = S_a(d1, d2) for the current row a, d1 <= d2.
-    sums = [[0] * d1 + [sum(map(mul, face, jfix[d2:d2 + n])) for d2 in range(d1, width)]
-            for d1, face in enumerate(faces)]
+    sums = [[0] * d1 + row for d1, row in enumerate(
+        hankel_dots(faces, jfix, [range(d1, width) for d1 in range(width)]))]
     tri = np.empty((width, width, width))  # tri[i, j, k] for i <= j <= k
     for i in range(width):
         out, inn = i - 1, i - 1 + n  # offsets of the t leaving and entering row i
