@@ -1,14 +1,19 @@
-"""Residual bookkeeping: NaN must survive the fold into a worst residual."""
+"""Residual bookkeeping: NaN must survive the fold into a worst residual; the
+digit GEMMs of ``hankel_dots`` must give the exact integer dots."""
 
 import math
+import random
+from operator import mul
 from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfourier import bessel, lattice, report, translation
-from qfourier.numerics import ulps, worst
+from qfourier import bessel, lattice, numerics, report, translation
+from qfourier.numerics import hankel_dots, ulps, worst
 
 
 def test_worst_is_the_largest():
@@ -29,6 +34,67 @@ def test_worst_keeps_nan_in_any_position():
 def test_ulps():
     assert ulps(1.0, 1.0) == 0.0
     assert ulps(1.0, 1.0 + 2 * math.ulp(1.0)) == 2.0
+
+
+# Ints at the digit edges: all-ones digits, the signed top digit's extremes,
+# and powers of 2^16 that need one more digit than their neighbours.
+_EDGES = [0, 1, -1] + [x for k in range(1, 51)
+                       for x in (2 ** (16 * k) - 1, -2 ** (16 * k - 1), -2 ** (16 * k))]
+
+
+def _exact_dots(rows, b, shifts):
+    return [[sum(map(mul, a, b[s:s + len(a)])) for s in ss] for a, ss in zip(rows, shifts)]
+
+
+def _fill(rng, count, bits, edges):
+    """count ints of up to ``bits`` bits, either sign, with ``edges`` planted."""
+    out = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(count)]
+    for x in edges:
+        out[rng.randrange(count)] = x
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 1000), extra=st.integers(0, 30), nrows=st.integers(1, 3),
+       abits=st.integers(0, 800), bbits=st.integers(0, 800), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_hankel_dots_are_exact(n, extra, nrows, abits, bbits, seed, data):
+    rng = random.Random(seed)
+    edges = st.lists(st.sampled_from(_EDGES), max_size=6)
+    rows = [_fill(rng, n, abits, data.draw(edges)) for _ in range(nrows)]
+    b = _fill(rng, n + extra, bbits, data.draw(edges))
+    shift_set = st.lists(st.integers(0, extra), max_size=extra + 2)
+    shifts = [data.draw(shift_set) for _ in rows]
+    assert hankel_dots(rows, b, shifts) == _exact_dots(rows, b, shifts)
+
+
+def test_hankel_dots_of_edge_values():
+    # Rows of one edge value against every edge value, and the other way round.
+    for x in _EDGES:
+        for rows, b, shifts in (
+                ([[x] * 100, [-x] * 100], _EDGES, [range(len(_EDGES) - 99), [0, 3, 3]]),
+                ([_EDGES[:100]], [x] * 130, [range(31)])):
+            assert hankel_dots(rows, b, shifts) == _exact_dots(rows, b, shifts)
+
+
+def test_hankel_dots_bound_arithmetic(monkeypatch):
+    # 2^21 products of two all-ones digits stay below 2^53.
+    assert numerics._EXACT_TERMS == 2**21
+    assert numerics._EXACT_TERMS * (2**16 - 1) ** 2 < 2**53
+    # Past it, ValueError before any array: 2^21 + 1 one-digit terms (bytes
+    # iterate as ints 0), or 2^20 + 1 terms of two digits (range, 2^20 at most).
+    with pytest.raises(ValueError, match="2\\^21"):
+        hankel_dots([bytes(2**21 + 1)], bytes(2**21 + 1), [[0]])
+    with pytest.raises(ValueError, match="2\\^21"):
+        hankel_dots([range(2**20 + 1)], range(2**20 + 1), [[0]])
+    # The bound counts terms times the smaller digit count, inclusively.
+    monkeypatch.setattr(numerics, "_EXACT_TERMS", 12)
+    assert hankel_dots([[2**16] * 6], [3] * 7, [[0, 1]]) == [[18 * 2**16] * 2]
+    assert hankel_dots([[2**16] * 12], [3] * 12, [[0]]) == [[36 * 2**16]]
+    with pytest.raises(ValueError):
+        hankel_dots([[2**16] * 13], [3] * 13, [[0]])
+    with pytest.raises(ValueError):
+        hankel_dots([[2**16] * 7], [2**16] * 7, [[0]])
 
 
 @pytest.fixture(scope="module")

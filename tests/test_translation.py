@@ -1,9 +1,13 @@
 """Translation kernel, q-convolution, Markov machinery, hypergroup expansion."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations_with_replacement
 from operator import mul
+from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -36,6 +40,7 @@ from qfourier.translation import (
 from qhyper_ref import jv_ref
 
 CTX = PrecisionCtx()
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -337,6 +342,19 @@ class TestCubeFingerprint:
     @pytest.mark.parametrize("key", list(_CUBE_SHA256))
     def test_bit_identical(self, key):
         assert _cube_sha256(*key) == _CUBE_SHA256[key]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bit_identical_for_any_blas_thread_count(self, threads):
+        # The face sums are BLAS products of digits, exact whatever order the
+        # BLAS sums in; the largest scan cube (N = 617) under one and two threads.
+        key = (0.9, -0.7, -25, 591, 16)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
+        run = subprocess.run([sys.executable, "-c", "import test_translation as t; "
+                              f"print(t._cube_sha256(*{key!r}))"],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr[-2000:]
+        assert run.stdout.split() == [_CUBE_SHA256[key]]
 
 
 class TestPositivity:
