@@ -14,7 +14,6 @@ import math
 from itertools import chain
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["TINY", "worst", "ulps", "to_fixed", "hankel_dots"]
 
@@ -76,15 +75,15 @@ def hankel_dots(rows, b, shifts) -> list[list[int]]:
     kb = (max(map(int.bit_length, b)) + 16) // 16
     if n * min(ka, kb) > _EXACT_TERMS:
         raise ValueError(f"{n} terms of {min(ka, kb)} digits: past 2^21 digit products")
-    # win[s] holds the digits of b[s:s+n], one row a digit.
-    win = sliding_window_view(_digits(b, kb).T.copy(), n, axis=1).transpose(1, 0, 2)
+    # win[s] holds the digits of b[s:s+n], one row a digit: a strided view.
+    bt = _digits(b, kb).T.copy()
+    win = np.ndarray((len(b) - n + 1, kb, n), float, bt, strides=(8, 8 * len(b), 8))
     fold = (np.add.outer(np.arange(kb), np.arange(ka)).reshape(-1, 1)
             == np.arange(ka + kb - 1)).astype(float)
     v = np.concatenate([(win[list(ss)].reshape(-1, n) @ _digits(a, ka)).reshape(-1, kb * ka)
                         @ fold for a, ss in zip(rows, shifts)]).astype(np.int64)
-    for k in range(v.shape[1] - 1):  # carry the low digits into [0, 2^16)
+    for k in range(v.shape[1] - 1):  # carry; the uint16 cast below keeps the rest
         v[:, k + 1] += v[:, k] >> 16
-        v[:, k] &= 0xFFFF
     top = 16 * (v.shape[1] - 1)
     flat = iter([int.from_bytes(lo.tobytes(), "little") + (int(hi) << top)
                  for lo, hi in zip(v[:, :-1].astype("<u2"), v[:, -1])])
