@@ -14,10 +14,9 @@ with the Jackson time difference D_{q^2,t} u = (u(., t) - u(., q^2 t)) /
 ((1-q^2) t), and is a Markov operator because c G(., t) y^{2v+1} d_q y is a
 probability measure.  The kernel and its e-profile divide by an integer run
 of products (:func:`qseries.qexp_lattice_mp`, scale 2^W, W the working bits
-plus guard bits); the high-precision transform route is an exact integer dot
-per row, all rows one binary64 GEMM over 16-bit digits
-(:func:`numerics.hankel_dots`), its truncation 2^-prec below the smallest gated
-closed-form value.
+plus guard bits); the high-precision transform route is one exact integer dot
+per row (digit GEMMs, :func:`numerics.hankel_dots`), its truncation 2^-prec
+below the smallest gated closed-form value.
 """
 
 from __future__ import annotations
