@@ -50,7 +50,7 @@ from functools import cached_property
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import dps_to_prec, from_int, mpf_mul, round_nearest
+from mpmath.libmp import dps_to_prec, normalize, round_nearest, to_float
 
 from .errors import PrecisionExhausted
 from .lattice import LatticeGrid
@@ -261,12 +261,25 @@ def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
             f"j_v table on [{n_min}, {n_max}] at q={p.q:g}, v={p.v:g}: no recurrence "
             f"started up to {depth // 2} below n_min agrees with the series there "
             f"to {_CERTIFY_REL:g}")
-    # One exact product, rounded once at the entry's own a-priori precision.
-    mp_vals = [mp.make_mpf(mpf_mul(from_int(f), scale._mpf_, dps_to_prec(max(
-        ctx.work_digits, 26 + math.ceil(_digits_lost(-e, p)))), round_nearest))
-               for e, f in zip(range(n_min, n_max + 1), raw)]
-    vals = np.array([float(v) for v in mp_vals])
-    return BesselTable(p, n_min, n_max, vals, mp_vals, ctx)
+    # One exact product, rounded once at the entry's own a-priori precision;
+    # from e = 0 up no digits cancel, so one precision serves all of them.
+    def prec(e):
+        return dps_to_prec(max(ctx.work_digits, 26 + math.ceil(_digits_lost(-e, p))))
+
+    s, prec0 = scale._mpf_, prec(0)
+    raws = [_round_entry(f, s, prec(e) if e < 0 else prec0)
+            for e, f in zip(range(n_min, n_max + 1), raw)]
+    vals = np.array([to_float(t, rnd=round_nearest) for t in raws])
+    return BesselTable(p, n_min, n_max, vals, list(map(mp.make_mpf, raws)), ctx)
+
+
+def _round_entry(f: int, scale: tuple, prec: int) -> tuple:
+    """The raw mpf of the int ``f`` times the raw mpf ``scale``, rounded once to
+    ``prec`` bits, to nearest with ties to even: ``mpf_mul(from_int(f), scale,
+    prec, round_nearest)`` without building the mpf of f."""
+    sign, man, exp, _ = scale
+    man *= abs(f)
+    return normalize(sign ^ (f < 0), man, exp, man.bit_length(), prec, round_nearest)
 
 
 def _anchor_ulps(table: BesselTable) -> float:
@@ -348,8 +361,8 @@ def eigen_residual(grid: LatticeGrid, lambda_exps: Sequence[int], table: BesselT
     difference j(k-1) - (1+q^{2v}) j(k) + q^{2v} j(k+1), or
     |d(k) + q^{2k} j(k)| / (q^{2k} (q^{-2l} + |j(k)|)): the smallest l that
     reaches k is the worst there.  So each distinct k costs three table reads
-    and one residual, and q^{-2n} is formed once per row.  That factor lifts
-    the table's rounding (10^-work_digits) with it, so rows with
+    and one residual; q^{2l} is formed once per l and q^{-2n} once per row.
+    That factor lifts the table's rounding (10^-work_digits) with it, so rows with
     2n log10(1/q) > work_digits - 12 are skipped: past them that rounding
     alone reaches within three decades of a 1e-9 gate.
     """
@@ -362,11 +375,12 @@ def eigen_residual(grid: LatticeGrid, lambda_exps: Sequence[int], table: BesselT
         q = mp.mpf(p.q)
         q2v = q ** (2 * mp.mpf(p.v))
         lifts = {n: q ** (-2 * n) for n in rows}
+        lam2 = {le: q ** (2 * le) for le in lambda_exps}
         res = []
         for k, le in worst_l.items():
             j0 = table.mp_value(k)
             diff = table.mp_value(k - 1) - (1 + q2v) * j0 + q2v * table.mp_value(k + 1)
-            lam2_f = q ** (2 * le) * j0
+            lam2_f = lam2[le] * j0
             res.append(float(abs(diff * lifts[k - le] + lam2_f) / (1 + abs(lam2_f))))
         return worst(*res)
 

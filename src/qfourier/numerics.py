@@ -38,8 +38,8 @@ def ulps(a: float, b: float) -> float:
 
 
 def to_fixed(x, bits: int) -> int:
-    """The finite mpf ``x`` times 2**bits as an int, truncated toward zero."""
-    sign, man, exp, _ = x._mpf_
+    """The finite mpf ``x`` (or raw tuple) times 2**bits as an int, truncated toward zero."""
+    sign, man, exp, _ = getattr(x, "_mpf_", x)
     if not man and exp:
         raise ValueError(f"fixed-point input {x} is not finite")
     shift = exp + bits
@@ -64,11 +64,12 @@ def hankel_dots(rows, b, shifts) -> list[list[int]]:
 
     Integer digits, split error-free as in Ozaki, Ogita, Oishi & Rump (Numer.
     Algorithms 59, 2012): per row one binary64 GEMM of a's digits against b's
-    shifted digit windows and a 0/1 GEMM folding digit pair (k, l) onto k+l,
-    then one int64 carry pass.  An output digit sums n min(ka, kb) products of
-    digits below 2^16 (ka, kb digits an int); up to 2^21 of them every partial
-    sum is an integer below 2^53, exact under any BLAS order, blocking or thread
-    count.  Past that, ValueError, before any array is built.
+    shifted digit windows, digit pair (k, l) folded onto k+l by one int64 sum
+    over a skewed view, then one int64 carry pass.  An output digit sums
+    n min(ka, kb) products of digits below 2^16 (ka, kb digits an int); up to
+    2^21 of them every partial sum is an integer below 2^53, exact under any
+    BLAS order, blocking or thread count.  Past that, ValueError, before any
+    array is built.
     """
     n = len(rows[0])
     ka = (max(map(int.bit_length, chain.from_iterable(rows))) + 16) // 16
@@ -78,10 +79,14 @@ def hankel_dots(rows, b, shifts) -> list[list[int]]:
     # win[s] holds the digits of b[s:s+n], one row a digit: a strided view.
     bt = _digits(b, kb).T.copy()
     win = np.ndarray((len(b) - n + 1, kb, n), float, bt, strides=(8, 8 * len(b), 8))
-    fold = (np.add.outer(np.arange(kb), np.arange(ka)).reshape(-1, 1)
-            == np.arange(ka + kb - 1)).astype(float)
-    v = np.concatenate([(win[list(ss)].reshape(-1, n) @ _digits(a, ka)).reshape(-1, kb * ka)
-                        @ fold for a, ss in zip(rows, shifts)]).astype(np.int64)
+    w, folds = ka + kb - 1, []
+    for a, ss in zip(rows, shifts):  # one row at a time keeps one GEMM output alive
+        pairs = np.zeros((len(ss), kb, w + 1), np.int64)
+        pairs[:, :, :ka] = (win[list(ss)].reshape(-1, n) @ _digits(a, ka)).reshape(-1, kb, ka)
+        # Pair (k, l) is at l (w + 1) + k; strides (w, 1) read it at (l, k + l), else pad.
+        folds.append(np.ndarray((len(ss), kb, w), np.int64, pairs,
+                                strides=(8 * kb * (w + 1), 8 * w, 8)).sum(axis=1))
+    v = np.concatenate(folds)
     for k in range(v.shape[1] - 1):  # carry; the uint16 cast below keeps the rest
         v[:, k + 1] += v[:, k] >> 16
     top = 16 * (v.shape[1] - 1)

@@ -24,7 +24,8 @@ With g = 2v+2 and U_t = c^2 (1-q) q^{tg} j(q^t) over table exponents t,
 
 Table values become ints J_t = trunc(j_t 2^P), P = prec + 64 (prec the
 working precision in bits), and U_t, formed once at working precision from
-q^{tg} by one running product at P + 64 bits, ints at one scale: 2^P over
+q^{tg} by one running product at P + 64 bits (libmp products on raw mpf
+tuples, rounded as mpf products are), ints at one scale: 2^P over
 max |U_t| plus (that top less the smallest row top) guard bits, so no row is
 coarser than 2^-P of its largest term.  The face a = window_lo is summed in
 full, exactly, as binary64 GEMMs over 16-bit digits of the products
@@ -65,6 +66,7 @@ from operator import mul
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import mpf_mul, round_nearest
 
 from .bessel import BesselTable, decay_bound_log10, jv_table
 from .errors import GridMismatch, GridTooSmall, NotProbability, OffWindow
@@ -198,23 +200,29 @@ def _window_cube(op: TransformOp, wexps: np.ndarray) -> np.ndarray:
     """D_v on the window: face sums as exact digit GEMMs, then exact slides (module doc).
 
     The working precision is the table's, as the error bound assumes.  Each
-    entry is written once, in sorted order; one gather makes the cube symmetric.
+    entry is written once, in sorted order; one gather at the sorted index
+    triples (min, middle, max) makes the cube symmetric.
     """
     grid, table, c_mp = op.grid, op.table, op.c_mp
     p = grid.params
     n, width = grid.size, len(wexps)
     t_lo = int(wexps[0]) + grid.n_lo
     with mp.workdps(table.ctx.work_digits):
-        bits = mp.mp.prec + 64  # guard bits below the working precision
-        jmp = table.row(t_lo, int(wexps[-1]) + grid.n_hi, hp=True)  # j_t of every row
+        prec = mp.mp.prec
+        bits = prec + 64  # guard bits below the working precision
+        jmp = [x._mpf_ for x in table.row(t_lo, int(wexps[-1]) + grid.n_hi, hp=True)]
         q_mp = mp.mpf(p.q)
         g = 2 * mp.mpf(p.v) + 2
-        with mp.workprec(bits + 64):  # q^{tg} by one running product
+        with mp.workprec(bits + 64):
             qg, q_lo = q_mp ** g, q_mp ** (t_lo * g)
-            qtg = list(accumulate(repeat(qg, len(jmp) - 1), mul, initial=q_lo))
-        c2 = c_mp * c_mp * (1 - q_mp)
-        u = [c2 * x * j for x, j in zip(qtg, jmp)]
-        mags = list(map(mp.mag, u))
+        # q^{tg} by one running product at bits + 64, then U_t at prec.
+        qtg = accumulate(repeat(qg._mpf_, len(jmp) - 1),
+                         lambda x, y: mpf_mul(x, y, bits + 64, round_nearest), initial=q_lo._mpf_)
+        c2 = (c_mp * c_mp * (1 - q_mp))._mpf_
+        u = [mpf_mul(mpf_mul(c2, x, prec, round_nearest), j, prec, round_nearest)
+             for x, j in zip(qtg, jmp)]
+        # mp.mag's magnitudes, -inf for 0; also for nan and inf, which to_fixed rejects.
+        mags = [e + bc if m else -math.inf for _, m, e, bc in u]
         ubits = bits - min(max(mags[i:i + n]) for i in range(width))
         ufix = [to_fixed(x, ubits) for x in u]
         jfix = [to_fixed(x, bits) for x in jmp]  # J_{t_lo+m}
@@ -237,7 +245,9 @@ def _window_cube(op: TransformOp, wexps: np.ndarray) -> np.ndarray:
                 for d2 in range(d1, width - i):
                     row[d2] += x_in * jfix[inn + d2] - x_out * jfix[out + d2]
             tri[i, i + d1, i + d1:] = [row[d2] * f_a / scale for d2 in range(d1, width - i)]
-    return tri[tuple(np.sort(np.indices(tri.shape), axis=0))]
+    i, j, k = np.ogrid[:width, :width, :width]
+    lo, hi = np.minimum(np.minimum(i, j), k), np.maximum(np.maximum(i, j), k)
+    return tri[lo, i + j + k - lo - hi, hi]
 
 
 def kernel(grid: LatticeGrid, table: BesselTable, ctx: PrecisionCtx = DEFAULT_CTX,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import fzero, from_int, from_man_exp, mpf_mul, round_nearest, to_float
 
 from qfourier import bessel
 from qfourier.bessel import (
@@ -464,6 +465,68 @@ class TestLatticeAnchor:
            m=st.integers(1, 60))
     def test_matches_series_anywhere(self, q, v, m):
         _assert_anchor_matches_series(q, v, m)
+
+
+
+# Raw mpf tuples for _round_entry: a signed int of 0 to 800 bits, a scale of
+# any sign, mantissa and exponent, and a precision past both.
+_SIGNED_INTS = st.integers(0, 800).flatmap(lambda b: st.integers(-2**b, 2**b))
+_SCALES = st.builds(lambda sign, man, exp: from_man_exp(-man if sign else man, exp),
+                    st.booleans(), st.integers(1, 2**400), st.integers(-1200, 1200))
+
+
+class TestRoundEntry:
+    @settings(max_examples=400, deadline=None)
+    @given(f=_SIGNED_INTS, scale=_SCALES, prec=st.integers(1, 1300))
+    def test_matches_mpf_mul(self, f, scale, prec):
+        assert (bessel._round_entry(f, scale, prec)
+                == mpf_mul(from_int(f), scale, prec, round_nearest))
+
+    @settings(max_examples=300, deadline=None)
+    @given(r=st.integers(0, 2**300), m=st.integers(0, 2**300), low=st.integers(0, 200),
+           sign=st.booleans(), scale_sign=st.booleans(), exp=st.integers(-1200, 1200))
+    def test_halfway_ties_go_to_even(self, r, m, low, sign, scale_sign, exp):
+        # f m = (2M + 1) 2^low with 2M + 1 = r m, both odd: half an ulp above M
+        # at prec = the bits of M, so the result is M or M + 1, whichever is even.
+        r, m = 2 * r + 3, 2 * m + 1
+        f = (r << low) * (-1 if sign else 1)
+        scale = (int(scale_sign), m, exp, m.bit_length())
+        big = (r * m - 1) // 2
+        got = bessel._round_entry(f, scale, big.bit_length())
+        assert got == mpf_mul(from_int(f), scale, big.bit_length(), round_nearest)
+        assert got == from_man_exp((-1) ** (sign ^ scale_sign) * (big + (big & 1)),
+                                   exp + low + 1)
+
+    @pytest.mark.parametrize("man", [3, 5, 7, 2**52 + 1, 2**53 - 1, 2**200 + 3])
+    def test_ties_in_both_directions(self, man):
+        # M even stays, M odd rounds up: the tie one bit below prec.
+        for m in (man - 1, man):
+            prec = m.bit_length()
+            for sign in (0, 1):
+                f = (2 * m + 1) * (-1) ** sign
+                got = bessel._round_entry(f, (0, 1, -7, 1), prec)
+                assert got == mpf_mul(from_int(f), (0, 1, -7, 1), prec, round_nearest)
+                assert got == from_man_exp((-1) ** sign * (m + (m & 1)), -6)
+
+    @pytest.mark.parametrize("scale", [(0, 1, 0, 1), (1, 3, -40, 2), (0, 2**400 + 1, 900, 401)])
+    def test_zero_and_short_products(self, scale):
+        assert bessel._round_entry(0, scale, 53) == mpf_mul(from_int(0), scale, 53,
+                                                            round_nearest) == fzero
+        # Shorter than prec: no rounding, only the trailing zeros stripped.
+        for f in (1, -1, 6, -2**30, 2**100 - 1):
+            got = bessel._round_entry(f, scale, 1200)
+            assert got == mpf_mul(from_int(f), scale, 1200, round_nearest)
+            assert got == from_man_exp(f * scale[1] * (-1) ** scale[0], scale[2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=st.integers(1, 2**200).map(lambda x: x | 1), sign=st.booleans(),
+           mag=st.one_of(st.integers(-1120, -1015), st.integers(-1010, -990),
+                         st.integers(990, 1030)), prec=st.integers(1, 200))
+    def test_binary64_is_the_mpf_float(self, f, sign, mag, prec):
+        # Subnormal binary64 (below 2^-1022, down to zero), and 2^+-1000 up to
+        # overflow: to_float at round_nearest is what float() of the mpf gives.
+        t = bessel._round_entry(-f if sign else f, (0, 1, mag - f.bit_length(), 1), prec)
+        assert to_float(t, rnd=round_nearest) == float(mp.make_mpf(t))
 
 
 # sha256 of ``values`` and of the mp mantissas, as the tables were when both

@@ -97,6 +97,24 @@ def test_hankel_dots_bound_arithmetic(monkeypatch):
         hankel_dots([[2**16] * 7], [2**16] * 7, [[0]])
 
 
+
+@pytest.mark.parametrize("ka, kb", [(64, 64), (128, 64)])
+def test_hankel_dots_at_the_bound_with_extreme_digits(ka, kb):
+    # n min(ka, kb) = 2^21 products of extreme digits: every digit 2^16 - 1
+    # but the signed top one, -2^15 or 2^15 - 1.  Each GEMM entry and each of
+    # the kb partial sums the fold adds stays below 2^53, so all are exact.
+    n = 2**21 // min(ka, kb)
+
+    def extreme(k, top):
+        return (top << 16 * (k - 1)) + 2 ** (16 * (k - 1)) - 1
+
+    lo_a, hi_a, lo_b = extreme(ka, -2**15), extreme(ka, 2**15 - 1), extreme(kb, -2**15)
+    assert [(x.bit_length() + 16) // 16 for x in (lo_a, hi_a, lo_b)] == [ka, ka, kb]
+    rows, b = [[lo_a] * n, [hi_a] * n], [lo_b] * n + [extreme(kb, 2**15 - 1)]
+    shifts = [[0], [1]]
+    assert hankel_dots(rows, b, shifts) == _exact_dots(rows, b, shifts)
+
+
 @pytest.fixture(scope="module")
 def runner():
     return report._CellRunner(0.5, 0.5, -10, 40, report.SuiteConfig(probes=10))

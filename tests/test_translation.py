@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, repeat
 from operator import mul
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,13 +15,14 @@ import numpy as np
 import pytest
 
 from qfourier import translation
-from qfourier.bessel import jv_table
+from qfourier.bessel import BesselTable, jv_table
 from qfourier.errors import NotProbability, OffWindow
 from qfourier.lattice import GridFn, LatticeGrid, delta_fn, jackson_integral, norm2
 from qfourier.probes import seeded_probes
 from qfourier.qseries import PrecisionCtx, QParams, c_qv_mp
 from qfourier.report import DEFAULT_CELLS, SuiteConfig
-from qfourier.transform import build_transform, forward
+from qfourier.numerics import hankel_dots, to_fixed
+from qfourier.transform import TransformOp, build_transform, forward
 from qfourier.translation import (
     basis_function,
     convolve,
@@ -355,6 +356,95 @@ class TestCubeFingerprint:
                              env=env, capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr[-2000:]
         assert run.stdout.split() == [_CUBE_SHA256[key]]
+
+
+def _mpf_window_cube(op, wexps):
+    """``translation._window_cube`` with mpf objects: the q^{tg} running product
+    and the U row c2 x j as mpf products, magnitudes by ``mp.mag`` and the
+    symmetric gather by sorting every index triple.  The reference for the
+    raw-tuple route, which must give the same bits."""
+    grid, table, c_mp = op.grid, op.table, op.c_mp
+    p = grid.params
+    n, width = grid.size, len(wexps)
+    t_lo = int(wexps[0]) + grid.n_lo
+    with mp.workdps(table.ctx.work_digits):
+        bits = mp.mp.prec + 64
+        jmp = table.row(t_lo, int(wexps[-1]) + grid.n_hi, hp=True)
+        q_mp = mp.mpf(p.q)
+        g = 2 * mp.mpf(p.v) + 2
+        with mp.workprec(bits + 64):
+            qg, q_lo = q_mp ** g, q_mp ** (t_lo * g)
+            qtg = list(accumulate(repeat(qg, len(jmp) - 1), mul, initial=q_lo))
+        c2 = c_mp * c_mp * (1 - q_mp)
+        u = [c2 * x * j for x, j in zip(qtg, jmp)]
+        mags = list(map(mp.mag, u))
+        ubits = bits - min(max(mags[i:i + n]) for i in range(width))
+        ufix = [to_fixed(x, ubits) for x in u]
+        jfix = [to_fixed(x, bits) for x in jmp]
+        with mp.workprec(bits):
+            qpow = [q_mp ** (-int(a) * g) for a in wexps]
+    faces = [list(map(mul, ufix[:n], jfix[d:d + n])) for d in range(width)]
+    sums = [[0] * d1 + row for d1, row in enumerate(
+        hankel_dots(faces, jfix, [range(d1, width) for d1 in range(width)]))]
+    tri = np.empty((width, width, width))
+    for i in range(width):
+        out, inn = i - 1, i - 1 + n
+        fbits = max(bits - mp.mag(qpow[i]), -ubits - 2 * bits)
+        f_a, scale = to_fixed(qpow[i], fbits), 1 << (ubits + 2 * bits + fbits)
+        for d1 in range(width - i):
+            row = sums[d1]
+            if i:
+                x_out, x_in = ufix[out] * jfix[out + d1], ufix[inn] * jfix[inn + d1]
+                for d2 in range(d1, width - i):
+                    row[d2] += x_in * jfix[inn + d2] - x_out * jfix[out + d2]
+            tri[i, i + d1, i + d1:] = [row[d2] * f_a / scale for d2 in range(d1, width - i)]
+    return tri[tuple(np.sort(np.indices(tri.shape), axis=0))]
+
+
+def _planted(op, offset, value):
+    """``op`` over a copy of its table whose mp value ``offset`` places past the
+    window's first U row entry (t = window_lo + n_lo) is ``value``."""
+    t = op.table
+    mp_vals = list(t.mp_values)
+    mp_vals[offset] = value
+    return TransformOp(op.grid, BesselTable(t.params, t.n_min, t.n_max, t.values,
+                                            mp_vals, t.ctx), op.matrix)
+
+
+class TestRawTupleCube:
+    @pytest.fixture(scope="class")
+    def small(self):
+        grid = LatticeGrid(QParams(0.5, 0.5), -10, 40)
+        k = kernel(grid, jv_table(grid, CTX), CTX)
+        # Table index of the first U row entry, and the U row's length.
+        first = k.window_lo + grid.n_lo - k.table.n_min
+        return k, first, grid.size + k.width - 1
+
+    def test_planted_zero_matches_mpf_route(self, small):
+        # mp.mag(0) is -inf: a zero U entry never sets a row's scale.  Planted
+        # at both ends of the U row, and where |U_t| = |j_t| q^{3t} peaks
+        # (t = -1, in every row), so that another entry sets the scale.
+        k, first, length = small
+        peak = -1 - k.window_lo - k.grid.n_lo
+        for at in (0, length - 1, peak, peak + 4):
+            op = _planted(k.op, first + at, mp.mpf(0))
+            cube = translation._window_cube(op, k.window_exponents)
+            assert cube.tobytes() == _mpf_window_cube(op, k.window_exponents).tobytes()
+            if at in (peak, peak + 4):
+                assert cube.tobytes() != k.cube.tobytes()
+
+    def test_largest_scan_grid_matches_mpf_route(self):
+        cell = _scan_cell(0.9, -0.7)
+        assert cell.grid.size == 617
+        k = cell.kern
+        assert k.cube.tobytes() == _mpf_window_cube(k.op, k.window_exponents).tobytes()
+
+    @pytest.mark.parametrize("bad", [mp.nan, mp.inf, -mp.inf])
+    def test_non_finite_entry_raises(self, small, bad):
+        k, first, length = small
+        for at in (0, 3, length // 2, length - 1):
+            with pytest.raises(ValueError, match="not finite"):
+                translation._window_cube(_planted(k.op, first + at, bad), k.window_exponents)
 
 
 class TestPositivity:
