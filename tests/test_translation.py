@@ -401,12 +401,12 @@ def _mpf_window_cube(op, wexps):
     return tri[tuple(np.sort(np.indices(tri.shape), axis=0))]
 
 
-def _planted(op, offset, value):
-    """``op`` over a copy of its table whose mp value ``offset`` places past the
-    window's first U row entry (t = window_lo + n_lo) is ``value``."""
+def _planted(op, index, value):
+    """``op`` over a copy of its table whose mp value at list index ``index``
+    is ``value``."""
     t = op.table
     mp_vals = list(t.mp_values)
-    mp_vals[offset] = value
+    mp_vals[index] = value
     return TransformOp(op.grid, BesselTable(t.params, t.n_min, t.n_max, t.values,
                                             mp_vals, t.ctx), op.matrix)
 
@@ -422,7 +422,7 @@ class TestRawTupleCube:
 
     def test_planted_zero_matches_mpf_route(self, small):
         # mp.mag(0) is -inf: a zero U entry never sets a row's scale.  Planted
-        # at both ends of the U row, and where |U_t| = |j_t| q^{3t} peaks
+        # at both ends of the U row, and where |U_t| ~ |j_t| q^{3t} peaks
         # (t = -1, in every row), so that another entry sets the scale.
         k, first, length = small
         peak = -1 - k.window_lo - k.grid.n_lo
