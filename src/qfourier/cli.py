@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .bessel import jv_table
 from .errors import GridTooSmall, ParseError, PrecisionExhausted, QFourierError
-from .heat import gauss_mass_defect, gauss_memo, heat_apply, heat_residual
+from .heat import gauss_family, gauss_mass_defect, heat_apply, heat_residual
 from .lattice import LatticeGrid, delta_fn, load_csv, save_csv
 from .qseries import PrecisionCtx, QParams
 from .report import (
@@ -203,13 +203,15 @@ def cmd_heat(args) -> int:
     grid = f.grid
     table = jv_table(grid, ctx)
     k = kernel(grid, table, ctx)
-    gauss = gauss_memo(grid, ctx)
-    u = heat_apply(f, args.t, k, ctx, g=gauss(args.t))
+    # G(., t) and, for the residual, G(., q^2 t) at the exact q^2: one family.
+    family = gauss_family(args.t, grid, range(2), ctx)
+    g = family.member(0)
+    u = heat_apply(f, args.t, k, ctx, g=g)
     if args.outfile:
         save_csv(u, args.outfile)
     if args.residual:
-        resid = heat_residual(f, args.t, k, trusted_window(grid, table, ctx), gauss)
-        mass = gauss_mass_defect(gauss(args.t), k.c)
+        resid = heat_residual(f, g, family.member(1), k, trusted_window(grid, table, ctx))
+        mass = gauss_mass_defect(g, k.c)
         print(json.dumps({"t": args.t, "residual": resid,
                           "mass_defect": mass}, sort_keys=True))
     return EXIT_OK

@@ -12,19 +12,28 @@ e(-t x^2, q^2), satisfies the q-heat equation
 
 with the Jackson time difference D_{q^2,t} u = (u(., t) - u(., q^2 t)) /
 ((1-q^2) t), and is a Markov operator because c G(., t) y^{2v+1} d_q y is a
-probability measure.  The kernel and its e-profile divide by an integer run
-of products (:func:`qseries.qexp_lattice_mp`, scale 2^W, W the working bits
-plus guard bits); the high-precision transform route is one exact integer dot
-per row (digit GEMMs, :func:`numerics.hankel_dots`), its truncation 2^-prec
-below the smallest gated closed-form value.
+probability measure.
+
+Kernels come in families over the lattice times t0 q^{2k}, q^2 the exact
+square of the binary64 q (:func:`qseries.q2_exact`).  The functional
+equation (z; q^2)_inf = (1 - z)(q^2 z; q^2)_inf makes the amplitude
+quasi-periodic, A(q^2 t) = q^{-2(v+1)} A(t) exactly, and turns a step of t
+into a shift of the lattice: G(q^n, t0 q^{2k}) is q^{-2k(v+1)} A(t0) over the
+t0 kernel product at n - k, and e(-t0 q^{2k} q^{2n}; q^2) is the t0 e-profile
+at n + k.  So one amplitude and one integer run of products
+(:func:`qseries.qexp_lattice_mp`, scale 2^W, W the working bits plus guard
+bits) serve every member's kernel, one more run every member's e-profile;
+:func:`gauss_kernel` is the one-member family.  The high-precision transform
+route is one exact integer dot per row (digit GEMMs,
+:func:`numerics.hankel_dots`), its truncation 2^-prec below the smallest
+gated closed-form value.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import mpmath as mp
 import numpy as np
@@ -44,9 +53,10 @@ from .transform import TransformOp, forward, q_bessel_rows
 from .translation import Kernel3, MarkovReport, convolve, convolve_rows, markov_check_convolution
 
 __all__ = [
+    "GaussFamily",
     "GaussKernel",
+    "gauss_family",
     "gauss_kernel",
-    "gauss_memo",
     "gauss_recurrence_defect",
     "gauss_mass_defect",
     "gauss_crosscheck",
@@ -60,34 +70,115 @@ __all__ = [
 
 
 @dataclass
-class GaussKernel:
-    """q-Gauss kernel at time t, sampled on a grid; strictly positive.
+class GaussFamily:
+    """The Gauss kernels at the lattice times t0 q^{2k}, k in ``ks``.
 
-    ``fn`` rounds ``amp_mp`` = A(t) over ``run``, the int pairs of the products
-    (-q^{-2v} q^{2n}/t; q^2)_inf, once; the e-profile is built on first use.
-    The checks below read their t and working digits from the kernel.
+    ``amp_mp`` is A(t0), from its four products; ``run`` holds the int pairs
+    of (-q^{-2v} q^{2m}/t0; q^2)_inf for m = n_lo - k_max .. n_hi - k_min, and
+    ``eprofile_run``, built on first use, those of (-t0 q^{2m}; q^2)_inf for
+    m = n_lo + k_min .. n_hi + k_max.  Members refer to their family, not the
+    other way round: each call of :meth:`member` builds one, for its caller
+    to keep.
     """
 
-    t: float
+    t0: float
     grid: LatticeGrid
-    fn: GridFn = field(repr=False)
+    ks: range
     amp_mp: mp.mpf = field(repr=False)
     run: list = field(repr=False)
     ctx: PrecisionCtx = field(default=DEFAULT_CTX, repr=False)
 
     @cached_property
     def eprofile_run(self) -> list:
+        """The run of (-t0 q^{2m}; q^2)_inf, m = n_lo + k_min .. n_hi + k_max."""
+        return qexp_lattice_mp(self.t0, q2_exact(self.grid.params.q),
+                               self.grid.n_lo + self.ks[0], self.grid.n_hi + self.ks[-1],
+                               self.ctx)
+
+    def member(self, k: int) -> GaussKernel:
+        """G(., t0 q^{2k}): amplitude q^{-2k(v+1)} A(t0) over the run from n_lo - k."""
+        if k not in self.ks:
+            raise ValueError(f"the t0={self.t0} Gauss family spans k in "
+                             f"[{self.ks[0]}, {self.ks[-1]}], not k={k}")
+        amp = self.amp_mp
+        if k:
+            with mp.workdps(self.ctx.work_digits + 10):
+                q2 = q2_exact(self.grid.params.q)
+                amp = amp * q2 ** (-k * (mp.mpf(self.grid.params.v) + 1))
+        start = self.ks[-1] - k
+        run = self.run[start:start + self.grid.size]
+        return GaussKernel(self, k, GridFn(self.grid, _binary64(amp._mpf_, run)), amp, run)
+
+
+def gauss_family(t0: float, grid: LatticeGrid, ks: range,
+                 ctx: PrecisionCtx = DEFAULT_CTX) -> GaussFamily:
+    """The kernels at t0 q^{2k}, k in the unit-step range ``ks``: one A(t0) and
+    one integer run of products (:func:`qseries.qexp_lattice_mp`) for all."""
+    if not t0 > 0.0:
+        raise ValueError(f"t must be positive, got {t0}")
+    if not ks or ks.step != 1:
+        raise ValueError(f"a Gauss family needs a nonempty unit-step range of k, got {ks}")
+    with mp.workdps(ctx.work_digits + 10):
+        amp = gauss_amplitude_mp(t0, grid.params, ctx)
+        run = qexp_lattice_mp(_gauss_prefactor(t0, grid), q2_exact(grid.params.q),
+                              grid.n_lo - ks[-1], grid.n_hi - ks[0], ctx)
+    return GaussFamily(t0, grid, ks, amp, run, ctx)
+
+
+def gauss_kernel(t: float, grid: LatticeGrid,
+                 ctx: PrecisionCtx = DEFAULT_CTX) -> GaussKernel:
+    """Closed-form kernel values A(t) e(-q^{-2v} q^{2n}/t, q^2), rounded once:
+    member 0 of the one-member family of t."""
+    return gauss_family(t, grid, range(1), ctx).member(0)
+
+
+@dataclass
+class GaussKernel:
+    """q-Gauss kernel at time t = t0 q^{2k}, member k of ``family``; strictly positive.
+
+    A(q^2 t) = q^{-2(v+1)} A(t) exactly, so ``amp_mp`` = A(t) is q^{-2k(v+1)}
+    A(t0).  ``run``, the int pairs of (-q^{-2v} q^{2n}/t; q^2)_inf, is the
+    family's kernel run from n_lo - k, and ``eprofile_run`` (on first use)
+    its e-profile run from n_lo + k; ``fn`` is A(t) over ``run``, rounded
+    once.  The checks below read their t, grid and working digits from the
+    kernel.
+    """
+
+    family: GaussFamily = field(repr=False)
+    k: int
+    fn: GridFn = field(repr=False)
+    amp_mp: mp.mpf = field(repr=False)
+    run: list = field(repr=False)
+
+    @property
+    def grid(self) -> LatticeGrid:
+        return self.family.grid
+
+    @property
+    def ctx(self) -> PrecisionCtx:
+        return self.family.ctx
+
+    @cached_property
+    def t_mp(self) -> mp.mpf:
+        """t0 q^{2k} at the working digits plus ten (t0 itself for k = 0)."""
+        with mp.workdps(self.ctx.work_digits + 10):
+            return mp.mpf(self.family.t0) * q2_exact(self.grid.params.q) ** self.k
+
+    @cached_property
+    def t(self) -> float:
+        """The time rounded to binary64."""
+        return float(self.t_mp)
+
+    @cached_property
+    def eprofile_run(self) -> list:
         """The run of (-t q^{2n}; q^2)_inf over the grid's exponents."""
-        return _eprofile_run(self.t, self.grid, self.ctx)
+        start = self.k - self.family.ks[0]
+        return self.family.eprofile_run[start:start + self.grid.size]
 
     @cached_property
     def eprofile(self) -> GridFn:
         """e(-t q^{2n}; q^2), the reciprocals of ``eprofile_run``, in binary64."""
         return GridFn(self.grid, _binary64(fone, self.eprofile_run))
-
-
-# A lookup t -> G(., t) on one grid.
-GaussLookup = Callable[[float], GaussKernel]
 
 
 def _binary64(num, run: list) -> np.ndarray:
@@ -96,49 +187,23 @@ def _binary64(num, run: list) -> np.ndarray:
     return np.array([(man << exp - e) / m if exp >= e else man / (m << e - exp) for m, e in run])
 
 
-def _gauss_prefactor(t: float, grid: LatticeGrid):
+def _gauss_prefactor(t, grid: LatticeGrid):
     """q^{-2v}/t, so that G(q^n, t) = A(t) e(-q^{-2v} q^{2n}/t; q^2)."""
     return mp.mpf(grid.params.q) ** (-2 * mp.mpf(grid.params.v)) / mp.mpf(t)
-
-
-def gauss_kernel(t: float, grid: LatticeGrid,
-                 ctx: PrecisionCtx = DEFAULT_CTX) -> GaussKernel:
-    """Closed-form kernel values A(t) e(-q^{-2v} q^{2n}/t, q^2), rounded once
-    from one integer run of products (:func:`qseries.qexp_lattice_mp`)."""
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    with mp.workdps(ctx.work_digits + 10):
-        amp = gauss_amplitude_mp(t, grid.params, ctx)
-        run = qexp_lattice_mp(_gauss_prefactor(t, grid), q2_exact(grid.params.q),
-                              grid.n_lo, grid.n_hi, ctx)
-    return GaussKernel(t, grid, GridFn(grid, _binary64(amp._mpf_, run)), amp, run, ctx)
-
-
-def _eprofile_run(t: float, grid: LatticeGrid, ctx: PrecisionCtx) -> list:
-    """(-t q^{2n}; q^2)_inf over the grid: y -> e(-t y^2; q^2) is its reciprocal."""
-    return qexp_lattice_mp(t, q2_exact(grid.params.q), grid.n_lo, grid.n_hi, ctx)
-
-
-def gauss_memo(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> GaussLookup:
-    """A lookup that builds G(., t) on ``grid`` once for each t it is asked for.
-
-    Its scope is its caller's: one check cell, or one CLI command.
-    """
-    return cache(lambda t: gauss_kernel(t, grid, ctx))
 
 
 def gauss_recurrence_defect(g: GaussKernel, exps) -> float:
     """Largest binary64-ulp gap between G(q^n, t) and one direct product each.
 
     The direct route evaluates A(t) e(z_n; q^2) at each exponent in ``exps``
-    with its own truncated product at the kernel's digits (A(t) is the
-    kernel's), so a kernel whose run steps by a q^2 other than the exact one
-    shows here.
+    with its own truncated product at the kernel's digits and its exact time
+    (A(t) is the kernel's), so a kernel whose run steps by a q^2 other than
+    the exact one, or is sliced at another offset, shows here.
     """
     grid, ctx = g.grid, g.ctx
     with mp.workdps(ctx.work_digits + 10):
         q2 = q2_exact(grid.params.q)
-        pref = _gauss_prefactor(g.t, grid)
+        pref = _gauss_prefactor(g.t_mp, grid)
         return worst(*(
             ulps(g.fn[n], float(g.amp_mp * qexp_mp(-(pref * q2 ** int(n)), q2, ctx)))
             for n in exps
@@ -229,20 +294,23 @@ def heat_apply(f: GridFn, t: float, k: Kernel3, ctx: PrecisionCtx = DEFAULT_CTX,
     return convolve(g.fn, f, k)
 
 
-def heat_residual(f: GridFn | list[GridFn], t: float, k: Kernel3,
-                  window: tuple[int, int], gauss: GaussLookup) -> float:
-    """Pointwise q-heat-equation residual of u = P_t f on trusted interior rows,
-    worst over f, one window-supported probe or a list of them.
+def heat_residual(f: GridFn | list[GridFn], g: GaussKernel, below: GaussKernel, k: Kernel3,
+                  window: tuple[int, int]) -> float:
+    """Pointwise q-heat-equation residual of u = P_t f, t = g.t, on trusted
+    interior rows, worst over f, one window-supported probe or a list of them.
 
-    The time difference uses u at t and q^2 t; rows are restricted to the
-    trusted ``window``, where the q^{-2n} amplification of the space operator
-    stays far below the tolerance budget.  ``gauss`` supplies the kernels at
-    both times.
+    The time difference uses u at t and at q^2 t; ``below`` must be G(., q^2 t),
+    the member one step below ``g`` in its family (ValueError otherwise).  Rows
+    are restricted to the trusted ``window``, where the q^{-2n} amplification
+    of the space operator stays far below the tolerance budget.
     """
-    grid, q = k.grid, k.grid.params.q
-    fs, s = stack(grid, f), q * q * t
-    u_t = convolve_rows(fs, gauss(t).fn.values, k)
-    rhs = (u_t - convolve_rows(fs, gauss(s).fn.values, k)) / t  # (1-q^2) D_{q^2,t} u
+    if below.family is not g.family or below.k != g.k + 1:
+        raise ValueError(f"Gauss kernel at t={below.t} is not the member one step "
+                         f"below t={g.t} in its family")
+    grid, t = k.grid, g.t
+    fs = stack(grid, f)
+    u_t = convolve_rows(fs, g.fn.values, k)
+    rhs = (u_t - convolve_rows(fs, below.fn.values, k)) / t  # (1-q^2) D_{q^2,t} u
     lo, hi = max(window[0], grid.n_lo + 1) - grid.n_lo, min(window[1], grid.n_hi - 1) - grid.n_lo
     du = q_bessel_rows(u_t, grid)[1][:, lo - 1:hi]  # its column i is grid row i + 1
     return worst(*(np.abs(du - rhs[:, lo:hi + 1]) / (1.0 + np.abs(du))).ravel())
@@ -267,23 +335,25 @@ def heat_markov_check(g: GaussKernel, k: Kernel3, probes: list[GridFn]) -> Marko
     return markov_check_convolution(g.fn, k, probes)
 
 
-def composition_defect(f: GridFn, t: float, s: float, k: Kernel3,
-                       gauss: GaussLookup) -> float:
-    """|| P_t P_s f - P_{t+s} f ||_2 / || P_{t+s} f ||_2 on window rows.
+def composition_defect(f: GridFn, g_t: GaussKernel, g_s: GaussKernel, g_ts: GaussKernel,
+                       k: Kernel3) -> float:
+    """|| P_t P_s f - P_{t+s} f ||_2 / || P_{t+s} f ||_2 on window rows, t = g_t.t,
+    s = g_s.t, and ``g_ts`` the kernel at t + s (ValueError otherwise).
 
     Reported without a gate: the composition law in t is not implied by the
     q-exponential symbol (e(a)e(b) != e(a+b)), so this measures how far the
-    family is from a classical semigroup.  ``gauss`` supplies the kernels at
-    s, t and t + s.
+    family is from a classical semigroup.
     """
+    if g_ts.t != g_t.t + g_s.t:
+        raise ValueError(f"Gauss kernel at t={g_ts.t} given for t + s = {g_t.t + g_s.t}")
     grid = k.grid
-    u_s = heat_apply(f, s, k, g=gauss(s))
+    u_s = heat_apply(f, g_s.t, k, g=g_s)
     # u_s has full-grid support, so neither factor of P_t u_s = M (MG Mu_s)
     # is window-supported and only its window rows are trusted.
     m = k.op.matrix
     sel = [grid.index(int(e)) for e in k.window_exponents]
-    lhs = (m @ ((m @ gauss(t).fn.values) * (m @ u_s.values)))[sel]
-    u_ts = heat_apply(f, t + s, k, g=gauss(t + s))
+    lhs = (m @ ((m @ g_t.fn.values) * (m @ u_s.values)))[sel]
+    u_ts = heat_apply(f, g_ts.t, k, g=g_ts)
     ww = grid.weights()[sel]
     num = math.sqrt(float(ww @ (lhs - u_ts.values[sel]) ** 2))
     den = math.sqrt(float(ww @ u_ts.values[sel] ** 2))

@@ -249,9 +249,11 @@ class _CellRunner:
         self.kprobes_nn = seeded_probes(self.grid, self.kern.window, 6,
                                         cfg.seed + 2, nonneg=True)
         self.mprobes = self.kprobes[:10] + self.kprobes_nn      # Markov-axiom probes
-        # Every Gauss kernel of the cell, built once per t; t = 1 now (check_qseries reads A(1)).
-        self.gauss = heat.gauss_memo(self.grid, self.ctx)
-        self.gauss(1.0)
+        # The cell's Gauss kernels at t = q^{2k}, k = -1..3: the heat rows' q^-2, 1,
+        # q^2 and q^4 and the member below each that the heat residual reads, from
+        # one amplitude A(1) (check_qseries reads it) and one run of products.
+        family = heat.gauss_family(1.0, self.grid, range(-1, 4), self.ctx)
+        self.gauss = {k: family.member(k) for k in family.ks}
 
     # ---------------- scalar q-series identities ----------------
 
@@ -270,7 +272,7 @@ class _CellRunner:
             c = qm**s
             poch = {a: qseries.qpoch_inf_mp(a, q, ctx)
                     for a in (0.25, -1.0, 0.9, -4.0, -0.5, 0.0, 0.3)}
-            a1 = self.gauss(1.0).amp_mp     # A's products at t = 1 only, built once a cell
+            a1 = self.gauss[0].amp_mp       # A's products at t = 1 only, built once a cell
             *lattice, off = _theta_amplitudes([q2**m for m in range(-3, 4)] + [t0 * t0], p, ctx)
             rows = {
                 # K factors times Euler's series for the tail (a q^K; q)_inf.
@@ -430,7 +432,7 @@ class _CellRunner:
         yield from _markov("bump", translation.markov_check_convolution(
             rho, kern, self.mprobes))
 
-        g = self.gauss(1.0)
+        g = self.gauss[0]
         ns, coeffs = translation.multiplier_coeffs(g.fn, kern)
         expected = np.array([g.eprofile[int(n)] for n in ns])
         sup = float(np.max(np.abs(expected)))
@@ -441,9 +443,9 @@ class _CellRunner:
     # ---------------- heat identities ----------------
 
     def check_heat(self) -> Rows:
-        kern, q, op, win, fs = self.kern, self.p.q, self.op, self.window, self.kprobes[:3]
-        # Each row: worst over t; q^4 is the float heat_residual asks for below q^2.
-        gs = [self.gauss(t) for t in (q * q * (q * q), q * q, 1.0, q**-2)]
+        kern, op, win, fs = self.kern, self.op, self.window, self.kprobes[:3]
+        # Each row: worst over t = q^4, q^2, 1 and q^-2.
+        gs = [self.gauss[k] for k in (2, 1, 0, -1)]
         yield "gauss-transform-consistency", worst(*(
             heat.gauss_crosscheck(g, op, win) for g in gs))
         yield "gauss-transform-consistency-hp", worst(*(
@@ -452,16 +454,17 @@ class _CellRunner:
         # Both ends, the middle and the quarter points of the grid.
         exps = sorted({int(round(n)) for n in
                        np.linspace(self.grid.n_lo, self.grid.n_hi, 5)})
-        yield "gauss-lattice-recurrence", heat.gauss_recurrence_defect(self.gauss(1.0), exps)
+        yield "gauss-lattice-recurrence", heat.gauss_recurrence_defect(self.gauss[0], exps)
         yield "heat-spectral-diagonalization", worst(*(
             heat.heat_spectral_defect(fs, g, kern, win) for g in gs))
         yield "heat-equation-residual", worst(*(
-            heat.heat_residual(fs, g.t, kern, win, self.gauss) for g in gs))
+            heat.heat_residual(fs, g, self.gauss[g.k + 1], kern, win) for g in gs))
 
-        yield from _markov("heat", heat.heat_markov_check(self.gauss(1.0), kern, self.mprobes))
+        g1 = self.gauss[0]
+        yield from _markov("heat", heat.heat_markov_check(g1, kern, self.mprobes))
 
         yield "heat-composition", heat.composition_defect(
-            self.kprobes[0], 1.0, 1.0, kern, self.gauss)
+            self.kprobes[0], g1, g1, heat.gauss_kernel(2.0, self.grid, self.ctx), kern)
 
     def _result(self, name: str, residual: float) -> IdentityResult:
         """The registry row ``name`` applied to its residual."""

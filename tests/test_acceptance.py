@@ -167,7 +167,7 @@ _PINNED_RESIDUALS = {
                  "bessel-oracle-agreement": 0.0,
                  "gauss-transform-consistency-hp": 8.483104276974059e-34},
     (0.8, 0.5): {"bessel-eigen-relation": 7.238034962077162e-29,
-                 "gauss-transform-consistency-hp": 7.708016959528115e-24},
+                 "gauss-transform-consistency-hp": 7.708016959528113e-24},
 }
 
 
@@ -183,7 +183,7 @@ def test_high_precision_residuals_pinned(suite):
 # sha256 of the default report's JSON with every cell's runtime_s zeroed: the
 # report is byte-identical across refactors that must not move a residual.
 # A change that moves one on purpose updates this pin and says why.
-_REPORT_SHA256 = "74c04ba6656ee44fc14a7b56807c3e84a440b2d9115d78ab99d5201178a05f2e"
+_REPORT_SHA256 = "03a486cd09f58a866215fcd77afffe8b1e296b1fc8fc2157e1bec1ed24f7058e"
 
 
 def test_default_report_pinned(suite):

@@ -200,10 +200,11 @@ def loop_hypergroup_window(k, width: int) -> tuple[int, int]:
 
 
 def loop_heat_rows(r) -> dict:
-    k, grid, q, (w_lo, w_hi) = r.kern, r.grid, r.p.q, r.window
+    k, grid, (w_lo, w_hi) = r.kern, r.grid, r.window
     spectral = residual = 0.0
-    for t in (q**4, q**2, 1.0, q**-2):
-        g = r.gauss(t)
+    for j in (2, 1, 0, -1):                   # t = q^4, q^2, 1 and q^-2
+        g, below = r.gauss[j], r.gauss[j + 1]
+        t = g.t
         for f in r.kprobes[:3]:
             lhs = forward(heat_apply(f, t, k, g=g), k.op).values
             rhs = g.eprofile.values * forward(f, k.op).values
@@ -212,7 +213,7 @@ def loop_heat_rows(r) -> dict:
             spectral = worst(spectral, np.sqrt(ws @ (lhs[sel] - rhs[sel]) ** 2)
                              / max(np.sqrt(ws @ rhs[sel] ** 2), TINY))
             u_t = heat_apply(f, t, k, g=g)
-            u_s = heat_apply(f, q * q * t, k, g=r.gauss(q * q * t))
+            u_s = heat_apply(f, below.t, k, g=below)
             du, dt = q_bessel_operator(u_t), (u_t.values - u_s.values) / t
             for n in range(max(w_lo, grid.n_lo + 1), min(w_hi, grid.n_hi - 1) + 1):
                 residual = worst(residual,
@@ -249,7 +250,7 @@ class TestMarkovAgainstLoop:
 
     def test_heat(self, runner, which):
         probes = _probe_sets(runner)[which]
-        g = runner.gauss(1.0)
+        g = runner.gauss[0]
         rep = markov_check_convolution(g.fn, runner.kern, probes)
         assert_markov(rep, loop_markov_convolution(g.fn, runner.kern, probes))
         if which in ("empty", "no-nonneg"):
@@ -260,7 +261,7 @@ def test_markov_rows_against_loop(runner, rows):
     rho = GridFn(runner.grid, delta_fn(runner.grid, 0).values / runner.c)
     refs = {"translation": loop_markov_translation(runner.kern, runner.mprobes),
             "bump": loop_markov_convolution(rho, runner.kern, runner.mprobes),
-            "heat": loop_markov_convolution(runner.gauss(1.0).fn, runner.kern, runner.mprobes)}
+            "heat": loop_markov_convolution(runner.gauss[0].fn, runner.kern, runner.mprobes)}
     for op, ref in refs.items():
         for axis, value in zip(report.MARKOV_AXES, ref):
             got = rows[f"markov-{op}-{axis}"]
@@ -327,7 +328,7 @@ def test_hypergroup_window_matches_the_loop():
 
 
 def test_gauss_amplitude_at_one_is_built_once(monkeypatch):
-    # check_qseries reads A(1) from the cell's t = 1 Gauss kernel.
+    # check_qseries reads A(1) from the cell's t0 = 1 Gauss family.
     calls = Counter()
     amplitude = qseries.gauss_amplitude_mp
 

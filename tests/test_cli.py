@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, file formats, determinism."""
 
 import csv
+import hashlib
 import json
 import math
 import re
@@ -294,6 +295,19 @@ class TestHeat:
         assert payload["t"] == 1.0
         assert payload["residual"] < 1e-7
         assert payload["mass_defect"] < 1e-8
+
+    def test_residual_outputs_pinned(self, probe_csv, tmp_path, capsys):
+        # G at t and at q^2 t come from one Gauss family; at q = 1/2, where
+        # q^2 t is a binary64 number, the JSON line and the CSV of u are those
+        # of two kernels built at float times, to the byte.
+        path, _, _ = probe_csv
+        out = tmp_path / "u.csv"
+        assert main(["heat", *CELL, "--t", "1.0", "--in", str(path), "--out", str(out),
+                     "--residual"]) == 0
+        assert capsys.readouterr().out == (
+            '{"mass_defect": 0.0, "residual": 5.769351816581621e-15, "t": 1.0}\n')
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "4ad49742344fbb3db639d6cb86870b0e6121b7723fc92e9206a74aba4e19645c")
 
     def test_writes_output_function(self, probe_csv, tmp_path):
         path, grid, _ = probe_csv

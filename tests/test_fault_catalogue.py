@@ -9,13 +9,20 @@ measured M^2 = I.  Each fault below breaks what one of them read; the clean
 cell passes every gate and the faulted cell fails the named kept rows
 (mutation analysis: DeMillo, Lipton & Sayward, "Hints on test data
 selection", IEEE Computer 11(4), 1978).
+
+The Gauss family's members are slices of two shared runs of products; an
+off-by-one offset in one member's slice, of the kernel run or of the
+e-profile run, must fail a kept row too.
 """
+
+import dataclasses
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from qfourier import qseries, report, translation
+from qfourier import heat, qseries, report, translation
+from qfourier.lattice import GridFn
 from qfourier.report import SuiteConfig, run_cell
 
 CELLS = [(0.5, 0.5, -10, 40), (0.8, 0.5, -20, 120)]     # two of the default cells
@@ -49,6 +56,32 @@ def scaled_product(qpoch_inf_mp):
     return lambda *args: qpoch_inf_mp(*args) * (1 + mp.mpf("1e-11"))
 
 
+# The member whose slices the two faults below move: t = q^2, read by every
+# multi-time heat row and as the member below t = 1 by the heat residual.
+_MEMBER = 1
+
+
+def kernel_slice_off_by_one(member):
+    """Member _MEMBER's kernel from the family's kernel run one exponent along."""
+    def faulted(fam, k):
+        g = member(fam, k)
+        if k != _MEMBER:
+            return g
+        start = fam.ks[-1] - k + 1
+        run = fam.run[start:start + fam.grid.size]
+        return dataclasses.replace(g, run=run,
+                                   fn=GridFn(fam.grid, heat._binary64(g.amp_mp._mpf_, run)))
+    return faulted
+
+
+def eprofile_slice_off_by_one(eprofile_run):
+    """Member _MEMBER's e-profile from the family's e-profile run one exponent along."""
+    def faulted(g):
+        start = g.k - g.family.ks[0] + (g.k == _MEMBER)
+        return g.family.eprofile_run[start:start + g.grid.size]
+    return property(faulted)
+
+
 def scaled_convolution(convolve_rows):
     """f * g times 1 + 1e-6, on every row of a stack."""
     return lambda f, g, k: convolve_rows(f, g, k) * (1 + 1e-6)
@@ -78,6 +111,14 @@ FAULTS = {
         translation, "convolve_rows", scaled_convolution, None,
         {"convolution-commutativity", "multiplier-diagonal-action",
          "markov-bump-jensen", "markov-bump-sup"}),
+    "gauss-family/kernel-slice": (
+        heat.GaussFamily, "member", kernel_slice_off_by_one, None,
+        {"gauss-transform-consistency", "gauss-transform-consistency-hp", "gauss-mass",
+         "heat-spectral-diagonalization", "heat-equation-residual"}),
+    "gauss-family/eprofile-slice": (
+        heat.GaussKernel, "eprofile_run", eprofile_slice_off_by_one, None,
+        {"gauss-transform-consistency", "gauss-transform-consistency-hp",
+         "heat-spectral-diagonalization"}),
 }
 
 

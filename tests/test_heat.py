@@ -11,15 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfourier import bessel, heat, qseries
+from qfourier import bessel, heat, qseries, report
 from qfourier.heat import (
-    GaussKernel,
+    GaussFamily,
     composition_defect,
     gauss_crosscheck,
     gauss_crosscheck_hp,
+    gauss_family,
     gauss_kernel,
     gauss_mass_defect,
-    gauss_memo,
     gauss_recurrence_defect,
     heat_apply,
     heat_markov_check,
@@ -139,17 +139,16 @@ class TestGaussKernel:
             assert [float(g.amp_mp / mp.ldexp(m, e)) for m, e in g.run] == list(g.fn.values)
 
 
-def _check_times(q):
-    """Every t the check builds G(., t) at: its rows' q^4, q^2, 1 and q^-2, the
-    q * q * t of the heat residual below each and the composition's 2.  The
-    rows name q^4 as q * q * (q * q), the residual's float below q^2 (q**4 is
-    one ulp lower at q = 0.8), so six times in all."""
-    rows = (q * q * (q * q), q * q, 1.0, q**-2)
-    return sorted({*rows, 2.0} | {q * q * t for t in rows})
+def _float_times(q):
+    """Six float times: q2 = q * q in binary64, q2 * q2, q2 * (q2 * q2), 1, 2 and
+    q**-2.  Each is its own one-member family, with t rounded to binary64."""
+    q2 = q * q
+    return sorted({q2 * (q2 * q2), q2 * q2, q2, 1.0, 2.0, q**-2})
 
 
-# sha256 of the binary64 kernel values and of the binary64 e-profiles, each
-# over the cell's times in order: they depend on mp arithmetic only.
+# sha256 of the binary64 kernel values and of the binary64 e-profiles of
+# gauss_kernel at float times, each over the times in order: they depend on
+# mp arithmetic only.
 _GAUSS_SHA256 = {
     (0.5, 0.0, -10, 40): (
         "a4500e661aff4d42f6b8567584f4bbc3bdbbea10d79ead9b17639d96eadece0e",
@@ -176,13 +175,58 @@ class TestGaussFingerprint:
     @pytest.mark.parametrize("q, v, n_lo, n_hi", list(_GAUSS_SHA256))
     def test_bit_identical(self, q, v, n_lo, n_hi):
         grid = LatticeGrid(QParams(q, v), n_lo, n_hi)
-        times = [q**4, 1.0, q**-2] if (q, v, n_lo, n_hi) not in DEFAULT_CELLS else _check_times(q)
+        times = [q**4, 1.0, q**-2] if (q, v, n_lo, n_hi) not in DEFAULT_CELLS else _float_times(q)
         fn, prof = hashlib.sha256(), hashlib.sha256()
         for t in times:
             g = gauss_kernel(t, grid, CTX)
             fn.update(g.fn.values.tobytes())
             prof.update(g.eprofile.values.tobytes())
         assert (fn.hexdigest(), prof.hexdigest()) == _GAUSS_SHA256[(q, v, n_lo, n_hi)]
+
+
+# The check cell's family, t0 = 1 and k = -1..3: sha256 of the binary64
+# kernel values and of the binary64 e-profiles, each over k in order.
+_FAMILY_SHA256 = {
+    (0.5, 0.0, -10, 40): (
+        "23aecf2ff5c15ac824113a897135d359e8332a3e02b61eed26b6b749ba51b741",
+        "5b0bb90603141f7574f892e5b9a27f0ac11dcfbca214eb64ba4fe459a26b04fb"),
+    (0.5, 0.5, -10, 40): (
+        "3eab082c272c69f41ceda741e104718f295dbf10d8fd66d85d99b4621c8af0f4",
+        "5b0bb90603141f7574f892e5b9a27f0ac11dcfbca214eb64ba4fe459a26b04fb"),
+    (0.5, 1.5, -10, 40): (
+        "b7a4a39c125b8cee8dd1acca7025611ccddd6560ce0b95379ad26e6b236471ed",
+        "5b0bb90603141f7574f892e5b9a27f0ac11dcfbca214eb64ba4fe459a26b04fb"),
+    (0.8, 0.5, -20, 120): (
+        "74f6acf62cd06d8be20e9f778063815d8e51074fa4098b0f4e44f6a88f5860d6",
+        "a4f7c0ebcbc663118f3d0b53cab91fd0a0d35c4d752db0913c3543608a463e4f"),
+    (0.9, 0.0, -30, 300): (
+        "09f94fa1450c47fef8a89a5c82dab019496991f349040cc20279f3c033dd5877",
+        "53833e3a4d64989490c3d572110815c46b926fa228e48a925b98992fea7eb262"),
+}
+
+
+class TestFamilyFingerprint:
+    def test_pins_cover_the_default_cells(self):
+        assert set(DEFAULT_CELLS) <= set(_FAMILY_SHA256)
+
+    @pytest.mark.parametrize("q, v, n_lo, n_hi", list(_FAMILY_SHA256))
+    def test_bit_identical(self, q, v, n_lo, n_hi):
+        fam = gauss_family(1.0, LatticeGrid(QParams(q, v), n_lo, n_hi), range(-1, 4), CTX)
+        fn, prof = hashlib.sha256(), hashlib.sha256()
+        for g in map(fam.member, fam.ks):
+            fn.update(g.fn.values.tobytes())
+            prof.update(g.eprofile.values.tobytes())
+        assert (fn.hexdigest(), prof.hexdigest()) == _FAMILY_SHA256[(q, v, n_lo, n_hi)]
+
+    def test_dyadic_members_are_the_float_time_kernels(self, cell_half):
+        # At q = 1/2 every q^{2k} is a binary64 number: each member equals the
+        # one-member family at its float time, to the bit.
+        fam = gauss_family(1.0, cell_half.grid, range(-1, 4), CTX)
+        for k in fam.ks:
+            got, g = fam.member(k), gauss_kernel(0.25**k, cell_half.grid, CTX)
+            assert got.t == g.t
+            assert np.array_equal(got.fn.values, g.fn.values), k
+            assert np.array_equal(got.eprofile.values, g.eprofile.values), k
 
 
 def _float_step_kernel(t, grid):
@@ -193,8 +237,21 @@ def _float_step_kernel(t, grid):
         amp = gauss_amplitude_mp(t, p, CTX)
         pref = mp.mpf(p.q) ** (-2 * mp.mpf(p.v)) / t
         run = qexp_lattice_mp(pref, mp.mpf(p.q * p.q), grid.n_lo, grid.n_hi, CTX)
-        vals = np.array([float(amp / mp.ldexp(m, e)) for m, e in run])
-    return GaussKernel(t, grid, GridFn(grid, vals), amp, run, CTX)
+    return GaussFamily(t, grid, range(1), amp, run, CTX).member(0)
+
+
+def _direct_member(fam, k):
+    """Member k of ``fam`` by direct mp products at the exact time t0 q2^k, in
+    binary64: A(t) by its four products, one product per kernel point and per
+    e-profile point."""
+    grid = fam.grid
+    with mp.workdps(CTX.work_digits + 10):
+        q2 = q2_exact(grid.params.q)
+        t = mp.mpf(fam.t0) * q2**k
+        amp, pref = gauss_amplitude_mp(t, grid.params, CTX), heat._gauss_prefactor(t, grid)
+        kernel = [float(amp * qexp_mp(-(pref * q2 ** int(n)), q2, CTX)) for n in grid.exponents]
+        prof = [float(qexp_mp(-(t * q2 ** int(n)), q2, CTX)) for n in grid.exponents]
+    return kernel, prof
 
 
 def _direct_eprofile(t, grid):
@@ -251,6 +308,24 @@ class TestLatticeRecurrence:
             assert np.array_equal(got[low], want[low])
             assert max(map(ulps, got, want)) <= 4.0
 
+    @settings(max_examples=25, deadline=None)
+    @given(q=st.floats(0.1, 0.95),
+           v=st.floats(-1.0, 3.0, exclude_min=True),
+           k=st.integers(-3, 3),
+           below=st.integers(0, 3),
+           above=st.integers(0, 3),
+           t0=st.floats(0.05, 20.0))
+    @example(q=0.8, v=0.5, k=2, below=3, above=1, t0=1.0)
+    def test_family_member_within_one_ulp_of_direct_products(self, q, v, k, below, above, t0):
+        # Member k of a family spanning k - below .. k + above: amplitude
+        # q^{-2k(v+1)} A(t0) and slices of the two runs, against A(t) and one
+        # product per point at the exact t = t0 q2^k.
+        fam = gauss_family(t0, LatticeGrid(QParams(q, v), -4, 10), range(k - below, k + above + 1),
+                           CTX)
+        g, (kernel, prof) = fam.member(k), _direct_member(fam, k)
+        assert max(map(ulps, g.fn.values, kernel)) <= 1.0
+        assert max(map(ulps, g.eprofile.values, prof)) <= 1.0
+
     def test_float_q2_step_breaks_the_identity(self):
         # At q = 0.8, float(q*q) is not the exact square of q: a recurrence
         # stepping by it drifts ~150 ulps from the direct products.
@@ -281,24 +356,44 @@ class TestLatticeRecurrence:
         assert max(map(ulps, prof.values, _direct_eprofile(t, grid))) <= 1.0
 
 
+def _count_gauss_work(monkeypatch) -> dict:
+    """Record each amplitude's t and each integer run's (a, n_lo, n_hi) made
+    through the heat module's bindings."""
+    calls = {"amplitude": [], "run": []}
+    amplitude, run = heat.gauss_amplitude_mp, heat.qexp_lattice_mp
+
+    def counted_amplitude(t, *args):
+        calls["amplitude"].append(float(t))
+        return amplitude(t, *args)
+
+    def counted_run(a, q2, n_lo, n_hi, *args):
+        calls["run"].append((float(a), n_lo, n_hi))
+        return run(a, q2, n_lo, n_hi, *args)
+
+    monkeypatch.setattr(heat, "gauss_amplitude_mp", counted_amplitude)
+    monkeypatch.setattr(heat, "qexp_lattice_mp", counted_run)
+    return calls
+
+
 class TestCellMemo:
     def test_one_build_per_distinct_time(self, monkeypatch):
-        # Six on every default cell, at the times of the Gauss pins:
-        # heat_residual's q * q * t below t = q^2 is the rows' own q^4, also
-        # at q = 0.8.
-        calls = []
-        build = heat.gauss_kernel
-
-        def counting(t, grid, ctx=CTX):
-            calls.append((t, grid))
-            return build(t, grid, ctx)
-
-        monkeypatch.setattr(heat, "gauss_kernel", counting)
+        # Per default cell, two amplitudes, A(1) and A(2), and three integer
+        # runs: the t0 = 1 family's kernel run, which k = -1..3 shifts by up to
+        # three exponents down and one up, its e-profile run, shifted by one
+        # down and three up, and the t = 2 kernel of heat-composition.
+        calls = _count_gauss_work(monkeypatch)
         for cell in DEFAULT_CELLS:
-            calls.clear()
+            calls["amplitude"].clear()
+            calls["run"].clear()
             assert run_cell(*cell, SuiteConfig(cells=(cell,), probes=10)).passed
-            assert len(calls) == len(set(calls)) == 6, cell
-            assert sorted(t for t, _ in calls) == _check_times(cell[0]), cell
+            q, v, n_lo, n_hi = cell
+            grid = LatticeGrid(QParams(q, v), n_lo, n_hi)
+            with mp.workdps(CTX.work_digits + 10):
+                pref = [float(heat._gauss_prefactor(t, grid)) for t in (1.0, 2.0)]
+            assert sorted(calls["amplitude"]) == [1.0, 2.0], cell
+            assert sorted(calls["run"]) == sorted([(pref[0], n_lo - 3, n_hi + 1),
+                                                   (1.0, n_lo - 1, n_hi + 3),
+                                                   (pref[1], n_lo, n_hi)]), cell
 
     def test_one_c_qv_and_one_decay_constant_per_cell(self, monkeypatch):
         # The cell's Bessel table evaluates c_{q,v} and C once each; the
@@ -329,23 +424,23 @@ class TestCellMemo:
 
     def test_one_eprofile_per_distinct_time(self, monkeypatch):
         # Four times, each read by the float and hp cross-checks and three
-        # spectral defects (t = 1 also by the Gauss multiplier): four profiles.
-        calls = []
-        build = heat._eprofile_run
-
-        def counting(t, grid, ctx):
-            calls.append(t)
-            return build(t, grid, ctx)
-
-        monkeypatch.setattr(heat, "_eprofile_run", counting)
-        cfg = SuiteConfig(cells=((0.5, 0.5, -10, 40),), probes=10)
-        assert run_cell(0.5, 0.5, -10, 40, cfg).passed
-        assert sorted(calls) == sorted(heat_times(0.5))
+        # spectral defects (t = 1 also by the Gauss multiplier): one e-profile
+        # run, of which each time's profile is a slice.
+        calls = _count_gauss_work(monkeypatch)
+        runner = report._CellRunner(0.5, 0.5, -10, 40, SuiteConfig(probes=10))
+        runner.run()
+        fam = runner.gauss[0].family
+        assert [c for c in calls["run"] if c[1:] == (-11, 43)] == [(1.0, -11, 43)]
+        for k in (2, 1, 0, -1):
+            g = runner.gauss[k]
+            assert g.family is fam
+            assert g.eprofile_run == fam.eprofile_run[k + 1:k + 1 + fam.grid.size]
 
     def test_gauss_kernel_builds_no_eprofile(self, monkeypatch):
-        monkeypatch.setattr(heat, "_eprofile_run", None)
+        calls = _count_gauss_work(monkeypatch)
         g = gauss_kernel(1.0, LatticeGrid(QParams(0.5, 0.5), -10, 40), CTX)
         assert np.all(g.fn.values > 0.0)
+        assert calls == {"amplitude": [1.0], "run": [(2.0, -10, 40)]}
 
 
 class TestHeatFlow:
@@ -374,12 +469,23 @@ class TestHeatFlow:
         assert worst < 1e-8
 
     def test_heat_equation_residual(self, cell_half, kprobes):
-        gauss = gauss_memo(cell_half.grid, CTX)
+        fam = gauss_family(1.0, cell_half.grid, range(-1, 4), CTX)
         worst = max(
-            heat_residual(f, t, cell_half.kern, cell_half.window, gauss)
-            for t in heat_times(cell_half.p.q) for f in kprobes[:3]
+            heat_residual(f, fam.member(k), fam.member(k + 1), cell_half.kern, cell_half.window)
+            for k in (2, 1, 0, -1) for f in kprobes[:3]
         )
         assert worst < 1e-7
+
+    def test_residual_needs_the_member_below(self, cell_half, kprobes):
+        # u at q^2 t is member k + 1 of g's own family: two steps down, or the
+        # same time from another family, is refused.
+        fam = gauss_family(1.0, cell_half.grid, range(3), CTX)
+        g, other = fam.member(0), gauss_family(0.25, cell_half.grid, range(1), CTX).member(0)
+        for below in (fam.member(2), other):
+            with pytest.raises(ValueError, match="not the member one step below t=1.0"):
+                heat_residual(kprobes[0], g, below, cell_half.kern, cell_half.window)
+        with pytest.raises(ValueError, match="not k=3"):
+            fam.member(3)
 
     def test_mass_and_positivity_after_flow(self, cell_half):
         # Flowing the Gauss kernel keeps it positive and mass-normalized.
@@ -444,13 +550,19 @@ class TestNaN:
     def test_residual_is_nan_not_zero(self, cell_half, kprobes):
         f = kprobes[1].copy()
         f.values[f.grid.index(int(cell_half.kern.window_exponents[-1]))] = math.nan
-        assert math.isnan(heat_residual(f, 1.0, cell_half.kern, cell_half.window,
-                                        gauss_memo(cell_half.grid, CTX)))
+        fam = gauss_family(1.0, cell_half.grid, range(2), CTX)
+        assert math.isnan(heat_residual(f, fam.member(0), fam.member(1), cell_half.kern,
+                                        cell_half.window))
 
 
 class TestComposition:
     def test_defect_is_finite_and_reported(self, cell_half, kprobes):
-        d = composition_defect(kprobes[0], 1.0, 1.0, cell_half.kern,
-                               gauss_memo(cell_half.grid, CTX))
+        g1, g2 = (gauss_kernel(t, cell_half.grid, CTX) for t in (1.0, 2.0))
+        d = composition_defect(kprobes[0], g1, g1, g2, cell_half.kern)
         assert np.isfinite(d)
         assert d >= 0.0
+
+    def test_kernel_for_another_sum_is_refused(self, cell_half, kprobes):
+        g1 = gauss_kernel(1.0, cell_half.grid, CTX)
+        with pytest.raises(ValueError, match="t=1.0 given for t \\+ s = 2.0"):
+            composition_defect(kprobes[0], g1, g1, g1, cell_half.kern)

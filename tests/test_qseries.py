@@ -248,10 +248,10 @@ class TestQExp:
 
 def _qseries_rows(q: float, v: float = 0.5) -> dict:
     # check_qseries reads only the cell's q, v, precision and the A(1) of its
-    # t = 1 Gauss kernel, which gauss_kernel takes from gauss_amplitude_mp.
+    # t0 = 1 Gauss family, which gauss_family takes from gauss_amplitude_mp.
     p = QParams(q, v)
-    cell = SimpleNamespace(p=p, ctx=CTX, cfg=SuiteConfig(), gauss=lambda t: SimpleNamespace(
-        amp_mp=qseries.gauss_amplitude_mp(t, p, CTX)))
+    cell = SimpleNamespace(p=p, ctx=CTX, cfg=SuiteConfig(), gauss={0: SimpleNamespace(
+        amp_mp=qseries.gauss_amplitude_mp(1.0, p, CTX))})
     return dict(_CellRunner.check_qseries(cell))
 
 
