@@ -115,7 +115,7 @@ def _series(x2, m: float, p: QParams, digits: int, where: str, shifts: int = 0):
     return ratio_sum_mp(inputs, digits, where, 32 + math.ceil(_digits_lost(m, p) * math.log2(10)))
 
 
-def _anchor(e: int, p: QParams, ctx: PrecisionCtx, dps: int) -> mp.mpf:
+def _anchor(e: int, p: QParams, dps: int) -> mp.mpf:
     """j_v(q^e) good to about ``dps`` digits past the cancellation of its own terms.
 
     From 0 up the series.  Below 0, with m = -e and c = q^{2v+2}, the lattice
@@ -135,7 +135,7 @@ def _anchor(e: int, p: QParams, ctx: PrecisionCtx, dps: int) -> mp.mpf:
         return -(mp.mpf(p.q) ** (2 * mp.mpf(p.v) + 2)) * q2 ** m, q2, q2, q2 ** m
 
     total = ratio_sum_mp(inputs, dps, "the lattice sum of " + where)
-    at = PrecisionCtx(dps, ctx.tail_tol)
+    at = PrecisionCtx(dps)
     with mp.workdps(dps):
         q2 = q2_exact(p.q)
         c = mp.mpf(p.q) ** (2 * mp.mpf(p.v) + 2)
@@ -244,7 +244,7 @@ def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
     growth = math.ceil(2.0 * max(p.v, 0.0) * max(n_max, 0) * math.log10(1.0 / p.q))
     dps = max(ctx.work_digits, 26) + growth + _SWEEP_GUARD_DIGITS
     # Each anchor carries ten digits over the sweep past its own cancellation.
-    top, bottom = (_anchor(e, p, ctx, dps + 10) for e in (n_max, n_min))
+    top, bottom = (_anchor(e, p, dps + 10) for e in (n_max, n_min))
     depth = _START_DEPTH
     for _ in range(_MAX_SWEEPS):
         raw = _sweep(p, n_min - depth, n_max, dps)[depth:]

@@ -9,8 +9,8 @@ Subcommands:
 * ``heat``             apply the heat semigroup / report the equation residual
 
 Exit codes: 0 all gated identities pass, 1 an identity failed, 2 bad
-configuration or input, 3 precision or grid too small to certify.  Flags beat
-the environment (``QF_DIGITS``, ``QF_TAIL_TOL``), which beats built-in defaults.
+configuration or input, 3 precision or grid too small to certify.  ``--digits``
+beats ``QF_DIGITS``, which beats 50; it also cuts every q-product at 10^-(digits+5).
 """
 
 from __future__ import annotations
@@ -58,10 +58,7 @@ def _env_default(name: str, fallback, cast):
 def _add_precision_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--digits", type=int,
                      default=_env_default("QF_DIGITS", 50, int),
-                     help="decimal digits of the high-precision path")
-    sub.add_argument("--tail-tol", type=float,
-                     default=_env_default("QF_TAIL_TOL", 1e-30, float),
-                     help="relative truncation tolerance for products/series")
+                     help="working digits; every q-product is cut at 10^-(digits+5)")
 
 
 def _add_grid_flags(sub: argparse.ArgumentParser, required_q: bool = True) -> None:
@@ -93,7 +90,7 @@ def _scan_grid(args) -> LatticeGrid | None:
 
 
 def _ctx_from_args(args) -> PrecisionCtx:
-    return PrecisionCtx(args.digits, args.tail_tol)
+    return PrecisionCtx(args.digits)
 
 
 def _value_to_exponent(x: float, grid: LatticeGrid) -> int:
@@ -118,7 +115,6 @@ def cmd_check(args) -> int:
     cfg = SuiteConfig(
         cells=cells,
         work_digits=args.digits,
-        tail_tol=args.tail_tol,
         seed=args.seed,
         probes=args.probes,
         window=args.window,

@@ -34,4 +34,4 @@ class ParseError(QFourierError, ValueError):
 
 
 class GridTooSmall(QFourierError, ValueError):
-    """A grid too short for (q, v): truncation leaves no trusted window."""
+    """A grid (q, v) cannot use: no trusted window, or no usable kernel window."""

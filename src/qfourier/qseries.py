@@ -64,16 +64,13 @@ class QParams:
 
 @dataclass(frozen=True)
 class PrecisionCtx:
-    """Precision policy: decimal working digits and relative tail tolerance."""
+    """Precision policy: decimal working digits, which also set every product's cut."""
 
     work_digits: int = 50
-    tail_tol: float = 1e-30
 
     def __post_init__(self) -> None:
         if self.work_digits < 16:
             raise ValueError(f"work_digits must be >= 16, got {self.work_digits}")
-        if not (0.0 < self.tail_tol < 1.0):
-            raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
 
 
 DEFAULT_CTX = PrecisionCtx()
@@ -92,13 +89,13 @@ def q2_exact(q: float) -> mp.mpf:
 
 def _fixed_loop(a_, q_, ctx: PrecisionCtx, k_min: int = 0) -> tuple[int, int, int, int]:
     """W, and tol, a and q at scale 2^W, for a factor loop from a (k_min factors or more)."""
-    # Stop at |a q^k| < tol = min(tail_tol, 10^-(work_digits+5)) = 2^-tol_bits.
-    tol_bits = max(-math.log2(ctx.tail_tol), (ctx.work_digits + 5) * math.log2(10))
+    # Stop at |a q^k| < tol = 10^-(work_digits+5) = 2^-tol_bits, which mp.prec resolves
+    # with 5 digits to spare: callers run at work_digits + 10.
+    tol_bits = (ctx.work_digits + 5) * math.log2(10)
     inv, mag = math.ceil(1 / (1 - float(q_))), mp.mag(a_)  # inv >= 1/(1-q)
     k = max(k_min, math.ceil((mag + tol_bits) / -math.log2(float(q_))) + 1)  # >= K
-    # A scale coarser than tol would truncate it to 0: the loop never stops.
-    w = max(mp.mp.prec, math.ceil(tol_bits)) + (((inv << max(mag, 0)) + k) * inv).bit_length()
-    tol_fix = min(to_fixed(mp.mpf(ctx.tail_tol), w), (1 << w) // 10 ** (ctx.work_digits + 5))
+    w = mp.mp.prec + (((inv << max(mag, 0)) + k) * inv).bit_length()
+    tol_fix = (1 << w) // 10 ** (ctx.work_digits + 5)
     return w, tol_fix, to_fixed(a_, w), to_fixed(q_, w)
 
 
@@ -111,7 +108,8 @@ def qpoch_inf_mp(a, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mp.mpf:
     The loop runs in integers at scale 2^W (x_k = a q^k steps as x Q >> W; the
     product mantissa is cut to W bits per factor).  Over K factors the relative
     error is about 2^-W (|a|/(1-q)^2 + K/(1-q)) / min_k |1 - a q^k|; W is
-    ``mp.prec`` (or the bits of tol, if finer) plus the bits of that numerator.
+    ``mp.prec`` plus the bits of that numerator.  The loop stops at the first
+    |a q^k| < 10^-(work_digits+5): the working digits alone set the truncation.
     """
     qf = float(q)
     if not (0.0 < qf < 1.0):

@@ -28,6 +28,7 @@ import mpmath as mp
 import numpy as np
 
 from . import bessel, heat, lattice, qseries, transform, translation
+from .errors import GridTooSmall
 from .lattice import GridFn, LatticeGrid, jackson_integral, norm2
 from .numerics import TINY, ulps, worst
 from .probes import seeded_probes
@@ -133,7 +134,6 @@ class SuiteConfig:
 
     cells: tuple[tuple[float, float, int, int], ...] = DEFAULT_CELLS
     work_digits: int = 50
-    tail_tol: float = 1e-30
     seed: int = 1234
     probes: int = 100
     window: int = 24
@@ -143,7 +143,7 @@ class SuiteConfig:
         for q, v, n_lo, n_hi in self.cells:
             QParams(q, v)           # raises on invalid q or v
             LatticeGrid(QParams(q, v), n_lo, n_hi)
-        PrecisionCtx(self.work_digits, self.tail_tol)
+        PrecisionCtx(self.work_digits)
         for name, tol in self.tolerances.items():
             if name not in IDENTITIES:
                 raise ValueError(f"tolerance for unknown identity {name!r}")
@@ -153,7 +153,7 @@ class SuiteConfig:
                 raise ValueError(f"tolerance for {name} must be >= 0, got {tol}")
 
     def ctx(self) -> PrecisionCtx:
-        return PrecisionCtx(self.work_digits, self.tail_tol)
+        return PrecisionCtx(self.work_digits)
 
 
 def _theta_amplitudes(ts, p: QParams, ctx: PrecisionCtx) -> list:
@@ -239,6 +239,10 @@ class _CellRunner:
         self.table = bessel.jv_table(self.grid, self.ctx)
         self.kern = translation.kernel(self.grid, self.table, self.ctx,
                                        max_width=cfg.window)
+        lo, hi = self.kern.window
+        if not lo <= 0 <= hi:   # the bump, its deltas and the projection rows sit at 0
+            raise GridTooSmall(f"kernel window [{lo}, {hi}] leaves out exponent 0: grid "
+                               f"[{n_lo}, {n_hi}] cannot be checked for q={q}, v={v}")
         self.op = self.kern.op
         self.window = transform.trusted_window(self.grid, self.table, self.ctx)
         self.c = self.op.c
@@ -503,13 +507,12 @@ def run_suite(cfg: SuiteConfig) -> CheckReport:
     return CheckReport(config=cfg, cells=cells)
 
 
-def report_to_json(report: CheckReport, indent: int = 2) -> str:
+def report_to_json(report: CheckReport) -> str:
     """Deterministic JSON for fixed config and seed (runtime field aside)."""
     payload = {
         "config": {
             "cells": [list(c) for c in report.config.cells],
             "work_digits": report.config.work_digits,
-            "tail_tol": report.config.tail_tol,
             "seed": report.config.seed,
             "probes": report.config.probes,
             "window": report.config.window,
@@ -535,4 +538,4 @@ def report_to_json(report: CheckReport, indent: int = 2) -> str:
         ],
         "pass": report.passed,
     }
-    return json.dumps(payload, indent=indent, sort_keys=True)
+    return json.dumps(payload, indent=2, sort_keys=True)

@@ -422,12 +422,12 @@ def markov_check(k: Kernel3, probes: list[GridFn]) -> MarkovReport:
     return MarkovReport(*(worst(*axis) for axis in zip(*map(astuple, reports))))
 
 
-def _check_probability(rho: GridFn, k: Kernel3, tol: float = 1e-10) -> None:
+def _check_probability(rho: GridFn, k: Kernel3) -> None:
     if np.any(rho.values < 0.0):
         raise NotProbability("density has negative values")
     mass = k.c * jackson_integral(rho)
-    if abs(mass - 1.0) > tol:
-        raise NotProbability(f"c * integral(rho) = {mass!r}, expected 1 within {tol}")
+    if abs(mass - 1.0) > 1e-10:
+        raise NotProbability(f"c * integral(rho) = {mass!r}, expected 1 within 1e-10")
 
 
 def markov_check_convolution(rho: GridFn, k: Kernel3,

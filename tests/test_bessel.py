@@ -132,7 +132,7 @@ class TestTable:
         assert sorted(calls) == ["C", "c"]
 
     def test_reproducible_across_work_digits(self, cell_half):
-        table80 = jv_table(cell_half.grid, PrecisionCtx(80, 1e-30))
+        table80 = jv_table(cell_half.grid, PrecisionCtx(80))
         worst = max(ulps(float(a), float(b))
                     for a, b in zip(cell_half.table.values, table80.values))
         assert worst <= 1.0
@@ -427,7 +427,7 @@ def _assert_anchor_matches_series(q: float, v: float, m: int) -> None:
     mpmath's qhyper at q^-m."""
     p = QParams(q, v)
     dps = max(CTX.work_digits, 26) + bessel._SWEEP_GUARD_DIGITS + 10
-    got = bessel._anchor(-m, p, CTX, dps)
+    got = bessel._anchor(-m, p, dps)
     ref = jv_ref(q, v, -m, 55)
     with mp.workdps(60):
         assert abs(got - ref) <= mp.mpf("1e-45") * abs(ref), (q, v, m)
@@ -455,7 +455,7 @@ class TestLatticeAnchor:
         # about 41 digits that the a-priori estimate does not count: each
         # anchor sums again with the digits its terms showed.
         p = QParams(0.99, 0.5)
-        got = bessel._anchor(e, p, CTX, 80)
+        got = bessel._anchor(e, p, 80)
         ref = jv_ref(0.99, 0.5, e, 80, extra=50)
         with mp.workdps(90):
             assert abs(got - ref) <= mp.mpf("1e-70") * abs(ref)

@@ -69,6 +69,20 @@ class TestCheck:
                      "--json", str(out)]) == 0
         assert json.loads(out.read_text())["config"]["work_digits"] == 60
 
+    @pytest.mark.parametrize("argv", [
+        ["check"],
+        ["transform", "--q", "0.5", "--v", "0.5", "--in", "f.csv", "--out", "g.csv"],
+        ["kernel", "--q", "0.5", "--v", "0.5", "--x", "1", "--y", "1"],
+        ["scan-positivity", "--q-list", "0.5", "--v-list", "0.5"],
+        ["heat", "--q", "0.5", "--v", "0.5", "--t", "1", "--in", "f.csv"]])
+    def test_tail_tol_flag_is_refused(self, argv, capsys):
+        # --digits alone sets where every product is cut; the former flag is
+        # a usage error on every command, refused before anything runs.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tail-tol", "1e-30"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tail-tol" in capsys.readouterr().err
+
     def test_precision_exhausted_exit_code(self, monkeypatch):
         from qfourier import cli as cli_mod
         from qfourier.errors import PrecisionExhausted
@@ -136,21 +150,6 @@ class TestCheck:
                     assert r["passed"] == (r["residual"] <= r["tolerance"])
                 else:
                     assert r["tolerance"] is None
-
-    def test_negative_order_fails_only_its_markov_and_hp_gates(self, tmp_path):
-        # q = 1/2, v = -0.7 on its scan grid [-14, 97]: the eigen relation is
-        # gated only on rows where q^{-2n} keeps the table's rounding small,
-        # so it no longer fails; the six v < 0 Markov rows and the hp Gauss
-        # row still do.
-        out = tmp_path / "r.json"
-        assert main(["check", "--q", "0.5", "--v", "-0.7", "--json", str(out)]) == 1
-        (cell,) = json.loads(out.read_text())["cells"]
-        failed = {r["name"] for r in cell["identities"] if r["gated"] and not r["passed"]}
-        assert failed == {
-            "gauss-transform-consistency-hp",
-            *(f"markov-{op}-{axis}" for op in ("translation", "bump")
-              for axis in ("contraction", "jensen", "sup")),
-        }
 
 
 class TestGridFlags:

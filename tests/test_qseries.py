@@ -109,10 +109,11 @@ class TestQPochInf:
 def mpf_loop(a, q, ctx: PrecisionCtx = CTX, dps: int | None = None) -> mp.mpf:
     """The rounded-mpf product that the fixed-point loop replaced.
 
-    It keeps ``ctx``'s truncation; ``dps`` raises only its precision.
+    It keeps ``ctx``'s truncation at 10^-(work_digits+5); ``dps`` raises only
+    its precision.
     """
     with mp.workdps(ctx.work_digits + 10):
-        tol = min(ctx.tail_tol, mp.mpf(10) ** -(ctx.work_digits + 5))
+        tol = mp.mpf(10) ** -(ctx.work_digits + 5)
     with mp.workdps(dps or ctx.work_digits + 10):
         q_ = q if isinstance(q, mp.mpf) else mp.mpf(q)
         prod, aqk = mp.mpf(1), mp.mpf(a)
@@ -158,7 +159,7 @@ class TestQPochInfMp:
     def test_binary64_matches_mpf_loop(self, a, q):
         assert float(qpoch_inf_mp(a, q, CTX)) == float(mpf_loop(a, q, CTX))
 
-    @pytest.mark.parametrize("digits,ref_digits", [(16, 60), (100, 150)])
+    @pytest.mark.parametrize("digits,ref_digits", [(16, 60), (20, 60), (24, 60), (100, 150)])
     @pytest.mark.parametrize("a,q", [(-1.0, 0.8), (7.3, 0.8), (-3.0, q2_exact(0.3))])
     def test_work_digits_honoured(self, a, q, digits, ref_digits):
         ctx = PrecisionCtx(digits)
@@ -449,5 +450,3 @@ class TestValidation:
     def test_precision_ctx_bounds(self):
         with pytest.raises(ValueError):
             PrecisionCtx(work_digits=8)
-        with pytest.raises(ValueError):
-            PrecisionCtx(tail_tol=2.0)
