@@ -307,10 +307,15 @@ def heat_residual(f: GridFn | list[GridFn], g: GaussKernel, below: GaussKernel, 
     if below.family is not g.family or below.k != g.k + 1:
         raise ValueError(f"Gauss kernel at t={below.t} is not the member one step "
                          f"below t={g.t} in its family")
-    grid, t = k.grid, g.t
-    fs = stack(grid, f)
-    u_t = convolve_rows(fs, g.fn.values, k)
-    rhs = (u_t - convolve_rows(fs, below.fn.values, k)) / t  # (1-q^2) D_{q^2,t} u
+    fs = stack(k.grid, f)
+    return _residual(convolve_rows(fs, g.fn.values, k), convolve_rows(fs, below.fn.values, k),
+                     g.t, k.grid, window)
+
+
+def _residual(u_t: np.ndarray, u_below: np.ndarray, t: float, grid: LatticeGrid,
+              window: tuple[int, int]) -> float:
+    """:func:`heat_residual` of the flows u_t = P_t f and u_below = P_{q^2 t} f."""
+    rhs = (u_t - u_below) / t  # (1-q^2) D_{q^2,t} u
     lo, hi = max(window[0], grid.n_lo + 1) - grid.n_lo, min(window[1], grid.n_hi - 1) - grid.n_lo
     du = q_bessel_rows(u_t, grid)[1][:, lo - 1:hi]  # its column i is grid row i + 1
     return worst(*(np.abs(du - rhs[:, lo:hi + 1]) / (1.0 + np.abs(du))).ravel())
@@ -320,9 +325,15 @@ def heat_spectral_defect(f: GridFn | list[GridFn], g: GaussKernel, k: Kernel3,
                          window: tuple[int, int]) -> float:
     """Worst || F(P_t f) - e(-t x^2) . Ff ||_2 / || e(-t x^2) . Ff ||_2 on trusted rows,
     t = g.t, over f, one window-supported probe or a list of them."""
+    fs = stack(k.grid, f)
+    return _spectral_defect(fs, convolve_rows(fs, g.fn.values, k), g, k, window)
+
+
+def _spectral_defect(fs: np.ndarray, u: np.ndarray, g: GaussKernel, k: Kernel3,
+                     window: tuple[int, int]) -> float:
+    """:func:`heat_spectral_defect` of the probe stack ``fs`` and its flow u = P_t fs."""
     grid, m = k.grid, k.op.matrix
-    fs = stack(grid, f)
-    lhs = convolve_rows(fs, g.fn.values, k) @ m.T
+    lhs = u @ m.T
     rhs = g.eprofile.values * (fs @ m.T)
     rows = slice(grid.index(window[0]), grid.index(window[1]) + 1)
     w = grid.weights()[rows]

@@ -343,7 +343,7 @@ class _CellRunner:
         yield "orthogonality-offdiag", ortho.max_offdiag
         yield "orthogonality-diagonal", ortho.max_diag_rel
 
-        # M rebuilt from the table by one gather, in build_transform's order of operations.
+        # M rebuilt from the table by one gather, in TransformOp.matrix's order of operations.
         e, q, v = grid.exponents, self.p.q, self.p.v
         rebuilt = ((self.c * (1.0 - q)) * self.table.values[np.add.outer(e, e) - self.table.n_min]
                    * np.power(q, e.astype(float) * (2.0 * v + 2.0))[None, :])
@@ -447,7 +447,8 @@ class _CellRunner:
     # ---------------- heat identities ----------------
 
     def check_heat(self) -> Rows:
-        kern, op, win, fs = self.kern, self.op, self.window, self.kprobes[:3]
+        kern, op, win = self.kern, self.op, self.window
+        fs = lattice.stack(self.grid, self.kprobes[:3])
         # Each row: worst over t = q^4, q^2, 1 and q^-2.
         gs = [self.gauss[k] for k in (2, 1, 0, -1)]
         yield "gauss-transform-consistency", worst(*(
@@ -459,10 +460,13 @@ class _CellRunner:
         exps = sorted({int(round(n)) for n in
                        np.linspace(self.grid.n_lo, self.grid.n_hi, 5)})
         yield "gauss-lattice-recurrence", heat.gauss_recurrence_defect(self.gauss[0], exps)
+        # The flows P_t f at every member's t, each formed once for both rows.
+        flows = {k: translation.convolve_rows(fs, g.fn.values, kern)
+                 for k, g in self.gauss.items()}
         yield "heat-spectral-diagonalization", worst(*(
-            heat.heat_spectral_defect(fs, g, kern, win) for g in gs))
+            heat._spectral_defect(fs, flows[g.k], g, kern, win) for g in gs))
         yield "heat-equation-residual", worst(*(
-            heat.heat_residual(fs, g, self.gauss[g.k + 1], kern, win) for g in gs))
+            heat._residual(flows[g.k], flows[g.k + 1], g.t, self.grid, win) for g in gs))
 
         g1 = self.gauss[0]
         yield from _markov("heat", heat.heat_markov_check(g1, kern, self.mprobes))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import mpmath as mp
@@ -51,15 +51,17 @@ __all__ = [
 
 @dataclass
 class TransformOp:
-    """Materialized transform matrix on a grid, with the table it is built from.
+    """The transform on a grid, with the table it is built from.
 
-    c_{q,v} (``c``, and ``c_mp`` at working precision) is the table's.  The
-    mp Jackson weights ``jackson_mp`` are built once, on first use.
+    The N x N matrix M (``matrix``) is built on first read, from one table
+    row and the column weights; code that needs only single rows of M (the
+    kernel's window calibration) never builds it.  c_{q,v} (``c``, and
+    ``c_mp`` at working precision) is the table's.  The mp Jackson weights
+    ``jackson_mp`` are built once, on first use.
     """
 
     grid: LatticeGrid
     table: BesselTable
-    matrix: np.ndarray = field(repr=False)   # c (1-q) j_v(q^{n+m}) q^{m(2v+2)}
 
     @property
     def c(self) -> float:
@@ -68,6 +70,20 @@ class TransformOp:
     @property
     def c_mp(self) -> mp.mpf:
         return self.table.c_mp
+
+    @cached_property
+    def col_weights(self) -> np.ndarray:
+        """q^{m(2v+2)} over the grid's exponents: M's column weights without c (1-q)."""
+        p = self.grid.params
+        return np.power(p.q, self.grid.exponents.astype(float) * (2.0 * p.v + 2.0))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """M[n, m] = c (1-q) j_v(q^{n+m}) q^{m(2v+2)}, built on first read."""
+        grid = self.grid
+        # [n, m] = j_v(q^{n+m}): overlapping windows of one row.
+        hankel = sliding_window_view(self.table.row(2 * grid.n_lo, 2 * grid.n_hi), grid.size)
+        return (self.c * (1.0 - grid.params.q)) * hankel * self.col_weights[None, :]
 
     @cached_property
     def jackson_mp(self) -> list:
@@ -88,14 +104,10 @@ def _check_table(grid: LatticeGrid, table: BesselTable) -> None:
 
 def build_transform(grid: LatticeGrid, table: BesselTable,
                     ctx: PrecisionCtx = DEFAULT_CTX) -> TransformOp:
-    """Assemble the transform matrix from a shared Bessel table (``ctx`` is not read)."""
+    """The transform over a shared Bessel table; M is built on first read of
+    ``matrix`` (``ctx`` is not read)."""
     _check_table(grid, table)
-    q, v = grid.params.q, grid.params.v
-    exps = grid.exponents
-    # [n, m] = j_v(q^{n+m}): overlapping windows of one row.
-    hankel = sliding_window_view(table.row(2 * grid.n_lo, 2 * grid.n_hi), grid.size)
-    weights = np.power(q, exps.astype(float) * (2.0 * v + 2.0))
-    return TransformOp(grid, table, (table.c * (1.0 - q)) * hankel * weights[None, :])
+    return TransformOp(grid, table)
 
 
 def forward(f: GridFn, op: TransformOp) -> GridFn:

@@ -45,8 +45,9 @@ errors of 7.5e-30 already turn D(-6, 2, 2) = +8.3e-48 at q = 1/2, v = 3/2
 into -7.5e-47.
 
 Every float apply goes through the cell's transform matrix M
-(:mod:`qfourier.transform`), under which translation and convolution are
-diagonal -- the product formula of Koornwinder & Swarttouw:
+(:mod:`qfourier.transform`, built on the first apply), under which
+translation and convolution are diagonal -- the product formula of
+Koornwinder & Swarttouw:
 
     T_{q,x} f = M (j_v(x .) Mf),        f *_q g = M (Mf Mg).
 
@@ -54,7 +55,10 @@ Both are the lattice sums that define D_v taken in another order, with
 the same truncation, so the trust rule above still decides which outputs
 hold; their binary64 rounding sits orders of magnitude below the 1e-8
 gates.  Identities that compare two routes take the M route on one side
-and the exact window cube on the other.
+and the exact window cube on the other.  The kernel's window calibration
+reads single rows of M (M 1 by one Hankel correlation, then one row dot per
+row sum), so building the kernel, and the positivity scan, allocate no
+N x N array.
 """
 
 from __future__ import annotations
@@ -113,9 +117,11 @@ class Kernel3:
     ``cube[i, j, k]`` holds D_v(q^a, q^b, q^c) for window exponents and is
     exactly symmetric (each entry is computed once, in sorted argument order,
     as an exact fixed-point integer sum rounded once to binary64; the module
-    docstring bounds its truncation error).  ``op`` is the transform matrix
-    every float apply goes through; an entry with *any* argument in the
-    window is trusted, so translations by window x have full-grid output.
+    docstring bounds its truncation error).  ``op`` is the transform every
+    float apply goes through; its matrix is built on the first apply, not by
+    the window calibration, which reads single rows.  An entry with *any*
+    argument in the window is trusted, so translations by window x have
+    full-grid output.
     The grid, the table and c_{q,v} are the transform's.
     """
 
@@ -254,16 +260,25 @@ def kernel(grid: LatticeGrid, table: BesselTable, ctx: PrecisionCtx = DEFAULT_CT
            max_width: int = 24) -> Kernel3:
     """Tabulate the translation kernel on its trusted window.
 
-    The working digits are the table's; ``ctx`` is accepted for positional
-    callers and not read.
+    The window's low end is calibrated from single rows of the transform
+    matrix, which stays unbuilt.  The working digits are the table's; ``ctx``
+    is accepted for positional callers and not read.
     """
     op = build_transform(grid, table, ctx)
-    one_hat = op.matrix @ np.ones(grid.size)
+    cq, w = op.c * (1.0 - grid.params.q), op.col_weights
+    # M 1 as a Hankel correlation: no N x N array.
+    one_hat = cq * np.correlate(table.row(2 * grid.n_lo, 2 * grid.n_hi), w, "valid")
+
+    def row_sum(a: int) -> float:
+        """T_{q,a} 1 (a) = (1-q) sum_z q^{z(2v+2)} D(a, a, z): row a of M, which is
+        c (1-q) j_v(q^{a+.}) q^{.(2v+2)}, dotted with j_v(q^{a+.}) M 1."""
+        j = hankel_rows(op, a)[0]
+        return float(((cq * j) * w) @ (j * one_hat))
+
     win_hi = _upper_cutoff(op)
     win_lo = grid.n_lo + 1
-    # The row sum (1-q) sum_z q^{z(2v+2)} D(a, a, z) = T_{q,a} 1 (a) lifts the low end.
-    while (win_lo < win_hi and abs(1.0 - _translate_hat(op, win_lo, one_hat)
-                                   [grid.index(win_lo)]) > _ROWSUM_TOL):
+    # The row sum lifts the low end.
+    while win_lo < win_hi and abs(1.0 - row_sum(win_lo)) > _ROWSUM_TOL:
         win_lo += 1
     win_lo = max(win_lo, win_hi - max_width + 1)
     if win_hi - win_lo + 1 < 3:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfourier import bessel, heat, qseries, report
+from qfourier import bessel, heat, qseries, report, translation
 from qfourier.heat import (
     GaussFamily,
     composition_defect,
@@ -435,6 +435,25 @@ class TestCellMemo:
             g = runner.gauss[k]
             assert g.family is fam
             assert g.eprofile_run == fam.eprofile_run[k + 1:k + 1 + fam.grid.size]
+
+    def test_one_heat_flow_per_member(self, monkeypatch):
+        # The spectral and heat-equation rows share the flows P_t f of the
+        # three heat probes: one product per member k = -1..3, where forming
+        # them per row took twelve.
+        runner = report._CellRunner(0.5, 0.5, -10, 40, SuiteConfig(probes=10))
+        fs = np.array([f.values for f in runner.kprobes[:3]])
+        flowed, original = [], translation.convolve_rows
+
+        def counting(f, g, k):
+            if np.array_equal(f, fs):
+                flowed.append(next(m for m, h in runner.gauss.items() if h.fn.values is g))
+            return original(f, g, k)
+
+        monkeypatch.setattr(translation, "convolve_rows", counting)
+        monkeypatch.setattr(heat, "convolve_rows", counting)
+        rows = dict(runner.check_heat())
+        assert rows["heat-equation-residual"] < 1e-7
+        assert sorted(flowed) == [-1, 0, 1, 2, 3]
 
     def test_gauss_kernel_builds_no_eprofile(self, monkeypatch):
         calls = _count_gauss_work(monkeypatch)

@@ -137,7 +137,7 @@ class TestOrthogonality:
 
 
 def _column_weights(grid):
-    """q^{m(2v+2)} over the grid's exponents, as build_transform forms them."""
+    """q^{m(2v+2)} over the grid's exponents, as TransformOp.matrix forms them."""
     p = grid.params
     return np.power(p.q, grid.exponents.astype(float) * (2.0 * p.v + 2.0))
 
@@ -160,7 +160,9 @@ class TestMatrixStructure:
         # Weights on rows instead of columns: every off-diagonal entry moves.
         runner = _CellRunner(0.5, 0.5, -10, 40, SuiteConfig(probes=10))
         op, w = runner.op, _column_weights(runner.grid)
-        runner.op = dataclasses.replace(op, matrix=op.matrix / w[None, :] * w[:, None])
+        # M is built on first read: the bad one is planted on a copy's instance.
+        runner.op = dataclasses.replace(op)
+        runner.op.matrix = op.matrix / w[None, :] * w[:, None]
         n = runner.grid.size
         assert dict(runner.check_transform())["transform-matrix-structure"] == n * (n - 1)
 

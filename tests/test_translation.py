@@ -16,7 +16,7 @@ import pytest
 
 from qfourier import translation
 from qfourier.bessel import BesselTable, jv_table
-from qfourier.errors import NotProbability, OffWindow
+from qfourier.errors import GridTooSmall, NotProbability, OffWindow
 from qfourier.lattice import GridFn, LatticeGrid, delta_fn, jackson_integral, norm2
 from qfourier.probes import seeded_probes
 from qfourier.qseries import PrecisionCtx, QParams, c_qv_mp
@@ -100,9 +100,9 @@ class TestKernelBuild:
         assert np.allclose(sub, k.cube[i], rtol=1e-12, atol=1e-16)
 
     def test_peak_memory_below_half_a_width_by_grid_block(self):
-        # The kernel keeps the N x N transform matrix and the window cube; a
-        # width x N x N float array of rows D(a, ., .) would not fit under
-        # half its own size.
+        # The kernel keeps the window cube and calibrates its window from
+        # single rows of the transform matrix; a width x N x N float array of
+        # rows D(a, ., .) would not fit under half its own size.
         grid = LatticeGrid(QParams(0.8, 0.5), -20, 120)
         table = jv_table(grid, CTX)
         tracemalloc.start()
@@ -407,8 +407,9 @@ def _planted(op, index, value):
     t = op.table
     mp_vals = list(t.mp_values)
     mp_vals[index] = value
+    # The copy keeps the binary64 values, so its M, built on first read, is op's.
     return TransformOp(op.grid, BesselTable(t.params, t.n_min, t.n_max, t.values,
-                                            mp_vals, t.ctx), op.matrix)
+                                            mp_vals, t.ctx))
 
 
 class TestRawTupleCube:
@@ -445,6 +446,74 @@ class TestRawTupleCube:
         for at in (0, 3, length // 2, length - 1):
             with pytest.raises(ValueError, match="not finite"):
                 translation._window_cube(_planted(k.op, first + at, bad), k.window_exponents)
+
+
+class TestScanMemory:
+    def test_kernel_leaves_the_transform_matrix_unbuilt(self):
+        grid = LatticeGrid(QParams(0.5, 0.5), -14, 40)
+        k = kernel(grid, jv_table(grid, CTX), CTX, max_width=16)
+        assert "matrix" not in k.op.__dict__
+
+    def test_positivity_peak_below_one_matrix(self):
+        # The scan's largest grid, N = 617: its peak stays below one N x N
+        # float array.
+        n = default_scan_grid(QParams(0.9, -0.7)).size
+        assert n == 617
+        tracemalloc.start()
+        try:
+            positivity_min(QParams(0.9, -0.7), 16, CTX)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+
+
+def _matrix_route_window(grid, table, max_width):
+    """The kernel window calibrated through the full transform matrix: M 1, then
+    each row sum T_{q,a} 1 (a) as one whole mat-vec, of which one entry is read.
+    The window, or GridTooSmall where kernel() raises it."""
+    op = build_transform(grid, table, CTX)
+    one_hat = op.matrix @ np.ones(grid.size)
+    hi, lo = translation._upper_cutoff(op), grid.n_lo + 1
+    while lo < hi and abs(1.0 - translation._translate_hat(op, lo, one_hat)
+                          [grid.index(lo)]) > translation._ROWSUM_TOL:
+        lo += 1
+    lo = max(lo, hi - max_width + 1)
+    return (lo, hi) if hi - lo + 1 >= 3 else GridTooSmall
+
+
+def _random_cells(n, seed):
+    """(grid, width) for n seeded cells: q in [0.1, 0.93], v in (-0.95, 3], every
+    other one on its default scan grid, the rest on a random grid."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for i in range(n):
+        p = QParams(float(rng.uniform(0.1, 0.93)), float(rng.uniform(-0.949, 3.0)))
+        width = int(rng.integers(8, 25))
+        grid = (default_scan_grid(p) if i % 2 == 0 else
+                LatticeGrid(p, -int(rng.integers(4, 40)), int(rng.integers(15, 250))))
+        cells.append((grid, width))
+    return cells
+
+
+_SCAN_CELLS = [(default_scan_grid(QParams(q, v)), 16)
+               for q in (0.3, 0.5, 0.7, 0.9) for v in (-0.7, 0.0, 0.5)]
+_DEFAULT_CELLS = [(LatticeGrid(QParams(q, v), n_lo, n_hi), SuiteConfig().window)
+                  for q, v, n_lo, n_hi in DEFAULT_CELLS]
+
+
+class TestRowCalibration:
+    @pytest.mark.parametrize("cells", [_SCAN_CELLS, _DEFAULT_CELLS, _random_cells(20, 28)],
+                             ids=["scan", "default", "random"])
+    def test_windows_match_the_matrix_route(self, cells):
+        for grid, width in cells:
+            table = jv_table(grid, CTX)
+            want = _matrix_route_window(grid, table, width)
+            try:
+                got = kernel(grid, table, CTX, max_width=width).window
+            except GridTooSmall:
+                got = GridTooSmall
+            assert got == want, (grid, width)
 
 
 class TestPositivity:
