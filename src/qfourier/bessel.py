@@ -67,6 +67,7 @@ __all__ = [
     "DecayCheck",
     "decay_bound_check",
     "eigen_residual",
+    "anchor_ulps",
     "jv_exact_dyadic",
 ]
 
@@ -282,7 +283,7 @@ def _round_entry(f: int, scale: tuple, prec: int) -> tuple:
     return normalize(sign ^ (f < 0), man, exp, man.bit_length(), prec, round_nearest)
 
 
-def _anchor_ulps(table: BesselTable) -> float:
+def anchor_ulps(table: BesselTable) -> float:
     """Worst binary64 gap between the table and the series at the anchors:
     n_min..n_min+3 (one chain of terms, from n_min), the quarter points and
     n_max - 1 (n_max is the scale), each series measured as in :func:`jv`."""

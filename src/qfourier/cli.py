@@ -37,7 +37,7 @@ from .report import (
     run_suite,
 )
 from .transform import build_transform, forward, trusted_window
-from .translation import default_scan_grid, kernel, positivity_min, translate
+from .translation import convolve_rows, default_scan_grid, kernel, positivity_min, translate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -206,7 +206,9 @@ def cmd_heat(args) -> int:
     if args.outfile:
         save_csv(u, args.outfile)
     if args.residual:
-        resid = heat_residual(f, g, family.member(1), k, trusted_window(grid, table, ctx))
+        below = family.member(1)
+        u_t, u_below = (convolve_rows(f.values[None, :], h.fn.values, k) for h in (g, below))
+        resid = heat_residual(u_t, u_below, g, below, trusted_window(grid, table, ctx))
         mass = gauss_mass_defect(g, k.c)
         print(json.dumps({"t": args.t, "residual": resid,
                           "mass_defect": mass}, sort_keys=True))

@@ -39,7 +39,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import dps_to_prec, fone
 
-from .lattice import GridFn, LatticeGrid, norm_p, stack
+from .lattice import GridFn, LatticeGrid, norm_p
 from .numerics import TINY, hankel_dots, to_fixed, ulps, worst
 from .qseries import (
     DEFAULT_CTX,
@@ -50,7 +50,7 @@ from .qseries import (
     qexp_mp,
 )
 from .transform import TransformOp, forward, q_bessel_rows
-from .translation import Kernel3, MarkovReport, convolve, convolve_rows, markov_check_convolution
+from .translation import Kernel3, MarkovReport, convolve, markov_check_convolution
 
 __all__ = [
     "GaussFamily",
@@ -294,10 +294,12 @@ def heat_apply(f: GridFn, t: float, k: Kernel3, ctx: PrecisionCtx = DEFAULT_CTX,
     return convolve(g.fn, f, k)
 
 
-def heat_residual(f: GridFn | list[GridFn], g: GaussKernel, below: GaussKernel, k: Kernel3,
+def heat_residual(u_t: np.ndarray, u_below: np.ndarray, g: GaussKernel, below: GaussKernel,
                   window: tuple[int, int]) -> float:
-    """Pointwise q-heat-equation residual of u = P_t f, t = g.t, on trusted
-    interior rows, worst over f, one window-supported probe or a list of them.
+    """Pointwise q-heat-equation residual of the flows u_t = P_t f and u_below =
+    P_{q^2 t} f, t = g.t, on trusted interior rows, worst over the rows of the
+    stacks: one window-supported probe f a row, flowed by
+    :func:`~qfourier.translation.convolve_rows`.
 
     The time difference uses u at t and at q^2 t; ``below`` must be G(., q^2 t),
     the member one step below ``g`` in its family (ValueError otherwise).  Rows
@@ -307,31 +309,18 @@ def heat_residual(f: GridFn | list[GridFn], g: GaussKernel, below: GaussKernel, 
     if below.family is not g.family or below.k != g.k + 1:
         raise ValueError(f"Gauss kernel at t={below.t} is not the member one step "
                          f"below t={g.t} in its family")
-    fs = stack(k.grid, f)
-    return _residual(convolve_rows(fs, g.fn.values, k), convolve_rows(fs, below.fn.values, k),
-                     g.t, k.grid, window)
-
-
-def _residual(u_t: np.ndarray, u_below: np.ndarray, t: float, grid: LatticeGrid,
-              window: tuple[int, int]) -> float:
-    """:func:`heat_residual` of the flows u_t = P_t f and u_below = P_{q^2 t} f."""
-    rhs = (u_t - u_below) / t  # (1-q^2) D_{q^2,t} u
+    grid = g.grid
+    rhs = (u_t - u_below) / g.t  # (1-q^2) D_{q^2,t} u
     lo, hi = max(window[0], grid.n_lo + 1) - grid.n_lo, min(window[1], grid.n_hi - 1) - grid.n_lo
     du = q_bessel_rows(u_t, grid)[1][:, lo - 1:hi]  # its column i is grid row i + 1
     return worst(*(np.abs(du - rhs[:, lo:hi + 1]) / (1.0 + np.abs(du))).ravel())
 
 
-def heat_spectral_defect(f: GridFn | list[GridFn], g: GaussKernel, k: Kernel3,
+def heat_spectral_defect(fs: np.ndarray, u: np.ndarray, g: GaussKernel, k: Kernel3,
                          window: tuple[int, int]) -> float:
     """Worst || F(P_t f) - e(-t x^2) . Ff ||_2 / || e(-t x^2) . Ff ||_2 on trusted rows,
-    t = g.t, over f, one window-supported probe or a list of them."""
-    fs = stack(k.grid, f)
-    return _spectral_defect(fs, convolve_rows(fs, g.fn.values, k), g, k, window)
-
-
-def _spectral_defect(fs: np.ndarray, u: np.ndarray, g: GaussKernel, k: Kernel3,
-                     window: tuple[int, int]) -> float:
-    """:func:`heat_spectral_defect` of the probe stack ``fs`` and its flow u = P_t fs."""
+    t = g.t, over the rows of the probe stack ``fs`` (window-supported probes) and
+    of their flow u = P_t fs (:func:`~qfourier.translation.convolve_rows`)."""
     grid, m = k.grid, k.op.matrix
     lhs = u @ m.T
     rhs = g.eprofile.values * (fs @ m.T)

@@ -322,7 +322,7 @@ class _CellRunner:
         yield "bessel-eigen-relation", bessel.eigen_residual(
             self.grid, (-2, 0, 1, 3), self.table)
 
-        yield "bessel-table-reproducibility", bessel._anchor_ulps(self.table)
+        yield "bessel-table-reproducibility", bessel.anchor_ulps(self.table)
 
         if self.p.q == 0.5 and (2 * self.p.v + 2) == int(2 * self.p.v + 2):
             res = 0.0
@@ -464,9 +464,9 @@ class _CellRunner:
         flows = {k: translation.convolve_rows(fs, g.fn.values, kern)
                  for k, g in self.gauss.items()}
         yield "heat-spectral-diagonalization", worst(*(
-            heat._spectral_defect(fs, flows[g.k], g, kern, win) for g in gs))
-        yield "heat-equation-residual", worst(*(
-            heat._residual(flows[g.k], flows[g.k + 1], g.t, self.grid, win) for g in gs))
+            heat.heat_spectral_defect(fs, flows[g.k], g, kern, win) for g in gs))
+        yield "heat-equation-residual", worst(*(heat.heat_residual(
+            flows[g.k], flows[g.k + 1], g, self.gauss[g.k + 1], win) for g in gs))
 
         g1 = self.gauss[0]
         yield from _markov("heat", heat.heat_markov_check(g1, kern, self.mprobes))

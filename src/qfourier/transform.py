@@ -6,11 +6,15 @@ On the truncated grid the transform is the N x N matrix
 
 a Hankel-type kernel (depends on n+m) times a diagonal weight.  On the
 infinite lattice M is an involution and an isometry; on a truncation those
-identities hold up to lattice-tail errors, which this module budgets
-explicitly: :func:`trusted_window` bounds, per exponent, the relative error
-the missing tails can inject into the reproducing identity (one scaled
-GEMM per lattice tail), and identity checks gate only rows/columns whose
-bound is below tolerance.
+identities hold up to lattice-tail errors.  This module is the one home of
+their bound: the weight W_s = c^2 (1-q) q^{s(2v+2)} (:func:`tail_weight_log10`)
+times the decay envelope of each j_v factor, over ``_TAIL_TERMS`` = 80
+exponents past each grid end.  :func:`trusted_window` sums it per exponent
+(one scaled GEMM per tail), and identity checks gate only rows/columns whose
+bound is below tolerance; the kernel's upper cutoff reads
+:func:`entry_tail_log10`, the hypergroup band the weight.  Known limit: the
+80-term lower tail is no upper bound on long grids (q=0.499, v=0.282 on
+[-24, 199] trusts exponents 138 to 199, where M^2 - I measures 1.0).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .bessel import BesselTable, decay_bound_log10
 from .errors import GridMismatch, GridTooSmall
 from .lattice import GridFn, LatticeGrid, norms, stack
 from .numerics import TINY, worst
-from .qseries import DEFAULT_CTX, PrecisionCtx, QParams
+from .qseries import DEFAULT_CTX, PrecisionCtx
 
 __all__ = [
     "TransformOp",
@@ -45,6 +49,8 @@ __all__ = [
     "q_bessel_rows",
     "delta_multiplier_defect",
     "trusted_window",
+    "tail_weight_log10",
+    "entry_tail_log10",
     "basis_completeness_defect",
 ]
 
@@ -234,10 +240,20 @@ _TAIL_TERMS = 80
 _LN10 = math.log(10.0)
 
 
-def _tail_weight_log10(p: QParams, c: float, s: np.ndarray) -> np.ndarray:
-    """log10 of the lattice-tail weight c^2 (1-q) q^{s(2v+2)} at exponents s."""
-    return (2.0 * math.log10(c) + math.log10(1.0 - p.q)
+def tail_weight_log10(table: BesselTable, s: np.ndarray) -> np.ndarray:
+    """log10 of the tail weight W_s = c^2 (1-q) q^{s(2v+2)} at exponents s, from the table."""
+    p = table.params
+    return (2.0 * math.log10(table.c) + math.log10(1.0 - p.q)
             + s * (2.0 * p.v + 2.0) * math.log10(p.q))
+
+
+def entry_tail_log10(grid: LatticeGrid, table: BesselTable) -> np.ndarray:
+    """log10 of sum_s W_s C^2 B(e+s), s the ``_TAIL_TERMS`` below n_lo, per grid exponent
+    e: a kernel entry's lower tail, its other two j_v factors bounded by C."""
+    p, const = grid.params, table.decay_const
+    s = np.arange(grid.n_lo - _TAIL_TERMS, grid.n_lo, dtype=float)
+    base = tail_weight_log10(table, s) + 2.0 * math.log10(const)
+    return _logsum10(base + decay_bound_log10(grid.exponents[:, None] + s, p, const))
 
 
 def _gram_log10(log_half: np.ndarray) -> np.ndarray:
@@ -268,11 +284,11 @@ def _trust_log10(grid: LatticeGrid, table: BesselTable) -> np.ndarray:
     (up to 359 decades loose at q=0.124, v=1.964, [-33, 279]) or without it to
     zero (307 decades low there at e=0).
     """
-    p, const, c = grid.params, table.decay_const, table.c
+    p, const = grid.params, table.decay_const
     exps = grid.exponents.astype(float)
     lower, upper = (
         _gram_log10(decay_bound_log10(exps[:, None] + m, p, const)
-                    + 0.5 * _tail_weight_log10(p, c, m))
+                    + 0.5 * tail_weight_log10(table, m))
         for m in (np.arange(grid.n_lo - _TAIL_TERMS, grid.n_lo, dtype=float),
                   np.arange(grid.n_hi + 1, grid.n_hi + 1 + _TAIL_TERMS, dtype=float)))
     log_tail = np.logaddexp(_LN10 * lower, _LN10 * upper) / _LN10    # (N, N): (a, b)
@@ -291,11 +307,8 @@ def trusted_window(grid: LatticeGrid, table: BesselTable,
 
     For a unit bump at exponent b the relative L2 residual of F(Ff) = f on the
     truncated lattice is bounded in log10 space by the two-branch decay envelope
-    of j_v; the window keeps the exponents whose bound stays below
-    ``_TRUST_TOL``.  The bound's tail sum is a Gram matrix, one row-scaled GEMM
-    per lattice tail whose underflow floor keeps it an upper bound, in
-    O(N M + N^2) memory (``_trust_log10``).  c_{q,v} and the decay constant are
-    the table's; ``ctx`` is accepted for positional callers and not read.
+    of j_v (``_trust_log10``); the window keeps the exponents whose bound stays
+    below ``_TRUST_TOL``.  ``ctx`` is accepted for positional callers and not read.
     """
     _check_table(grid, table)
     ok = _trust_log10(grid, table) < math.log10(_TRUST_TOL)

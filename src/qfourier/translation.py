@@ -12,7 +12,8 @@ a Markov operator.  Two truncation budgets govern a finite build:
 
 * the s-integral of an entry loses its tail unless at least one argument
   exponent is small enough for the decay bound to kill the weight -- this
-  caps the *upper* end of the trusted exponent window;
+  caps the *upper* end of the trusted exponent window (the bound, and its
+  known limit, are :func:`~qfourier.transform.entry_tail_log10`'s);
 * the z-integrals against the kernel (unit fixed point, row sums) need the
   product mass of (x, y) to stay inside the grid -- this lifts the *lower*
   end, and is calibrated against the measured row-sum defect.
@@ -78,13 +79,12 @@ from .lattice import GridFn, LatticeGrid, jackson_integral, norms, stack
 from .numerics import TINY, hankel_dots, to_fixed, worst
 from .qseries import DEFAULT_CTX, PrecisionCtx, QParams
 from .transform import (
-    _TAIL_TERMS,
     TransformOp,
-    _logsum10,
-    _tail_weight_log10,
     build_transform,
+    entry_tail_log10,
     hankel_rows,
     psi_norm_sq,
+    tail_weight_log10,
 )
 
 __all__ = [
@@ -186,19 +186,12 @@ _ROWSUM_TOL = 1e-9
 
 
 def _upper_cutoff(op: TransformOp) -> int:
-    """Largest exponent whose kernel entries keep their s-integral tail < _ENTRY_TOL.
-
-    Exponents are accepted upward from ``n_lo`` until the first one whose
-    tail bound reaches ``_ENTRY_TOL``.
-    """
-    grid, const = op.grid, op.table.decay_const
-    p = grid.params
-    s = np.arange(grid.n_lo - _TAIL_TERMS, grid.n_lo, dtype=float)
-    base = _tail_weight_log10(p, op.c, s) + 2.0 * math.log10(const)
-    es = np.arange(grid.n_lo, grid.n_hi + 1)
-    log_tail = _logsum10(base + decay_bound_log10(es[:, None] + s, p, const))
-    bad = np.flatnonzero(~(log_tail < math.log10(_ENTRY_TOL)))
-    accepted = int(bad[0]) if bad.size else es.size
+    """Largest exponent whose kernel entries keep their s-integral tail < _ENTRY_TOL:
+    the one below the first, upward from ``n_lo``, whose tail bound
+    (:func:`~qfourier.transform.entry_tail_log10`) reaches it."""
+    grid = op.grid
+    bad = np.flatnonzero(~(entry_tail_log10(grid, op.table) < math.log10(_ENTRY_TOL)))
+    accepted = int(bad[0]) if bad.size else grid.size
     return grid.n_lo + max(accepted - 1, 0)
 
 
@@ -505,8 +498,10 @@ def hypergroup_window(k: Kernel3, width: int) -> tuple[int, int]:
     of term_n(x,y,z) = c^2 (1-q) q^{n(2v+2)} j(q^{n+a}) j(q^{n+b}) j(q^{n+c}),
     bounded with the slowest-decaying window exponent in all three slots.
     """
+    if width < 1:
+        raise ValueError(f"a hypergroup band needs width >= 1, got {width}")
     p, ns = k.grid.params, k.grid.exponents.astype(float)
-    env = (_tail_weight_log10(p, k.c, ns)
+    env = (tail_weight_log10(k.table, ns)
            + 3.0 * decay_bound_log10(ns + k.window_hi, p, k.table.decay_const))
     n = len(env)
     width = min(width, n)

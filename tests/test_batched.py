@@ -17,6 +17,7 @@ fixed here from each row's arithmetic, not from the values seen:
   (the kernel's row sums, computed as before) and one-term Jackson sums.
 """
 
+import math
 import tracemalloc
 from collections import Counter
 from dataclasses import astuple
@@ -31,8 +32,7 @@ from qfourier.lattice import GridFn, delta_fn, inner, jackson_integral, norm2, n
 from qfourier.numerics import TINY, worst
 from qfourier.qseries import QParams
 from qfourier.report import DEFAULT_CELLS, SuiteConfig
-from qfourier.transform import (_tail_weight_log10, basis_fn, forward, psi_norm_sq,
-                                q_bessel_operator)
+from qfourier.transform import basis_fn, forward, psi_norm_sq, q_bessel_operator
 from qfourier.translation import (
     basis_function,
     convolve,
@@ -184,10 +184,12 @@ def loop_hypergroup_defect(k, n_window=None) -> float:
 
 
 def loop_hypergroup_window(k, width: int) -> tuple[int, int]:
-    """The reference band search: one concatenation per band start."""
+    """The reference band search: one concatenation per band start, with the
+    tail weight c^2 (1-q) q^{n(2v+2)} written out."""
     p, ns = k.grid.params, k.grid.exponents.astype(float)
-    env = (_tail_weight_log10(p, k.c, ns)
-           + 3.0 * decay_bound_log10(ns + k.window_hi, p, k.table.decay_const))
+    weight = (2.0 * math.log10(k.c) + math.log10(1.0 - p.q)
+              + ns * (2.0 * p.v + 2.0) * math.log10(p.q))
+    env = weight + 3.0 * decay_bound_log10(ns + k.window_hi, p, k.table.decay_const)
     width = min(width, len(env))
     best_lo, best_cost = 0, np.inf
     for lo in range(0, len(env) - width + 1):

@@ -241,14 +241,14 @@ class TestRecurrenceTable:
     def test_gate_reads_zero(self):
         table = jv_table(DEEP, CTX)
         assert _eigen_ok(table)
-        assert bessel._anchor_ulps(table) == 0.0
+        assert bessel.anchor_ulps(table) == 0.0
 
     def test_scaled_table_fails_gate(self):
         table = jv_table(DEEP, CTX)
         with mp.workdps(400):
             bad = _with_mp(table, [x * (1 + mp.mpf("1e-12")) for x in table.mp_values])
         assert _eigen_ok(bad)
-        assert bessel._anchor_ulps(bad) > 1.0
+        assert bessel.anchor_ulps(bad) > 1.0
 
     def test_second_solution_leftover_fails_gate(self):
         # 1e-12 of the second solution at n_min: what too shallow a start leaves.
@@ -258,7 +258,7 @@ class TestRecurrenceTable:
             eps = mp.mpf("1e-12") * table.mp_values[0] / y[0]
             bad = _with_mp(table, [j + eps * t for j, t in zip(table.mp_values, y)])
         assert _eigen_ok(bad)
-        assert bessel._anchor_ulps(bad) > 1.0
+        assert bessel.anchor_ulps(bad) > 1.0
 
     @pytest.mark.parametrize("v", [0.0, 0.5])
     def test_gate_measures_the_cancellation_near_one(self, v):
@@ -266,7 +266,7 @@ class TestRecurrenceTable:
         # estimate gives it, and a reference summed at the estimate's digits
         # read 3.2e15 (v = 0) and 1.6e15 ulps (v = 0.5) off a sound table.
         table = jv_table(LatticeGrid(QParams(0.99, v), -5, 5), CTX)
-        assert bessel._anchor_ulps(table) <= 1.0
+        assert bessel.anchor_ulps(table) <= 1.0
 
     @pytest.mark.parametrize("q, v, n_lo, n_hi", list(DEFAULT_CELLS) + [
         (0.9, v, default_scan_grid(QParams(0.9, v)).n_lo,
@@ -278,7 +278,7 @@ class TestRecurrenceTable:
         # n_min = -4 needs few digits, but for v > 0 the second solution grows
         # by q^{-2v} a step up to n_max = 160 (about 145 digits at q = 1/2).
         table = jv_table(LatticeGrid(QParams(0.5, 1.5), -2, 80), CTX)
-        assert bessel._anchor_ulps(table) == 0.0
+        assert bessel.anchor_ulps(table) == 0.0
         _assert_mp_values_match_series(table)
 
     def test_shallow_start_is_deepened(self, monkeypatch):
@@ -314,7 +314,7 @@ class TestRecurrenceTable:
         monkeypatch.setattr(bessel, "_sweep", spy)
         table = jv_table(default_scan_grid(QParams(0.3, 0.0)), CTX)
         assert digits and max(digits) <= 70
-        assert bessel._anchor_ulps(table) == 0.0
+        assert bessel.anchor_ulps(table) == 0.0
 
     def test_anchors_run_at_sweep_digits(self, monkeypatch):
         # The series cancels ~600 digits at n_min = -24 here, and anchors set
@@ -349,14 +349,14 @@ class TestRecurrenceTable:
             assert digits == max(sweeps) + 10
             assert passes == [mp.libmp.dps_to_prec(digits) + 32]
             assert passes[0] < mp.libmp.dps_to_prec(671)
-        assert bessel._anchor_ulps(table) == 0.0
+        assert bessel.anchor_ulps(table) == 0.0
 
     def test_anchor_above_300_digits_certifies(self):
         # v = 3 on n_max = 40 at q = 0.1: the second solution grows 240 digits,
         # so the sweep runs at 310 digits and the anchors at 320.  Digit counts
         # near 318 must not pass through a binary64 10^-(digits+5).
         table = jv_table(LatticeGrid(QParams(0.1, 3.0), -6, 20), CTX)
-        assert bessel._anchor_ulps(table) == 0.0
+        assert bessel.anchor_ulps(table) == 0.0
         _assert_mp_values_match_series(table)
 
     def test_perturbed_anchor_fails_certification(self, monkeypatch):

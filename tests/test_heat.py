@@ -26,7 +26,7 @@ from qfourier.heat import (
     heat_residual,
     heat_spectral_defect,
 )
-from qfourier.lattice import GridFn, LatticeGrid, jackson_integral
+from qfourier.lattice import GridFn, LatticeGrid, jackson_integral, stack
 from qfourier.numerics import ulps
 from qfourier.probes import seeded_probes
 from qfourier.qseries import (
@@ -39,7 +39,7 @@ from qfourier.qseries import (
 )
 from qfourier.report import DEFAULT_CELLS, SuiteConfig, run_cell
 from qfourier.transform import build_transform, trusted_window
-from qfourier.translation import translate
+from qfourier.translation import convolve_rows, translate
 
 CTX = PrecisionCtx()
 
@@ -450,7 +450,6 @@ class TestCellMemo:
             return original(f, g, k)
 
         monkeypatch.setattr(translation, "convolve_rows", counting)
-        monkeypatch.setattr(heat, "convolve_rows", counting)
         rows = dict(runner.check_heat())
         assert rows["heat-equation-residual"] < 1e-7
         assert sorted(flowed) == [-1, 0, 1, 2, 3]
@@ -480,18 +479,20 @@ class TestHeatFlow:
         assert np.min(u.values) >= -1e-12
 
     def test_spectral_diagonalization(self, cell_half, kprobes):
-        worst = max(
-            heat_spectral_defect(f, gauss_kernel(t, cell_half.grid, CTX), cell_half.kern,
-                                 cell_half.window)
-            for t in heat_times(cell_half.p.q) for f in kprobes[:3]
-        )
+        k, fs = cell_half.kern, stack(cell_half.grid, kprobes[:3])
+        gs = [gauss_kernel(t, cell_half.grid, CTX) for t in heat_times(cell_half.p.q)]
+        worst = max(heat_spectral_defect(fs, convolve_rows(fs, g.fn.values, k), g, k,
+                                         cell_half.window) for g in gs)
         assert worst < 1e-8
 
     def test_heat_equation_residual(self, cell_half, kprobes):
         fam = gauss_family(1.0, cell_half.grid, range(-1, 4), CTX)
+        fs = stack(cell_half.grid, kprobes[:3])
+        flows = {j: convolve_rows(fs, fam.member(j).fn.values, cell_half.kern) for j in fam.ks}
         worst = max(
-            heat_residual(f, fam.member(k), fam.member(k + 1), cell_half.kern, cell_half.window)
-            for k in (2, 1, 0, -1) for f in kprobes[:3]
+            heat_residual(flows[j], flows[j + 1], fam.member(j), fam.member(j + 1),
+                          cell_half.window)
+            for j in (2, 1, 0, -1)
         )
         assert worst < 1e-7
 
@@ -500,9 +501,10 @@ class TestHeatFlow:
         # same time from another family, is refused.
         fam = gauss_family(1.0, cell_half.grid, range(3), CTX)
         g, other = fam.member(0), gauss_family(0.25, cell_half.grid, range(1), CTX).member(0)
+        u = stack(cell_half.grid, kprobes[0])
         for below in (fam.member(2), other):
             with pytest.raises(ValueError, match="not the member one step below t=1.0"):
-                heat_residual(kprobes[0], g, below, cell_half.kern, cell_half.window)
+                heat_residual(u, u, g, below, cell_half.window)
         with pytest.raises(ValueError, match="not k=3"):
             fam.member(3)
 
@@ -570,7 +572,9 @@ class TestNaN:
         f = kprobes[1].copy()
         f.values[f.grid.index(int(cell_half.kern.window_exponents[-1]))] = math.nan
         fam = gauss_family(1.0, cell_half.grid, range(2), CTX)
-        assert math.isnan(heat_residual(f, fam.member(0), fam.member(1), cell_half.kern,
+        u_t, u_below = (convolve_rows(stack(f.grid, f), fam.member(j).fn.values, cell_half.kern)
+                        for j in (0, 1))
+        assert math.isnan(heat_residual(u_t, u_below, fam.member(0), fam.member(1),
                                         cell_half.window))
 
 

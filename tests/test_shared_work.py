@@ -146,7 +146,7 @@ def test_shared_chain_anchors_equal_separate_sums(tables, grid, monkeypatch):
         return ulps(a, b)
 
     monkeypatch.setattr(bessel, "ulps", recording)
-    assert bessel._anchor_ulps(tables[grid]) == 0.0
+    assert bessel.anchor_ulps(tables[grid]) == 0.0
     assert seen == _old_anchor_series(tables[grid])
 
 
@@ -231,5 +231,5 @@ def test_anchor_check_runs_five_chains(tables, grid, monkeypatch):
         return ratio_sum(inputs, digits, where, guard)
 
     monkeypatch.setattr(bessel, "ratio_sum_mp", counting)
-    bessel._anchor_ulps(tables[grid])
+    bessel.anchor_ulps(tables[grid])
     assert len(chains) == 5

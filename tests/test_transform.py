@@ -214,7 +214,8 @@ def _full_cube_trust_log10(grid, table):
     """The reproducing-identity bound summed over one (N, N, M) tail cube.
 
     The same operations as ``transform._logsum10`` on the whole cube, done in
-    place so the reference holds one cube, not four.
+    place so the reference holds one cube, not four.  The tail weight
+    c^2 (1-q) q^{m(2v+2)} is written out here, not read from the module.
     """
     p, const, c = grid.params, table.decay_const, table.c
     exps = grid.exponents.astype(float)
@@ -222,7 +223,8 @@ def _full_cube_trust_log10(grid, table):
         np.arange(grid.n_lo - transform._TAIL_TERMS, grid.n_lo, dtype=float),
         np.arange(grid.n_hi + 1, grid.n_hi + 1 + transform._TAIL_TERMS, dtype=float),
     ])
-    base = transform._tail_weight_log10(p, c, m_tail)
+    base = (2.0 * math.log10(c) + math.log10(1.0 - p.q)
+            + m_tail * (2.0 * p.v + 2.0) * math.log10(p.q))
     log_b = decay_bound_log10(exps[:, None] + m_tail[None, :], p, const)
     cube = base[None, None, :] + log_b[:, None, :] + log_b[None, :, :]
     m = np.max(cube, axis=2, keepdims=True)

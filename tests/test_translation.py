@@ -22,7 +22,7 @@ from qfourier.probes import seeded_probes
 from qfourier.qseries import PrecisionCtx, QParams, c_qv_mp
 from qfourier.report import DEFAULT_CELLS, SuiteConfig
 from qfourier.numerics import hankel_dots, to_fixed
-from qfourier.transform import TransformOp, build_transform, forward
+from qfourier.transform import TransformOp, build_transform, forward, trusted_window
 from qfourier.translation import (
     basis_function,
     convolve,
@@ -516,6 +516,56 @@ class TestRowCalibration:
             assert got == want, (grid, width)
 
 
+# (q, v, n_lo, n_hi, width) of _random_cells(20, 28), q and v to three places,
+# with the trusted window and the kernel window; None: GridTooSmall.  Four
+# cells trust the whole grid, where a unit bump's measured M^2 - I defect
+# passes 1e-12 from exponents 3, 31, 20 and 30 up and reads 1.0 by 40: the
+# 80-term lower tail of ROADMAP item 4.  They are pinned as they are, so that
+# mending the tail shows here as changed rows.
+_RANDOM_CELL_WINDOWS = [
+    ((0.807, 2.545, -20, 40, 22), (-12, 9), (-13, 5)),
+    ((0.127, -0.751, -34, 92, 21), (-34, 30), (9, 29)),
+    ((0.827, 2.806, -20, 40, 13), (-8, 8), (-8, 4)),
+    ((0.752, 0.352, -36, 207, 17), (-36, 26), (6, 22)),
+    ((0.778, -0.662, -19, 225, 11), None, (-5, 5)),
+    ((0.385, -0.248, -34, 137, 24), (-34, 29), (3, 26)),
+    ((0.616, -0.883, -15, 333, 24), (-15, 7), (-10, 6)),
+    ((0.386, -0.073, -7, 156, 10), (-7, 156), (-4, 1)),      # item 4: whole grid
+    ((0.171, 1.953, -11, 40, 12), (-11, 8), (-7, 4)),
+    ((0.344, 2.881, -33, 246, 16), (-33, 246), (4, 19)),     # item 4: whole grid
+    ((0.847, 2.845, -21, 40, 22), (4, 7), None),
+    ((0.381, -0.380, -19, 126, 9), (-19, 14), (4, 12)),
+    ((0.875, 1.127, -23, 73, 13), None, (-10, 2)),
+    ((0.658, -0.426, -24, 241, 24), (-24, 15), (-9, 14)),
+    ((0.641, 1.261, -16, 40, 22), (-16, 9), (-12, 6)),
+    ((0.817, 2.446, -30, 206, 11), (-30, 206), (3, 13)),     # item 4: whole grid
+    ((0.156, 1.769, -11, 40, 8), (-11, 8), (-3, 4)),
+    ((0.603, 1.152, -35, 248, 24), (-35, 248), (-1, 22)),    # item 4: whole grid
+    ((0.877, 2.468, -23, 49, 15), None, None),
+    ((0.448, 0.259, -22, 60, 24), (-22, 17), (-10, 13)),
+]
+
+
+def _window_or_none(build):
+    try:
+        return build()
+    except GridTooSmall:
+        return None
+
+
+class TestRandomCellWindows:
+    def test_windows_pinned(self):
+        # The matrix route of TestRowCalibration calls the same upper cutoff,
+        # so only a pin sees the cutoff drift.
+        got = []
+        for grid, width in _random_cells(20, 28):
+            table, p = jv_table(grid, CTX), grid.params
+            got.append(((round(p.q, 3), round(p.v, 3), grid.n_lo, grid.n_hi, width),
+                        _window_or_none(lambda: trusted_window(grid, table)),
+                        _window_or_none(lambda: kernel(grid, table, CTX, width).window)))
+        assert got == _RANDOM_CELL_WINDOWS
+
+
 class TestPositivity:
     def test_nonnegative_for_v_half(self, cell_half):
         mn, _ = kernel_min(cell_half.kern)
@@ -638,6 +688,12 @@ class TestEigenAndMultiplier:
 class TestHypergroup:
     def test_full_expansion_defect(self, cell_half):
         assert hypergroup_expansion_defect(cell_half.kern) < 1e-7
+
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_band_needs_a_positive_width(self, cell_half, width):
+        # Width 0 gave the inverted band (-10, -11), width -3 an IndexError.
+        with pytest.raises(ValueError, match="width >= 1, got"):
+            hypergroup_window(cell_half.kern, width)
 
     def test_window_growth_consistency(self, cell_half):
         k = cell_half.kern
