@@ -12,7 +12,9 @@ e(-t x^2, q^2), satisfies the q-heat equation
 
 with the Jackson time difference D_{q^2,t} u = (u(., t) - u(., q^2 t)) /
 ((1-q^2) t), and is a Markov operator because c G(., t) y^{2v+1} d_q y is a
-probability measure.
+probability measure.  A flow is P_t f = M (MG Mf), M the transform matrix;
+each kernel forms MG once per operator and keeps it
+(:meth:`GaussKernel.transformed`), its values read-only so it cannot go stale.
 
 Kernels come in families over the lattice times t0 q^{2k}, q^2 the exact
 square of the binary64 q (:func:`qseries.q2_exact`).  The functional
@@ -50,7 +52,7 @@ from .qseries import (
     qexp_mp,
 )
 from .transform import TransformOp, forward, q_bessel_rows
-from .translation import Kernel3, MarkovReport, convolve, markov_check_convolution
+from .translation import Kernel3, MarkovReport, check_factors, markov_check_convolution
 
 __all__ = [
     "GaussFamily",
@@ -107,7 +109,9 @@ class GaussFamily:
                 amp = amp * q2 ** (-k * (mp.mpf(self.grid.params.v) + 1))
         start = self.ks[-1] - k
         run = self.run[start:start + self.grid.size]
-        return GaussKernel(self, k, GridFn(self.grid, _binary64(amp._mpf_, run)), amp, run)
+        fn = GridFn(self.grid, _binary64(amp._mpf_, run))
+        fn.values.flags.writeable = False    # ``GaussKernel.transformed`` keeps M G
+        return GaussKernel(self, k, fn, amp, run)
 
 
 def gauss_family(t0: float, grid: LatticeGrid, ks: range,
@@ -149,6 +153,7 @@ class GaussKernel:
     fn: GridFn = field(repr=False)
     amp_mp: mp.mpf = field(repr=False)
     run: list = field(repr=False)
+    _hat: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def grid(self) -> LatticeGrid:
@@ -179,6 +184,13 @@ class GaussKernel:
     def eprofile(self) -> GridFn:
         """e(-t q^{2n}; q^2), the reciprocals of ``eprofile_run``, in binary64."""
         return GridFn(self.grid, _binary64(fone, self.eprofile_run))
+
+    def transformed(self, op: TransformOp) -> np.ndarray:
+        """M G for ``op``'s matrix M, read-only: kept for the last operator (by identity)."""
+        if self._hat is None or self._hat[0] is not op:
+            self._hat = (op, op.matrix @ self.fn.values)
+            self._hat[1].flags.writeable = False
+        return self._hat[1]
 
 
 def _binary64(num, run: list) -> np.ndarray:
@@ -283,7 +295,8 @@ def gauss_crosscheck_hp(g: GaussKernel, op: TransformOp, window: tuple[int, int]
 
 def heat_apply(f: GridFn, t: float, k: Kernel3, ctx: PrecisionCtx = DEFAULT_CTX,
                g: GaussKernel | None = None) -> GridFn:
-    """Heat flow P_t f = G(., t) *_q f for window-supported f.
+    """Heat flow P_t f = G(., t) *_q f = M (MG Mf) for window-supported f, MG
+    kept by ``g`` (:meth:`GaussKernel.transformed`).
 
     A given kernel ``g`` must be the one at time ``t``: ValueError otherwise.
     """
@@ -291,7 +304,9 @@ def heat_apply(f: GridFn, t: float, k: Kernel3, ctx: PrecisionCtx = DEFAULT_CTX,
         g = gauss_kernel(t, k.grid, ctx)
     elif g.t != t:
         raise ValueError(f"Gauss kernel at t={g.t} given for heat flow at t={t}")
-    return convolve(g.fn, f, k)
+    check_factors(f, g.fn, k)    # f first: G > 0 reaches past the window
+    op = k.op
+    return GridFn(op.grid, op.matrix @ (g.transformed(op) * (op.matrix @ f.values)))
 
 
 def heat_residual(u_t: np.ndarray, u_below: np.ndarray, g: GaussKernel, below: GaussKernel,
@@ -352,7 +367,7 @@ def composition_defect(f: GridFn, g_t: GaussKernel, g_s: GaussKernel, g_ts: Gaus
     # is window-supported and only its window rows are trusted.
     m = k.op.matrix
     sel = [grid.index(int(e)) for e in k.window_exponents]
-    lhs = (m @ ((m @ g_t.fn.values) * (m @ u_s.values)))[sel]
+    lhs = (m @ (g_t.transformed(k.op) * (m @ u_s.values)))[sel]
     u_ts = heat_apply(f, g_ts.t, k, g=g_ts)
     ww = grid.weights()[sel]
     num = math.sqrt(float(ww @ (lhs - u_ts.values[sel]) ** 2))

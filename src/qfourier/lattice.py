@@ -26,6 +26,7 @@ from .qseries import QParams
 __all__ = [
     "LatticeGrid",
     "GridFn",
+    "same_grid",
     "jackson_integral",
     "inner",
     "stack",
@@ -125,14 +126,10 @@ class GridFn:
     def copy(self) -> "GridFn":
         return GridFn(self.grid, self.values.copy())
 
-    def support_exponents(self) -> np.ndarray:
-        """Exponents where the function is nonzero."""
-        return self.grid.exponents[self.values != 0.0]
 
-
-def _same_grid(f: GridFn, g: GridFn) -> None:
-    if f.grid != g.grid:
-        raise GridMismatch("grid functions live on different lattices")
+def same_grid(a: LatticeGrid, b: LatticeGrid) -> bool:
+    """Whether two grids are one lattice: identity first, then the field comparison."""
+    return a is b or a == b
 
 
 def jackson_integral(f: GridFn) -> float:
@@ -142,14 +139,15 @@ def jackson_integral(f: GridFn) -> float:
 
 def inner(f: GridFn, g: GridFn) -> float:
     """L^2 inner product <f, g> = int f g x^{2v+1} d_q x."""
-    _same_grid(f, g)
+    if not same_grid(f.grid, g.grid):
+        raise GridMismatch("grid functions live on different lattices")
     return float(f.grid.weights() @ (f.values * g.values))
 
 
 def stack(grid: LatticeGrid, fns: GridFn | Sequence[GridFn]) -> np.ndarray:
     """One function on ``grid``, or a sequence of them, as the rows of a (P, N) matrix."""
     fns = [fns] if isinstance(fns, GridFn) else list(fns)
-    if any(f.grid != grid for f in fns):
+    if not all(same_grid(f.grid, grid) for f in fns):
         raise GridMismatch("grid functions live on different lattices")
     return np.array([f.values for f in fns]).reshape(len(fns), grid.size)
 

@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .bessel import BesselTable, decay_bound_log10
 from .errors import GridMismatch, GridTooSmall
-from .lattice import GridFn, LatticeGrid, norms, stack
+from .lattice import GridFn, LatticeGrid, norms, same_grid, stack
 from .numerics import TINY, worst
 from .qseries import DEFAULT_CTX, PrecisionCtx
 
@@ -118,7 +118,7 @@ def build_transform(grid: LatticeGrid, table: BesselTable,
 
 def forward(f: GridFn, op: TransformOp) -> GridFn:
     """Apply the transform: (Ff)(q^n) = c (1-q) sum_m q^{m(2v+2)} f(q^m) j_v(q^{n+m})."""
-    if f.grid != op.grid:
+    if not same_grid(f.grid, op.grid):
         raise GridMismatch("function lives on a different grid than the operator")
     return GridFn(op.grid, op.matrix @ f.values)
 

@@ -55,7 +55,11 @@ Koornwinder & Swarttouw:
 Both are the lattice sums that define D_v taken in another order, with
 the same truncation, so the trust rule above still decides which outputs
 hold; their binary64 rounding sits orders of magnitude below the 1e-8
-gates.  Identities that compare two routes take the M route on one side
+gates.  Besides its mat-vecs an apply makes one grid check, identity
+first (:func:`~qfourier.lattice.same_grid`), and one window test
+(:meth:`Kernel3.off_window`: a value nonzero or NaN off the window is
+support); a heat flow's M G is its Gauss kernel's, formed once per
+operator (:meth:`~qfourier.heat.GaussKernel.transformed`).  Identities that compare two routes take the M route on one side
 and the exact window cube on the other.  The kernel's window calibration
 reads single rows of M (M 1 by one Hankel correlation, then one row dot per
 row sum), so building the kernel, and the positivity scan, allocate no
@@ -75,7 +79,7 @@ from mpmath.libmp import mpf_mul, round_nearest
 
 from .bessel import BesselTable, decay_bound_log10, jv_table
 from .errors import GridMismatch, GridTooSmall, NotProbability, OffWindow
-from .lattice import GridFn, LatticeGrid, jackson_integral, norms, stack
+from .lattice import GridFn, LatticeGrid, jackson_integral, norms, same_grid, stack
 from .numerics import TINY, hankel_dots, to_fixed, worst
 from .qseries import DEFAULT_CTX, PrecisionCtx, QParams
 from .transform import (
@@ -93,6 +97,7 @@ __all__ = [
     "kernel",
     "translate",
     "convolve",
+    "check_factors",
     "translate_rows",
     "convolve_rows",
     "kernel_min",
@@ -166,12 +171,16 @@ class Kernel3:
             )
         return e - self.window_lo
 
+    def off_window(self, values: np.ndarray) -> bool | np.ndarray:
+        """Whether a value vector (a bool), or each row of a stack (a bool array), has
+        support off the window: a value nonzero or NaN at a grid exponent outside it."""
+        s = self.window_slice
+        if values.ndim == 1:
+            return bool(np.count_nonzero(values[:s.start]) or np.count_nonzero(values[s.stop:]))
+        return values[..., :s.start].any(axis=-1) | values[..., s.stop:].any(axis=-1)
+
     def in_window(self, f: GridFn) -> bool:
-        supp = f.support_exponents()
-        return bool(
-            supp.size == 0
-            or (supp.min() >= self.window_lo and supp.max() <= self.window_hi)
-        )
+        return not self.off_window(f.values)
 
 
 def _translate_hat(op: TransformOp, x_exp: int, fhat: np.ndarray) -> np.ndarray:
@@ -292,26 +301,28 @@ def translate(f: GridFn, x_exp: int, k: Kernel3) -> GridFn:
     over the whole grid (every kernel entry the sum stands for is trusted
     because its x argument is in the window).
     """
-    if f.grid != k.grid:
+    if not same_grid(f.grid, k.grid):
         raise GridMismatch("function lives on a different grid than the kernel")
     k.windex(x_exp)
-    return GridFn(k.grid, _translate_hat(k.op, x_exp, k.op.matrix @ f.values))
+    op = k.op
+    return GridFn(op.grid, _translate_hat(op, x_exp, op.matrix @ f.values))
+
+
+def check_factors(f: GridFn, g: GridFn, k: Kernel3) -> None:
+    """The checks of f *_q g: both factors on the kernel's grid (GridMismatch), one of them
+    window-supported, f tested first (OffWindow): the trust rule of the module doc."""
+    if not (same_grid(f.grid, g.grid) and same_grid(f.grid, k.grid)):
+        raise GridMismatch("convolution factors live on a different grid than the kernel")
+    if k.off_window(f.values) and k.off_window(g.values):
+        raise OffWindow("neither convolution factor is supported inside the kernel window")
 
 
 def convolve(f: GridFn, g: GridFn, k: Kernel3) -> GridFn:
-    """q-convolution f *_q g = M (Mf Mg); one factor must be window-supported.
-
-    The window precondition is the trust rule: every kernel entry the sum
-    stands for then has an argument in the window.
-    """
-    if f.grid != g.grid:
-        raise GridMismatch("convolution factors live on different grids")
-    if f.grid != k.grid:
-        raise GridMismatch("functions live on a different grid than the kernel")
-    if not (k.in_window(f) or k.in_window(g)):
-        raise OffWindow("neither convolution factor is supported inside the kernel window")
-    m = k.op.matrix
-    return GridFn(k.grid, m @ ((m @ f.values) * (m @ g.values)))
+    """q-convolution f *_q g = M (Mf Mg); one factor must be window-supported
+    (:func:`check_factors`)."""
+    check_factors(f, g, k)
+    op = k.op
+    return GridFn(op.grid, op.matrix @ ((op.matrix @ f.values) * (op.matrix @ g.values)))
 
 
 def translate_rows(f: np.ndarray, x_exps, k: Kernel3) -> np.ndarray:
@@ -326,8 +337,7 @@ def translate_rows(f: np.ndarray, x_exps, k: Kernel3) -> np.ndarray:
 def convolve_rows(f: np.ndarray, g: np.ndarray, k: Kernel3) -> np.ndarray:
     """f *_q g = M (Mf Mg) on each row pair of value stacks (one vector g serves every
     row); as in :func:`convolve`, one factor of each pair must be window-supported."""
-    off = [np.any(np.delete(v, k.window_slice, axis=-1) != 0.0, axis=-1) for v in (f, g)]
-    if np.any(off[0] & off[1]):
+    if np.any(k.off_window(f) & k.off_window(g)):
         raise OffWindow("neither convolution factor is supported inside the kernel window")
     m = k.op.matrix
     return ((f @ m.T) * (g @ m.T)) @ m.T
@@ -417,10 +427,9 @@ def markov_check(k: Kernel3, probes: list[GridFn]) -> MarkovReport:
     """
     x_exps = sorted({int(k.window_exponents[int(round(i))])
                      for i in np.linspace(0, k.width - 1, num=min(5, k.width))})
-    for f in probes:
-        if not k.in_window(f):
-            raise OffWindow("markov probes must be supported inside the kernel window")
     fs = stack(k.grid, probes)
+    if np.any(k.off_window(fs)):
+        raise OffWindow("markov probes must be supported inside the kernel window")
     one_hat = k.op.matrix @ np.ones(k.grid.size)
     units = np.concatenate([_translate_hat(k.op, int(x), one_hat)[k.window_slice]
                             for x in k.window_exponents])
@@ -431,6 +440,8 @@ def markov_check(k: Kernel3, probes: list[GridFn]) -> MarkovReport:
 
 
 def _check_probability(rho: GridFn, k: Kernel3) -> None:
+    if not same_grid(rho.grid, k.grid):
+        raise GridMismatch("density lives on a different grid than the kernel")
     if np.any(rho.values < 0.0):
         raise NotProbability("density has negative values")
     mass = k.c * jackson_integral(rho)
@@ -443,8 +454,9 @@ def markov_check_convolution(rho: GridFn, k: Kernel3,
     """Markov-axiom defects for K: f -> f *_q rho, rho a probability density."""
     _check_probability(rho, k)
     # Unit fixed point on window x rows: row x is T_{q,x} rho =
-    # int D(x, y, .) rho(y) dy, and (1 * rho)(x) = c int row.
-    rows = np.array([translate(rho, int(x), k).values for x in k.window_exponents])
+    # int D(x, y, .) rho(y) dy, and (1 * rho)(x) = c int row; M rho is formed once.
+    rho_hat = k.op.matrix @ rho.values
+    rows = np.array([_translate_hat(k.op, int(x), rho_hat) for x in k.window_exponents])
     units = k.c * (rows @ k.grid.weights())
     return _markov_defects(lambda v: convolve_rows(v, rho.values, k), k,
                            stack(k.grid, probes), units)
