@@ -59,11 +59,11 @@ gates.  Besides its mat-vecs an apply makes one grid check, identity
 first (:func:`~qfourier.lattice.same_grid`), and one window test
 (:meth:`Kernel3.off_window`: a value nonzero or NaN off the window is
 support); a heat flow's M G is its Gauss kernel's, formed once per
-operator (:meth:`~qfourier.heat.GaussKernel.transformed`).  Identities that compare two routes take the M route on one side
-and the exact window cube on the other.  The kernel's window calibration
-reads single rows of M (M 1 by one Hankel correlation, then one row dot per
-row sum), so building the kernel, and the positivity scan, allocate no
-N x N array.
+operator (:meth:`~qfourier.heat.GaussKernel.transformed`).  Identities
+that compare two routes take the M route on one side and the exact window
+cube on the other.  The kernel's window calibration reads single rows of
+M (M 1 by one Hankel correlation, then one row dot per row sum), so
+building the kernel, and the positivity scan, allocate no N x N array.
 """
 
 from __future__ import annotations
