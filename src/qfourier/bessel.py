@@ -31,10 +31,14 @@ Neither anchor cancels as the series at q^{-m} does.  At n_max (x <= 1 on
 every grid with n_hi >= 0) the series is summed.  At n_min < 0 the lattice
 sum of :func:`_anchor`, from the z <-> c symmetry of 1phi1 (Gasper & Rahman
 sec. 1.4; Koornwinder & Swarttouw, Trans. AMS 333, 1992), starts at j_v's
-own size and its terms fall from there.  Each anchor runs at the sweep's
-digits plus 10, plus the digits its own terms are measured to cancel (which
-grow only as q -> 1).  Each entry is its int times one mpf scale, rounded
-once at its own a-priori precision.  The series stays the independent route:
+own size and its terms fall from there.  The top anchor scales every entry,
+so it runs at the sweep's digits plus 10; the bottom one only decides the
+1e-40 certificate and enters no entry, so it runs at the certificate's 40
+digits plus 10.  Each also sums the digits its own terms are measured to
+cancel (which grow only as q -> 1).  Each entry is its int times one mpf
+scale, rounded once at its own a-priori precision, and all entries' binary64
+values come from one conversion of those mantissas (:func:`_to_floats`).
+The series stays the independent route:
 ``bessel-table-reproducibility`` compares it with the table at anchor
 exponents (at n_min a route other than the certifying one), which sees a
 wrong scale or a leftover of the second solution that the linear,
@@ -50,7 +54,7 @@ from functools import cached_property
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import dps_to_prec, normalize, round_nearest, to_float
+from mpmath.libmp import dps_to_prec, fzero, round_nearest, to_float
 
 from .errors import PrecisionExhausted
 from .lattice import LatticeGrid
@@ -77,10 +81,12 @@ __all__ = [
 _START_DEPTH, _SWEEP_GUARD_DIGITS, _MAX_SWEEPS = 10, 20, 5
 
 # Relative gap to j_v at n_min that certifies a sweep.  The sweep carries at
-# least 46 digits past the top growth and its two anchors at least 46 past
+# least 46 digits past the top growth and its top anchor at least 46 past
 # every cancellation, so a certified table is good to about this in every mp
-# value.
+# value.  The bottom anchor only decides this test and enters no entry, so it
+# runs at the certificate's digits plus 10.
 _CERTIFY_REL = 1e-40
+_CERTIFY_DIGITS = math.ceil(-math.log10(_CERTIFY_REL)) + 10
 
 _JV_DIGITS = 26  # a scalar jv's digits past its measured cancellation: binary64's 16 + 10
 
@@ -233,10 +239,10 @@ def _sweep(p: QParams, n_start: int, n_max: int, dps: int) -> list[int]:
 def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
     """Tabulate j_v over [2 n_lo, 2 n_hi] (the range transform kernels need).
 
-    One upward recurrence sweep, scaled to the series at n_max and certified
-    against the lattice sum at n_min (the series if n_min >= 0), each anchor
-    at the sweep's digits plus its own measured cancellation (module
-    docstring).
+    One upward recurrence sweep, scaled to the series at n_max (at the
+    sweep's digits plus 10) and certified against the lattice sum at n_min
+    (the series if n_min >= 0; at the certificate's digits plus 10), each
+    anchor past its own measured cancellation (module docstring).
     """
     p = grid.params
     n_min, n_max = 2 * grid.n_lo, 2 * grid.n_hi
@@ -244,8 +250,8 @@ def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
     # by q^{-2v} a step.
     growth = math.ceil(2.0 * max(p.v, 0.0) * max(n_max, 0) * math.log10(1.0 / p.q))
     dps = max(ctx.work_digits, 26) + growth + _SWEEP_GUARD_DIGITS
-    # Each anchor carries ten digits over the sweep past its own cancellation.
-    top, bottom = (_anchor(e, p, dps + 10) for e in (n_max, n_min))
+    # The top anchor sets every entry's scale: ten digits over the sweep.
+    top, bottom = _anchor(n_max, p, dps + 10), _anchor(n_min, p, _CERTIFY_DIGITS)
     depth = _START_DEPTH
     for _ in range(_MAX_SWEEPS):
         raw = _sweep(p, n_min - depth, n_max, dps)[depth:]
@@ -264,23 +270,52 @@ def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
             f"to {_CERTIFY_REL:g}")
     # One exact product, rounded once at the entry's own a-priori precision;
     # from e = 0 up no digits cancel, so one precision serves all of them.
-    def prec(e):
-        return dps_to_prec(max(ctx.work_digits, 26 + math.ceil(_digits_lost(-e, p))))
-
-    s, prec0 = scale._mpf_, prec(0)
-    raws = [_round_entry(f, s, prec(e) if e < 0 else prec0)
-            for e, f in zip(range(n_min, n_max + 1), raw)]
-    vals = np.array([to_float(t, rnd=round_nearest) for t in raws])
-    return BesselTable(p, n_min, n_max, vals, list(map(mp.make_mpf, raws)), ctx)
+    precs = [dps_to_prec(max(ctx.work_digits, 26 + math.ceil(_digits_lost(-e, p))))
+             for e in range(n_min, min(0, n_max + 1))]
+    precs += [dps_to_prec(max(ctx.work_digits, 26))] * (len(raw) - len(precs))
+    s = scale._mpf_
+    raws = [_round_entry(f, s, b) for f, b in zip(raw, precs)]
+    return BesselTable(p, n_min, n_max, _to_floats(raws), list(map(mp.make_mpf, raws)), ctx)
 
 
 def _round_entry(f: int, scale: tuple, prec: int) -> tuple:
     """The raw mpf of the int ``f`` times the raw mpf ``scale``, rounded once to
     ``prec`` bits, to nearest with ties to even: ``mpf_mul(from_int(f), scale,
-    prec, round_nearest)`` without building the mpf of f."""
+    prec, round_nearest)`` without building the mpf of f, and libmp's
+    normalize written out for this one rounding mode."""
     sign, man, exp, _ = scale
     man *= abs(f)
-    return normalize(sign ^ (f < 0), man, exp, man.bit_length(), prec, round_nearest)
+    n = man.bit_length() - prec
+    if n > 0:
+        t = man >> (n - 1)      # the kept bits and the half bit
+        # Up past half, or at exactly half when the last kept bit is odd.
+        man = (t >> 1) + 1 if t & 1 and (t & 2 or t << (n - 1) != man) else t >> 1
+        exp += n
+    if not man:
+        return fzero
+    tz = (man & -man).bit_length() - 1      # trailing zeros, stripped
+    man >>= tz
+    return sign ^ (f < 0), man, exp + tz, man.bit_length()
+
+
+def _to_floats(raws: list) -> np.ndarray:
+    """``to_float(t, rnd=round_nearest)`` of every raw mpf t, in one pass.
+
+    float() of an int rounds it to 53 bits, to nearest with ties to even, as
+    to_float's normalize1 does, and np.ldexp applies the same C ldexp as
+    math.ldexp to that exact value, so both give the same bits.  float() can
+    overflow from 1024 bits up: those mantissas take to_float.
+    """
+    signs, mans, exps, bcs = zip(*raws)
+    long = [i for i, bc in enumerate(bcs) if bc >= 1024]
+    if long:
+        mans = list(mans)
+        for i in long:
+            mans[i] = 0
+    with np.errstate(over="ignore"):    # to_float's OverflowError path gives +-inf too
+        out = np.ldexp(np.array(mans, float) * (1 - 2 * np.array(signs)), np.array(exps))
+    out[long] = [to_float(raws[i], rnd=round_nearest) for i in long]
+    return out
 
 
 def anchor_ulps(table: BesselTable) -> float:

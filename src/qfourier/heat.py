@@ -239,9 +239,12 @@ def gauss_crosscheck(g: GaussKernel, op: TransformOp, window: tuple[int, int]) -
     at least ``_FLOAT_GUARD`` of the kernel's sup (below that the true value is
     produced by near-total cancellation of the quadrature and binary64 cannot
     represent the comparison; the high-precision twin covers those rows).
+    NaN if a kernel value is not finite: it would gate every row out.
     """
-    ff = forward(g.eprofile, op)
     sup = float(np.max(np.abs(g.fn.values)))
+    if not math.isfinite(sup):
+        return math.nan
+    ff = forward(g.eprofile, op)
     rows = [(ff[n], g.fn[n]) for n in range(window[0], window[1] + 1)]
     return worst(*(abs(a - b) / abs(b) for a, b in rows if abs(b) >= _FLOAT_GUARD * sup))
 
@@ -287,8 +290,11 @@ def gauss_crosscheck_hp(g: GaussKernel, op: TransformOp, window: tuple[int, int]
     is below N 2^-S1 max|J| + 2^-(S1+S2) sum_j u_j; S1 and S2 come from the
     measured max|J| and sum of u, each term at most 2^-(prec+1) C_min / c, so
     c times the bound sits 2^-prec below C_min, the smallest gated closed-form
-    value (prec: the bits of the kernel's working digits plus ten).
+    value (prec: the bits of the kernel's working digits plus ten).  NaN if a
+    kernel value is not finite: the gate would drop its row, or every row.
     """
+    if not np.isfinite(g.fn.values).all():
+        return math.nan
     _, rows = _hp_rows(g, op, window)
     return worst(*(abs(dot - closed) / closed for dot, closed in rows.values()))
 

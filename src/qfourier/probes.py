@@ -34,7 +34,8 @@ def _dense_probe(grid: LatticeGrid, window: tuple[int, int],
     spread = rng.uniform(1.0, max(1.5, (hi - lo) / 3.0))
     vals = np.zeros(grid.size)
     # Each point's square is a Python float ** (libm pow); numpy's ** 2 is x * x,
-    # which moves envelope bits.  np.exp itself agrees with its vector form.
+    # which moves envelope bits.  np.exp agrees with its vector form only within
+    # one numpy CPU dispatch: AVX-512 and other dispatch give other bits.
     envelope = [np.exp(-((n - center) / spread) ** 2) for n in range(lo, hi + 1)]
     vals[grid.index(lo):grid.index(hi) + 1] = envelope * rng.normal(size=hi - lo + 1)
     nrm = np.sqrt(grid.weights() @ vals**2)

@@ -179,9 +179,6 @@ class Kernel3:
             return bool(np.count_nonzero(values[:s.start]) or np.count_nonzero(values[s.stop:]))
         return values[..., :s.start].any(axis=-1) | values[..., s.stop:].any(axis=-1)
 
-    def in_window(self, f: GridFn) -> bool:
-        return not self.off_window(f.values)
-
 
 def _translate_hat(op: TransformOp, x_exp: int, fhat: np.ndarray) -> np.ndarray:
     """M (j_v(q^{x_exp} .) fhat): T_{q,x} of the function whose transform is fhat."""

@@ -43,3 +43,9 @@ def cell_half() -> Cell:
 def cell_v0() -> Cell:
     """Integer-order cell: q = 1/2, v = 0, grid [-10, 40]."""
     return _build(0.5, 0.0, -10, 40)
+
+
+@pytest.fixture(scope="session")
+def cell_08() -> Cell:
+    """Default cell: q = 0.8, v = 1/2, grid [-20, 120]."""
+    return _build(0.8, 0.5, -20, 120)

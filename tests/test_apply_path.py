@@ -173,7 +173,7 @@ class TestWindowChecks:
         expected = [support_rule(r) for r in rows]
         assert list(k.off_window(rows)) == expected
         assert [k.off_window(r) for r in rows] == expected
-        assert [k.in_window(GridFn(cell.grid, r)) for r in rows] == [not e for e in expected]
+        assert [k.off_window(GridFn(cell.grid, r).values) for r in rows] == expected
 
 
 class TestGaussMemo:

@@ -318,9 +318,11 @@ class TestRecurrenceTable:
 
     def test_anchors_run_at_sweep_digits(self, monkeypatch):
         # The series cancels ~600 digits at n_min = -24 here, and anchors set
-        # by it ran at 671 digits.  The two sums, the series at n_max and the
-        # lattice sum at n_min, each run one pass, at the sweep's digits plus
-        # 10 plus the 32 first guard bits: their terms cancel less than that.
+        # by it ran at 671 digits.  The two sums each run one pass plus the 32
+        # first guard bits (their terms cancel less than that): the series at
+        # n_max, which scales every entry, at the sweep's digits plus 10, and
+        # the lattice sum at n_min, which only certifies, at the certificate's
+        # digits plus 10.
         sweeps, sums = [], []
         sweep, ratio_sum = bessel._sweep, bessel.ratio_sum_mp
 
@@ -345,11 +347,35 @@ class TestRecurrenceTable:
         assert [where for where, *_ in sums] == [
             f"j_v at q^{table.n_max} (q=0.3, v=0)",
             f"the lattice sum of j_v at q^{table.n_min} (q=0.3, v=0)"]
+        assert [digits for _, digits, _ in sums] == [max(sweeps) + 10, 50]
+        assert bessel._CERTIFY_DIGITS == 50
         for _, digits, passes in sums:
-            assert digits == max(sweeps) + 10
             assert passes == [mp.libmp.dps_to_prec(digits) + 32]
             assert passes[0] < mp.libmp.dps_to_prec(671)
         assert bessel.anchor_ulps(table) == 0.0
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
+    def test_certificate_digit_anchor_matches_sweep_digit_anchor(self, q, monkeypatch):
+        # The README scan: the bottom anchor at the certificate's 50 digits
+        # against the same sum at the sweep's digits plus 10 (80 to 122), as
+        # it ran before; the gap is far inside the 1e-40 certificate, so each
+        # table still certifies from its first start, ten below n_min.
+        starts, sweep = [], bessel._sweep
+
+        def spy(p, n_start, n_max, dps):
+            starts.append((n_start, dps))
+            return sweep(p, n_start, n_max, dps)
+
+        monkeypatch.setattr(bessel, "_sweep", spy)
+        for v in (-0.7, 0.0, 0.5):
+            starts.clear()
+            table = jv_table(default_scan_grid(QParams(q, v)), CTX)
+            (n_start, dps), = starts
+            assert n_start == table.n_min - bessel._START_DEPTH
+            new = bessel._anchor(table.n_min, table.params, bessel._CERTIFY_DIGITS)
+            old = bessel._anchor(table.n_min, table.params, dps + 10)
+            with mp.workdps(dps + 10):
+                assert abs(new - old) <= mp.mpf("1e-45") * abs(old), (q, v)
 
     def test_anchor_above_300_digits_certifies(self):
         # v = 3 on n_max = 40 at q = 0.1: the second solution grows 240 digits,
@@ -474,6 +500,25 @@ _SIGNED_INTS = st.integers(0, 800).flatmap(lambda b: st.integers(-2**b, 2**b))
 _SCALES = st.builds(lambda sign, man, exp: from_man_exp(-man if sign else man, exp),
                     st.booleans(), st.integers(1, 2**400), st.integers(-1200, 1200))
 
+# Raw mpf tuples for _to_floats: mantissas of 1 to 1100 bits, 1018 to 1030
+# bits (also with 60 leading ones, which float() rounds up past 2^1024 at 1024
+# bits), or 54 bits (a tie at the 54th bit) shifted with one bit more or less
+# below it; magnitudes (exp + bits) subnormal, ordinary or near overflow.
+_TIE = st.integers(2**52, 2**53 - 1).map(lambda m: 2 * m + 1)
+_MANTISSAS = st.one_of(
+    _TIE,
+    st.tuples(_TIE, st.integers(1, 80), st.sampled_from([-1, 1])).map(
+        lambda t: (t[0] << t[1]) + t[2]),
+    st.integers(1, 1100).flatmap(lambda b: st.integers(2**(b - 1), 2**b - 1)),
+    st.integers(1018, 1030).flatmap(lambda b: st.integers(2**(b - 1), 2**b - 1)),
+    st.integers(1018, 1030).flatmap(lambda b: st.integers(1, 2**(b - 60)).map(
+        lambda k: 2**b - k)),
+)
+_MAGNITUDES = st.one_of(st.integers(-1130, -1015), st.integers(-60, 60), st.integers(1015, 1030))
+_RAW_FLOATS = st.one_of(st.just(fzero), st.builds(
+    lambda man, mag, sign: from_man_exp(-man if sign else man, mag - man.bit_length()),
+    _MANTISSAS, _MAGNITUDES, st.booleans()))
+
 
 class TestRoundEntry:
     @settings(max_examples=400, deadline=None)
@@ -527,6 +572,15 @@ class TestRoundEntry:
         # overflow: to_float at round_nearest is what float() of the mpf gives.
         t = bessel._round_entry(-f if sign else f, (0, 1, mag - f.bit_length(), 1), prec)
         assert to_float(t, rnd=round_nearest) == float(mp.make_mpf(t))
+
+    @settings(max_examples=400, deadline=None)
+    @given(raws=st.lists(_RAW_FLOATS, min_size=1, max_size=8))
+    def test_one_pass_floats_are_to_float(self, raws):
+        # Ties at the 54th bit and one bit either side of them, subnormal,
+        # ordinary and near-overflow magnitudes, mantissas on both sides of
+        # 1024 bits (those take to_float itself), mixed in one list.
+        want = np.array([to_float(t, rnd=round_nearest) for t in raws])
+        assert bessel._to_floats(raws).tobytes() == want.tobytes()
 
 
 # sha256 of ``values`` and of the mp mantissas, as the tables were when both
@@ -596,6 +650,14 @@ _TABLE_SHA256 = {
         "9ad024a6c88e607068e57ae51436cdcf63dfa62c432343274f13ae9a490e6442"),
 }
 
+# The sweep depths below n_min that each pinned table tried, where not only
+# the first, ten below.
+_SWEEP_DEPTHS = {
+    (0.95, 0.5, -3, 6): [10, 20, 40],
+    (0.97, 0.5, -5, 10): [10, 20, 40],
+    (0.95, 0.0, -10, 20): [10, 20],
+}
+
 
 def _table_sha256(table: BesselTable) -> tuple[str, str]:
     mantissas = hashlib.sha256()
@@ -616,6 +678,19 @@ class TestTableFingerprint:
     def test_bit_identical(self, q, v, n_lo, n_hi):
         table = jv_table(LatticeGrid(QParams(q, v), n_lo, n_hi), CTX)
         assert _table_sha256(table) == _TABLE_SHA256[(q, v, n_lo, n_hi)]
+
+    @pytest.mark.parametrize("q, v, n_lo, n_hi", list(_TABLE_SHA256))
+    def test_certifies_at_pinned_start(self, q, v, n_lo, n_hi, monkeypatch):
+        # Every pinned table from the same sweep starts as when it was pinned.
+        depths, sweep = [], bessel._sweep
+
+        def spy(p, n_start, n_max, dps):
+            depths.append(2 * n_lo - n_start)
+            return sweep(p, n_start, n_max, dps)
+
+        monkeypatch.setattr(bessel, "_sweep", spy)
+        jv_table(LatticeGrid(QParams(q, v), n_lo, n_hi), CTX)
+        assert depths == _SWEEP_DEPTHS.get((q, v, n_lo, n_hi), [10])
 
     @pytest.mark.parametrize("v", [0.0, 0.5])
     def test_near_one_certifies_at_the_fifth_start(self, v):

@@ -79,6 +79,21 @@ class TestGaussKernel:
         )
         assert worst < 1e-8
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["interior", "low end"])
+    def test_nonfinite_kernel_value_fails_both(self, cell_08, where, bad):
+        # One kernel value of G(., 1) on the trusted window planted: the float
+        # row's sup and the hp row's guard gated a NaN out, so the float row
+        # read 0.0 and the hp row 3.9e-24, or raised on an empty gate at the
+        # window's low end.
+        lo, hi = cell_08.window
+        g = gauss_kernel(1.0, cell_08.grid, CTX)
+        vals = g.fn.values.copy()
+        vals[cell_08.grid.index(lo if where == "low end" else (lo + hi) // 2)] = bad
+        planted = dataclasses.replace(g, fn=GridFn(cell_08.grid, vals))
+        assert math.isnan(gauss_crosscheck(planted, cell_08.op, cell_08.window))
+        assert math.isnan(gauss_crosscheck_hp(planted, cell_08.op, cell_08.window))
+
     def test_hp_weights_built_once_per_operator(self, cell_half):
         # The mp Jackson weights are the operator's, shared by every t, and
         # are the float grid weights before their rounding.
