@@ -13,8 +13,8 @@ against Euler's and Jacobi's series, summed by its one series evaluator
 
 Gated identities decide the exit status.  Observational entries (tolerance
 ``None``, marked ``gated: false``) record quantities the library deliberately
-does not assert: amplitude scaling off the lattice, kernel positivity for
-v < 0, and the semigroup composition gap.
+does not assert: kernel positivity for v < 0 and the semigroup composition
+gap.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import bessel, heat, lattice, qseries, transform, translation
 from .errors import GridTooSmall
-from .lattice import GridFn, LatticeGrid, jackson_integral, norm2
+from .lattice import GridFn, LatticeGrid
 from .numerics import TINY, ulps, worst
 from .probes import seeded_probes
 from .qseries import PrecisionCtx, QParams, q2_exact
@@ -72,11 +72,7 @@ IDENTITIES: dict[str, tuple[str, float | None]] = {
         "sum z^n/(q;q)_n = 1/(z;q)_inf for |z| < 1: Euler's series vs the product", 1e-12),
     "gauss-amplitude-lattice-scaling": (
         "A(q^{2m}) = q^{-2m(v+1)} A(1): theta ratio at q^{2m} vs four products at 1", 1e-10),
-    "gauss-amplitude-offlattice-scaling": (
-        "A(t^2) t^{2(v+1)} vs A(1), t generic: theta ratio vs products (observational)", None),
-    "jackson-linearity": ("integral(a f + b g) = a integral(f) + b integral(g)", 1e-12),
     "delta-reproduction": ("integral(f delta_q(x,.)) = f(x)", 1e-12),
-    "cauchy-schwarz": ("|<f,g>| <= ||f|| ||g||", 1e-12),
     "bessel-decay-bound": ("|j_v(q^n)| <= C min(1, q^{n^2-(2v+1)n})", 1e-12),
     "bessel-eigen-relation": ("Delta j_v(lambda .) = -lambda^2 j_v(lambda .)", 1e-9),
     "bessel-table-reproducibility": (                       # binary64 ulps
@@ -90,9 +86,6 @@ IDENTITIES: dict[str, tuple[str, float | None]] = {
     "orthogonality-diagonal": ("||psi_x||^2 = x^{-2(v+1)}/(1-q)", 1e-9),
     "transform-matrix-structure": (
         "M[n,m] = c (1-q) j_v(q^{n+m}) q^{m(2v+2)} bitwise", 0.0),
-    "transform-decay-at-infinity": ("|Ff(q^{n_lo})| << sup |Ff| for integrable f", 1e-6),
-    "transform-sup-bound": ("sup |Ff| <= c sup|j_v| ||f||_1", 1e-12),
-    "basis-completeness": ("f = sum_x <f, psi_x> psi_x / ||psi_x||^2", 1e-9),
     "delta-multiplier": ("F[Delta f](x) = -x^2 Ff(x)", 1e-8),
     "kernel-transform-projection": (
         "int D(x,y,z) j_v(xt) x^{2v+1} d_q x = j_v(yt) j_v(zt)", 1e-8),
@@ -144,6 +137,8 @@ class SuiteConfig:
             QParams(q, v)           # raises on invalid q or v
             LatticeGrid(QParams(q, v), n_lo, n_hi)
         PrecisionCtx(self.work_digits)
+        if self.probes < 1:     # over no probes the probe rows read 0 and pass
+            raise ValueError(f"probes must be >= 1, got {self.probes}")
         for name, tol in self.tolerances.items():
             if name not in IDENTITIES:
                 raise ValueError(f"tolerance for unknown identity {name!r}")
@@ -272,12 +267,12 @@ class _CellRunner:
                                         f"Euler's series at q={q:g}")
 
         with mp.workdps(ctx.work_digits + 10):
-            qm, q2, t0, s = mp.mpf(q), q2_exact(q), mp.mpf(1.37), 2 * mp.mpf(p.v) + 2
-            c = qm**s
+            qm, q2 = mp.mpf(q), q2_exact(q)
+            c = qm ** (2 * mp.mpf(p.v) + 2)
             poch = {a: qseries.qpoch_inf_mp(a, q, ctx)
                     for a in (0.25, -1.0, 0.9, -4.0, -0.5, 0.0, 0.3)}
             a1 = self.gauss[0].amp_mp       # A's products at t = 1 only, built once a cell
-            *lattice, off = _theta_amplitudes([q2**m for m in range(-3, 4)] + [t0 * t0], p, ctx)
+            amps = _theta_amplitudes([q2**m for m in range(-3, 4)], p, ctx)
             rows = {
                 # K factors times Euler's series for the tail (a q^K; q)_inf.
                 "qpoch-splitting": worst(*(
@@ -289,29 +284,18 @@ class _CellRunner:
                 "qexp-series-agreement": worst(*(rel(euler(z, 1), 1 / poch[z])
                                                  for z in (-0.5, 0.3, 0.9))),
                 "gauss-amplitude-lattice-scaling": worst(*(
-                    rel(am * c**m, a1) for m, am in zip(range(-3, 4), lattice))),
-                "gauss-amplitude-offlattice-scaling": rel(off * t0**s, a1),
+                    rel(am * c**m, a1) for m, am in zip(range(-3, 4), amps))),
             }
         yield from rows.items()
 
     # ---------------- lattice quadrature identities ----------------
 
     def check_lattice(self) -> Rows:
-        rng = np.random.default_rng(self.cfg.seed + 3)
-        f = GridFn(self.grid, rng.normal(size=self.grid.size))
-        g = GridFn(self.grid, rng.normal(size=self.grid.size))
-        a, b = rng.normal(), rng.normal()
-        yield "jackson-linearity", abs(
-            jackson_integral(GridFn(self.grid, a * f.values + b * g.values))
-            - a * jackson_integral(f) - b * jackson_integral(g)
-        ) / max(abs(jackson_integral(f)) + abs(jackson_integral(g)), TINY)
-
+        f = np.random.default_rng(self.cfg.seed + 3).normal(size=self.grid.size)
         # Row n of the stack is the delta at q^n: its integral against f is one term.
-        rep = (lattice.stack(self.grid, self.deltas.values()) * f.values) @ self.grid.weights()
-        fn = f.values[[self.grid.index(n) for n in self.deltas]]
+        rep = (lattice.stack(self.grid, self.deltas.values()) * f) @ self.grid.weights()
+        fn = f[[self.grid.index(n) for n in self.deltas]]
         yield "delta-reproduction", worst(*np.abs(rep - fn) / np.maximum(np.abs(fn), TINY))
-
-        yield "cauchy-schwarz", worst(abs(lattice.inner(f, g)) - norm2(f) * norm2(g))
 
     # ---------------- Bessel identities ----------------
 
@@ -349,15 +333,6 @@ class _CellRunner:
                    * np.power(q, e.astype(float) * (2.0 * v + 2.0))[None, :])
         yield "transform-matrix-structure", float(np.count_nonzero(rebuilt != op.matrix))
 
-        sup_j = float(np.max(np.abs(self.table.values)))
-        fs = lattice.stack(grid, self.tprobes[:20])
-        ff = np.abs(fs @ op.matrix.T)                   # |Ff|, one row per probe
-        sup_ff = np.max(ff, axis=1)
-        yield "transform-decay-at-infinity", worst(*ff[:, 0] / np.maximum(sup_ff, TINY))
-        yield "transform-sup-bound", worst(
-            *sup_ff / (self.c * sup_j * lattice.norms(fs, grid, 1.0)) - 1.0)
-
-        yield "basis-completeness", transform.basis_completeness_defect(self.tprobes[:5], op)
         yield "delta-multiplier", transform.delta_multiplier_defect(self.tprobes[:20], op)
 
     # ---------------- translation identities ----------------

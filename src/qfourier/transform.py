@@ -160,22 +160,23 @@ def plancherel_defect(f: GridFn | Sequence[GridFn], op: TransformOp) -> float:
 class OrthoCheck:
     """Scale-free orthogonality defects of the basis {psi_x} on a window."""
 
-    max_offdiag: float       # max |<psi_x, psi_y>| (1-q) x^{v+1} y^{v+1}, x != y
+    max_offdiag: float       # max |<psi_x, psi_y>| / (||psi_x|| ||psi_y||), x != y
     max_diag_rel: float      # max relative error of <psi_x, psi_x> vs closed form
     window: tuple[int, int]
 
 
 def orthogonality_matrix(op: TransformOp, window: tuple[int, int]) -> OrthoCheck:
-    """Gram-matrix defects of {psi_x} for exponents inside ``window``."""
+    """Gram-matrix defects of {psi_x} for exponents inside ``window``, against the
+    closed-form norms of :func:`psi_norm_sq`."""
     grid = op.grid
-    q, v = grid.params.q, grid.params.v
     lo, hi = window
     wexps = np.arange(lo, hi + 1)
     psi = op.c * hankel_rows(op, wexps)
     gram = (psi * grid.weights()[None, :]) @ psi.T
-    scale = np.power(q, wexps.astype(float) * (v + 1.0))
-    normalized = np.abs(gram) * (1.0 - q) * scale[:, None] * scale[None, :]
-    diag_rel = np.abs(np.diag(normalized) - 1.0)
+    norm_sq = psi_norm_sq(grid, wexps)
+    diag_rel = np.abs(np.diag(gram) / norm_sq - 1.0)
+    scale = 1.0 / np.sqrt(norm_sq)
+    normalized = np.abs(gram) * scale[:, None] * scale[None, :]
     np.fill_diagonal(normalized, 0.0)
     return OrthoCheck(float(normalized.max()), float(diag_rel.max()), (lo, hi))
 

@@ -261,8 +261,11 @@ def kernel(grid: LatticeGrid, table: BesselTable, ctx: PrecisionCtx = DEFAULT_CT
 
     The window's low end is calibrated from single rows of the transform
     matrix, which stays unbuilt.  The working digits are the table's; ``ctx``
-    is accepted for positional callers and not read.
+    is accepted for positional callers and not read.  A ``max_width`` below 3
+    admits no window on any grid: ValueError.
     """
+    if max_width < 3:
+        raise ValueError(f"a kernel window needs max_width >= 3, got {max_width}")
     op = build_transform(grid, table, ctx)
     cq, w = op.c * (1.0 - grid.params.q), op.col_weights
     # M 1 as a Hankel correlation: no N x N array.

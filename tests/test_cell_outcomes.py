@@ -26,9 +26,8 @@ CELLS = [
      "grid [-40, 56] cannot be checked for q=0.293, v=-0.028"),
     # The 80-term lower tail lets the trusted window take the whole grid.
     (0.499, 0.282, (-24, 199), 1,
-     {"basis-completeness", "delta-multiplier", HEAT, JENSEN, "orthogonality-diagonal",
-      "orthogonality-offdiag", "transform-decay-at-infinity", "transform-inversion",
-      "transform-plancherel"}),
+     {"delta-multiplier", HEAT, JENSEN, "orthogonality-diagonal", "orthogonality-offdiag",
+      "transform-inversion", "transform-plancherel"}),
     # Jensen's defect is absolute: it reads rounding where translated probes are large.
     (0.339, 2.922, (-29, 52), 1, {HEAT, JENSEN}),
     (0.424, 2.492, (-31, 112), 1, {HEAT, JENSEN}),

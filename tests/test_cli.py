@@ -152,6 +152,26 @@ class TestCheck:
                     assert r["tolerance"] is None
 
 
+class TestDegenerateSettings:
+    """A setting that leaves a check nothing to read is bad input (exit 2): no probes
+    read 0 on every probe row, and a window cap below 3 admits no kernel window."""
+
+    @pytest.mark.parametrize("flag, value", [("--probes", "0"), ("--probes", "-3"),
+                                             ("--window", "0"), ("--window", "-5"),
+                                             ("--window", "2")])
+    def test_check_exits_2(self, flag, value, capsys):
+        assert main(["check", *CELL, flag, value]) == 2
+        assert f"got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--q", "0.5", "--v", "0.5", "--x", "1", "--y", "1", "--window", "2"],
+        ["scan-positivity", "--q-list", "0.5", "--v-list", "0.5", "--window", "0"]],
+        ids=["kernel", "scan-positivity"])
+    def test_window_cap_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "max_width >= 3" in capsys.readouterr().err
+
+
 class TestGridFlags:
     """--q/--v and --nlo/--nhi are read alike by every command; a half exits 2."""
 
@@ -187,7 +207,13 @@ class TestToleranceOverrides:
            ("kernel-symmetry", 0.0),
            ("multiplier-bump-coefficients", 1e-8),
            ("qexp-ode-identity", 1e-12),
-           ("convolution-product-formula", 1e-8)]
+           ("convolution-product-formula", 1e-8),
+           # Removed: true for any weights or any table, or another row in another order.
+           ("jackson-linearity", 1e-12),
+           ("cauchy-schwarz", 1e-12),
+           ("transform-decay-at-infinity", 1e-6),
+           ("transform-sup-bound", 1e-12),
+           ("basis-completeness", 1e-9)]
 
     @pytest.mark.parametrize("name, tol", BAD)
     def test_suite_config_rejects(self, name, tol):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfourier import bessel, lattice, numerics, report, translation
+from qfourier import bessel, numerics, report, translation
 from qfourier.numerics import hankel_dots, ulps, worst
 
 
@@ -144,6 +144,14 @@ def _nan_probe(probes):
     return plant
 
 
+def _nan_delta(monkeypatch, runner):
+    """Plant: the one nonzero value of the runner's first delta set to NaN."""
+    n, d = next(iter(runner.deltas.items()))
+    d = d.copy()
+    d.values[runner.grid.index(n)] = math.nan
+    monkeypatch.setitem(runner.deltas, n, d)
+
+
 def _nan_table_entry(monkeypatch, runner):
     """Plant: one mp value of the cell's table, at q^0, set to NaN."""
     table = runner.table
@@ -154,12 +162,12 @@ def _nan_table_entry(monkeypatch, runner):
 
 # (check, row, how its NaN is planted).
 _NAN_ROWS = [
-    ("check_lattice", "cauchy-schwarz", _patch(lattice, "inner", lambda f, g: math.nan)),
+    ("check_lattice", "delta-reproduction", _nan_delta),
     ("check_bessel", "bessel-decay-bound", _patch(
         bessel, "decay_bound_check", lambda table: SimpleNamespace(max_ratio=math.nan))),
     ("check_bessel", "bessel-eigen-relation", _nan_table_entry),
     ("check_transform", "transform-inversion", _nan_probe("tprobes")),
-    ("check_transform", "transform-sup-bound", _nan_probe("tprobes")),
+    ("check_transform", "delta-multiplier", _nan_probe("tprobes")),
     ("check_translation", "kernel-positivity", _patch(
         translation, "kernel_min", lambda k: (math.nan, (0, 0, 0)))),
     ("check_translation", "markov-translation-contraction", _nan_probe("mprobes")),
