@@ -23,9 +23,9 @@ algorithm; Gautschi, SIAM Review 9, 1967).  One sweep runs from (0, 1) a few
 exponents below n_min and is scaled once to j_v at n_max.  It must equal j_v
 at n_min to 1e-40 relative, or it restarts twice as deep.  The recurrence
 does not cancel as the series does, so the sweep runs in Python ints at one
-scale 2^w, w the bits of the working digits (at least 26) plus the q^{-2v}
-growth of the second solution up to n_max plus 20 guard digits; a step errs
-as one mpf step at w bits would (:func:`_sweep`).
+scale 2^w, w the bits of the working digits (at least 50, the bottom
+anchor's) plus the q^{-2v} growth of the second solution up to n_max plus 20
+guard digits; a step errs as one mpf step at w bits would (:func:`_sweep`).
 
 Neither anchor cancels as the series at q^{-m} does.  At n_max (x <= 1 on
 every grid with n_hi >= 0) the series is summed.  At n_min < 0 the lattice
@@ -36,25 +36,26 @@ so it runs at the sweep's digits plus 10; the bottom one only decides the
 1e-40 certificate and enters no entry, so it runs at the certificate's 40
 digits plus 10.  Each also sums the digits its own terms are measured to
 cancel (which grow only as q -> 1).  Each entry is its int times one mpf
-scale, rounded once at its own a-priori precision, and all entries' binary64
-values come from one conversion of those mantissas (:func:`_to_floats`).
-The series stays the independent route:
-``bessel-table-reproducibility`` compares it with the table at anchor
-exponents (at n_min a route other than the certifying one), which sees a
-wrong scale or a leftover of the second solution that the linear,
-homogeneous eigen relation cannot.
+scale, rounded once at its own a-priori precision (at least 50 digits),
+and all entries' binary64 values come from one conversion of those
+mantissas (:func:`_to_floats`).  :func:`eigen_residual`, the table's gate,
+reads the recurrence at every entry relative to its own terms.  The series
+stays the independent route: ``bessel-table-reproducibility`` compares it
+with the table at anchor exponents (at n_min a route other than the
+certifying one), which sees a wrong scale or a leftover of the second
+solution that the linear, homogeneous eigen relation cannot.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import dps_to_prec, fzero, round_nearest, to_float
+from mpmath.libmp import (dps_to_prec, fzero, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_sub,
+                          round_nearest, to_float)
 
 from .errors import PrecisionExhausted
 from .lattice import LatticeGrid
@@ -249,7 +250,10 @@ def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
     # For v > 0 rounding errors grow like the second solution near the top,
     # by q^{-2v} a step.
     growth = math.ceil(2.0 * max(p.v, 0.0) * max(n_max, 0) * math.log10(1.0 / p.q))
-    dps = max(ctx.work_digits, 26) + growth + _SWEEP_GUARD_DIGITS
+    # Sweep and entries keep the certificate's digits at any working digits:
+    # eigen_residual then reads no rounding near its 1e-40 gate.
+    least = max(ctx.work_digits, _CERTIFY_DIGITS)
+    dps = least + growth + _SWEEP_GUARD_DIGITS
     # The top anchor sets every entry's scale: ten digits over the sweep.
     top, bottom = _anchor(n_max, p, dps + 10), _anchor(n_min, p, _CERTIFY_DIGITS)
     depth = _START_DEPTH
@@ -270,9 +274,9 @@ def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
             f"to {_CERTIFY_REL:g}")
     # One exact product, rounded once at the entry's own a-priori precision;
     # from e = 0 up no digits cancel, so one precision serves all of them.
-    precs = [dps_to_prec(max(ctx.work_digits, 26 + math.ceil(_digits_lost(-e, p))))
+    precs = [dps_to_prec(max(least, 26 + math.ceil(_digits_lost(-e, p))))
              for e in range(n_min, min(0, n_max + 1))]
-    precs += [dps_to_prec(max(ctx.work_digits, 26))] * (len(raw) - len(precs))
+    precs += [dps_to_prec(least)] * (len(raw) - len(precs))
     s = scale._mpf_
     raws = [_round_entry(f, s, b) for f, b in zip(raw, precs)]
     return BesselTable(p, n_min, n_max, _to_floats(raws), list(map(mp.make_mpf, raws)), ctx)
@@ -361,11 +365,6 @@ class DecayCheck:
     max_ratio: float
     argmax_exponent: int
     constant: float
-    tolerance: float = 1e-12
-
-    @property
-    def passed(self) -> bool:
-        return self.max_ratio <= 1.0 + self.tolerance
 
 
 def decay_bound_check(table: BesselTable) -> DecayCheck:
@@ -385,40 +384,29 @@ def decay_bound_check(table: BesselTable) -> DecayCheck:
     )
 
 
-def eigen_residual(grid: LatticeGrid, lambda_exps: Sequence[int], table: BesselTable) -> float:
-    """Worst residual of Delta_{q,v} j_v(lambda .) = -lambda^2 j_v(lambda .), lambda = q^l.
+def eigen_residual(table: BesselTable) -> float:
+    """Worst relative residual of the recurrence of the module docstring.
 
-    Taken over l in ``lambda_exps``, on interior exponents n only (the
-    operator needs both neighbours), and on the high-precision table values:
-    near x -> 0 the three-term difference cancels ~ q^{2n} of itself, which
-    binary64 inputs cannot survive, while 50-digit inputs certify the residual
-    comfortably.  At table entry k = l + n the residual is
-    |d(k) q^{-2n} + q^{2l} j(k)| / (1 + q^{2l} |j(k)|), d(k) the second
-    difference j(k-1) - (1+q^{2v}) j(k) + q^{2v} j(k+1), or
-    |d(k) + q^{2k} j(k)| / (q^{2k} (q^{-2l} + |j(k)|)): the smallest l that
-    reaches k is the worst there.  So each distinct k costs three table reads
-    and one residual; q^{2l} is formed once per l and q^{-2n} once per row.
-    That factor lifts the table's rounding (10^-work_digits) with it, so rows with
-    2n log10(1/q) > work_digits - 12 are skipped: past them that rounding
-    alone reaches within three decades of a 1e-9 gate.
+    At each interior n of the mp values, |q^{2v} j(n+1) - (1 + q^{2v} - q^{2n})
+    j(n) + j(n-1)| over the sum of the three terms' magnitudes (Delta_{q,v} j_v
+    = -j_v on x = q^n): rounding reads the same at a deep entry as at a shallow
+    one.  j(n_min) is only the first residual's smallest term; the certificate
+    reads it.  Raw libmp arithmetic at the certificate's or the working digits,
+    whichever is more, plus ten; q^{2n} is one running product.  NaN reads NaN.
     """
-    p = grid.params
-    n_cap = math.floor((table.ctx.work_digits - 12) / (2.0 * math.log10(1.0 / p.q)))
-    rows = range(grid.n_lo + 1, min(grid.n_hi, n_cap + 1))
-    # k -> the smallest l with k - l a row: a smaller l overwrites a larger.
-    worst_l = {le + n: le for le in sorted(lambda_exps, reverse=True) for n in rows}
-    with mp.workdps(max(table.ctx.work_digits, 50)):
-        q = mp.mpf(p.q)
-        q2v = q ** (2 * mp.mpf(p.v))
-        lifts = {n: q ** (-2 * n) for n in rows}
-        lam2 = {le: q ** (2 * le) for le in lambda_exps}
-        res = []
-        for k, le in worst_l.items():
-            j0 = table.mp_value(k)
-            diff = table.mp_value(k - 1) - (1 + q2v) * j0 + q2v * table.mp_value(k + 1)
-            lam2_f = lam2[le] * j0
-            res.append(float(abs(diff * lifts[k - le] + lam2_f) / (1 + abs(lam2_f))))
-        return worst(*res)
+    p, rnd = table.params, round_nearest
+    with mp.workdps(max(table.ctx.work_digits, _CERTIFY_DIGITS) + 10):
+        prec, q2, q2v = mp.mp.prec, q2_exact(p.q), mp.mpf(p.q) ** (2 * mp.mpf(p.v))
+        a, u, q2, q2v = (1 + q2v)._mpf_, (q2 ** (table.n_min + 1))._mpf_, q2._mpf_, q2v._mpf_
+    js, res = [x._mpf_ for x in table.mp_values], []
+    for lo, mid, hi in zip(js, js[1:], js[2:]):
+        top = mpf_mul(q2v, hi, prec, rnd)
+        middle = mpf_mul(mpf_sub(a, u, prec, rnd), mid, prec, rnd)
+        total = mpf_add(mpf_sub(top, middle, prec, rnd), lo, prec, rnd)
+        size = mpf_add(mpf_add(mpf_abs(top), mpf_abs(middle), prec, rnd), mpf_abs(lo), prec, rnd)
+        res.append(to_float(mpf_div(mpf_abs(total), size, 53, rnd)))
+        u = mpf_mul(u, q2, prec, rnd)
+    return worst(*res)
 
 
 def jv_exact_dyadic(m: int, v: float) -> float:

@@ -41,6 +41,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import dps_to_prec, fone
 
+from . import qseries
 from .lattice import GridFn, LatticeGrid, norm_p
 from .numerics import TINY, hankel_dots, to_fixed, ulps, worst
 from .qseries import (
@@ -214,7 +215,8 @@ def gauss_recurrence_defect(g: GaussKernel, exps) -> float:
     """
     grid, ctx = g.grid, g.ctx
     with mp.workdps(ctx.work_digits + 10):
-        q2 = q2_exact(grid.params.q)
+        # qseries' q^2, not heat's binding that the run read: another q^2 shows.
+        q2 = qseries.q2_exact(grid.params.q)
         pref = _gauss_prefactor(g.t_mp, grid)
         return worst(*(
             ulps(g.fn[n], float(g.amp_mp * qexp_mp(-(pref * q2 ** int(n)), q2, ctx)))

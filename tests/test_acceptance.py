@@ -72,7 +72,8 @@ def test_criterion_04_decay_bound(suite):
 
 def test_criterion_05_eigen_relation(suite):
     _gate(suite, 5, ["bessel-eigen-relation"],
-          "Delta j_v(lambda .) = -lambda^2 j_v(lambda .), residual < 1e-9")
+          "Delta j_v = -j_v as the three-term recurrence at every table entry, "
+          "relative to its terms, < 1e-40")
 
 
 def test_criterion_06_kernel_identities(suite):
@@ -157,16 +158,16 @@ def test_registry_covers_the_default_suite(suite):
 # The rows whose both routes run in mp or exact integer arithmetic (no BLAS),
 # to the bit on each default cell; the q = 0.8 cell has no dyadic oracle.
 _PINNED_RESIDUALS = {
-    (0.5, 0.0): {"bessel-eigen-relation": 4.4186998533815585e-28,
+    (0.5, 0.0): {"bessel-eigen-relation": 6.177734551193345e-52,
                  "bessel-oracle-agreement": 0.0,
                  "gauss-transform-consistency-hp": 4.353004433596951e-15},
-    (0.5, 0.5): {"bessel-eigen-relation": 4.923694122339451e-28,
+    (0.5, 0.5): {"bessel-eigen-relation": 6.377429112045688e-52,
                  "bessel-oracle-agreement": 0.0,
                  "gauss-transform-consistency-hp": 1.323174691325644e-25},
-    (0.5, 1.5): {"bessel-eigen-relation": 1.7675912997158637e-28,
+    (0.5, 1.5): {"bessel-eigen-relation": 8.431112142396596e-52,
                  "bessel-oracle-agreement": 0.0,
                  "gauss-transform-consistency-hp": 8.483104276974059e-34},
-    (0.8, 0.5): {"bessel-eigen-relation": 7.238034962077162e-29,
+    (0.8, 0.5): {"bessel-eigen-relation": 5.833932414296755e-52,
                  "gauss-transform-consistency-hp": 7.708016959528113e-24},
 }
 
@@ -183,7 +184,7 @@ def test_high_precision_residuals_pinned(suite):
 # sha256 of the default report's JSON with every cell's runtime_s zeroed: the
 # report is byte-identical across refactors that must not move a residual.
 # A change that moves one on purpose updates this pin and says why.
-_REPORT_SHA256 = "37a6a84c52ed9787e8e58e5891a466dfcd8aa83ba03860d61015f2a83638ee2a"
+_REPORT_SHA256 = "b64b6523ec1f41b0a65f32d9b1837e9faf285983984fad3d508ecb199fa32643"
 
 
 def test_default_report_pinned(suite):

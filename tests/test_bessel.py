@@ -26,11 +26,12 @@ from qfourier.bessel import (
 from qfourier.errors import PrecisionExhausted
 from qfourier.lattice import LatticeGrid
 from qfourier.qseries import PrecisionCtx, QParams, q2_exact
-from qfourier.report import DEFAULT_CELLS
+from qfourier.report import DEFAULT_CELLS, IDENTITIES
 from qfourier.translation import default_scan_grid
 from qhyper_ref import jv_ref
 
 CTX = PrecisionCtx()
+EIGEN_TOL = IDENTITIES["bessel-eigen-relation"][1]
 
 
 def ulps(a: float, b: float) -> float:
@@ -211,10 +212,6 @@ def _with_mp(table: BesselTable, mp_vals: list) -> BesselTable:
                        np.array([float(x) for x in mp_vals]), mp_vals, table.ctx)
 
 
-def _eigen_ok(table: BesselTable) -> bool:
-    return eigen_residual(DEEP, (-2, 0, 1, 3), table) < 1e-9
-
-
 def _second_solution(table: BesselTable, dps: int) -> list:
     """A recurrence solution run downward from (1, 0) at n_max, n_max + 1."""
     p = table.params
@@ -240,14 +237,14 @@ class TestRecurrenceTable:
 
     def test_gate_reads_zero(self):
         table = jv_table(DEEP, CTX)
-        assert _eigen_ok(table)
+        assert eigen_residual(table) <= EIGEN_TOL
         assert bessel.anchor_ulps(table) == 0.0
 
     def test_scaled_table_fails_gate(self):
         table = jv_table(DEEP, CTX)
         with mp.workdps(400):
             bad = _with_mp(table, [x * (1 + mp.mpf("1e-12")) for x in table.mp_values])
-        assert _eigen_ok(bad)
+        assert eigen_residual(bad) <= EIGEN_TOL
         assert bessel.anchor_ulps(bad) > 1.0
 
     def test_second_solution_leftover_fails_gate(self):
@@ -257,7 +254,7 @@ class TestRecurrenceTable:
             y = _second_solution(table, 400)
             eps = mp.mpf("1e-12") * table.mp_values[0] / y[0]
             bad = _with_mp(table, [j + eps * t for j, t in zip(table.mp_values, y)])
-        assert _eigen_ok(bad)
+        assert eigen_residual(bad) <= EIGEN_TOL
         assert bessel.anchor_ulps(bad) > 1.0
 
     @pytest.mark.parametrize("v", [0.0, 0.5])
@@ -715,8 +712,7 @@ class TestTableFingerprint:
 class TestDecayBound:
     def test_holds_on_table(self, cell_half):
         chk = decay_bound_check(cell_half.table)
-        assert chk.max_ratio <= 1.0 + 1e-12
-        assert chk.passed
+        assert chk.max_ratio - 1.0 <= IDENTITIES["bessel-decay-bound"][1]
 
     def test_negative_branch_explicitly(self):
         p = QParams(0.5, 0.0)
@@ -732,24 +728,40 @@ class TestDecayBound:
             assert abs(jv(p.q**n, p)) <= const * (1 + 1e-12)
 
 
-class TestEigenRelation:
-    @pytest.mark.parametrize("lambda_exp", [-2, 0, 1, 3])
-    def test_residual_small(self, cell_half, lambda_exp):
-        r = eigen_residual(cell_half.grid, (lambda_exp,), cell_half.table)
-        assert r < 1e-9
+def _with_entry(table: BesselTable, n: int, value) -> BesselTable:
+    """The table with its mp value at q^n replaced by ``value(old)``."""
+    mp_vals = list(table.mp_values)
+    mp_vals[table.index(n)] = value(mp_vals[table.index(n)])
+    return _with_mp(table, mp_vals)
 
-    def test_rows_stop_where_table_rounding_would_show(self):
-        # q = 1/2, v = -0.7 on [-14, 97]: q^{-2n} lifts the 50-digit rounding
-        # to 6.6 at n = 96.  Rows stop at 2n log10(2) <= 50 - 12, n <= 63,
-        # so the grid beyond 64 adds no row.
-        p = QParams(0.5, -0.7)
-        table = jv_table(LatticeGrid(p, -14, 97), CTX)
-        long = [eigen_residual(LatticeGrid(p, -14, 97), (le,), table) for le in (-2, 0, 1, 3)]
-        short = [eigen_residual(LatticeGrid(p, -14, 64), (le,), table) for le in (-2, 0, 1, 3)]
-        assert long == short
-        assert max(long) < 1e-12
-        # One call over all four lambda shares the differences, to the bit.
-        assert eigen_residual(LatticeGrid(p, -14, 97), (-2, 0, 1, 3), table) == max(long)
+
+class TestEigenRelation:
+    def test_gate_is_the_table_certificate(self):
+        assert EIGEN_TOL == bessel._CERTIFY_REL
+
+    @settings(max_examples=12, deadline=None)
+    @given(q=st.floats(0.1, 0.95), v=st.floats(-1.0, 3.0, exclude_min=True),
+           digits=st.integers(16, 80), n_lo=st.integers(-12, -1), n_hi=st.integers(8, 40))
+    def test_clean_tables_read_their_rounding(self, q, v, digits, n_lo, n_hi):
+        # Entries and sweep carry at least 50 digits at every working digits,
+        # so a clean table reads about 1e-51, ten decades under the gate.
+        table = jv_table(LatticeGrid(QParams(q, v), n_lo, n_hi), PrecisionCtx(digits))
+        assert eigen_residual(table) <= 1e-45
+
+    def test_fault_at_any_interior_entry_fails(self, cell_08):
+        # 1e-30 at j_v(q^n) moves the residuals at n - 1, n, n + 1 by about
+        # half of it, however small j_v(q^n) is: at q = 0.8 |j_v(q^-40)| ~ 9e-163.
+        table = cell_08.table
+        with mp.workdps(200):
+            for n in range(table.n_min + 1, table.n_max):
+                bad = _with_entry(table, n, lambda x: x * (1 + mp.mpf("1e-30")))
+                assert eigen_residual(bad) > EIGEN_TOL, n
+
+    def test_nan_at_either_end_reads_nan(self, cell_08):
+        # Each end enters one residual only; a NaN at q^0 is test_numerics' case.
+        table = cell_08.table
+        for n in (table.n_min, table.n_max):
+            assert math.isnan(eigen_residual(_with_entry(table, n, lambda x: mp.nan))), n
 
     def test_constant_function_is_annihilated(self, cell_half):
         # Delta 1 = (1 - (1+q^{2v}) + q^{2v}) / x^2 = 0, exactly.

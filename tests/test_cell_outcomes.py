@@ -40,8 +40,8 @@ CELLS = [
     (0.729, 0.227, None, 1, {HP}),
     (0.263, -0.143, None, 1, {HEAT}),
     # q = 1/2, v = -0.7 on [-14, 97]: the six v < 0 Markov rows and the hp Gauss
-    # row.  The eigen relation is gated only where q^{-2n} keeps the table's
-    # rounding small, so it does not fail.
+    # row.  The eigen relation, read at every table entry relative to its
+    # terms, reads the table's 50-digit rounding and passes.
     (0.5, -0.7, None, 1,
      {HP, *(f"markov-{op}-{axis}" for op in ("translation", "bump")
             for axis in ("contraction", "jensen", "sup"))}),

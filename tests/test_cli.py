@@ -50,6 +50,11 @@ class TestCheck:
         assert main(args + ["--json", str(b)]) == 0
         assert _strip_runtime(a.read_text()) == _strip_runtime(b.read_text())
 
+    def test_sixteen_digits_pass(self, capsys):
+        # Table entries keep at least 50 digits, so the eigen row's 1e-40 gate
+        # holds at the fewest working digits the check accepts.
+        assert main(["check", *CELL, "--probes", "5", "--digits", "16"]) == 0
+
     def test_zero_tolerance_forces_failure(self, tmp_path):
         code = main(["check", *CELL, "--probes", "5",
                      "--tolerance", "transform-inversion=0"])

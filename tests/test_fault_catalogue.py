@@ -25,9 +25,9 @@ row:
   the M-column and column-weight faults (``transform-matrix-structure``
   fails both) and the ``psi_norm_sq`` fault (``orthogonality-diagonal``).
 
-A fault that passes every gate is a known gap: a strict xfail naming its
-ROADMAP item, so that mending it shows.  A gated row that no fault fails is
-listed in ``UNCAUGHT`` with its ROADMAP item; the list may not grow.
+Every fault fails a gated row or raises a refusal on each cell it applies
+to.  A gated row that no fault fails is listed in ``UNCAUGHT`` with its
+ROADMAP item; the list may not grow.
 
 Refusals pinned here (exit 2 or 3, not a failed gate): a 1e-10 fault in c,
 in the Jackson weight at q^0, in the Gauss amplitude, in the bump's delta or
@@ -275,24 +275,16 @@ def both(want):
     return want, want
 
 
-@dataclasses.dataclass(frozen=True)
-class Gap:
-    """A fault that passes every gate: a known gap, xfail until ROADMAP ``item`` mends it."""
-
-    item: int
-    why: str
-
-
 QPOCH_ROWS = {"qpoch-splitting", "qpoch-euler-series", "qexp-series-agreement"}
 GAUSS_ROUTES = {"gauss-transform-consistency", "gauss-transform-consistency-hp"}
 M_ROWS = {"gauss-transform-consistency", "transform-matrix-structure", "translation-delta"}
 BUMP_AND_HEAT = {f"markov-{op}-{axis}" for op in ("bump", "heat")
                  for axis in ("symmetry", "contraction", "jensen", "sup")}
 TABLE_Q05 = {"bessel-eigen-relation", "bessel-oracle-agreement", "bessel-table-reproducibility"}
-ITEM_2 = Gap(2, "deep table entries are read by no gate")
+EIGEN = {"bessel-eigen-relation"}
 
 # name -> (plant, outcome on the q=0.5 cell, outcome on the q=0.8 cell).  An
-# outcome is the set of gated rows that fail, the refusal raised, a Gap, or
+# outcome is the set of gated rows that fail, the refusal raised, or
 # None where the fault is none on that cell (q*q is exact at q = 1/2).  The
 # faults planted ``in_check`` are live only in that check: planted for the
 # whole cell, each leaves the j_v table uncertified (its anchors read the same
@@ -317,25 +309,25 @@ FAULTS = {
     "q2/float-everywhere": (
         everywhere(qseries, "q2_exact", float_q2), None, PrecisionExhausted),
     "q2/float-in-heat": (
-        attribute(heat, "q2_exact", float_q2), None,
-        Gap(3, "both sides of gauss-lattice-recurrence read heat's q^2")),
+        attribute(heat, "q2_exact", float_q2), None, {"gauss-lattice-recurrence"}),
     "c/1e-10": (everywhere(qseries, "c_qv_mp", mp_scaled(1e-10)), NotProbability, NotProbability),
     "c/1e-9": (everywhere(qseries, "c_qv_mp", mp_scaled(1e-9)), GridTooSmall, GridTooSmall),
     # -- the j_v table --
     "table/mid": (
         table_entry(5, 1e-10), TABLE_Q05 | {"gauss-transform-consistency-hp"},
-        GAUSS_ROUTES | {"kernel-transform-projection", "multiplier-gauss-coefficients"}),
+        EIGEN | GAUSS_ROUTES | {"kernel-transform-projection", "multiplier-gauss-coefficients"}),
     "table/top": (
         table_entry(30, 1e-10), TABLE_Q05,
         {"bessel-eigen-relation", "bessel-table-reproducibility"}),
     "table/deep": (
-        table_entry(-8, 1e-4), {"bessel-oracle-agreement"},
-        GAUSS_ROUTES | {"multiplier-gauss-coefficients", "markov-bump-unit",
-                        "markov-heat-unit", "markov-translation-unit"}),
+        table_entry(-8, 1e-4), EIGEN | {"bessel-oracle-agreement"},
+        EIGEN | GAUSS_ROUTES | {"multiplier-gauss-coefficients", "markov-bump-unit",
+                                "markov-heat-unit", "markov-translation-unit"}),
     "table/deep-x10": (
-        table_entry(-18, 9.0), {"bessel-decay-bound", "bessel-table-reproducibility"}, ITEM_2),
-    "table/q^-12": (table_entry(-12, 1e-4), ITEM_2, ITEM_2),
-    "table/q^-16": (table_entry(-16, 1e-8), ITEM_2, ITEM_2),
+        table_entry(-18, 9.0),
+        EIGEN | {"bessel-decay-bound", "bessel-table-reproducibility"}, EIGEN),
+    "table/q^-12": (table_entry(-12, 1e-4), *both(EIGEN)),
+    "table/q^-16": (table_entry(-16, 1e-8), *both(EIGEN)),
     "table/q^0": (table_entry(0, 1e-8), GridTooSmall, GridTooSmall),
     # -- lattice weights and deltas --
     "weight/q^-5": (
@@ -436,9 +428,7 @@ def _cases():
         for i, (cell, want) in enumerate(zip(CELLS, expected)):
             if want is None:
                 continue
-            marks = ([pytest.mark.xfail(strict=True, reason=f"ROADMAP item {want.item}: "
-                                        f"{want.why}")] if isinstance(want, Gap) else [])
-            yield pytest.param(name, cell, want, id=f"{name}-cell{i}", marks=marks)
+            yield pytest.param(name, cell, want, id=f"{name}-cell{i}")
 
 
 @pytest.mark.parametrize("cell", CELLS)
@@ -450,9 +440,7 @@ def test_clean_cell_passes(cell):
 @pytest.mark.parametrize("fault, cell, want", list(_cases()))
 def test_planted_fault_fails_kept_rows(fault, cell, want):
     got = outcome(fault, cell)
-    if isinstance(want, Gap):
-        assert got, "passes every gate"
-    elif isinstance(want, type):
+    if isinstance(want, type):
         assert got is want
     else:
         assert isinstance(got, frozenset), f"raised {got.__name__}"

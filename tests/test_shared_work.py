@@ -1,16 +1,14 @@
 """Routes that share work across a check cell against copies of the routes
 that repeated it, and counts of the work they do.
 
-Each ``_old_*`` function below is the earlier route, kept here as the
-reference: the eigen relation evaluated once per (lambda, n) pair, Euler's,
-theta and j_v steps that always divide by both factors, one series chain per
-anchor, and probes filled one exponent at a time.  The shared routes must
-reproduce them to the bit on the default cells, the twelve README scan
-grids and q = 0.9, v = 0 on [-30, 300].  The counting tests fail if the
-repeated work comes back.
+Each ``_old_*`` function below is the earlier or plainer route, kept here
+as the reference: the eigen relation in mpf arithmetic (for the raw libmp
+loop), Euler's, theta and j_v steps that always divide by both factors, one
+series chain per anchor, and probes filled one exponent at a time.  The
+routes must reproduce them to the bit on the default cells, the twelve
+README scan grids and q = 0.9, v = 0 on [-30, 300].  The counting tests fail
+if the repeated work comes back.
 """
-
-import math
 
 import mpmath as mp
 import numpy as np
@@ -28,7 +26,6 @@ from qfourier.report import DEFAULT_CELLS
 from qfourier.translation import default_scan_grid
 
 CTX = PrecisionCtx()
-LAMBDAS = (-2, 0, 1, 3)
 
 GRIDS = ([LatticeGrid(QParams(q, v), lo, hi) for q, v, lo, hi in DEFAULT_CELLS]
          + [default_scan_grid(QParams(q, v)) for q in (0.3, 0.5, 0.7, 0.9)
@@ -44,25 +41,20 @@ def tables() -> dict:
 
 # ---------------- the earlier routes ----------------
 
-def _old_eigen_residual(grid: LatticeGrid, lambda_exps, table: BesselTable) -> float:
-    """One residual per (lambda, n) pair, the second differences shared per k."""
-    p = grid.params
-    n_cap = math.floor((table.ctx.work_digits - 12) / (2.0 * math.log10(1.0 / p.q)))
-    rows = range(grid.n_lo + 1, min(grid.n_hi, n_cap + 1))
-    res = 0.0
-    with mp.workdps(max(table.ctx.work_digits, 50)):
-        q = mp.mpf(p.q)
-        q2v = q ** (2 * mp.mpf(p.v))
-        j = table.mp_value
-        diffs = {k: j(k - 1) - (1 + q2v) * j(k) + q2v * j(k + 1)
-                 for k in {le + n for le in lambda_exps for n in rows}}
-        lifts = [(n, q ** (-2 * n)) for n in rows]
-        for le in lambda_exps:
-            lam2 = q ** (2 * le)
-            for n, lift in lifts:
-                lam2_f = lam2 * j(le + n)
-                res = max(res, abs(diffs[le + n] * lift + lam2_f) / (1 + abs(lam2_f)))
-        return float(res)
+def _old_eigen_residual(table: BesselTable) -> float:
+    """The relative residual in mpf arithmetic, one expression per entry; the
+    ratio rounded to 53 bits, as the raw loop's division is."""
+    p = table.params
+    with mp.workdps(max(table.ctx.work_digits, bessel._CERTIFY_DIGITS) + 10):
+        q2, q2v = q2_exact(p.q), mp.mpf(p.q) ** (2 * mp.mpf(p.v))
+        u, res, j = q2 ** (table.n_min + 1), 0.0, table.mp_values
+        for lo, mid, hi in zip(j, j[1:], j[2:]):
+            top, middle = q2v * hi, (1 + q2v - u) * mid
+            total, size = top - middle + lo, abs(top) + abs(middle) + abs(lo)
+            with mp.workprec(53):
+                res = max(res, float(abs(total) / size))
+            u *= q2
+        return res
 
 
 def _old_ratio_sum(inputs, digits: int, guard: int = 32) -> mp.mpf:
@@ -130,10 +122,9 @@ def _old_probes(grid, window, count, seed, nonneg=False):
 # ---------------- equality ----------------
 
 @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
-def test_eigen_residual_equals_the_pair_loop(tables, grid):
+def test_eigen_residual_equals_the_mpf_loop(tables, grid):
     table = tables[grid]
-    assert bessel.eigen_residual(grid, LAMBDAS, table) == _old_eigen_residual(
-        grid, LAMBDAS, table)
+    assert bessel.eigen_residual(table) == _old_eigen_residual(table)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
@@ -203,20 +194,27 @@ def test_probes_draw_the_same_stream():
 
 # ---------------- work counts ----------------
 
+class _Counted:
+    """An mp value that counts the reads of its raw tuple."""
+
+    def __init__(self, x, reads: list):
+        self.x, self.reads = x, reads
+
+    @property
+    def _mpf_(self):
+        self.reads.append(self)
+        return self.x._mpf_
+
+
 @pytest.mark.parametrize("grid", GRIDS[:4], ids=IDS[:4])
-def test_eigen_residual_reads_each_entry_a_few_times(tables, grid, monkeypatch):
-    # The row cap 2n log10(1/q) <= work_digits - 12 does not bind on these grids.
+def test_eigen_residual_reads_each_entry_a_few_times(tables, grid):
+    # Each entry's tuple is taken once, and its three residuals read that.
     table, reads = tables[grid], []
-    read = BesselTable.mp_value
-
-    def counting(self, n):
-        reads.append(n)
-        return read(self, n)
-
-    monkeypatch.setattr(BesselTable, "mp_value", counting)
-    bessel.eigen_residual(grid, LAMBDAS, table)
-    ks = {le + n for le in LAMBDAS for n in range(grid.n_lo + 1, grid.n_hi)}
-    assert reads and len(reads) <= 4 * len(ks)
+    counted = [_Counted(x, reads) for x in table.mp_values]
+    got = bessel.eigen_residual(BesselTable(table.params, table.n_min, table.n_max,
+                                            table.values, counted, table.ctx))
+    assert got == bessel.eigen_residual(table)
+    assert sorted(map(id, reads)) == sorted(map(id, counted))
 
 
 @pytest.mark.parametrize("grid", GRIDS[:4], ids=IDS[:4])

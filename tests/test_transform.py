@@ -181,8 +181,8 @@ class TestQBesselOperator:
 
     def test_eigen_relation_through_matrix(self, cell_half):
         # Delta j_v(q . ) = -q^2 j_v(q . ) on trusted interior points.  Deeper
-        # rows amplify binary64 rounding by q^{-2n}; the certified check over
-        # the whole interior is eigen_residual on the high-precision table.
+        # rows amplify binary64 rounding by q^{-2n}; eigen_residual reads the
+        # same relation at every entry of the mp table, relative to its terms.
         grid, table = cell_half.grid, cell_half.table
         q = grid.params.q
         vals = table.row(1 + grid.n_lo, 1 + grid.n_hi)
