@@ -69,7 +69,6 @@ __all__ = [
     "jv_table",
     "decay_bound_constant",
     "decay_bound_log10",
-    "DecayCheck",
     "decay_bound_check",
     "eigen_residual",
     "anchor_ulps",
@@ -358,30 +357,13 @@ def decay_bound_log10(e: np.ndarray | float, p: QParams, const: float) -> np.nda
     return math.log10(const) + expo
 
 
-@dataclass(frozen=True)
-class DecayCheck:
-    """Result of the decay-bound sweep over a table."""
-
-    max_ratio: float
-    argmax_exponent: int
-    constant: float
-
-
-def decay_bound_check(table: BesselTable) -> DecayCheck:
-    """Check |j_v(q^n)| against the two-branch decay bound at every table point."""
-    p = table.params
-    const = table.decay_const
+def decay_bound_check(table: BesselTable) -> float:
+    """Max of |j_v(q^n)| over the two-branch decay bound at every table point."""
     exps = np.arange(table.n_min, table.n_max + 1, dtype=float)
-    log_bound = decay_bound_log10(exps, p, const)
+    log_bound = decay_bound_log10(exps, table.params, table.decay_const)
     with np.errstate(divide="ignore"):
         log_val = np.log10(np.abs(table.values))
-    log_ratio = log_val - log_bound
-    k = int(np.argmax(log_ratio))
-    return DecayCheck(
-        max_ratio=float(10.0 ** log_ratio[k]),
-        argmax_exponent=table.n_min + k,
-        constant=const,
-    )
+    return float(10.0 ** np.max(log_val - log_bound))
 
 
 def eigen_residual(table: BesselTable) -> float:

@@ -9,17 +9,23 @@ with the same configuration and seed (the runtime field aside).
 
 The scalar q-series rows set the products of :mod:`qfourier.qseries`
 against Euler's and Jacobi's series, summed by its one series evaluator
-:func:`~qfourier.qseries.ratio_sum_mp` and sharing no code with them.
+:func:`~qfourier.qseries.ratio_sum_mp` and sharing no code with them: one
+Euler row reads every product the library calls at one point each.  The
+Markov rows check the unit, contraction, Jensen and sup axioms; symmetry
+holds by construction (:class:`~qfourier.translation.MarkovReport`).
 
-Gated identities decide the exit status.  Observational entries (tolerance
-``None``, marked ``gated: false``) record quantities the library deliberately
-does not assert: kernel positivity for v < 0 and the semigroup composition
-gap.
+Gated identities decide the exit status.  A density the report builds
+itself (the bump delta(., 1)/c, the t = 1 Gauss kernel) that the library
+refuses is a library fault, not bad input: the rows that read it read NaN
+and fail.  Observational entries (tolerance ``None``,
+marked ``gated: false``) record quantities the library deliberately does not
+assert: kernel positivity for v < 0 and the semigroup composition gap.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
@@ -28,7 +34,7 @@ import mpmath as mp
 import numpy as np
 
 from . import bessel, heat, lattice, qseries, transform, translation
-from .errors import GridTooSmall
+from .errors import GridTooSmall, NotProbability
 from .lattice import GridFn, LatticeGrid
 from .numerics import TINY, ulps, worst
 from .probes import seeded_probes
@@ -54,22 +60,18 @@ DEFAULT_CELLS: tuple[tuple[float, float, int, int], ...] = (
     (0.8, 0.5, -20, 120),
 )
 
-MARKOV_AXES = ("unit", "symmetry", "contraction", "jensen", "sup")
+MARKOV_AXES = ("unit", "contraction", "jensen", "sup")
 
 
 def _markov_rows(op: str, statement: str) -> dict[str, tuple[str, float]]:
-    """The five Markov-axiom rows of one operator; ``statement`` takes the axis."""
+    """The four Markov-axiom rows of one operator; ``statement`` takes the axis."""
     return {f"markov-{op}-{axis}": (statement.format(axis), 1e-8) for axis in MARKOV_AXES}
 
 
 # name -> (statement, tolerance); a tolerance of None marks an observational row.
 IDENTITIES: dict[str, tuple[str, float | None]] = {
-    "qpoch-splitting": (
-        "(a;q)_inf = (a;q)_K (a q^K;q)_inf: product vs K factors times Euler's series", 1e-12),
     "qpoch-euler-series": (
         "sum (-1)^n q^{n(n-1)/2} z^n/(q;q)_n = (z;q)_inf: Euler's series vs the product", 1e-12),
-    "qexp-series-agreement": (
-        "sum z^n/(q;q)_n = 1/(z;q)_inf for |z| < 1: Euler's series vs the product", 1e-12),
     "gauss-amplitude-lattice-scaling": (
         "A(q^{2m}) = q^{-2m(v+1)} A(1): theta ratio at q^{2m} vs four products at 1", 1e-10),
     "delta-reproduction": ("integral(f delta_q(x,.)) = f(x)", 1e-12),
@@ -215,8 +217,13 @@ class CheckReport:
 Rows = Iterator[tuple[str, float] | IdentityResult]
 
 
-def _markov(op: str, report: translation.MarkovReport) -> Rows:
-    """(name, defect) of the five Markov axioms of one operator."""
+def _markov(op: str, check) -> Rows:
+    """(name, defect) of the four Markov axioms of one operator, from ``check()``;
+    NaN for each where it refuses the report's own density (module doc)."""
+    try:
+        report = check()
+    except NotProbability:
+        report = translation.MarkovReport(*(math.nan for _ in MARKOV_AXES))
     for axis in MARKOV_AXES:
         yield f"markov-{op}-{axis}", getattr(report, f"{axis}_defect")
 
@@ -264,27 +271,19 @@ class _CellRunner:
         def rel(got, ref) -> float:
             return float(abs(got / ref - 1))
 
-        def euler(x, r):    # (x, r) = (z, 1) for 1/(z;q)_inf, (-z, q) for (z;q)_inf
-            return qseries.ratio_sum_mp(lambda: (x, r, qm, 0), ctx.work_digits + 10,
+        def euler(z):       # Euler's series for (z;q)_inf
+            return qseries.ratio_sum_mp(lambda: (-z, qm, qm, 0), ctx.work_digits + 10,
                                         f"Euler's series at q={q:g}")
 
         with mp.workdps(ctx.work_digits + 10):
             qm, q2 = mp.mpf(q), q2_exact(q)
             c = qm ** (2 * mp.mpf(p.v) + 2)
-            poch = {a: qseries.qpoch_inf_mp(a, q, ctx)
-                    for a in (0.25, -1.0, 0.9, -4.0, -0.5, 0.0, 0.3)}
             a1 = self.gauss[0].amp_mp       # A's products at t = 1 only, built once a cell
             amps = _theta_amplitudes([q2**m for m in range(-3, 4)], p, ctx)
             rows = {
-                # K factors times Euler's series for the tail (a q^K; q)_inf.
-                "qpoch-splitting": worst(*(
-                    rel(mp.fprod(1 - a * qm**j for j in range(k))
-                         * euler(-a * qm**k, qm), poch[a])
-                    for a in (0.25, -1.0, 0.9) for k in (1, 5, 10))),
-                "qpoch-euler-series": worst(*(rel(euler(-z, qm), poch[z])
-                                              for z in (-4.0, -1.0, -0.5, 0.0, 0.3, 0.9))),
-                "qexp-series-agreement": worst(*(rel(euler(z, 1), 1 / poch[z])
-                                                 for z in (-0.5, 0.3, 0.9))),
+                "qpoch-euler-series": worst(*(
+                    rel(euler(z), qseries.qpoch_inf_mp(z, q, ctx))
+                    for z in (-4.0, -1.0, -0.5, 0.0, 0.25, 0.3, 0.9))),
                 "gauss-amplitude-lattice-scaling": worst(*(
                     rel(am * c**m, a1) for m, am in zip(range(-3, 4), amps))),
             }
@@ -302,8 +301,7 @@ class _CellRunner:
     # ---------------- Bessel identities ----------------
 
     def check_bessel(self) -> Rows:
-        chk = bessel.decay_bound_check(self.table)
-        yield "bessel-decay-bound", worst(chk.max_ratio - 1.0)
+        yield "bessel-decay-bound", worst(bessel.decay_bound_check(self.table) - 1.0)
 
         yield "bessel-eigen-relation", bessel.eigen_residual(self.table)
 
@@ -364,7 +362,7 @@ class _CellRunner:
         yield "translation-eigenfunctions", worst(*(translation.eigen_check(
             kern, range(-2, 5), x) for x in sorted({kern.window_lo, kern.window_hi})))
 
-        yield from _markov("translation", translation.markov_check(kern, self.mprobes))
+        yield from _markov("translation", lambda: translation.markov_check(kern, self.mprobes))
 
         yield from self._check_convolution()
         yield from self._check_multiplier()
@@ -409,11 +407,15 @@ class _CellRunner:
         yield "multiplier-diagonal-action", worst(*lattice.norms(
             translation.convolve_rows(fn, rho.values, kern) - cn[:, None] * fn, grid))
 
-        yield from _markov("bump", translation.markov_check_convolution(
+        yield from _markov("bump", lambda: translation.markov_check_convolution(
             rho, kern, self.mprobes))
 
         g = self.gauss[0]
-        ns, coeffs = translation.multiplier_coeffs(g.fn, kern)
+        try:
+            ns, coeffs = translation.multiplier_coeffs(g.fn, kern)
+        except NotProbability:          # the report's own density (module doc)
+            yield "multiplier-gauss-coefficients", math.nan
+            return
         expected = np.array([g.eprofile[int(n)] for n in ns])
         sup = float(np.max(np.abs(expected)))
         mask = np.abs(expected) >= 1e-6 * sup
@@ -445,7 +447,7 @@ class _CellRunner:
             flows[g.k], flows[g.k + 1], g, self.gauss[g.k + 1], win) for g in gs))
 
         g1 = self.gauss[0]
-        yield from _markov("heat", heat.heat_markov_check(g1, kern, self.mprobes))
+        yield from _markov("heat", lambda: heat.heat_markov_check(g1, kern, self.mprobes))
 
         yield "heat-composition", heat.composition_defect(
             self.kprobes[0], g1, g1, heat.gauss_kernel(2.0, self.grid, self.ctx), kern)

@@ -39,7 +39,6 @@ __all__ = [
     "build_transform",
     "forward",
     "hankel_rows",
-    "basis_fn",
     "psi_norm_sq",
     "inversion_residual",
     "plancherel_defect",
@@ -130,11 +129,6 @@ def hankel_rows(op: TransformOp, x_exps) -> np.ndarray:
     lo = int(xs.min())
     row = op.table.row(lo + op.grid.n_lo, int(xs.max()) + op.grid.n_hi)
     return sliding_window_view(row, op.grid.size)[xs - lo]
-
-
-def basis_fn(op: TransformOp, x_exp: int) -> GridFn:
-    """Basis function psi_x(t) = c_{q,v} j_v(x t, q^2) at x = q^{x_exp}."""
-    return GridFn(op.grid, op.c * hankel_rows(op, x_exp)[0])
 
 
 def psi_norm_sq(grid: LatticeGrid, x_exp: int) -> float:

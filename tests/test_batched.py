@@ -3,7 +3,7 @@
 The report's probe rows stack their probes into one (P, N) matrix and apply
 each operator as one product.  The loops below are the formulas those rows
 had before, one probe at a time through ``translate``, ``convolve``,
-``forward``, ``norm2`` and ``inner``: they are the reference.  A product
+``forward`` and ``norm2``: they are the reference.  A product
 sums in another order than a mat-vec, so the two agree within tolerances
 fixed here from each row's arithmetic, not from the values seen:
 
@@ -27,7 +27,7 @@ import pytest
 from qfourier import qseries, report
 from qfourier.bessel import decay_bound_log10, jv_table
 from qfourier.heat import heat_apply
-from qfourier.lattice import GridFn, delta_fn, inner, jackson_integral, norm2, sup_norm
+from qfourier.lattice import GridFn, delta_fn, jackson_integral, norm2, sup_norm
 from qfourier.numerics import TINY, worst
 from qfourier.qseries import QParams
 from qfourier.report import DEFAULT_CELLS, SuiteConfig
@@ -63,19 +63,16 @@ def rows(runner):
 # ---------------- the per-probe loops ----------------
 
 def loop_markov(apply_op, grid, probes, unit_values) -> tuple:
-    """(unit, symmetry, contraction, jensen, sup) defects, one probe at a time."""
-    symmetry = contraction = jensen = supd = 0.0
-    images = [apply_op(f) for f in probes]
-    for f, tf in zip(probes, images):
+    """(unit, contraction, jensen, sup) defects, one probe at a time."""
+    contraction = jensen = supd = 0.0
+    for f in probes:
+        tf = apply_op(f)
         contraction = worst(contraction, norm2(tf) / max(norm2(f), TINY) - 1.0)
         supd = worst(supd, sup_norm(tf) / max(sup_norm(f), TINY) - 1.0)
         if np.all(f.values >= 0.0):
             tf2 = apply_op(GridFn(grid, f.values ** 2))
             jensen = worst(jensen, float(np.max(tf.values ** 2 - tf2.values)))
-    for (f, tf), (g, tg) in zip(zip(probes, images), zip(probes[1:], images[1:])):
-        defect = abs(inner(tf, g) - inner(f, tg))
-        symmetry = worst(symmetry, defect / max(norm2(f) * norm2(g), TINY))
-    return float(np.max(np.abs(unit_values - 1.0))), symmetry, contraction, jensen, supd
+    return float(np.max(np.abs(unit_values - 1.0))), contraction, jensen, supd
 
 
 def loop_markov_translation(k, probes) -> tuple:

@@ -711,8 +711,7 @@ class TestTableFingerprint:
 
 class TestDecayBound:
     def test_holds_on_table(self, cell_half):
-        chk = decay_bound_check(cell_half.table)
-        assert chk.max_ratio - 1.0 <= IDENTITIES["bessel-decay-bound"][1]
+        assert decay_bound_check(cell_half.table) - 1.0 <= IDENTITIES["bessel-decay-bound"][1]
 
     def test_negative_branch_explicitly(self):
         p = QParams(0.5, 0.0)

@@ -9,9 +9,9 @@ cell the matrix pins what ``run_cell`` does: the exact set of gated rows that
 fail, or the refusal it raises (mutation analysis: DeMillo, Lipton & Sayward,
 "Hints on test data selection", IEEE Computer 11(4), 1978).
 
-It is the evidence for deleting rows.  Nine gated rows left the registry on
-it; the faults that once broke what they read stay here, each failing a kept
-row:
+It is the evidence for deleting rows.  Fourteen gated rows left the registry
+on it; the faults that once broke what they read stay here, each failing a
+kept row:
 
 * ``kernel-symmetry`` compared the cube's symmetrizing gather with itself,
   ``multiplier-bump-coefficients`` compared ``table.row`` with
@@ -23,21 +23,29 @@ row:
   ``transform-decay-at-infinity`` for any table, and ``basis-completeness``
   was ``transform-inversion`` summed in another order.  Their catches were
   the M-column and column-weight faults (``transform-matrix-structure``
-  fails both) and the ``psi_norm_sq`` fault (``orthogonality-diagonal``).
+  fails both) and the ``psi_norm_sq`` fault (``orthogonality-diagonal``);
+* the three ``markov-*-symmetry`` rows read <Tf, g> - <f, Tg>, which is
+  rounding for any table, since the Jackson weight times M is symmetric
+  whatever M's entries (``test_translation``'s garbled-table test); the
+  weight and M faults they saw fail ``transform-matrix-structure``,
+  ``translation-delta`` or ``convolution-commutativity`` at a smaller size;
+* ``qpoch-splitting`` and ``qexp-series-agreement`` read the products that
+  ``qpoch-euler-series`` reads, and it failed every product fault at their
+  size or smaller (its rungs are pinned at the end of this file).
 
 Every fault fails a gated row or raises a refusal on each cell it applies
 to.  A gated row that no fault fails is listed in ``UNCAUGHT`` with its
 ROADMAP item; the list may not grow.
 
-Refusals pinned here (exit 2 or 3, not a failed gate): a 1e-10 fault in c,
-in the Jackson weight at q^0, in the Gauss amplitude, in the bump's delta or
-a one-step mis-slice of the t = 1 Gauss run makes a density the report builds
-miss unit mass by more than 1e-10, and ``translation._check_probability``
-raises NotProbability before ``gauss-mass`` (1e-8) reads it.  A c fault of
-1e-9 or a 1e-8 fault in j_v(1) moves the kernel's row sums past the 1e-9
-calibration, and the window collapses into GridTooSmall: a wrong table or
-constant refused as a grid too small.  At q = 0.8, float(q*q) in place of the
-exact square leaves the j_v table uncertified: PrecisionExhausted.
+A 1e-10 fault in c, in the Jackson weight at q^0 or in the bump's delta, a
+1e-9 fault in the Gauss amplitude or a one-step mis-slice of the t = 1 Gauss
+run makes a density the report builds miss unit mass by more than 1e-10: the
+rows that read it read NaN and fail, before ``gauss-mass`` (1e-8) would.  Refusals
+pinned here (exit 3, not a failed gate): a c fault of 1e-9 or a 1e-8 fault
+in j_v(1) moves the kernel's row sums past the 1e-9 calibration, and the
+window collapses into GridTooSmall: a wrong table or constant refused as a
+grid too small.  At q = 0.8, float(q*q) in place of the exact square leaves
+the j_v table uncertified: PrecisionExhausted.
 """
 
 import dataclasses
@@ -51,7 +59,7 @@ import numpy as np
 import pytest
 
 from qfourier import bessel, heat, lattice, qseries, report, transform, translation
-from qfourier.errors import GridTooSmall, NotProbability, PrecisionExhausted, QFourierError
+from qfourier.errors import GridTooSmall, PrecisionExhausted, QFourierError
 from qfourier.lattice import GridFn
 from qfourier.report import SuiteConfig, run_cell
 
@@ -200,13 +208,15 @@ def late_product(qpoch_inf_mp):
 
 
 def kernel_slice_off_by_one(member):
-    """Member ``member``'s kernel from the family's kernel run one exponent along."""
+    """Member ``member``'s kernel from the family's kernel run one exponent along
+    (a family whose run ends there, as the one-member t = 2 family's does, has
+    no run to slide along)."""
     def wrap(member_of):
         def faulted(fam, k):
             g = member_of(fam, k)
-            if k != member:
-                return g
             start = fam.ks[-1] - k + 1
+            if k != member or start + fam.grid.size > len(fam.run):
+                return g
             run = fam.run[start:start + fam.grid.size]
             return dataclasses.replace(
                 g, run=run, fn=GridFn(fam.grid, heat._binary64(g.amp_mp._mpf_, run)))
@@ -275,11 +285,15 @@ def both(want):
     return want, want
 
 
-QPOCH_ROWS = {"qpoch-splitting", "qpoch-euler-series", "qexp-series-agreement"}
+QPOCH_ROWS = {"qpoch-euler-series"}
 GAUSS_ROUTES = {"gauss-transform-consistency", "gauss-transform-consistency-hp"}
 M_ROWS = {"gauss-transform-consistency", "transform-matrix-structure", "translation-delta"}
 BUMP_AND_HEAT = {f"markov-{op}-{axis}" for op in ("bump", "heat")
-                 for axis in ("symmetry", "contraction", "jensen", "sup")}
+                 for axis in ("contraction", "jensen", "sup")}
+# The rows that read the report's own densities, NaN when one is refused.
+BUMP_DENSITY = {f"markov-bump-{axis}" for axis in report.MARKOV_AXES}
+GAUSS_DENSITY = {f"markov-heat-{axis}" for axis in report.MARKOV_AXES} | {
+    "multiplier-gauss-coefficients"}
 TABLE_Q05 = {"bessel-eigen-relation", "bessel-oracle-agreement", "bessel-table-reproducibility"}
 EIGEN = {"bessel-eigen-relation"}
 
@@ -310,7 +324,7 @@ FAULTS = {
         everywhere(qseries, "q2_exact", float_q2), None, PrecisionExhausted),
     "q2/float-in-heat": (
         attribute(heat, "q2_exact", float_q2), None, {"gauss-lattice-recurrence"}),
-    "c/1e-10": (everywhere(qseries, "c_qv_mp", mp_scaled(1e-10)), NotProbability, NotProbability),
+    "c/1e-10": (everywhere(qseries, "c_qv_mp", mp_scaled(1e-10)), *both(GAUSS_DENSITY)),
     "c/1e-9": (everywhere(qseries, "c_qv_mp", mp_scaled(1e-9)), GridTooSmall, GridTooSmall),
     # -- the j_v table --
     "table/mid": (
@@ -335,11 +349,11 @@ FAULTS = {
         {"convolution-commutativity", "orthogonality-diagonal", "transform-plancherel"},
         {"convolution-commutativity", "orthogonality-diagonal", "orthogonality-offdiag",
          "transform-plancherel"}),
-    "weight/q^0": (jackson_weight(0, 1e-10), NotProbability, NotProbability),
+    "weight/q^0": (jackson_weight(0, 1e-10), *both(BUMP_DENSITY)),
     "delta/others": (
         deltas(1e-10, bump=False), {"delta-reproduction", "translation-delta"},
         {"delta-reproduction", "translation-delta"}),
-    "delta/bump": (deltas(1e-10, bump=True), NotProbability, NotProbability),
+    "delta/bump": (deltas(1e-10, bump=True), *both(BUMP_DENSITY | {"translation-delta"})),
     # -- the transform matrix and the basis norms --
     "M/column": (
         m_column(5, 1e-8), M_ROWS | {"transform-inversion"},
@@ -373,8 +387,7 @@ FAULTS = {
     "translation/transposed": (
         lambda m: m.setattr(translation, "translate_rows", translate_by_m),
         *both({"kernel-transform-projection", "translation-delta", "translation-eigenfunctions",
-               *(f"markov-translation-{axis}" for axis in
-                 ("symmetry", "contraction", "jensen", "sup"))})),
+               *(f"markov-translation-{axis}" for axis in ("contraction", "jensen", "sup"))})),
     "convolution-product-formula": (
         attribute(translation, "convolve_rows", scaled_rows),
         *both({"convolution-commutativity", "heat-spectral-diagonalization",
@@ -392,12 +405,16 @@ FAULTS = {
         {"gauss-lattice-recurrence", "multiplier-gauss-coefficients"}),
     "gauss/amplitude": (
         everywhere(qseries, "gauss_amplitude_mp", mp_scaled(1e-9)),
-        NotProbability, NotProbability),
+        *both(GAUSS_DENSITY | {"gauss-amplitude-lattice-scaling"})),
     "gauss-family/kernel-slice": (
         kernel_slice_off_by_one(1),
         *both(GAUSS_ROUTES | {"gauss-mass", "heat-spectral-diagonalization",
                               "heat-equation-residual"})),
-    "gauss-family/kernel-slice-t1": (kernel_slice_off_by_one(0), NotProbability, NotProbability),
+    "gauss-family/kernel-slice-t1": (
+        kernel_slice_off_by_one(0),
+        *both(GAUSS_DENSITY | GAUSS_ROUTES | {"gauss-lattice-recurrence", "gauss-mass",
+                                              "heat-equation-residual",
+                                              "heat-spectral-diagonalization"})),
     "gauss-family/eprofile-slice": (
         eprofile_slice_off_by_one(1), *both(GAUSS_ROUTES | {"heat-spectral-diagonalization"})),
     "eprofile/value": (
@@ -455,3 +472,38 @@ def test_every_gated_row_catches_a_fault():
     assert gated - caught == set(UNCAUGHT)
     assert all(want for _, *expected in FAULTS.values() for want in expected
                if isinstance(want, set)), "a pinned fault passes every gate"
+
+
+# ---------------- the q-product ladder ----------------
+
+LADDER = [10.0 ** -k for k in range(15, 7, -1)]         # 1e-15 .. 1e-8
+# fault -> (plant at eps, the smallest eps at which qpoch-euler-series fails on
+# each cell).  Each is live only in check_qseries, as the in_check faults above.
+QPOCH_RUNGS = {
+    "product": (lambda eps: everywhere(qseries, "qpoch_inf_mp", mp_scaled(eps)), 1e-11, 1e-11),
+    "euler-denominator": (lambda eps: series_input(2, eps), 1e-13, 1e-14),
+    "term-ratio": (lambda eps: series_input(1, eps), 1e-13, 1e-13),
+    "x": (lambda eps: series_input(0, eps), 1e-13, 1e-13),
+}
+
+
+@functools.cache
+def runner(cell: tuple) -> report._CellRunner:
+    return report._CellRunner(*cell, CFG)
+
+
+@pytest.mark.parametrize("fault, cell, rung", [
+    pytest.param(name, cell, rung, id=f"{name}-cell{i}")
+    for name, (_, *rungs) in QPOCH_RUNGS.items()
+    for i, (cell, rung) in enumerate(zip(CELLS, rungs))])
+def test_qpoch_row_rung(fault, cell, rung):
+    # The one q-product row reads all seven products against Euler's series:
+    # it fails from its rung up, and passes below it.
+    tol = report.IDENTITIES["qpoch-euler-series"][1]
+
+    def fails(eps):
+        with pytest.MonkeyPatch.context() as m:
+            QPOCH_RUNGS[fault][0](eps)(m)
+            return not dict(runner(cell).check_qseries())["qpoch-euler-series"] <= tol
+
+    assert [fails(eps) for eps in LADDER] == [eps >= rung for eps in LADDER]

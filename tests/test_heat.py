@@ -550,7 +550,7 @@ class TestHeatMarkov:
         for t in (q**2, 1.0, q**-2):
             rep = heat_markov_check(gauss_kernel(t, cell_half.grid, CTX), cell_half.kern,
                                     kprobes + nn)
-            assert rep.worst() < 1e-8
+            assert max(dataclasses.astuple(rep)) < 1e-8
 
     def test_symmetry_specifically(self, cell_half, kprobes):
         from qfourier.lattice import inner, norm2

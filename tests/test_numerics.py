@@ -1,10 +1,10 @@
 """Residual bookkeeping: NaN must survive the fold into a worst residual; the
 digit GEMMs of ``hankel_dots`` must give the exact integer dots."""
 
+import dataclasses
 import math
 import random
 from operator import mul
-from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfourier import bessel, numerics, report, translation
+from qfourier.lattice import GridFn
 from qfourier.numerics import hankel_dots, ulps, worst
 
 
@@ -160,17 +161,33 @@ def _nan_table_entry(monkeypatch, runner):
     monkeypatch.setattr(table, "mp_values", vals)
 
 
+def _off_mass_bump(monkeypatch, runner):
+    """Plant: c read 1e-9 high where the report builds its bump density delta(., 1)/c,
+    which the library then refuses: the rows that read it read NaN."""
+    monkeypatch.setattr(runner, "c", runner.c * (1 + 1e-9))
+
+
+def _off_mass_gauss(monkeypatch, runner):
+    """Plant: the t = 1 Gauss kernel 1e-9 heavy, a density the library then refuses."""
+    g = runner.gauss[0]
+    monkeypatch.setitem(runner.gauss, 0, dataclasses.replace(
+        g, fn=GridFn(g.grid, g.fn.values * (1 + 1e-9))))
+
+
 # (check, row, how its NaN is planted).
 _NAN_ROWS = [
     ("check_lattice", "delta-reproduction", _nan_delta),
     ("check_bessel", "bessel-decay-bound", _patch(
-        bessel, "decay_bound_check", lambda table: SimpleNamespace(max_ratio=math.nan))),
+        bessel, "decay_bound_check", lambda table: math.nan)),
     ("check_bessel", "bessel-eigen-relation", _nan_table_entry),
     ("check_transform", "transform-inversion", _nan_probe("tprobes")),
     ("check_transform", "delta-multiplier", _nan_probe("tprobes")),
     ("check_translation", "kernel-positivity", _patch(
         translation, "kernel_min", lambda k: (math.nan, (0, 0, 0)))),
     ("check_translation", "markov-translation-contraction", _nan_probe("mprobes")),
+    ("check_translation", "markov-bump-unit", _off_mass_bump),
+    ("check_translation", "multiplier-gauss-coefficients", _off_mass_gauss),
+    ("check_heat", "markov-heat-jensen", _off_mass_gauss),
     ("check_translation", "hypergroup-window-growth", _patch(
         translation, "hypergroup_expansion_defect", lambda k, n_window=None: math.nan)),
 ]

@@ -19,10 +19,10 @@ from qfourier.qseries import PrecisionCtx, QParams
 from qfourier.report import DEFAULT_CELLS, SuiteConfig, _CellRunner
 from qfourier.transform import (
     basis_completeness_defect,
-    basis_fn,
     build_transform,
     delta_multiplier_defect,
     forward,
+    hankel_rows,
     inversion_residual,
     orthogonality_matrix,
     plancherel_defect,
@@ -30,6 +30,11 @@ from qfourier.transform import (
     q_bessel_operator,
     trusted_window,
 )
+
+
+def basis_fn(op, x_exp):
+    """The basis function psi_x(t) = c_{q,v} j_v(x t, q^2) at x = q^{x_exp}."""
+    return GridFn(op.grid, op.c * hankel_rows(op, x_exp)[0])
 
 
 @pytest.fixture(scope="module")

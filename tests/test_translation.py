@@ -1,5 +1,6 @@
 """Translation kernel, q-convolution, Markov machinery, hypergroup expansion."""
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -13,11 +14,13 @@ from types import SimpleNamespace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfourier import translation
 from qfourier.bessel import BesselTable, jv_table
 from qfourier.errors import GridTooSmall, NotProbability, OffWindow
-from qfourier.lattice import GridFn, LatticeGrid, delta_fn, jackson_integral, norm2
+from qfourier.lattice import GridFn, LatticeGrid, delta_fn, jackson_integral, norm2, norms
 from qfourier.probes import seeded_probes
 from qfourier.qseries import PrecisionCtx, QParams, c_qv_mp
 from qfourier.report import DEFAULT_CELLS, SuiteConfig
@@ -26,6 +29,7 @@ from qfourier.transform import TransformOp, build_transform, forward, trusted_wi
 from qfourier.translation import (
     basis_function,
     convolve,
+    convolve_rows,
     default_scan_grid,
     eigen_check,
     hypergroup_expansion_defect,
@@ -37,6 +41,7 @@ from qfourier.translation import (
     multiplier_coeffs,
     positivity_min,
     translate,
+    translate_rows,
 )
 from qhyper_ref import jv_ref
 
@@ -598,7 +603,6 @@ class TestMarkov:
     def test_translation_axioms(self, cell_half, kprobes, kprobes_nn):
         rep = markov_check(cell_half.kern, kprobes + kprobes_nn)
         assert rep.unit_defect < 1e-8
-        assert rep.symmetry_defect < 1e-8
         assert rep.contraction_defect < 1e-8
         assert rep.jensen_defect < 1e-8
         assert rep.sup_defect < 1e-8
@@ -615,13 +619,34 @@ class TestMarkov:
                                          bump_density):
         rep = markov_check_convolution(bump_density, cell_half.kern,
                                        kprobes + kprobes_nn)
-        assert rep.worst() < 1e-8
+        assert max(dataclasses.astuple(rep)) < 1e-8
 
     def test_probes_must_sit_in_window(self, cell_half):
         grid = cell_half.grid
         wide = GridFn(grid, np.ones(grid.size))
         with pytest.raises(OffWindow):
             markov_check(cell_half.kern, [wide])
+
+    @given(seed=st.integers(0, 2**32 - 1), which=st.sampled_from([0, 1]))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_self_adjoint_for_any_table(self, cell_half, cell_08, seed, which):
+        # w_n M[n, m] = c (1-q)^2 q^{(n+m)(2v+2)} j_v(q^{n+m}) is symmetric
+        # whatever the table holds, so T_{q,x} = M J_x M and f -> M(M rho Mf)
+        # are self-adjoint in the Jackson inner product with every entry of
+        # the table garbled: no report row needs to check it.
+        cell = (cell_half, cell_08)[which]
+        rng = np.random.default_rng(seed)
+        t, grid, w = cell.table, cell.grid, cell.grid.weights()
+        table = dataclasses.replace(t, values=t.values * rng.uniform(0.5, 1.5, t.values.size))
+        k = dataclasses.replace(cell.kern, op=TransformOp(grid, table))
+        fg, rho = np.zeros((2, grid.size)), np.zeros(grid.size)
+        fg[:, k.window_slice] = rng.normal(size=(2, k.width))
+        rho[k.window_slice] = rng.uniform(0.0, 1.0, k.width)
+        rho /= k.c * (rho @ w)                          # a probability density
+        x = int(rng.integers(k.window_lo, k.window_hi + 1))
+        scale = np.prod(norms(fg, grid))
+        for tf in (translate_rows(fg, x, k), convolve_rows(fg, rho, k)):
+            assert abs(tf[0] @ (w * fg[1]) - fg[0] @ (w * tf[1])) <= 1e-13 * scale
 
 
 class TestEigenAndMultiplier:
