@@ -200,11 +200,12 @@ def ratio_sum_mp(inputs, digits: int, where: str, guard: int = 32):
     """sum_{n>=0} t_n, t_0 = 1, t_{n+1} = t_n x r^n / ((1 - a d^{n+1})(1 - d^{n+1})),
     good to about ``digits`` decimal digits past the cancellation of its terms.
 
-    (x, r, d, a) = (z, 1, q, 0) is Euler's series for 1/(z;q)_inf, (-z, q, q, 0)
-    his series for (z;q)_inf, (y, Q, 0, 0) half a theta series (Gasper & Rahman
-    secs. 1.3, 1.6), (-x^2 q^2, q^2, q^2, q^{2v}) the series of j_v(x, q^2) and
-    (-c q^{2m}, q^2, q^2, q^{2m}) its lattice sum (sec. 1.4).  The |ratio| must
-    fall with n and end below 1, so a term within one unit of 0 ends the sum.
+    (x, r, d, a) = (-z, q, q, 0) is Euler's series for (z;q)_inf ((z, 1, q, 0),
+    his series for 1/(z;q)_inf, only the tests run), (y, Q, 0, 0) half a
+    theta series (Gasper & Rahman secs. 1.3, 1.6), (-x^2 q^2, q^2, q^2, q^{2v})
+    the series of j_v(x, q^2) and (-c q^{2m}, q^2, q^2, q^{2m}) its lattice
+    sum (sec. 1.4).  The |ratio| must fall with n and end below 1, so a term
+    within one unit of 0 ends the sum.
     Terms run in integers at one scale 2^W, W the bits of ``digits`` plus
     ``guard``, one truncation a step: N terms err by about
     2N (sum|t_n| / |sum| + 1) units.  A factor that is exactly one is not

@@ -478,7 +478,8 @@ def test_every_gated_row_catches_a_fault():
 
 LADDER = [10.0 ** -k for k in range(15, 7, -1)]         # 1e-15 .. 1e-8
 # fault -> (plant at eps, the smallest eps at which qpoch-euler-series fails on
-# each cell).  Each is live only in check_qseries, as the in_check faults above.
+# each cell).  Each patches every qfourier module, so the cell's runner (table,
+# kernel, Gauss family) is built before any fault is planted.
 QPOCH_RUNGS = {
     "product": (lambda eps: everywhere(qseries, "qpoch_inf_mp", mp_scaled(eps)), 1e-11, 1e-11),
     "euler-denominator": (lambda eps: series_input(2, eps), 1e-13, 1e-14),
@@ -501,9 +502,11 @@ def test_qpoch_row_rung(fault, cell, rung):
     # it fails from its rung up, and passes below it.
     tol = report.IDENTITIES["qpoch-euler-series"][1]
 
+    r = runner(cell)
+
     def fails(eps):
         with pytest.MonkeyPatch.context() as m:
             QPOCH_RUNGS[fault][0](eps)(m)
-            return not dict(runner(cell).check_qseries())["qpoch-euler-series"] <= tol
+            return not dict(r.check_qseries())["qpoch-euler-series"] <= tol
 
     assert [fails(eps) for eps in LADDER] == [eps >= rung for eps in LADDER]

@@ -260,14 +260,17 @@ class TestSeriesAgreementGate:
     """The report's qpoch-euler-series: Euler's series in integers vs the product."""
 
     def test_passes_at_q09(self):
-        # With 61 terms a truncated sum read 1.9e-11 against 1e-12.
+        # At z = 0.9 the alternating terms climb to 322 before they fall: a
+        # binary64 partial sum read 4.3e-8 against 1e-12.
         assert _qseries_rows(0.9)["qpoch-euler-series"] <= 1e-12
 
     def test_truncation_below_rounding_at_q08(self):
         assert _qseries_rows(0.8)["qpoch-euler-series"] <= 1e-50
 
     def test_passes_at_q095(self):
-        # A binary64 partial sum read 1.7e-10 here: its own rounding.
+        # Here they climb to 4.1e5 and cancel to (0.9; 0.95)_inf = 3.0e-12: a
+        # binary64 partial sum read 11, no digit right.  The integer sum
+        # measures the cancellation and runs again with the bits it needs.
         assert _qseries_rows(0.95)["qpoch-euler-series"] <= 1e-12
 
 

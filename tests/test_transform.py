@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qfourier import transform
 from qfourier.bessel import decay_bound_log10, jv_table
 from qfourier.errors import GridMismatch, GridTooSmall, PrecisionExhausted
-from qfourier.lattice import GridFn, LatticeGrid, delta_fn, inner, norm_p
+from qfourier.lattice import GridFn, LatticeGrid, delta_fn, norm_p
 from qfourier.numerics import TINY
 from qfourier.probes import seeded_probes
 from qfourier.qseries import PrecisionCtx, QParams
@@ -30,11 +30,6 @@ from qfourier.transform import (
     q_bessel_operator,
     trusted_window,
 )
-
-
-def basis_fn(op, x_exp):
-    """The basis function psi_x(t) = c_{q,v} j_v(x t, q^2) at x = q^{x_exp}."""
-    return GridFn(op.grid, op.c * hankel_rows(op, x_exp)[0])
 
 
 @pytest.fixture(scope="module")
@@ -58,14 +53,16 @@ class TestForward:
         op = cell_half.op
         f = probes[0]
         ff = forward(f, op)
-        for x in range(*cell_half.window):
-            assert ff[x] == pytest.approx(inner(f, basis_fn(op, x)), rel=1e-12)
+        xs = np.arange(*cell_half.window)
+        psi = op.c * hankel_rows(op, xs)        # psi_x = c j_v(x ., q^2), one row an x
+        np.testing.assert_allclose([ff[x] for x in xs],
+                                   psi @ (op.grid.weights() * f.values), rtol=1e-12)
 
     def test_basis_row_off_the_table_raises(self, cell_half):
         # psi_{q^-15} needs j_v(q^{-25}) on a table that starts at -20; the
         # row must not wrap around to the table's far end.
         with pytest.raises(IndexError):
-            basis_fn(cell_half.op, -15)
+            hankel_rows(cell_half.op, -15)
 
     def test_table_of_another_order_rejected(self, cell_half, cell_v0):
         with pytest.raises(GridMismatch):
@@ -77,7 +74,7 @@ class TestForward:
         # F psi_y is delta-like: off-target values vanish.
         grid, op = cell_half.grid, cell_half.op
         y = 0
-        ff = forward(basis_fn(op, y), op)
+        ff = forward(GridFn(grid, op.c * hankel_rows(op, y)[0]), op)
         lo, hi = cell_half.window
         for x in range(lo, hi + 1):
             if x != y:
@@ -88,14 +85,15 @@ class TestForward:
     def test_norm_of_basis_function(self, cell_half):
         # ||psi_x||^2 = x^{-2(v+1)}/(1-q) for window x.
         grid, op = cell_half.grid, cell_half.op
-        for x in range(cell_half.window[0], cell_half.window[1] + 1):
-            psi = basis_fn(op, x)
-            assert inner(psi, psi) == pytest.approx(psi_norm_sq(grid, x), rel=1e-10)
+        xs = np.arange(cell_half.window[0], cell_half.window[1] + 1)
+        psi = op.c * hankel_rows(op, xs)
+        np.testing.assert_allclose(psi**2 @ grid.weights(), psi_norm_sq(grid, xs), rtol=1e-10)
 
     def test_psi_norm_at_one(self, cell_v0):
         # q = 1/2, v = 0, x = 1: ||psi_1||^2 = 1/(1-q) = 2.
-        psi = basis_fn(cell_v0.op, 0)
-        assert inner(psi, psi) == pytest.approx(2.0, rel=1e-10)
+        op = cell_v0.op
+        psi = op.c * hankel_rows(op, 0)[0]
+        assert psi**2 @ op.grid.weights() == pytest.approx(2.0, rel=1e-10)
 
 
 class TestInversionAndPlancherel:
@@ -124,8 +122,9 @@ class TestOrthogonality:
         assert chk.max_diag_rel < 1e-9
 
     def test_diagonal_value_v0(self, cell_v0):
-        psi = basis_fn(cell_v0.op, 0)
-        assert inner(psi, psi) == pytest.approx(2.0, rel=1e-9)
+        op = cell_v0.op
+        psi = op.c * hankel_rows(op, 0)[0]
+        assert psi**2 @ op.grid.weights() == pytest.approx(2.0, rel=1e-9)
 
     def test_diagonal_value_v1_at_q(self):
         # delta diagonal at x = q, v = 1: 1/((1-q) q^4) = 32 for q = 1/2.
@@ -137,8 +136,8 @@ class TestOrthogonality:
         ctx = PrecisionCtx()
         grid = LatticeGrid(QParams(0.5, 1.0), -10, 40)
         op = build_transform(grid, jv_table(grid, ctx), ctx)
-        psi = basis_fn(op, 1)
-        assert inner(psi, psi) == pytest.approx(32.0, rel=1e-9)
+        psi = op.c * hankel_rows(op, 1)[0]
+        assert psi**2 @ grid.weights() == pytest.approx(32.0, rel=1e-9)
 
 
 def _column_weights(grid):
