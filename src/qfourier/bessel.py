@@ -130,7 +130,9 @@ def _anchor(e: int, p: QParams, dps: int) -> mp.mpf:
     1phi1 symmetry vanishes against the poles of its terms n >= m, leaving
     j_v(q^-m) = (-1)^m q^{m(m-1)} c^m (q^{2m+2}; q^2)_inf / (c; q^2)_inf times
     the sum at (x, r, d, a) = (-c q^{2m}, q^2, q^2, q^{2m}), whose first term
-    has j_v's own size.  Its two products are taken at ``dps`` digits.
+    has j_v's own size.  Its two products, and c, are taken at ``dps`` digits
+    plus the -log10(1 - c) that the first factor 1 - c of (c; q^2)_inf
+    cancels: about 16 at v = -1 + 2^-53.
     """
     where = f"j_v at q^{e} (q={p.q:g}, v={p.v:g})"
     if e >= 0:
@@ -142,6 +144,7 @@ def _anchor(e: int, p: QParams, dps: int) -> mp.mpf:
         return -(mp.mpf(p.q) ** (2 * mp.mpf(p.v) + 2)) * q2 ** m, q2, q2, q2 ** m
 
     total = ratio_sum_mp(inputs, dps, "the lattice sum of " + where)
+    dps += math.floor(-math.log10(-math.expm1((2.0 * p.v + 2.0) * math.log(p.q))))
     at = PrecisionCtx(dps)
     with mp.workdps(dps):
         q2 = q2_exact(p.q)
@@ -268,7 +271,7 @@ def jv_table(grid: LatticeGrid, ctx: PrecisionCtx = DEFAULT_CTX) -> BesselTable:
         depth = max(2 * depth, 1)
     else:
         raise PrecisionExhausted(
-            f"j_v table on [{n_min}, {n_max}] at q={p.q:g}, v={p.v:g}: no recurrence "
+            f"j_v table on [{n_min}, {n_max}] at q={p.q:g}, v={p.v!r}: no recurrence "
             f"started up to {depth // 2} below n_min agrees with the series there "
             f"to {_CERTIFY_REL:g}")
     # One exact product, rounded once at the entry's own a-priori precision;

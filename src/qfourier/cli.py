@@ -9,8 +9,9 @@ Subcommands:
 * ``heat``             apply the heat semigroup / report the equation residual
 
 Exit codes: 0 all gated identities pass, 1 an identity failed, 2 bad
-configuration or input, 3 precision or grid too small to certify.  ``--digits``
-beats ``QF_DIGITS``, which beats 50; it also cuts every q-product at 10^-(digits+5).
+configuration or input, 3 precision or grid too small to certify, or a grid
+too large to hold.  ``--digits`` beats ``QF_DIGITS``, which beats 50; it also
+cuts every q-product at 10^-(digits+5).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .bessel import jv_table
-from .errors import GridTooSmall, ParseError, PrecisionExhausted, QFourierError
+from .errors import GridTooLarge, GridTooSmall, ParseError, PrecisionExhausted, QFourierError
 from .heat import gauss_family, gauss_mass_defect, heat_apply, heat_residual
 from .lattice import LatticeGrid, delta_fn, load_csv, save_csv
 from .qseries import PrecisionCtx, QParams
@@ -281,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     except PrecisionExhausted as exc:
         print(f"error: precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except GridTooSmall as exc:
+    except (GridTooSmall, GridTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
     except (QFourierError, ValueError, OSError) as exc:

@@ -35,3 +35,7 @@ class ParseError(QFourierError, ValueError):
 
 class GridTooSmall(QFourierError, ValueError):
     """A grid (q, v) cannot use: no trusted window, or no usable kernel window."""
+
+
+class GridTooLarge(QFourierError, ValueError):
+    """A grid with more points than the N x N arrays of its operators fit in memory for."""

@@ -11,9 +11,9 @@ e(-t x^2, q^2), satisfies the q-heat equation
     Delta_{q,v} u(x, t) = (1 - q^2) D_{q^2,t} u(x, t),
 
 with the Jackson time difference D_{q^2,t} u = (u(., t) - u(., q^2 t)) /
-((1-q^2) t), and is a Markov operator because c G(., t) y^{2v+1} d_q y is a
-probability measure.  A flow is P_t f = M (MG Mf), M the transform matrix;
-each kernel forms MG once per operator and keeps it
+((1-q^2) t), and is a Markov operator where D_v >= 0, since c G(., t)
+y^{2v+1} d_q y is a probability measure.  A flow is P_t f = M (MG Mf), M the
+transform matrix; each kernel forms MG once per operator and keeps it
 (:meth:`GaussKernel.transformed`), its values read-only so it cannot go stale.
 
 Kernels come in families over the lattice times t0 q^{2k}, q^2 the exact
@@ -53,7 +53,7 @@ from .qseries import (
     qexp_mp,
 )
 from .transform import TransformOp, forward, q_bessel_rows
-from .translation import Kernel3, MarkovReport, check_factors, markov_check_convolution
+from .translation import Kernel3, check_factors, markov_check_convolution
 
 __all__ = [
     "GaussFamily",
@@ -353,9 +353,9 @@ def heat_spectral_defect(fs: np.ndarray, u: np.ndarray, g: GaussKernel, k: Kerne
     return worst(*num / np.maximum(np.sqrt(rhs[:, rows] ** 2 @ w), TINY))
 
 
-def heat_markov_check(g: GaussKernel, k: Kernel3, probes: list[GridFn]) -> MarkovReport:
-    """Markov-axiom defects of P_t, t = g.t (the Gauss kernel is a probability density)."""
-    return markov_check_convolution(g.fn, k, probes)
+def heat_markov_check(g: GaussKernel, k: Kernel3) -> float:
+    """Unit defect of P_t, t = g.t (the Gauss kernel is a probability density)."""
+    return markov_check_convolution(g.fn, k)
 
 
 def composition_defect(f: GridFn, g_t: GaussKernel, g_s: GaussKernel, g_ts: GaussKernel,

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, OffGrid, ParseError, PrecisionExhausted
+from .errors import GridMismatch, GridTooLarge, OffGrid, ParseError, PrecisionExhausted
 from .qseries import QParams
 
 __all__ = [
@@ -37,6 +37,10 @@ __all__ = [
     "save_csv",
     "load_csv",
 ]
+
+# The most points a grid may have: a check holds a few N x N binary64 arrays
+# (M, the trusted-window Gram), 128 MiB each here.  Shipped grids have <= 941.
+MAX_POINTS = 4096
 
 # log10 of the largest finite and the smallest normal binary64 number.
 _LOG10_MAX, _LOG10_MIN = math.log10(sys.float_info.max), math.log10(sys.float_info.min)
@@ -67,6 +71,10 @@ class LatticeGrid:
             )
         if self.size < 8:
             raise ValueError(f"grid needs at least 8 points, got {self.size}")
+        if self.size > MAX_POINTS:
+            raise GridTooLarge(
+                f"grid [{self.n_lo}, {self.n_hi}] for q={self.params.q}, v={self.params.v} "
+                f"has {self.size} points; at most {MAX_POINTS} fit the N x N arrays of a check")
         lo, hi = _binary64_span(self.params)
         if self.n_lo < lo:
             raise PrecisionExhausted(

@@ -10,9 +10,12 @@ with the same configuration and seed (the runtime field aside).
 The scalar q-series rows set the products of :mod:`qfourier.qseries`
 against Euler's and Jacobi's series, summed by its one series evaluator
 :func:`~qfourier.qseries.ratio_sum_mp` and sharing no code with them: one
-Euler row reads every product the library calls at one point each.  The
-Markov rows check the unit, contraction, Jensen and sup axioms; symmetry
-holds by construction (:class:`~qfourier.translation.MarkovReport`).
+Euler row reads every product the library calls at one point each.  A
+nonnegative kernel of unit mass makes a Markov operator, and contraction,
+Jensen and the sup bound follow: ``kernel-positivity`` gates D_v >= 0 on
+the window cube for v >= 0, and the ``markov-*-unit`` rows gate unit mass
+through M at window x and y, beyond which the product mass leaves the grid
+(:func:`~qfourier.translation.markov_check`).
 
 Gated identities decide the exit status.  A density the report builds
 itself (the bump delta(., 1)/c, the t = 1 Gauss kernel) that the library
@@ -60,14 +63,6 @@ DEFAULT_CELLS: tuple[tuple[float, float, int, int], ...] = (
     (0.8, 0.5, -20, 120),
 )
 
-MARKOV_AXES = ("unit", "contraction", "jensen", "sup")
-
-
-def _markov_rows(op: str, statement: str) -> dict[str, tuple[str, float]]:
-    """The four Markov-axiom rows of one operator; ``statement`` takes the axis."""
-    return {f"markov-{op}-{axis}": (statement.format(axis), 1e-8) for axis in MARKOV_AXES}
-
-
 # name -> (statement, tolerance); a tolerance of None marks an observational row.
 IDENTITIES: dict[str, tuple[str, float | None]] = {
     "qpoch-euler-series": (
@@ -97,11 +92,11 @@ IDENTITIES: dict[str, tuple[str, float | None]] = {
     "kernel-positivity": ("min D_v >= 0 over the window (v >= 0)", 1e-10),
     "translation-delta": ("T_{q,x} delta_a(y) = D(x,y,a): M route vs window cube", 1e-12),
     "translation-eigenfunctions": ("T_{q,x} f_n = (f_n(x)/f_n(0)) f_n", 1e-8),
-    **_markov_rows("translation", "T_{{q,x}} Markov axiom: {}"),
+    "markov-translation-unit": ("T_{q,x} 1 = 1 at window x and y", 1e-8),
     "convolution-commutativity": (
         "f * g = g * f: M route vs window-cube contraction", 1e-8),
     "multiplier-diagonal-action": ("f_n * rho = c_n f_n", 1e-8),
-    **_markov_rows("bump", "f -> f * rho Markov axiom ({})"),
+    "markov-bump-unit": ("1 * rho = 1 at window x", 1e-8),
     "multiplier-gauss-coefficients": (
         "c_n = e(-q^{2n}, q^2) for the Gauss density at t=1", 1e-8),
     "hypergroup-expansion": ("D(x,y,z) = sum_n f_n(x) f_n(y) f_n(z) / f_n(0)", 1e-7),
@@ -116,7 +111,7 @@ IDENTITIES: dict[str, tuple[str, float | None]] = {
         "G(q^n,1) by the lattice recurrence vs one product per point, <= 4 ulps", 4.0),
     "heat-spectral-diagonalization": ("F(P_t f) = e(-t x^2, q^2) Ff", 1e-8),
     "heat-equation-residual": ("Delta u = (1-q^2) D_{q^2,t} u for u = P_t f", 1e-7),
-    **_markov_rows("heat", "P_t Markov axiom ({})"),
+    "markov-heat-unit": ("P_t 1 = 1 at window x", 1e-8),
     "heat-composition": (
         "||P_t P_s f - P_{t+s} f|| / ||P_{t+s} f|| (observational)", None),
 }
@@ -217,15 +212,12 @@ class CheckReport:
 Rows = Iterator[tuple[str, float] | IdentityResult]
 
 
-def _markov(op: str, check) -> Rows:
-    """(name, defect) of the four Markov axioms of one operator, from ``check()``;
-    NaN for each where it refuses the report's own density (module doc)."""
+def _unit(check) -> float:
+    """``check()``, or NaN where it refuses the report's own density (module doc)."""
     try:
-        report = check()
+        return check()
     except NotProbability:
-        report = translation.MarkovReport(*(math.nan for _ in MARKOV_AXES))
-    for axis in MARKOV_AXES:
-        yield f"markov-{op}-{axis}", getattr(report, f"{axis}_defect")
+        return math.nan
 
 
 class _CellRunner:
@@ -254,9 +246,6 @@ class _CellRunner:
         self.tprobes = seeded_probes(self.grid, sw, cfg.probes, cfg.seed)
         self.kprobes = seeded_probes(self.grid, self.kern.window,
                                      max(40, cfg.probes // 5), cfg.seed + 1)
-        self.kprobes_nn = seeded_probes(self.grid, self.kern.window, 6,
-                                        cfg.seed + 2, nonneg=True)
-        self.mprobes = self.kprobes[:10] + self.kprobes_nn      # Markov-axiom probes
         # The cell's Gauss kernels at t = q^{2k}, k = -1..3: the heat rows' q^-2, 1,
         # q^2 and q^4 and the member below each that the heat residual reads, from
         # one amplitude A(1) (check_qseries reads it) and one run of products.
@@ -362,7 +351,7 @@ class _CellRunner:
         yield "translation-eigenfunctions", worst(*(translation.eigen_check(
             kern, range(-2, 5), x) for x in sorted({kern.window_lo, kern.window_hi})))
 
-        yield from _markov("translation", lambda: translation.markov_check(kern, self.mprobes))
+        yield "markov-translation-unit", translation.markov_check(kern)
 
         yield from self._check_convolution()
         yield from self._check_multiplier()
@@ -407,8 +396,7 @@ class _CellRunner:
         yield "multiplier-diagonal-action", worst(*lattice.norms(
             translation.convolve_rows(fn, rho.values, kern) - cn[:, None] * fn, grid))
 
-        yield from _markov("bump", lambda: translation.markov_check_convolution(
-            rho, kern, self.mprobes))
+        yield "markov-bump-unit", _unit(lambda: translation.markov_check_convolution(rho, kern))
 
         g = self.gauss[0]
         try:
@@ -447,7 +435,7 @@ class _CellRunner:
             flows[g.k], flows[g.k + 1], g, self.gauss[g.k + 1], win) for g in gs))
 
         g1 = self.gauss[0]
-        yield from _markov("heat", lambda: heat.heat_markov_check(g1, kern, self.mprobes))
+        yield "markov-heat-unit", _unit(lambda: heat.heat_markov_check(g1, kern))
 
         yield "heat-composition", heat.composition_defect(
             self.kprobes[0], g1, g1, heat.gauss_kernel(2.0, self.grid, self.ctx), kern)

@@ -1,4 +1,4 @@
-"""q-translation operator, its triple-product kernel, and Markov checks.
+"""q-translation operator, its triple-product kernel, and its Markov unit checks.
 
 The kernel
 
@@ -8,7 +8,10 @@ is totally symmetric and, where it is nonnegative, makes the translation
 
     T_{q,x} f(y) = int f(z) D_v(x, y, z) z^{2v+1} d_q z
 
-a Markov operator.  Two truncation budgets govern a finite build:
+a Markov operator.  Contraction, Jensen and the sup bound are theorems of a
+nonnegative kernel of unit mass (Bakry, Gentil & Ledoux 2014, ch. 1), so
+only those two are checked (:func:`kernel_min`, :func:`markov_check`).  Two
+truncation budgets govern a finite build:
 
 * the s-integral of an entry loses its tail unless at least one argument
   exponent is small enough for the decay bound to kill the weight -- this
@@ -69,7 +72,7 @@ building the kernel, and the positivity scan, allocate no N x N array.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -79,7 +82,7 @@ from mpmath.libmp import mpf_mul, round_nearest
 
 from .bessel import BesselTable, decay_bound_log10, jv_table
 from .errors import GridMismatch, GridTooSmall, NotProbability, OffWindow
-from .lattice import GridFn, LatticeGrid, jackson_integral, norms, same_grid, stack
+from .lattice import GridFn, LatticeGrid, jackson_integral, norms, same_grid
 from .numerics import TINY, hankel_dots, to_fixed, worst
 from .qseries import DEFAULT_CTX, PrecisionCtx, QParams
 from .transform import (
@@ -93,7 +96,6 @@ from .transform import (
 
 __all__ = [
     "Kernel3",
-    "MarkovReport",
     "kernel",
     "translate",
     "convolve",
@@ -383,61 +385,18 @@ def positivity_min(p: QParams, window: int = 16,
     return PositivityResult(p.q, p.v, mn, arg, k.window)
 
 
-@dataclass(frozen=True)
-class MarkovReport:
-    """Defects of the Markov-operator axioms for a kernel-driven operator.
-
-    Symmetry is not among them: every operator here is M D M with D diagonal,
-    and the Jackson weight times M is symmetric for any table, since
-    w_n M[n, m] = c (1-q)^2 q^{(n+m)(2v+2)} j_v(q^{n+m}).  So T_{q,x} and
-    f -> f *_q rho are self-adjoint in the Jackson inner product by
-    construction, up to rounding.
+def markov_check(k: Kernel3) -> float:
+    """Unit defect max |T_{q,x} 1 (y) - 1| over window x and y: the kernel's row
+    sums (1-q) sum_z q^{z(2v+2)} D(x, y, z), through M.  Beyond window y the
+    product mass of (x, y) leaves the grid, and a defect there measures
+    truncation, not the operator.  Symmetry holds by construction: every
+    operator here is M D M with D diagonal, and the Jackson weight times M is
+    symmetric for any table, w_n M[n, m] = c (1-q)^2 q^{(n+m)(2v+2)} j_v(q^{n+m}).
     """
-
-    unit_defect: float
-    contraction_defect: float
-    jensen_defect: float
-    sup_defect: float
-
-
-def _markov_defects(apply_rows, k: Kernel3, f: np.ndarray,
-                    unit_values: np.ndarray) -> MarkovReport:
-    """Axiom defects of f -> apply_rows(f) on each probe row of f, all rows at once."""
-    grid = k.grid
-    tf, nf = apply_rows(f), norms(f, grid)
-    nn = np.all(f >= 0.0, axis=1)                   # Jensen needs f >= 0
-    return MarkovReport(
-        unit_defect=float(np.max(np.abs(unit_values - 1.0))),
-        contraction_defect=float(worst(*norms(tf, grid) / np.maximum(nf, TINY) - 1.0)),
-        jensen_defect=float(worst(*np.max(tf[nn] ** 2 - apply_rows(f[nn] ** 2), axis=1))),
-        sup_defect=float(worst(*np.max(np.abs(tf), axis=1)
-                               / np.maximum(np.max(np.abs(f), axis=1), TINY) - 1.0)),
-    )
-
-
-def markov_check(k: Kernel3, probes: list[GridFn]) -> MarkovReport:
-    """Markov-axiom defects for the translations {T_{q,x}} at window x values.
-
-    The unit fixed point T_{q,x} 1 = 1 is evaluated for every window x at
-    window y exponents (beyond them the product mass of (x, y) leaves the
-    grid and the defect measures truncation, not the operator): these are
-    the kernel's row sums (1-q) sum_z q^{z(2v+2)} D(x, y, z).  Contraction,
-    Jensen and the sup bound are probed at five spread window x with
-    window-supported functions over the full grid; symmetry holds by
-    construction (:class:`MarkovReport`).
-    """
-    x_exps = sorted({int(k.window_exponents[int(round(i))])
-                     for i in np.linspace(0, k.width - 1, num=min(5, k.width))})
-    fs = stack(k.grid, probes)
-    if np.any(k.off_window(fs)):
-        raise OffWindow("markov probes must be supported inside the kernel window")
     one_hat = k.op.matrix @ np.ones(k.grid.size)
     units = np.concatenate([_translate_hat(k.op, int(x), one_hat)[k.window_slice]
                             for x in k.window_exponents])
-    reports = [_markov_defects(lambda v, _x=x: translate_rows(v, _x, k), k, fs, units)
-               for x in x_exps]
-    # Each axis's worst over x; the unit defect is the same in every report.
-    return MarkovReport(*(worst(*axis) for axis in zip(*map(astuple, reports))))
+    return float(np.max(np.abs(units - 1.0)))
 
 
 def _check_probability(rho: GridFn, k: Kernel3) -> None:
@@ -450,17 +409,14 @@ def _check_probability(rho: GridFn, k: Kernel3) -> None:
         raise NotProbability(f"c * integral(rho) = {mass!r}, expected 1 within 1e-10")
 
 
-def markov_check_convolution(rho: GridFn, k: Kernel3,
-                             probes: list[GridFn]) -> MarkovReport:
-    """Markov-axiom defects for K: f -> f *_q rho, rho a probability density."""
+def markov_check_convolution(rho: GridFn, k: Kernel3) -> float:
+    """Unit defect of K: f -> f *_q rho, rho a probability density, at window x:
+    row x is T_{q,x} rho = int D(x, y, .) rho(y) dy, and (1 * rho)(x) = c int row.
+    K is Markov where D >= 0 (:func:`markov_check`)."""
     _check_probability(rho, k)
-    # Unit fixed point on window x rows: row x is T_{q,x} rho =
-    # int D(x, y, .) rho(y) dy, and (1 * rho)(x) = c int row; M rho is formed once.
-    rho_hat = k.op.matrix @ rho.values
+    rho_hat = k.op.matrix @ rho.values       # formed once
     rows = np.array([_translate_hat(k.op, int(x), rho_hat) for x in k.window_exponents])
-    units = k.c * (rows @ k.grid.weights())
-    return _markov_defects(lambda v: convolve_rows(v, rho.values, k), k,
-                           stack(k.grid, probes), units)
+    return float(np.max(np.abs(k.c * (rows @ k.grid.weights()) - 1.0)))
 
 
 def basis_rows(k: Kernel3, ns) -> np.ndarray:

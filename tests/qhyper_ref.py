@@ -7,7 +7,9 @@ fault in the library's own sums cannot also hide in its reference.
 ``qhyper`` measures the cancellation of its terms, but its inputs are rounded
 at the caller's digits first, and at x = q^-m the sum loses about
 (2 m^2 + (2v+1) m) log10(1/q) digits of them, some 41 more near q = 0.99
-(the (q^2; q^2)_n denominators).  So every value is taken at two precisions,
+(the (q^2; q^2)_n denominators), and the -log10(1 - q^{2v+2}) that the
+first factor of (q^{2v+2}; q^2)_n cancels as v -> -1 (16 at v = -1 + 2^-53).
+So every value is taken at two precisions,
 30 digits apart, that must agree: a precision too low for the point fails
 the test instead of passing a wrong reference.
 """
@@ -24,7 +26,8 @@ def jv_ref(q: float, v: float, e: int, digits: int = 60, extra: int = 0) -> mp.m
     give ``extra`` where that loss estimate falls short (q -> 1).
     """
     m = max(0, -e)
-    lost = (2 * m * m + max(2 * v + 1, 0) * m) * math.log10(1 / q)
+    lost = ((2 * m * m + max(2 * v + 1, 0) * m) * math.log10(1 / q)
+            - math.log10(-math.expm1((2 * v + 2) * math.log(q))))
     low = digits + 10 + extra + math.ceil(lost)
     values = []
     for dps in (low, low + 30):

@@ -92,11 +92,13 @@ def test_criterion_07_positivity(suite):
 
 
 def test_criterion_08_markov_axioms(suite):
-    names = [f"markov-{op}-{axis}"
-             for op in ("translation", "bump", "heat")
-             for axis in ("unit", "contraction", "jensen", "sup")]
+    # A nonnegative kernel of unit mass is Markov; contraction, Jensen and the
+    # sup bound follow (markov_ref reads them in the tests).
+    names = ["kernel-positivity",
+             *(f"markov-{op}-unit" for op in ("translation", "bump", "heat"))]
     _gate(suite, 8, names,
-          "Markov axioms for T_{q,x} and f -> f * rho, all defects < 1e-8")
+          "Markov operators T_{q,x}, f -> f * rho and P_t: D_v >= 0 on the window "
+          "(< 1e-10 below 0) and unit mass < 1e-8")
 
 
 def test_criterion_09_product_formula(suite):
@@ -184,7 +186,7 @@ def test_high_precision_residuals_pinned(suite):
 # sha256 of the default report's JSON with every cell's runtime_s zeroed: the
 # report is byte-identical across refactors that must not move a residual.
 # A change that moves one on purpose updates this pin and says why.
-_REPORT_SHA256 = "9b124c4e3c1c71f77ce2f5430714f356eeb415b5e2c332737c22cc01cb777e63"
+_REPORT_SHA256 = "7892e1eeeaeaab649ce658afe45607661ed13246ab8638c78adb0f679e164f01"
 
 
 def test_default_report_pinned(suite):

@@ -3,7 +3,8 @@
 The report's probe rows stack their probes into one (P, N) matrix and apply
 each operator as one product.  The loops below are the formulas those rows
 had before, one probe at a time through ``translate``, ``convolve``,
-``forward`` and ``norm2``: they are the reference.  A product
+``forward`` and ``norm2``: they are the reference (the Markov loops are
+``markov_ref``'s, which the Markov tests share).  A product
 sums in another order than a mat-vec, so the two agree within tolerances
 fixed here from each row's arithmetic, not from the values seen:
 
@@ -19,7 +20,6 @@ fixed here from each row's arithmetic, not from the values seen:
 import math
 import tracemalloc
 from collections import Counter
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -27,8 +27,9 @@ import pytest
 from qfourier import qseries, report
 from qfourier.bessel import decay_bound_log10, jv_table
 from qfourier.heat import heat_apply
-from qfourier.lattice import GridFn, delta_fn, jackson_integral, norm2, sup_norm
+from qfourier.lattice import GridFn, delta_fn, jackson_integral, norm2
 from qfourier.numerics import TINY, worst
+from qfourier.probes import seeded_probes
 from qfourier.qseries import QParams
 from qfourier.report import DEFAULT_CELLS, SuiteConfig
 from qfourier.transform import forward, psi_norm_sq, q_bessel_operator
@@ -43,6 +44,7 @@ from qfourier.translation import (
     markov_check_convolution,
     translate,
 )
+from markov_ref import loop_markov_convolution, loop_markov_translation
 
 ROUNDING = 1e-14
 AMPLIFIED = 1e-13
@@ -61,36 +63,6 @@ def rows(runner):
 
 
 # ---------------- the per-probe loops ----------------
-
-def loop_markov(apply_op, grid, probes, unit_values) -> tuple:
-    """(unit, contraction, jensen, sup) defects, one probe at a time."""
-    contraction = jensen = supd = 0.0
-    for f in probes:
-        tf = apply_op(f)
-        contraction = worst(contraction, norm2(tf) / max(norm2(f), TINY) - 1.0)
-        supd = worst(supd, sup_norm(tf) / max(sup_norm(f), TINY) - 1.0)
-        if np.all(f.values >= 0.0):
-            tf2 = apply_op(GridFn(grid, f.values ** 2))
-            jensen = worst(jensen, float(np.max(tf.values ** 2 - tf2.values)))
-    return float(np.max(np.abs(unit_values - 1.0))), contraction, jensen, supd
-
-
-def loop_markov_translation(k, probes) -> tuple:
-    xs = sorted({int(k.window_exponents[int(round(i))])
-                 for i in np.linspace(0, k.width - 1, num=min(5, k.width))})
-    one = GridFn(k.grid, np.ones(k.grid.size))
-    units = np.concatenate([translate(one, int(x), k).values[k.window_slice]
-                            for x in k.window_exponents])
-    reports = [loop_markov(lambda f, x=x: translate(f, x, k), k.grid, probes, units)
-               for x in xs]
-    return tuple(worst(*axis) for axis in zip(*reports))
-
-
-def loop_markov_convolution(rho, k, probes) -> tuple:
-    rows = np.array([translate(rho, int(x), k).values for x in k.window_exponents])
-    units = k.c * (rows @ k.grid.weights())
-    return loop_markov(lambda f: convolve(f, rho, k), k.grid, probes, units)
-
 
 def loop_transform_rows(r) -> dict:
     op, grid = r.op, r.grid
@@ -203,49 +175,47 @@ def loop_heat_rows(r) -> dict:
 
 # ---------------- the batched functions against the loops ----------------
 
-def assert_markov(got, ref):
-    got = astuple(got)
-    assert got[0] == ref[0]                 # the unit rows keep their arithmetic
-    for a, b in zip(got[1:], ref[1:]):
-        assert abs(a - b) <= ROUNDING, (got, ref)
+def assert_markov(unit, ref):
+    """The batched unit defect is the loop's, exactly (the same arithmetic); the
+    consequences the report no longer gates hold within its former 1e-8."""
+    assert unit == ref[0]
+    assert worst(*ref[1:]) < 1e-8, ref
 
 
 def _probe_sets(r) -> dict:
+    # The 16 probes the report's Markov rows once read: ten signed, six nonnegative.
+    probes = r.kprobes[:10] + seeded_probes(r.grid, r.kern.window, 6, r.cfg.seed + 2,
+                                            nonneg=True)
     dense = [f for f in r.kprobes[:20] if np.any(f.values < 0.0)]
-    return {"all": r.mprobes, "empty": [], "one": r.mprobes[:1], "no-nonneg": dense}
+    return {"all": probes, "empty": [], "one": probes[:1], "no-nonneg": dense}
 
 
 @pytest.mark.parametrize("which", ["all", "empty", "one", "no-nonneg"])
 class TestMarkovAgainstLoop:
     def test_translation(self, runner, which):
         probes = _probe_sets(runner)[which]
-        assert_markov(markov_check(runner.kern, probes),
-                      loop_markov_translation(runner.kern, probes))
+        assert_markov(markov_check(runner.kern), loop_markov_translation(runner.kern, probes))
 
     def test_bump_convolution(self, runner, which):
         probes = _probe_sets(runner)[which]
         rho = GridFn(runner.grid, delta_fn(runner.grid, 0).values / runner.c)
-        assert_markov(markov_check_convolution(rho, runner.kern, probes),
+        assert_markov(markov_check_convolution(rho, runner.kern),
                       loop_markov_convolution(rho, runner.kern, probes))
 
     def test_heat(self, runner, which):
         probes = _probe_sets(runner)[which]
         g = runner.gauss[0]
-        rep = markov_check_convolution(g.fn, runner.kern, probes)
-        assert_markov(rep, loop_markov_convolution(g.fn, runner.kern, probes))
-        if which in ("empty", "no-nonneg"):
-            assert rep.jensen_defect == 0.0         # no nonnegative probe, no Jensen term
+        assert_markov(markov_check_convolution(g.fn, runner.kern),
+                      loop_markov_convolution(g.fn, runner.kern, probes))
 
 
 def test_markov_rows_against_loop(runner, rows):
     rho = GridFn(runner.grid, delta_fn(runner.grid, 0).values / runner.c)
-    refs = {"translation": loop_markov_translation(runner.kern, runner.mprobes),
-            "bump": loop_markov_convolution(rho, runner.kern, runner.mprobes),
-            "heat": loop_markov_convolution(runner.gauss[0].fn, runner.kern, runner.mprobes)}
+    refs = {"translation": loop_markov_translation(runner.kern, []),
+            "bump": loop_markov_convolution(rho, runner.kern, []),
+            "heat": loop_markov_convolution(runner.gauss[0].fn, runner.kern, [])}
     for op, ref in refs.items():
-        for axis, value in zip(report.MARKOV_AXES, ref):
-            got = rows[f"markov-{op}-{axis}"]
-            assert got == value if axis == "unit" else abs(got - value) <= ROUNDING, (op, axis)
+        assert rows[f"markov-{op}-unit"] == ref[0], op
 
 
 @pytest.mark.parametrize("loop", [loop_transform_rows, loop_translation_rows, loop_heat_rows])

@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import fzero, from_int, from_man_exp, mpf_mul, round_nearest, to_float
 
@@ -486,6 +486,7 @@ class TestLatticeAnchor:
     @settings(max_examples=12, deadline=None)
     @given(q=st.floats(0.1, 0.95), v=st.floats(-1.0, 3.0, exclude_min=True),
            m=st.integers(1, 60))
+    @example(q=0.5, v=-1 + 2**-53, m=1)     # 1 - q^{2v+2} cancels 16 digits
     def test_matches_series_anywhere(self, q, v, m):
         _assert_anchor_matches_series(q, v, m)
 
@@ -741,9 +742,12 @@ class TestEigenRelation:
     @settings(max_examples=12, deadline=None)
     @given(q=st.floats(0.1, 0.95), v=st.floats(-1.0, 3.0, exclude_min=True),
            digits=st.integers(16, 80), n_lo=st.integers(-12, -1), n_hi=st.integers(8, 40))
+    @example(q=0.5, v=-1 + 2**-53, digits=16, n_lo=-12, n_hi=40)
     def test_clean_tables_read_their_rounding(self, q, v, digits, n_lo, n_hi):
         # Entries and sweep carry at least 50 digits at every working digits,
-        # so a clean table reads about 1e-51, ten decades under the gate.
+        # so a clean table reads about 1e-51, ten decades under the gate.  At
+        # the v boundary the bottom anchor's 1 - q^{2v+2} cancels 16 digits,
+        # which its products take on top of the certificate's.
         table = jv_table(LatticeGrid(QParams(q, v), n_lo, n_hi), PrecisionCtx(digits))
         assert eigen_residual(table) <= 1e-45
 

@@ -1,9 +1,10 @@
-"""Regression table: the outcome of `qfourier check` on cells known to fail.
+"""Regression table: the outcome of `qfourier check` on cells drawn at random.
 
-Each cell's outcome is pinned as it is, faults included: its exit code and
-either the exact set of failing gated rows (exit 1) or the refusal message
-(exit 3).  A change that mends a cell, or breaks another row, must update its
-line here and say why.  No cell may exit 2, which is kept for bad input.
+The cells were kept because they once failed; some pass now.  Each cell's
+outcome is pinned as it is, faults included: its exit code and either the
+exact set of failing gated rows (exit 0 or 1) or the refusal message (exit 3).
+A change that mends a cell, or breaks another row, must update its line here
+and say why.  No cell may exit 2, which is kept for bad input.
 """
 
 import json
@@ -12,8 +13,7 @@ import pytest
 
 from qfourier.cli import main
 
-JENSEN, HEAT = "markov-translation-jensen", "heat-equation-residual"
-HP = "gauss-transform-consistency-hp"
+HEAT, HP = "heat-equation-residual", "gauss-transform-consistency-hp"
 
 # (q, v, grid or None for the default scan grid, exit code, failing rows or message)
 CELLS = [
@@ -24,27 +24,37 @@ CELLS = [
     (0.293, -0.028, (-40, 56), 3,
      "kernel window [8, 31] leaves out exponent 0: "
      "grid [-40, 56] cannot be checked for q=0.293, v=-0.028"),
+    # A default scan grid past lattice.MAX_POINTS: n_hi grows as 1/((2v+2) log(1/q)).
+    (0.5, -0.999, None, 3,
+     "grid [-14, 26584] for q=0.5, v=-0.999 has 26599 points; "
+     "at most 4096 fit the N x N arrays of a check"),
+    (0.999, 0.0, None, 3,
+     "grid [-198, 18420] for q=0.999, v=0.0 has 18619 points; "
+     "at most 4096 fit the N x N arrays of a check"),
+    (0.5, -0.9999999999999999, None, 3,
+     "grid [-14, 239370146084580904] for q=0.5, v=-0.9999999999999999 has "
+     "239370146084580919 points; at most 4096 fit the N x N arrays of a check"),
     # The 80-term lower tail lets the trusted window take the whole grid.
     (0.499, 0.282, (-24, 199), 1,
-     {"delta-multiplier", HEAT, JENSEN, "orthogonality-diagonal", "orthogonality-offdiag",
+     {"delta-multiplier", HEAT, "orthogonality-diagonal", "orthogonality-offdiag",
       "transform-inversion", "transform-plancherel"}),
-    # Jensen's defect is absolute: it reads rounding where translated probes are large.
-    (0.339, 2.922, (-29, 52), 1, {HEAT, JENSEN}),
-    (0.424, 2.492, (-31, 112), 1, {HEAT, JENSEN}),
-    (0.151, 1.363, (-17, 21), 1, {JENSEN}),
-    (0.6, 0.923, (-34, 129), 1, {HEAT, JENSEN}),
-    (0.779, 1.972, (-36, 136), 1, {JENSEN}),
-    (0.164, 1.254, None, 1, {HEAT, JENSEN}),
-    (0.185, 1.289, None, 1, {HEAT, JENSEN}),
+    # These failed only the absolute Jensen probe row (rounding where translated
+    # probes are large), or it and the heat residual; the row is gone.
+    (0.339, 2.922, (-29, 52), 1, {HEAT}),
+    (0.424, 2.492, (-31, 112), 1, {HEAT}),
+    (0.151, 1.363, (-17, 21), 0, set()),
+    (0.6, 0.923, (-34, 129), 1, {HEAT}),
+    (0.779, 1.972, (-36, 136), 0, set()),
+    (0.164, 1.254, None, 1, {HEAT}),
+    (0.185, 1.289, None, 1, {HEAT}),
     # The hp Gauss row at its truncation floor.
     (0.729, 0.227, None, 1, {HP}),
     (0.263, -0.143, None, 1, {HEAT}),
-    # q = 1/2, v = -0.7 on [-14, 97]: the six v < 0 Markov rows and the hp Gauss
-    # row.  The eigen relation, read at every table entry relative to its
-    # terms, reads the table's 50-digit rounding and passes.
-    (0.5, -0.7, None, 1,
-     {HP, *(f"markov-{op}-{axis}" for op in ("translation", "bump")
-            for axis in ("contraction", "jensen", "sup"))}),
+    # q = 1/2, v = -0.7 on [-14, 97]: the hp Gauss row.  The six Markov probe
+    # rows that failed here gated theorems v < 0 does not give; the eigen
+    # relation, read at every table entry relative to its terms, reads the
+    # table's 50-digit rounding and passes.
+    (0.5, -0.7, None, 1, {HP}),
 ]
 
 

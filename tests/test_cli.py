@@ -224,7 +224,10 @@ class TestToleranceOverrides:
            ("markov-bump-symmetry", 1e-8),
            ("markov-heat-symmetry", 1e-8),
            ("qpoch-splitting", 1e-12),
-           ("qexp-series-agreement", 1e-12)]
+           ("qexp-series-agreement", 1e-12),
+           # Removed: theorems from kernel-positivity and the unit rows.
+           *((f"markov-{op}-{axis}", 1e-8) for op in ("translation", "bump", "heat")
+             for axis in ("contraction", "jensen", "sup"))]
 
     @pytest.mark.parametrize("name, tol", BAD)
     def test_suite_config_rejects(self, name, tol):

@@ -9,8 +9,8 @@ cell the matrix pins what ``run_cell`` does: the exact set of gated rows that
 fail, or the refusal it raises (mutation analysis: DeMillo, Lipton & Sayward,
 "Hints on test data selection", IEEE Computer 11(4), 1978).
 
-It is the evidence for deleting rows.  Fourteen gated rows left the registry
-on it; the faults that once broke what they read stay here, each failing a
+It is the evidence for deleting rows.  Twenty-three gated rows left the
+registry on it; the faults that once broke what they read stay here, each failing a
 kept row:
 
 * ``kernel-symmetry`` compared the cube's symmetrizing gather with itself,
@@ -31,7 +31,12 @@ kept row:
   ``translation-delta`` or ``convolution-commutativity`` at a smaller size;
 * ``qpoch-splitting`` and ``qexp-series-agreement`` read the products that
   ``qpoch-euler-series`` reads, and it failed every product fault at their
-  size or smaller (its rungs are pinned at the end of this file).
+  size or smaller (its rungs are pinned at the end of this file);
+* the nine ``markov-*-{contraction,jensen,sup}`` rows read theorems of the
+  kept ``kernel-positivity`` and unit rows, on probes; on the ladder none was
+  ever the first row alone to catch a fault, and the translation and
+  convolution faults they saw fail ``translation-delta`` or
+  ``convolution-commutativity`` (``markov_ref`` keeps them as tests).
 
 Every fault fails a gated row or raises a refusal on each cell it applies
 to.  A gated row that no fault fails is listed in ``UNCAUGHT`` with its
@@ -288,12 +293,9 @@ def both(want):
 QPOCH_ROWS = {"qpoch-euler-series"}
 GAUSS_ROUTES = {"gauss-transform-consistency", "gauss-transform-consistency-hp"}
 M_ROWS = {"gauss-transform-consistency", "transform-matrix-structure", "translation-delta"}
-BUMP_AND_HEAT = {f"markov-{op}-{axis}" for op in ("bump", "heat")
-                 for axis in ("contraction", "jensen", "sup")}
 # The rows that read the report's own densities, NaN when one is refused.
-BUMP_DENSITY = {f"markov-bump-{axis}" for axis in report.MARKOV_AXES}
-GAUSS_DENSITY = {f"markov-heat-{axis}" for axis in report.MARKOV_AXES} | {
-    "multiplier-gauss-coefficients"}
+BUMP_DENSITY = {"markov-bump-unit"}
+GAUSS_DENSITY = {"markov-heat-unit", "multiplier-gauss-coefficients"}
 TABLE_Q05 = {"bessel-eigen-relation", "bessel-oracle-agreement", "bessel-table-reproducibility"}
 EIGEN = {"bessel-eigen-relation"}
 
@@ -379,23 +381,20 @@ FAULTS = {
         {"convolution-commutativity", "kernel-positivity"}),
     "translation/scaled": (
         attribute(translation, "translate_rows", scaled_rows),
-        {"kernel-transform-projection", "translation-delta", "translation-eigenfunctions",
-         "markov-translation-contraction", "markov-translation-jensen",
-         "markov-translation-sup"},
-        {"kernel-transform-projection", "translation-delta", "translation-eigenfunctions",
-         "markov-translation-jensen", "markov-translation-sup"}),
+        *both({"kernel-transform-projection", "translation-delta",
+               "translation-eigenfunctions"})),
     "translation/transposed": (
         lambda m: m.setattr(translation, "translate_rows", translate_by_m),
-        *both({"kernel-transform-projection", "translation-delta", "translation-eigenfunctions",
-               *(f"markov-translation-{axis}" for axis in ("contraction", "jensen", "sup"))})),
+        *both({"kernel-transform-projection", "translation-delta",
+               "translation-eigenfunctions"})),
     "convolution-product-formula": (
         attribute(translation, "convolve_rows", scaled_rows),
         *both({"convolution-commutativity", "heat-spectral-diagonalization",
-               "markov-bump-jensen", "markov-bump-sup", "multiplier-diagonal-action"})),
+               "multiplier-diagonal-action"})),
     "convolution/transposed": (
         lambda m: m.setattr(translation, "convolve_rows", convolve_by_m),
-        *both(BUMP_AND_HEAT | {"convolution-commutativity", "heat-equation-residual",
-                               "heat-spectral-diagonalization", "multiplier-diagonal-action"})),
+        *both({"convolution-commutativity", "heat-equation-residual",
+               "heat-spectral-diagonalization", "multiplier-diagonal-action"})),
     "multiplier-bump-coefficients": (
         attribute(translation, "multiplier_coeffs", shifted_coeffs),
         {"multiplier-gauss-coefficients"}, {"multiplier-gauss-coefficients"}),

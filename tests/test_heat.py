@@ -40,6 +40,7 @@ from qfourier.qseries import (
 from qfourier.report import DEFAULT_CELLS, SuiteConfig, run_cell
 from qfourier.transform import build_transform, trusted_window
 from qfourier.translation import convolve_rows, translate
+from markov_ref import loop_markov_convolution
 
 CTX = PrecisionCtx()
 
@@ -548,9 +549,11 @@ class TestHeatMarkov:
                            nonneg=True)
         q = cell_half.p.q
         for t in (q**2, 1.0, q**-2):
-            rep = heat_markov_check(gauss_kernel(t, cell_half.grid, CTX), cell_half.kern,
-                                    kprobes + nn)
-            assert numerics.worst(*dataclasses.astuple(rep)) < 1e-8
+            g = gauss_kernel(t, cell_half.grid, CTX)
+            assert heat_markov_check(g, cell_half.kern) < 1e-8
+            # The unit row, and the contraction, Jensen and sup bounds it implies.
+            assert numerics.worst(*loop_markov_convolution(g.fn, cell_half.kern,
+                                                           kprobes + nn)) < 1e-8
 
     def test_symmetry_specifically(self, cell_half, kprobes):
         from qfourier.lattice import inner, norm2

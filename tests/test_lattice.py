@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfourier.errors import GridMismatch, OffGrid, ParseError, PrecisionExhausted
+from qfourier.errors import GridMismatch, GridTooLarge, OffGrid, ParseError, PrecisionExhausted
 from qfourier.lattice import (
+    MAX_POINTS,
     GridFn,
     LatticeGrid,
     delta_fn,
@@ -43,6 +44,13 @@ class TestGrid:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             LatticeGrid(QParams(0.5, 0.5), -2, 2)
+
+    def test_maximum_size(self):
+        # One point past the cap is refused before any array is allocated.
+        p = QParams(0.5, 0.5)
+        assert LatticeGrid(p, -10, MAX_POINTS - 11).size == MAX_POINTS
+        with pytest.raises(GridTooLarge, match=f"has {MAX_POINTS + 1} points"):
+            LatticeGrid(p, -10, MAX_POINTS - 10)
 
     def test_points_and_index(self, grid):
         assert grid.x(0) == 1.0

@@ -184,10 +184,10 @@ _NAN_ROWS = [
     ("check_transform", "delta-multiplier", _nan_probe("tprobes")),
     ("check_translation", "kernel-positivity", _patch(
         translation, "kernel_min", lambda k: (math.nan, (0, 0, 0)))),
-    ("check_translation", "markov-translation-contraction", _nan_probe("mprobes")),
+    ("check_translation", "convolution-commutativity", _nan_probe("kprobes")),
     ("check_translation", "markov-bump-unit", _off_mass_bump),
     ("check_translation", "multiplier-gauss-coefficients", _off_mass_gauss),
-    ("check_heat", "markov-heat-jensen", _off_mass_gauss),
+    ("check_heat", "markov-heat-unit", _off_mass_gauss),
     ("check_translation", "hypergroup-window-growth", _patch(
         translation, "hypergroup_expansion_defect", lambda k, n_window=None: math.nan)),
 ]

@@ -43,6 +43,7 @@ from qfourier.translation import (
     translate,
     translate_rows,
 )
+from markov_ref import loop_markov_convolution, loop_markov_translation
 from qhyper_ref import jv_ref
 
 CTX = PrecisionCtx()
@@ -84,7 +85,7 @@ class TestKernelBuild:
         one = GridFn(grid, np.ones(grid.size))
         wsel = [grid.index(int(e)) for e in k.window_exponents]
         rows = np.array([translate(one, int(x), k).values[wsel] for x in k.window_exponents])
-        unit = markov_check(k, []).unit_defect
+        unit = markov_check(k)
         assert unit == np.max(np.abs(rows - 1.0))
         assert unit < 1e-8
 
@@ -601,11 +602,11 @@ class TestPositivity:
 
 class TestMarkov:
     def test_translation_axioms(self, cell_half, kprobes, kprobes_nn):
-        rep = markov_check(cell_half.kern, kprobes + kprobes_nn)
-        assert rep.unit_defect < 1e-8
-        assert rep.contraction_defect < 1e-8
-        assert rep.jensen_defect < 1e-8
-        assert rep.sup_defect < 1e-8
+        # The unit row, and the contraction, Jensen and sup bounds it implies
+        # with the kernel's sign, on signed and nonnegative probes.
+        assert markov_check(cell_half.kern) < 1e-8
+        assert numerics.worst(*loop_markov_translation(cell_half.kern,
+                                                       kprobes + kprobes_nn)) < 1e-8
 
     def test_positive_probe_stays_positive(self, cell_half, kprobes_nn):
         k = cell_half.kern
@@ -617,15 +618,9 @@ class TestMarkov:
 
     def test_convolution_operator_axioms(self, cell_half, kprobes, kprobes_nn,
                                          bump_density):
-        rep = markov_check_convolution(bump_density, cell_half.kern,
-                                       kprobes + kprobes_nn)
-        assert numerics.worst(*dataclasses.astuple(rep)) < 1e-8
-
-    def test_probes_must_sit_in_window(self, cell_half):
-        grid = cell_half.grid
-        wide = GridFn(grid, np.ones(grid.size))
-        with pytest.raises(OffWindow):
-            markov_check(cell_half.kern, [wide])
+        assert markov_check_convolution(bump_density, cell_half.kern) < 1e-8
+        assert numerics.worst(*loop_markov_convolution(bump_density, cell_half.kern,
+                                                       kprobes + kprobes_nn)) < 1e-8
 
     @given(seed=st.integers(0, 2**32 - 1), which=st.sampled_from([0, 1]))
     @settings(max_examples=20, deadline=None, derandomize=True)
